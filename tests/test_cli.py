@@ -216,6 +216,22 @@ class TestBifurcation:
             per_level[r[0]] = per_level.get(r[0], 0) + 1
         assert all(count == 1 for count in per_level.values())
 
+    def test_dense_sweep_writes_every_level(self, tmp_path):
+        # 4001 levels put E = 0.0989 on the grid, where a near-tolerance root
+        # once failed the solver's residual re-check with a traceback
+        scenario = tmp_path / "dense.json"
+        scenario.write_text(json.dumps({"sweep": {"E_points": 4001}}))
+        locus = tmp_path / "locus.csv"
+        thresholds = tmp_path / "thresholds.csv"
+        cp = run_cli(
+            "bifurcation", "--scenario", str(scenario),
+            "--out", str(locus), "--thresholds-out", str(thresholds),
+        )
+        assert cp.returncode == 0, cp.stderr
+        assert "Traceback" not in cp.stderr
+        _, rows = parse_csv(locus.read_text())
+        assert len({r[0] for r in rows}) == 4001
+
     def test_stdout_carries_both_csvs(self):
         cp = run_cli("bifurcation")
         assert cp.returncode == 0
