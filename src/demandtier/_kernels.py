@@ -1,49 +1,23 @@
-"""Hot numeric kernels: map residuals on price grids, bracket bisection, and
-forward simulation of the productivity pair.
-
-The kernels are numba-jitted by default. Setting the environment variable
-``DEMANDTIER_NO_NUMBA=1`` (before import) selects the pure-numpy fallback
-path: the grid evaluation switches to a vectorized numpy expression with the
-same operation order, and the sequential loops run as plain Python over numpy
-storage. Both backends produce the same values; ``benchmarks/bench_kernels.py``
-compares their speed.
+"""Numeric kernels over numpy storage: forward simulation of the productivity
+pair, and the price-map residual helpers of the earlier grid solver.
 
 Learning coefficients arrive as the unified quintuple
 ``(nu, phi1, phi2, chi1, chi2)`` with the linear variant mapped to zero cubic
 terms, so a single kernel family serves both variants.
 """
 
-import os
-
 import numpy as np
-
-_flag = os.environ.get("DEMANDTIER_NO_NUMBA", "").strip().lower()
-NUMBA_ENABLED = _flag not in {"1", "true", "yes", "on"}
-
-if NUMBA_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
-
-if not NUMBA_ENABLED:
-
-    def njit(*args, **kwargs):
-        # no-op decorator so the same definitions run as plain Python
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
 
 
 def backend() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
+    return "numpy"
 
 
-@njit(cache=True)
+# map_residual, grid_residual and bisect_root have no caller in the package
+# since fixed points became cubic roots; the benchmark's tracer
+# (perfbench/tracer.py) still binds them by name, so they stay until it stops.
+
+
 def map_residual(p, alpha, e, nu, phi1, phi2, chi1, chi2):
     """Residual p_next - p of the price map at a single relative price."""
     s = alpha / (alpha + (1.0 - alpha) * p)
@@ -53,30 +27,16 @@ def map_residual(p, alpha, e, nu, phi1, phi2, chi1, chi2):
     return p * (g_l - g_h) / g_h
 
 
-@njit(cache=True)
-def grid_residual_loop(p_grid, alpha, e, nu, phi1, phi2, chi1, chi2):
-    """Map residual over a price grid (scalar loop, jitted when enabled)."""
-    out = np.empty_like(p_grid)
-    for i in range(p_grid.shape[0]):
-        out[i] = map_residual(p_grid[i], alpha, e, nu, phi1, phi2, chi1, chi2)
-    return out
+def grid_residual(p_grid, alpha, e, nu, phi1, phi2, chi1, chi2):
+    """Map residual over a price grid, vectorized."""
+    return map_residual(p_grid, alpha, e, nu, phi1, phi2, chi1, chi2)
 
 
-def grid_residual_numpy(p_grid, alpha, e, nu, phi1, phi2, chi1, chi2):
-    """Vectorized numpy version of grid_residual_loop (same operation order)."""
-    s = alpha / (alpha + (1.0 - alpha) * p_grid)
-    u = 1.0 - s
-    g_h = 1.0 + nu * e + phi1 * s - phi2 * s * s * s
-    g_l = 1.0 + chi1 * u - chi2 * u * u * u
-    return p_grid * (g_l - g_h) / g_h
-
-
-@njit(cache=True)
 def bisect_root(lo, hi, alpha, e, nu, phi1, phi2, chi1, chi2, tol, max_iter):
     """Bisect a sign-change bracket of the map residual.
 
     Halves until |residual| <= tol * max(1, p) or the bracket reaches float
-    resolution; the caller re-validates the residual bound independently.
+    resolution.
     """
     f_lo = map_residual(lo, alpha, e, nu, phi1, phi2, chi1, chi2)
     if f_lo == 0.0:
@@ -98,7 +58,6 @@ def bisect_root(lo, hi, alpha, e, nu, phi1, phi2, chi1, chi2, tol, max_iter):
     return mid
 
 
-@njit(cache=True)
 def simulate_arrays(a_h0, a_l0, alpha_arr, e_arr, nu, phi1, phi2, chi1, chi2, horizon):
     """Iterate the sectoral productivity pair forward.
 
@@ -126,7 +85,3 @@ def simulate_arrays(a_h0, a_l0, alpha_arr, e_arr, nu, phi1, phi2, chi1, chi2, ho
         a_h = g_h * a_h
         a_l = g_l * a_l
     return p, s, a_h_out, a_l_out
-
-
-# active grid backend: jitted scalar loop under numba, vectorized numpy otherwise
-grid_residual = grid_residual_loop if NUMBA_ENABLED else grid_residual_numpy

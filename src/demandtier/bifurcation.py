@@ -1,17 +1,16 @@
-"""Education sweeps, root-locus diagrams, saddle-node threshold refinement,
+"""Education sweeps, root-locus diagrams, closed-form saddle-node thresholds,
 and the education-channel decomposition of the price map.
 
 Sweeping an education grid and counting fixed points per level localizes
-parameter intervals where the root count changes. Genuine saddle-node
-collisions satisfy H = 1 and dH/ds = 0 simultaneously and are refined by a
-damped Newton iteration with the analytic Jacobian; transitions caused by a
-root crossing the price window (or by refinement failure) are kept as flagged
-transitions instead of thresholds.
+parameter intervals where the root count changes. A genuine saddle-node is a
+double root of the fixed-point cubic, so its share solves a quadratic and its
+education level follows in closed form; a transition with no saddle-node in
+its bracket comes from a root crossing the price window and is kept as a
+flagged transition instead of a threshold.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -20,21 +19,18 @@ import numpy as np
 from .demand import PreferenceSchedule, alpha_is_clipped, alpha_of
 from .dynamics import (
     LearningSpec,
-    _h_second_partials,
     excess_share,
     excess_share_slope_E,
+    gap_polynomial,
     h_ratio,
 )
 from .errors import ConfigError, DegenerateChannel, InvalidPrice, NoConvergence
 from .solver import FixedPoint, SolverConfig, find_fixed_points
 
-_NEWTON_MAX_ITER = 200
-_NEWTON_MAX_HALVINGS = 40
-
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Education grid and the residual tolerance for threshold refinement."""
+    """Education grid and the residual tolerance for saddle-node thresholds."""
 
     E_min: float = 0.05
     E_max: float = 0.45
@@ -64,9 +60,9 @@ class SaddleNode:
 class Transition:
     """A root-count change between adjacent sweep rows.
 
-    ``saddle`` holds the refined threshold when refinement converged inside
-    the bracket; otherwise it is None and ``note`` says why (window-edge
-    transitions and refinement failures stay flagged rather than reported).
+    ``saddle`` holds the threshold when a saddle-node lies inside the
+    bracket; otherwise it is None and ``note`` says why (window-edge
+    transitions stay flagged rather than reported).
     """
 
     E_lo: float
@@ -109,67 +105,37 @@ class ChannelCondition(NamedTuple):
 def refine_saddle_node(
     spec: LearningSpec,
     E_bracket: tuple[float, float],
-    s_hint: float,
     refine_tol: float = 1e-8,
-    max_iter: int = _NEWTON_MAX_ITER,
 ) -> SaddleNode:
-    """Solve H(s, E) = 1, dH/ds(s, E) = 0 by damped Newton.
+    """The saddle-node with E_bar strictly inside E_bracket, in closed form.
 
-    Starts from (s_hint, midpoint of E_bracket) and uses the analytic
-    Jacobian; raises NoConvergence on a singular Jacobian, a failed line
-    search, or residuals still above tolerance after ``max_iter`` steps.
+    A saddle-node is a double root of the gap cubic q(s) + nu*E, where q is
+    the gap g_H(s, E) - g_L(1 - s) at E = 0: s_bar solves the quadratic
+    q'(s) = 0 and E_bar = -q(s_bar)/nu. Raises NoConvergence when no such
+    point with s_bar in (0, 1) lies in the bracket, or when its residuals
+    |H - 1| and |dH/ds| exceed ``refine_tol``.
     """
     e_lo, e_hi = E_bracket
-    s = min(max(s_hint, 1e-9), 1.0 - 1e-9)
-    e = 0.5 * (e_lo + e_hi)
-
-    def residuals(s_val, e_val):
-        h = h_ratio(spec, s_val, e_val)
-        return h.value - 1.0, h.dH_ds, h.dH_dE
-
-    g1, g2, h_e = residuals(s, e)
-    norm = abs(g1) + abs(g2)
-    for _ in range(max_iter):
-        if abs(g1) <= refine_tol and abs(g2) <= refine_tol:
-            return SaddleNode(E_bar=e, s_bar=s, residuals=(abs(g1), abs(g2)))
-        d_ss, d_se = _h_second_partials(spec, s, e)
-        # rows: grad of (H - 1) and of dH/ds
-        det = g2 * d_se - h_e * d_ss
-        if abs(det) < 1e-300:
-            raise NoConvergence("singular Jacobian in saddle-node refinement")
-        step_s = -(g1 * d_se - h_e * g2) / det
-        step_e = -(g2 * g2 - d_ss * g1) / det
-        damping = 1.0
-        for _ in range(_NEWTON_MAX_HALVINGS):
-            s_new = min(max(s + damping * step_s, 0.0), 1.0)  # H stays evaluable
-            e_new = e + damping * step_e
-            g1_new, g2_new, he_new = residuals(s_new, e_new)
-            if abs(g1_new) + abs(g2_new) < norm:
-                break
-            damping *= 0.5
-        else:
-            raise NoConvergence("saddle-node line search failed to reduce the residual")
-        s, e = s_new, e_new
-        g1, g2, h_e = g1_new, g2_new, he_new
-        norm = abs(g1) + abs(g2)
-    if abs(g1) <= refine_tol and abs(g2) <= refine_tol:
-        return SaddleNode(E_bar=e, s_bar=s, residuals=(abs(g1), abs(g2)))
+    q = gap_polynomial(spec, 0.0)
+    for root in np.roots(np.polyder(q)):
+        s_bar = float(root.real)
+        if root.imag != 0.0 or not 0.0 < s_bar < 1.0:
+            continue
+        e_bar = -float(np.polyval(q, s_bar)) / spec.nu
+        if not e_lo < e_bar < e_hi:
+            continue
+        h = h_ratio(spec, s_bar, e_bar)
+        residuals = (abs(h.value - 1.0), abs(h.dH_ds))
+        if max(residuals) > refine_tol:
+            raise NoConvergence(
+                f"saddle-node residuals {residuals} at (s={s_bar}, E={e_bar}) "
+                f"above {refine_tol}"
+            )
+        return SaddleNode(E_bar=e_bar, s_bar=s_bar, residuals=residuals)
     raise NoConvergence(
-        f"saddle-node refinement residuals ({abs(g1)}, {abs(g2)}) above {refine_tol} "
-        f"after {max_iter} iterations"
+        f"no saddle-node lies in the bracket ({e_lo:.6g}, {e_hi:.6g}); a root-count "
+        "change there comes from a root crossing the price window"
     )
-
-
-def _collision_hint(row_more: DiagramRow, row_fewer: DiagramRow) -> float:
-    """Mean share of the roots that appear/disappear across a transition."""
-    shares_more = [fp.s_star for fp in row_more.roots]
-    shares_fewer = [fp.s_star for fp in row_fewer.roots]
-    if not shares_fewer:
-        return float(np.mean(shares_more))
-    gaps = [min(abs(s - q) for q in shares_fewer) for s in shares_more]
-    n_new = len(shares_more) - len(shares_fewer)
-    order = np.argsort(gaps)[::-1][:n_new]
-    return float(np.mean([shares_more[i] for i in order]))
 
 
 def sweep(
@@ -177,25 +143,14 @@ def sweep(
     spec: LearningSpec,
     sweep_cfg: SweepConfig | None = None,
     solver_cfg: SolverConfig | None = None,
-    workers: int = 1,
 ) -> BifurcationDiagram:
-    """Root inventory over an education grid plus refined thresholds.
-
-    Grid rows are independent and may be evaluated concurrently; the merge is
-    by grid order, so the diagram is identical for any ``workers`` value.
-    """
+    """Root inventory over an education grid plus saddle-node thresholds."""
     sweep_cfg = sweep_cfg or SweepConfig()
-    solver_cfg = solver_cfg or SolverConfig()
     e_grid = np.linspace(sweep_cfg.E_min, sweep_cfg.E_max, sweep_cfg.E_points)
-
-    def solve_row(e):
-        return DiagramRow(E=float(e), roots=find_fixed_points(sched, spec, float(e), solver_cfg))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(solve_row, e_grid))
-    else:
-        rows = [solve_row(e) for e in e_grid]
+    rows = [
+        DiagramRow(E=float(e), roots=find_fixed_points(sched, spec, float(e), solver_cfg))
+        for e in e_grid
+    ]
 
     transitions: list[Transition] = []
     thresholds: list[SaddleNode] = []
@@ -203,23 +158,14 @@ def sweep(
         n_lo, n_hi = len(lo.roots), len(hi.roots)
         if n_lo == n_hi:
             continue
-        row_more, row_fewer = (hi, lo) if n_hi > n_lo else (lo, hi)
-        s_hint = _collision_hint(row_more, row_fewer)
         saddle = None
         note = ""
         try:
-            cand = refine_saddle_node(spec, (lo.E, hi.E), s_hint, sweep_cfg.refine_tol)
+            saddle = refine_saddle_node(spec, (lo.E, hi.E), sweep_cfg.refine_tol)
         except NoConvergence as exc:
-            note = f"refinement failed: {exc}"
+            note = str(exc)
         else:
-            if lo.E < cand.E_bar < hi.E and 0.0 < cand.s_bar < 1.0:
-                saddle = cand
-                thresholds.append(cand)
-            else:
-                note = (
-                    "refined solution (s={:.6g}, E={:.6g}) lies outside the bracket; "
-                    "transition is not a saddle-node (root crossed the price window)"
-                ).format(cand.s_bar, cand.E_bar)
+            thresholds.append(saddle)
         transitions.append(
             Transition(
                 E_lo=lo.E, E_hi=hi.E, count_lo=n_lo, count_hi=n_hi,

@@ -2,9 +2,9 @@
 
 Subcommands: fixed-points, bifurcation, simulate, statics, planner-foc.
 Standard output carries CSV; diagnostics go to standard error. Exit codes:
-0 success, 2 validation error, 3 numerical failure (only when --strict asks
-for refinement failures to be fatal). Floats are printed with 12 significant
-digits so identical scenarios yield byte-identical files.
+0 success, 2 validation error, 3 numerical failure (a root that fails its
+residual bound, or a flagged transition under --strict). Floats are printed
+with 12 significant digits so identical scenarios yield byte-identical files.
 """
 
 from __future__ import annotations
@@ -71,13 +71,9 @@ def cmd_bifurcation(
     scenario: Scenario,
     out: str | None,
     thresholds_out: str | None,
-    workers: int,
     strict: bool,
 ) -> int:
-    diagram = sweep(
-        scenario.preferences, scenario.learning, scenario.sweep, scenario.solver,
-        workers=workers,
-    )
+    diagram = sweep(scenario.preferences, scenario.learning, scenario.sweep, scenario.solver)
     locus_rows: list[list[str]] = []
     for row in diagram.rows:
         if not row.roots:
@@ -215,10 +211,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_bif = sub.add_parser("bifurcation", help="education sweep: root locus and thresholds")
     common(p_bif)
     p_bif.add_argument("--thresholds-out", help="write the thresholds CSV here")
-    p_bif.add_argument("--workers", type=int, default=1, help="parallel sweep rows")
+    p_bif.add_argument(
+        "--workers", type=int, default=1,
+        help="accepted for compatibility; the sweep is serial and this has no effect",
+    )
     p_bif.add_argument(
         "--strict", action="store_true",
-        help="exit 3 if any root-count transition cannot be refined to a saddle-node",
+        help="exit 3 if any root-count transition is not a saddle-node",
     )
     common(sub.add_parser("simulate", help="forward time path"), with_e=True)
     common(sub.add_parser("statics", help="shares and income elasticities over an income grid"),
@@ -244,9 +243,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "fixed-points":
             return cmd_fixed_points(scenario, args.E, args.out)
         if args.command == "bifurcation":
-            return cmd_bifurcation(
-                scenario, args.out, args.thresholds_out, args.workers, args.strict
-            )
+            return cmd_bifurcation(scenario, args.out, args.thresholds_out, args.strict)
         if args.command == "simulate":
             return cmd_simulate(scenario, args.E, args.out)
         if args.command == "statics":

@@ -231,24 +231,20 @@ def h_ratio(spec: LearningSpec, s: float, E: float) -> HRatio:
     return HRatio(value=value, dH_ds=d_ds, dH_dE=d_de)
 
 
-def _h_second_partials(spec: LearningSpec, s: float, E: float) -> tuple[float, float]:
-    """(d2H/ds2, d2H/dsdE); used by the saddle-node Newton refinement."""
+def gap_polynomial(spec: LearningSpec, E: float) -> np.ndarray:
+    """Coefficients, highest power first, of g_H(s, E) - g_L(1 - s) in s.
+
+    The fixed points of the price map are this cubic's roots in (0, 1); only
+    the constant term nu*E - chi1 + chi2 depends on E. Linear learning gives
+    leading zeros, which ``np.roots`` and ``np.polyder`` drop.
+    """
     nu, phi1, phi2, chi1, chi2 = spec.coefficients
-    u = 1.0 - s
-    g_h = 1.0 + nu * E + phi1 * s - phi2 * s**3
-    g_l = 1.0 + chi1 * u - chi2 * u**3
-    gh_s = phi1 - 3.0 * phi2 * s**2
-    gh_ss = -6.0 * phi2 * s
-    gl_s = -(chi1 - 3.0 * chi2 * u**2)
-    gl_ss = -6.0 * chi2 * u
-    d_ss = (
-        gl_ss / g_h
-        - 2.0 * gl_s * gh_s / g_h**2
-        - g_l * gh_ss / g_h**2
-        + 2.0 * g_l * gh_s**2 / g_h**3
-    )
-    d_se = nu * (2.0 * g_l * gh_s - gl_s * g_h) / g_h**3
-    return d_ss, d_se
+    return np.array([
+        -(phi2 + chi2),
+        3.0 * chi2,
+        phi1 + chi1 - 3.0 * chi2,
+        nu * E - chi1 + chi2,
+    ])
 
 
 def price_map(sched: PreferenceSchedule, spec: LearningSpec, p: float, E: float) -> float:

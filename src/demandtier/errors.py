@@ -30,7 +30,7 @@ class InvalidState(DemandTierError):
 
 
 class NoConvergence(DemandTierError):
-    """An iterative refinement failed to meet its tolerance."""
+    """A root or threshold is missing from its bracket or fails its tolerance."""
 
 
 class DegenerateChannel(DemandTierError):

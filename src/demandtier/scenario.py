@@ -12,6 +12,7 @@ invariants.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -86,6 +87,8 @@ _SECTIONS = {
 }
 
 _INT_KEYS = {"grid_points", "E_points", "horizon", "y_points"}
+# keys of the former grid-and-bisection solver: still type-checked, then ignored
+_IGNORED_KEYS = {"solver": ("grid_points", "dedup_tol")}
 _LIST_KEYS = {"E", "income"}  # simulation paths may be scalars or lists
 
 _LEARNING_DEFAULTS = {
@@ -155,7 +158,8 @@ def load_scenario_dict(data: dict) -> Scenario:
             known = set(_LEARNING_DEFAULTS)
         else:
             known = set(cls.__dataclass_fields__)
-        bad = set(overrides) - known
+        ignored = _IGNORED_KEYS.get(section, ())
+        bad = set(overrides) - known - set(ignored)
         if bad:
             raise ConfigError(f"unknown key '{sorted(bad)[0]}' in section '{section}'")
         for key, value in overrides.items():
@@ -164,6 +168,13 @@ def load_scenario_dict(data: dict) -> Scenario:
             _check_number(section, key, value, allow_list=key in _LIST_KEYS and section == "simulation")
             if key in _INT_KEYS and not isinstance(value, int):
                 raise ConfigError(f"key '{key}' in section '{section}' must be an integer")
+        for key in ignored:
+            if key in overrides:
+                sys.stderr.write(
+                    f"note: key '{key}' in section '{section}' is ignored; "
+                    "fixed points are exact cubic roots\n"
+                )
+        overrides = {k: v for k, v in overrides.items() if k not in ignored}
         try:
             if section == "learning":
                 built[section] = _build_learning(overrides)
@@ -220,9 +231,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "solver": {
             "p_min": scenario.solver.p_min,
             "p_max": scenario.solver.p_max,
-            "grid_points": scenario.solver.grid_points,
             "bisect_tol": scenario.solver.bisect_tol,
-            "dedup_tol": scenario.solver.dedup_tol,
             "marginal_tol": scenario.solver.marginal_tol,
         },
         "sweep": {

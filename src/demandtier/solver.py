@@ -1,10 +1,11 @@
-"""Fixed points of the relative-price map: grid bracketing, bisection,
-deduplication, and local stability classification.
+"""Fixed points of the relative-price map as roots of one cubic, and local
+stability classification.
 
-The map residual F(p; E) = T(p; E) - p is evaluated on an equally spaced
-price grid; every sign change is refined by bisection until the residual is
-below tolerance, nearby roots are deduplicated, and each surviving root is
-classified through the analytic slope T'(p*) = 1 - s*(1-s*) * dH/ds.
+With s = S(p; E), the fixed-point condition T(p; E) = p reads
+g_H(s, E) = g_L(1 - s), a cubic in s. Its real roots, polished by one Newton
+step, map back to p = alpha(1-s)/((1-alpha)s); the roots with s in (0, 1)
+and p in [p_min, p_max] are re-checked through the public map and classified
+through the analytic slope T'(p*) = 1 - s*(1-s*) * dH/ds.
 """
 
 from __future__ import annotations
@@ -14,12 +15,9 @@ from enum import Enum
 
 import numpy as np
 
-from . import _kernels
 from .demand import PreferenceSchedule, alpha_of
-from .dynamics import LearningSpec, excess_share, h_ratio, price_map
-from .errors import ConfigError, ShareOutOfRange
-
-_BISECT_MAX_ITER = 200
+from .dynamics import LearningSpec, excess_share, gap_polynomial, h_ratio, price_map
+from .errors import ConfigError, NoConvergence, ShareOutOfRange
 
 
 class Stability(str, Enum):
@@ -30,13 +28,15 @@ class Stability(str, Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Grid, bisection, deduplication and classification tolerances."""
+    """Price window, residual bound and classification tolerance.
+
+    ``bisect_tol`` bounds the re-checked residual: every root satisfies
+    |T(p*) - p*| <= bisect_tol * max(1, p*).
+    """
 
     p_min: float = 0.01
     p_max: float = 14.0
-    grid_points: int = 4001
     bisect_tol: float = 1e-12
-    dedup_tol: float = 1e-7
     marginal_tol: float = 1e-8
 
     def __post_init__(self):
@@ -44,10 +44,7 @@ class SolverConfig:
             raise ConfigError(
                 f"need 0 < p_min < p_max, got p_min={self.p_min}, p_max={self.p_max}"
             )
-        if not isinstance(self.grid_points, int) or isinstance(self.grid_points, bool) \
-                or self.grid_points < 3:
-            raise ConfigError(f"grid_points must be an integer >= 3, got {self.grid_points}")
-        for name in ("bisect_tol", "dedup_tol", "marginal_tol"):
+        for name in ("bisect_tol", "marginal_tol"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
 
@@ -84,11 +81,6 @@ def classify_stability(
     return t_prime, stability
 
 
-def _residual_of(sched, spec, p, E) -> float:
-    # independent of the kernel bisection loop: goes through the public map
-    return price_map(sched, spec, p, E) - p
-
-
 def find_fixed_points(
     sched: PreferenceSchedule,
     spec: LearningSpec,
@@ -99,52 +91,35 @@ def find_fixed_points(
 
     An empty list is a legal result: an interior fixed point need not exist.
     Every returned root satisfies |T(p*) - p*| <= bisect_tol * max(1, p*),
-    re-checked here through the public map rather than the bisection kernel.
+    re-checked here through the public map; a root that fails the bound
+    raises NoConvergence.
     """
     cfg = cfg or SolverConfig()
     alpha = alpha_of(sched, E)
-    nu, phi1, phi2, chi1, chi2 = spec.coefficients
+    gap = gap_polynomial(spec, E)
+    gap_slope = np.polyder(gap)
 
-    p_grid = np.linspace(cfg.p_min, cfg.p_max, cfg.grid_points)
-    f_grid = _kernels.grid_residual(p_grid, alpha, E, nu, phi1, phi2, chi1, chi2)
-
-    candidates: list[float] = []
-    for i in range(cfg.grid_points - 1):
-        if f_grid[i] == 0.0:
-            candidates.append(float(p_grid[i]))
-        elif f_grid[i] * f_grid[i + 1] < 0.0:
-            candidates.append(
-                float(
-                    _kernels.bisect_root(
-                        p_grid[i], p_grid[i + 1], alpha, E,
-                        nu, phi1, phi2, chi1, chi2,
-                        cfg.bisect_tol, _BISECT_MAX_ITER,
-                    )
-                )
-            )
-    if f_grid[-1] == 0.0:
-        candidates.append(float(p_grid[-1]))
-
-    candidates.sort()
-    roots: list[float] = []
-    for p in candidates:
-        if roots and p - roots[-1] <= cfg.dedup_tol:
-            # keep whichever of the close pair has the smaller residual
-            if abs(_residual_of(sched, spec, p, E)) < abs(
-                _residual_of(sched, spec, roots[-1], E)
-            ):
-                roots[-1] = p
-        else:
-            roots.append(p)
+    p_stars: list[float] = []
+    for root in np.roots(gap):
+        if root.imag != 0.0:
+            continue
+        s = float(root.real)
+        slope = float(np.polyval(gap_slope, s))
+        if slope != 0.0:
+            s -= float(np.polyval(gap, s)) / slope
+        if 0.0 < s < 1.0:
+            p = alpha * (1.0 - s) / ((1.0 - alpha) * s)
+            if cfg.p_min <= p <= cfg.p_max:
+                p_stars.append(p)
 
     out: list[FixedPoint] = []
-    for p_star in roots:
-        residual = _residual_of(sched, spec, p_star, E)
+    for p_star in sorted(p_stars):
+        residual = price_map(sched, spec, p_star, E) - p_star
         bound = cfg.bisect_tol * max(1.0, p_star)
         if abs(residual) > bound:
-            raise RuntimeError(
-                f"bisection returned p*={p_star} with residual {residual} above "
-                f"the bound {bound}; this indicates a solver defect"
+            raise NoConvergence(
+                f"fixed point p*={p_star} at E={E} has residual {residual}, above "
+                f"the bound bisect_tol * max(1, p*) = {bound}"
             )
         s_star = excess_share(sched, E, p_star)
         d_ds = h_ratio(spec, s_star, E).dH_ds

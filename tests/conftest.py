@@ -48,3 +48,33 @@ def load_goldens():
                 )
             )
     return out
+
+
+def random_calibration(rng):
+    """A valid calibration drawn from the benchmark's ranges.
+
+    Returns (schedule, spec, alpha_params, learn_params); the last two are the
+    tuples the oracles take, with linear learning as zero cubic terms.
+    """
+    prefs = dict(
+        alpha_base=rng.uniform(0.70, 0.85),
+        alpha_slope=rng.uniform(0.05, 0.30),
+        alpha_lo=rng.uniform(0.55, 0.65),
+        alpha_hi=rng.uniform(0.93, 0.98),
+        gammaL_base=rng.uniform(1.0, 3.0),
+        gammaL_decay=rng.uniform(0.2, 0.8),
+    )
+    nu = rng.uniform(0.3, 0.9)
+    if rng.random() < 0.2:
+        learn = (nu, rng.uniform(0.3, 1.2), 0.0, rng.uniform(0.5, 1.5), 0.0)
+        spec = LearningSpec.linear(nu=learn[0], phi=learn[1], chi=learn[3])
+    else:
+        phi1 = rng.uniform(0.5, 1.1)
+        chi1 = rng.uniform(0.8, 1.6)
+        # 1 + c1 - c2 > 0 keeps each growth factor positive; 0.9 leaves a margin
+        learn = (nu, phi1, rng.uniform(0.5, 0.9 * (1.0 + phi1)),
+                 chi1, rng.uniform(0.8, 0.9 * (1.0 + chi1)))
+        spec = LearningSpec.cubic(*learn)
+    alpha_params = (prefs["alpha_base"], prefs["alpha_slope"],
+                    prefs["alpha_lo"], prefs["alpha_hi"])
+    return PreferenceSchedule(**prefs), spec, alpha_params, learn

@@ -109,6 +109,8 @@ def saddle_node_closed_form(learn_params=CUBIC_PARAMS):
     c = phi1 + chi1 - 3.0 * chi2
     disc = b * b - 4.0 * a * c
     out = []
+    if disc < 0.0:  # q is monotone on the reals: no collision anywhere
+        return out
     for root in ((-b + math.sqrt(disc)) / (2.0 * a), (-b - math.sqrt(disc)) / (2.0 * a)):
         if 0.0 < root < 1.0:
             out.append((-q(root) / nu, root))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from demandtier import (
@@ -14,6 +16,7 @@ from demandtier import (
 from demandtier.errors import ConfigError, DegenerateChannel, NoConvergence
 
 import oracles
+from conftest import random_calibration
 
 # closed-form thresholds of the headline cubic calibration, ascending in E
 SN_LOW, SN_HIGH = oracles.saddle_node_closed_form()
@@ -81,7 +84,7 @@ class TestThresholds:
         assert len(flagged) == 2
         assert {(t.count_lo, t.count_hi) for t in flagged} == {(0, 1), (1, 0)}
         for t in flagged:
-            assert "outside the bracket" in t.note or "failed" in t.note
+            assert "no saddle-node lies in the bracket" in t.note
 
     def test_colliding_pair_identity(self, diagram):
         # at the upper threshold the unstable middle root and the low-share
@@ -121,31 +124,57 @@ class TestDenserGrid:
 
 class TestRefineSaddleNode:
     def test_residuals_by_definition(self, cubic):
-        sn = refine_saddle_node(cubic, (0.215, 0.280), s_hint=0.45)
+        sn = refine_saddle_node(cubic, (0.215, 0.280))
         assert sn.residuals[0] <= 1e-8
         assert sn.residuals[1] <= 1e-8
         assert 0.215 < sn.E_bar < 0.280
 
     def test_matches_closed_form(self, cubic):
-        sn = refine_saddle_node(cubic, (0.215, 0.280), s_hint=0.45)
+        sn = refine_saddle_node(cubic, (0.215, 0.280))
         assert sn.E_bar == pytest.approx(SN_HIGH[0], abs=1e-8)
         assert sn.s_bar == pytest.approx(SN_HIGH[1], abs=1e-8)
 
     def test_linear_learning_never_converges(self, linear):
-        # dH/ds has constant sign under monotone learning
-        with pytest.raises(NoConvergence):
-            refine_saddle_node(linear, (0.1, 0.4), s_hint=0.5)
+        # dH/ds has constant sign under monotone learning: no saddle-node exists
+        with pytest.raises(NoConvergence, match="no saddle-node"):
+            refine_saddle_node(linear, (0.1, 0.4))
+
+    def test_bracket_without_saddle_node(self, cubic):
+        with pytest.raises(NoConvergence, match="no saddle-node"):
+            refine_saddle_node(cubic, (0.09, 0.095))
+
+    def test_residuals_above_tolerance_raise(self, cubic):
+        with pytest.raises(NoConvergence, match="residuals"):
+            refine_saddle_node(cubic, (0.215, 0.280), refine_tol=1e-30)
+
+
+class TestRandomCalibrations:
+    def test_sweep_thresholds_match_closed_form(self):
+        # every saddle-node whose collision lies inside the sweep and the price
+        # window is found, and nothing else is reported as one
+        rng = random.Random(20261018)
+        checked = 0
+        for _ in range(10):
+            sched, spec, alpha_params, learn = random_calibration(rng)
+            diagram = sweep(sched, spec, SweepConfig(E_min=0.02, E_max=0.5, E_points=97))
+            cubic_terms = learn[2] or learn[4]
+            expected = [
+                (e_bar, s_bar)
+                for e_bar, s_bar in (oracles.saddle_node_closed_form(learn) if cubic_terms else [])
+                if 0.02 < e_bar < 0.5
+                and 0.01 < oracles.price_of_share(
+                    s_bar, oracles.clip_alpha(e_bar, alpha_params)) < 14.0
+            ]
+            found = sorted((sn.E_bar, sn.s_bar) for sn in diagram.thresholds)
+            assert len(found) == len(expected)
+            for (e_bar, s_bar), (e_ref, s_ref) in zip(found, expected):
+                assert abs(e_bar - e_ref) <= 1e-10
+                assert abs(s_bar - s_ref) <= 1e-10
+            checked += len(found)
+        assert checked >= 3
 
 
 class TestSweepDeterminism:
-    def test_parallel_rows_identical(self, sched, cubic):
-        small = SweepConfig(E_min=0.13, E_max=0.27, E_points=15)
-        serial = sweep(sched, cubic, small)
-        parallel = sweep(sched, cubic, small, workers=4)
-        assert [row.E for row in serial.rows] == [row.E for row in parallel.rows]
-        for a, b in zip(serial.rows, parallel.rows):
-            assert [fp.p_star for fp in a.roots] == [fp.p_star for fp in b.roots]
-        assert [sn.E_bar for sn in serial.thresholds] == [sn.E_bar for sn in parallel.thresholds]
 
     def test_repeat_runs_identical(self, sched, cubic):
         small = SweepConfig(E_min=0.13, E_max=0.27, E_points=15)

@@ -9,9 +9,9 @@ from conftest import load_goldens
 GOLDEN = load_goldens()
 
 
-def run_cli(*args, env=None):
+def run_cli(*args):
     cmd = [sys.executable, "-m", "demandtier", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True)
 
 
 def parse_csv(text):
@@ -232,6 +232,20 @@ class TestBifurcation:
         _, rows = parse_csv(locus.read_text())
         assert len({r[0] for r in rows}) == 4001
 
+    def test_legacy_solver_keys_ignored(self, tmp_path):
+        # keys of the former grid solver still load, with one note per key
+        scenario = tmp_path / "legacy.json"
+        scenario.write_text(json.dumps({"solver": {"grid_points": 8001, "dedup_tol": 1e-9}}))
+        empty = tmp_path / "empty.json"
+        empty.write_text("{}")
+        legacy = run_cli("bifurcation", "--scenario", str(scenario))
+        base = run_cli("bifurcation", "--scenario", str(empty))
+        assert legacy.returncode == base.returncode == 0, legacy.stderr
+        assert legacy.stdout == base.stdout
+        notes = [line for line in legacy.stderr.splitlines() if line.startswith("note:")]
+        assert len(notes) == 2
+        assert "'grid_points'" in notes[0] and "'dedup_tol'" in notes[1]
+
     def test_stdout_carries_both_csvs(self):
         cp = run_cli("bifurcation")
         assert cp.returncode == 0
@@ -286,15 +300,3 @@ class TestPlannerFoc:
         cp = run_cli("planner-foc")
         assert cp.returncode == 2
         assert "linear" in cp.stderr
-
-
-class TestNumpyFallbackBackend:
-    def test_fixed_points_match_across_backends(self, monkeypatch):
-        import os
-
-        env = dict(os.environ)
-        env["DEMANDTIER_NO_NUMBA"] = "1"
-        with_numba = run_cli("fixed-points", "--E", "0.215")
-        without = run_cli("fixed-points", "--E", "0.215", env=env)
-        assert without.returncode == 0, without.stderr
-        assert with_numba.stdout == without.stdout

@@ -21,7 +21,7 @@ class TestDefaults:
         assert (s.learning.chi1, s.learning.chi2) == (1.2, 1.5)
         assert (s.preferences.alpha_base, s.preferences.alpha_slope) == (0.78, 0.16)
         assert (s.preferences.alpha_lo, s.preferences.alpha_hi) == (0.60, 0.97)
-        assert (s.solver.p_min, s.solver.p_max, s.solver.grid_points) == (0.01, 14.0, 4001)
+        assert (s.solver.p_min, s.solver.p_max, s.solver.bisect_tol) == (0.01, 14.0, 1e-12)
         assert (s.sweep.E_min, s.sweep.E_max, s.sweep.E_points) == (0.05, 0.45, 81)
 
     def test_empty_mapping_equals_defaults(self):
@@ -81,6 +81,14 @@ class TestStrictness:
             load_scenario_dict({"solver": {"grid_points": 4001.5}})
         with pytest.raises(ConfigError, match="variant"):
             load_scenario_dict({"learning": {"variant": "quartic"}})
+
+    def test_legacy_solver_keys_accepted_and_ignored(self, capsys):
+        s = load_scenario_dict({"solver": {"grid_points": 8001, "dedup_tol": 1e-9}})
+        assert s == default_scenario()
+        assert "grid_points" in capsys.readouterr().err
+        assert "grid_points" not in scenario_to_dict(s)["solver"]
+        with pytest.raises(ConfigError, match="must be a number"):
+            load_scenario_dict({"solver": {"dedup_tol": "tiny"}})
 
     def test_list_only_for_simulation_paths(self):
         with pytest.raises(ConfigError):

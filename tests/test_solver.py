@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,10 @@ from demandtier import (
     price_map,
     simulate_path,
 )
-from demandtier.errors import ConfigError, ShareOutOfRange
+from demandtier.errors import ConfigError, NoConvergence, ShareOutOfRange
 
 import oracles
-from conftest import load_goldens
+from conftest import load_goldens, random_calibration
 
 GOLDEN = load_goldens()
 
@@ -65,10 +67,15 @@ class TestResiduals:
                 assert abs(residual) <= cfg.bisect_tol * max(1.0, fp.p_star)
 
     def test_dedup_gap(self, sched, cubic):
-        cfg = SolverConfig()
+        # distinct roots, strictly increasing and well separated
         for e in oracles.E_VALUES:
-            roots = [fp.p_star for fp in find_fixed_points(sched, cubic, e, cfg)]
-            assert all(b - a > cfg.dedup_tol for a, b in zip(roots, roots[1:]))
+            roots = [fp.p_star for fp in find_fixed_points(sched, cubic, e)]
+            assert all(b - a > 1e-7 for a, b in zip(roots, roots[1:]))
+
+    def test_root_above_bound_raises(self, sched, cubic):
+        # at E = 0.145 the one root's residual is a few ulps, far above 1e-300
+        with pytest.raises(NoConvergence, match="bisect_tol"):
+            find_fixed_points(sched, cubic, 0.145, SolverConfig(bisect_tol=1e-300))
 
     def test_fixed_point_characterizations_agree(self, sched, cubic):
         # H(S(p*)) = 1 is the same equation as T(p*) = p*
@@ -78,15 +85,36 @@ class TestResiduals:
                 assert abs(h_ratio(cubic, s, e).value - 1.0) <= 1e-10
 
 
-class TestGridRefinement:
-    def test_doubling_grid_never_loses_roots(self, sched, cubic):
+def assert_matches_oracle(roots, oracle_roots):
+    assert len(roots) == len(oracle_roots)
+    for fp, p in zip(roots, oracle_roots):
+        assert abs(fp.p_star - p) <= 1e-9 * max(1.0, p)
+
+
+class TestOracleAgreement:
+    def test_headline_roots_match_dense_oracle(self, sched, cubic):
         for e in oracles.E_VALUES:
-            counts = [
-                len(find_fixed_points(sched, cubic, e, SolverConfig(grid_points=n)))
-                for n in (4001, 8001, 16001)
-            ]
-            assert counts[0] <= counts[1] <= counts[2]
-            assert counts[0] == counts[2]  # 4001 already resolves this scenario
+            assert_matches_oracle(find_fixed_points(sched, cubic, e), oracles.dense_roots(e))
+
+    def test_random_calibrations_match_dense_oracle(self):
+        # near each saddle-node, 1e-6 either side, a root pair is about to
+        # appear or has just appeared: the hardest levels to count right
+        rng = random.Random(20261018)
+        near_threshold = 0
+        for _ in range(10):
+            sched, spec, alpha_params, learn = random_calibration(rng)
+            levels = [rng.uniform(0.05, 0.45) for _ in range(3)]
+            if learn[2] or learn[4]:
+                for e_bar, _ in oracles.saddle_node_closed_form(learn):
+                    if 0.0 < e_bar < 1.0:
+                        levels += [e_bar - 1e-6, e_bar + 1e-6]
+                        near_threshold += 1
+            for e in levels:
+                oracle_roots = oracles.dense_roots(
+                    e, n=200_001, alpha_params=alpha_params, learn_params=learn
+                )
+                assert_matches_oracle(find_fixed_points(sched, spec, e), oracle_roots)
+        assert near_threshold >= 4
 
 
 class TestStability:
@@ -136,7 +164,7 @@ class TestBasinConsistency:
                 if fp.stability is not Stability.STABLE:
                     continue
                 for sign in (-1.0, 1.0):
-                    start = fp.p_star + sign * 10.0 * cfg.dedup_tol
+                    start = fp.p_star + sign * 1e-6
                     path = simulate_path(
                         sched, cubic, TechnologyState(a_H=1.0, a_L=start), e, 10.0, 500
                     )
@@ -151,7 +179,7 @@ class TestBasinConsistency:
         assert len(unstable) == 1
         fp = unstable[0]
         for sign in (-1.0, 1.0):
-            start = fp.p_star + sign * 10.0 * cfg.dedup_tol
+            start = fp.p_star + sign * 1e-6
             path = simulate_path(
                 sched, cubic, TechnologyState(a_H=1.0, a_L=start), 0.215, 10.0, 500
             )
@@ -161,13 +189,11 @@ class TestBasinConsistency:
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
-        assert (cfg.p_min, cfg.p_max, cfg.grid_points) == (0.01, 14.0, 4001)
-        assert (cfg.bisect_tol, cfg.dedup_tol, cfg.marginal_tol) == (1e-12, 1e-7, 1e-8)
+        assert (cfg.p_min, cfg.p_max) == (0.01, 14.0)
+        assert (cfg.bisect_tol, cfg.marginal_tol) == (1e-12, 1e-8)
 
     def test_validation(self):
         with pytest.raises(ConfigError, match="p_m"):
             SolverConfig(p_min=2.0, p_max=1.0)
-        with pytest.raises(ConfigError, match="grid_points"):
-            SolverConfig(grid_points=2)
         with pytest.raises(ConfigError, match="bisect_tol"):
             SolverConfig(bisect_tol=0.0)
