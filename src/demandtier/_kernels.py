@@ -1,10 +1,12 @@
-"""Numeric kernels over numpy storage: forward simulation of the productivity
-pair, and the price-map residual helpers of the earlier grid solver.
+"""Numeric kernels: forward simulation of the productivity pair, and the
+price-map residual helpers of the earlier grid solver.
 
 Learning coefficients arrive as the unified quintuple
 ``(nu, phi1, phi2, chi1, chi2)`` with the linear variant mapped to zero cubic
 terms, so a single kernel family serves both variants.
 """
+
+import math
 
 import numpy as np
 
@@ -64,24 +66,25 @@ def simulate_arrays(a_h0, a_l0, alpha_arr, e_arr, nu, phi1, phi2, chi1, chi2, ho
     Returns per-period arrays (p, s, a_H, a_L) of length ``horizon``: the
     relative price is the productivity ratio a_L/a_H, the excess-quantity
     share follows from it, and both productivities advance by their growth
-    factors.
+    factors. The loop runs on Python floats, which round exactly as numpy
+    float64 does but cost far less per operation.
     """
-    p = np.empty(horizon)
-    s = np.empty(horizon)
-    a_h_out = np.empty(horizon)
-    a_l_out = np.empty(horizon)
-    a_h = a_h0
-    a_l = a_l0
-    for t in range(horizon):
-        a_h_out[t] = a_h
-        a_l_out[t] = a_l
-        pt = a_l / a_h
-        p[t] = pt
-        st = alpha_arr[t] / (alpha_arr[t] + (1.0 - alpha_arr[t]) * pt)
-        s[t] = st
+    p, s, a_h_out, a_l_out = [], [], [], []
+    a_h = float(a_h0)
+    a_l = float(a_l0)
+    for alpha, e in zip(alpha_arr[:horizon].tolist(), e_arr[:horizon].tolist()):
+        a_h_out.append(a_h)
+        a_l_out.append(a_l)
+        try:
+            pt = a_l / a_h
+        except ZeroDivisionError:  # a_H underflowed to 0: the IEEE quotient
+            pt = math.inf if a_l > 0.0 else math.nan
+        p.append(pt)
+        st = alpha / (alpha + (1.0 - alpha) * pt)
+        s.append(st)
         u = 1.0 - st
-        g_h = 1.0 + nu * e_arr[t] + phi1 * st - phi2 * st * st * st
+        g_h = 1.0 + nu * e + phi1 * st - phi2 * st * st * st
         g_l = 1.0 + chi1 * u - chi2 * u * u * u
         a_h = g_h * a_h
         a_l = g_l * a_l
-    return p, s, a_h_out, a_l_out
+    return np.array(p), np.array(s), np.array(a_h_out), np.array(a_l_out)

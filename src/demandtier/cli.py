@@ -4,7 +4,8 @@ Subcommands: fixed-points, bifurcation, simulate, statics, planner-foc.
 Standard output carries CSV; diagnostics go to standard error. Exit codes:
 0 success, 2 validation error, 3 numerical failure (a root that fails its
 residual bound, or a flagged transition under --strict). Floats are printed
-with 12 significant digits so identical scenarios yield byte-identical files.
+with 12 significant digits (``%.12g``, the same text as ``format(x, '.12g')``)
+so identical scenarios yield byte-identical files.
 """
 
 from __future__ import annotations
@@ -12,24 +13,21 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from . import __version__
 from .bifurcation import sweep
-from .demand import HouseholdBudget, income_elasticities, solve_demand
+from .demand import alpha_of, demand_arrays
 from .dynamics import TechnologyState, simulate_path
-from .errors import ConfigError, DemandTierError, NoConvergence, NonInteriorBudget
+from .errors import ConfigError, DemandTierError, NoConvergence
 from .planner import evaluate_foc
 from .scenario import Scenario, default_scenario, dump_scenario, load_scenario
 from .solver import find_fixed_points
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".12g")
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -39,10 +37,14 @@ def _write_text(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8", newline="")
 
 
-def _csv(header: str, rows: list[list[str]]) -> str:
-    lines = [header]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv(header: str, row_format: str, rows: Iterable[tuple]) -> str:
+    """The header line, then one line per row, each row %-formatted whole.
+
+    ``row_format`` holds one field per column and no newline; floats take
+    ``%.12g``.
+    """
+    line = row_format + "\n"
+    return header + "\n" + "".join([line % row for row in rows])
 
 
 def _scalar_education(scenario: Scenario, override: float | None) -> float:
@@ -59,11 +61,10 @@ def _scalar_education(scenario: Scenario, override: float | None) -> float:
 def cmd_fixed_points(scenario: Scenario, E: float | None, out: str | None) -> int:
     e_val = _scalar_education(scenario, E)
     roots = find_fixed_points(scenario.preferences, scenario.learning, e_val, scenario.solver)
-    rows = [
-        [_fmt(e_val), _fmt(fp.p_star), _fmt(fp.s_star), _fmt(fp.t_prime), fp.stability.value]
-        for fp in roots
-    ]
-    _write_text(_csv("E,p_star,s_star,t_prime,stability", rows), out)
+    rows = [(e_val, fp.p_star, fp.s_star, fp.t_prime, fp.stability.value) for fp in roots]
+    _write_text(
+        _csv("E,p_star,s_star,t_prime,stability", "%.12g,%.12g,%.12g,%.12g,%s", rows), out
+    )
     return 0
 
 
@@ -74,25 +75,25 @@ def cmd_bifurcation(
     strict: bool,
 ) -> int:
     diagram = sweep(scenario.preferences, scenario.learning, scenario.sweep, scenario.solver)
-    locus_rows: list[list[str]] = []
+    # a level with no fixed point keeps a row with empty fields
+    locus_rows: list[tuple] = []
     for row in diagram.rows:
         if not row.roots:
-            locus_rows.append([_fmt(row.E), "", ""])
+            locus_rows.append((row.E, "", ""))
         for fp in row.roots:
-            locus_rows.append([_fmt(row.E), _fmt(fp.p_star), fp.stability.value])
-    locus_csv = _csv("E,p_star,stability", locus_rows)
+            locus_rows.append((row.E, "%.12g" % fp.p_star, fp.stability.value))
+    locus_csv = _csv("E,p_star,stability", "%.12g,%s,%s", locus_rows)
 
-    threshold_rows = [
-        [_fmt(sn.E_bar), _fmt(sn.s_bar), _fmt(sn.residuals[0]), _fmt(sn.residuals[1])]
-        for sn in diagram.thresholds
-    ]
-    thresholds_csv = _csv("E_bar,s_bar,res_H,res_dHds", threshold_rows)
+    threshold_rows = [(sn.E_bar, sn.s_bar, *sn.residuals) for sn in diagram.thresholds]
+    thresholds_csv = _csv(
+        "E_bar,s_bar,res_H,res_dHds", "%.12g,%.12g,%.12g,%.12g", threshold_rows
+    )
 
     flagged = [t for t in diagram.transitions if t.saddle is None]
     for t in flagged:
         sys.stderr.write(
-            f"transition in ({_fmt(t.E_lo)}, {_fmt(t.E_hi)}) "
-            f"[{t.count_lo} -> {t.count_hi} roots] not refined: {t.note}\n"
+            "transition in (%.12g, %.12g) [%d -> %d roots] not refined: %s\n"
+            % (t.E_lo, t.E_hi, t.count_lo, t.count_hi, t.note)
         )
     if strict and flagged:
         sys.stderr.write("aborting: --strict treats unrefined transitions as failures\n")
@@ -117,19 +118,16 @@ def cmd_simulate(scenario: Scenario, E: float | None, out: str | None) -> int:
         scenario.preferences, scenario.learning, initial,
         e_path, sim.income, sim.horizon,
     )
-    rows = []
-    for t in range(len(path)):
-        rows.append(
-            [
-                str(int(path.t[t])),
-                _fmt(path.p[t]), _fmt(path.s_q[t]),
-                _fmt(path.a_h[t]), _fmt(path.a_l[t]),
-                _fmt(path.c_l[t]), _fmt(path.c_h[t]),
-                _fmt(path.share_h[t]), _fmt(path.utility[t]),
-                "1" if path.interior[t] else "0",
-            ]
-        )
-    _write_text(_csv("t,p,s_Q,a_H,a_L,c_L,c_H,share_H,utility,interior_flag", rows), out)
+    columns = (path.t, path.p, path.s_q, path.a_h, path.a_l,
+               path.c_l, path.c_h, path.share_h, path.utility, path.interior)
+    _write_text(
+        _csv(
+            "t,p,s_Q,a_H,a_L,c_L,c_H,share_H,utility,interior_flag",
+            "%d" + ",%.12g" * 8 + ",%d",
+            zip(*[col.tolist() for col in columns]),
+        ),
+        out,
+    )
     return 0
 
 
@@ -139,25 +137,21 @@ def cmd_statics(scenario: Scenario, E: float | None, out: str | None) -> int:
         raise ConfigError("statics requires gamma_H = 0 (income elasticities)")
     e_val = E if E is not None else st.E
     incomes = np.linspace(st.y_min, st.y_max, st.y_points)
-    rows = []
-    nan = _fmt(float("nan"))
-    for y in incomes:
-        budget = HouseholdBudget(income=float(y), price_H=st.price_H)
-        try:
-            sol = solve_demand(scenario.preferences, budget, e_val)
-            eta = income_elasticities(scenario.preferences, budget, e_val)
-        except NonInteriorBudget:
-            rows.append([_fmt(y)] + [nan] * 6 + ["0"])
-            continue
-        rows.append(
-            [
-                _fmt(y), _fmt(sol.c_L), _fmt(sol.c_H),
-                _fmt(sol.share_H), _fmt(sol.share_L),
-                _fmt(eta.eta_H), _fmt(eta.eta_L), "1",
-            ]
-        )
+    # income elasticities as in income_elasticities: eta_H = Y/B and
+    # eta_L = (1-alpha)/share_L; every column is NaN on non-interior rows
+    demand = demand_arrays(scenario.preferences, incomes, st.price_H, e_val)
+    share_l = 1.0 - demand.share_H
+    eta_h = incomes / demand.supernumerary
+    eta_l = (1.0 - alpha_of(scenario.preferences, e_val)) / share_l
+    columns = (incomes, demand.c_L, demand.c_H, demand.share_H, share_l,
+               eta_h, eta_l, demand.interior)
     _write_text(
-        _csv("Y,c_L,c_H,share_H,share_L,eta_H,eta_L,interior_flag", rows), out
+        _csv(
+            "Y,c_L,c_H,share_H,share_L,eta_H,eta_L,interior_flag",
+            ",".join(["%.12g"] * 7) + ",%d",
+            zip(*[col.tolist() for col in columns]),
+        ),
+        out,
     )
     return 0
 
@@ -170,18 +164,15 @@ def cmd_planner_foc(scenario: Scenario, out: str | None) -> int:
         sim.E, sim.income, max(sim.horizon, scenario.planner.horizon),
     )
     report = evaluate_foc(scenario.preferences, scenario.learning, scenario.planner, path)
-    rows = []
-    for t in range(len(report)):
-        rows.append(
-            [
-                str(int(report.t[t])),
-                _fmt(report.preference_term[t]), _fmt(report.spillover_term[t]),
-                _fmt(report.shadow_cost[t]), _fmt(report.wedge[t]),
-                _fmt(report.lambda_t[t]), _fmt(report.eta_t[t]),
-            ]
-        )
+    columns = (report.t, report.preference_term, report.spillover_term,
+               report.shadow_cost, report.wedge, report.lambda_t, report.eta_t)
     _write_text(
-        _csv("t,preference_term,spillover_term,shadow_cost,wedge,lambda,eta", rows), out
+        _csv(
+            "t,preference_term,spillover_term,shadow_cost,wedge,lambda,eta",
+            "%d" + ",%.12g" * 6,
+            zip(*[col.tolist() for col in columns]),
+        ),
+        out,
     )
     return 0
 

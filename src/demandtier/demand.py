@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import ConfigError, NonInteriorBudget
 
 
@@ -82,6 +84,20 @@ class DemandSolution:
     utility: float
 
 
+class DemandArrays(NamedTuple):
+    """Marshallian demand row by row at price_L = 1 (see ``demand_arrays``).
+
+    Every float column is NaN on rows where ``interior`` is False.
+    """
+
+    c_L: np.ndarray
+    c_H: np.ndarray
+    supernumerary: np.ndarray
+    share_H: np.ndarray
+    utility: np.ndarray
+    interior: np.ndarray
+
+
 class IncomeElasticities(NamedTuple):
     eta_H: float
     eta_L: float
@@ -114,6 +130,19 @@ def alpha_slope_of(sched: PreferenceSchedule, E: float) -> float:
     return 0.0 if alpha_is_clipped(sched, E) else sched.alpha_slope
 
 
+def alpha_array(sched: PreferenceSchedule, E: np.ndarray) -> np.ndarray:
+    """``alpha_of`` over an array of education levels."""
+    return np.minimum(
+        sched.alpha_hi, np.maximum(sched.alpha_lo, sched.alpha_base + sched.alpha_slope * E)
+    )
+
+
+def alpha_slope_array(sched: PreferenceSchedule, E: np.ndarray) -> np.ndarray:
+    """``alpha_slope_of`` over an array of education levels."""
+    raw = sched.alpha_base + sched.alpha_slope * E
+    return np.where((raw <= sched.alpha_lo) | (raw >= sched.alpha_hi), 0.0, sched.alpha_slope)
+
+
 def gammaL_of(sched: PreferenceSchedule, E: float) -> float:
     """Low-tier subsistence threshold at education level E."""
     if E < 0.0:
@@ -124,6 +153,18 @@ def gammaL_of(sched: PreferenceSchedule, E: float) -> float:
 def gammaL_slope_of(sched: PreferenceSchedule, E: float) -> float:
     """d gamma_L/dE at E (nonpositive by construction)."""
     return -sched.gammaL_decay * gammaL_of(sched, E)
+
+
+def gammaL_array(sched: PreferenceSchedule, E: np.ndarray) -> np.ndarray:
+    """``gammaL_of`` over an array of education levels, which must be >= 0.
+
+    The exponential is libm's ``math.exp``, as in the scalar form: ``np.exp``
+    differs from it in the last bit on some inputs, and gamma_L decides the
+    sign of B where income just covers subsistence.
+    """
+    x = -sched.gammaL_decay * np.asarray(E, dtype=float)
+    decay = np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size)
+    return sched.gammaL_base * decay.reshape(x.shape)
 
 
 def supernumerary_income(sched: PreferenceSchedule, budget: HouseholdBudget, E: float) -> float:
@@ -191,6 +232,63 @@ def income_elasticities(
     eta_H = budget.income / sol.supernumerary
     eta_L = (1.0 - a) / sol.share_L
     return IncomeElasticities(eta_H=eta_H, eta_L=eta_L)
+
+
+def demand_arrays(
+    sched: PreferenceSchedule,
+    income: np.ndarray | float,
+    price_H: np.ndarray | float,
+    E: np.ndarray | float,
+    require_interior: bool = False,
+) -> DemandArrays:
+    """``solve_demand`` over arrays of incomes, prices and education levels.
+
+    The three inputs broadcast against each other and price_L is 1. Row i
+    holds what ``solve_demand(sched, HouseholdBudget(income[i], price_H[i]),
+    E[i])`` returns, except that ``utility`` may differ in the last bit
+    (``np.power`` in place of libm ``pow``). A row whose supernumerary income
+    B is <= 0 is flagged non-interior and its columns are NaN; with
+    ``require_interior`` the first such row raises NonInteriorBudget instead.
+    ``interior`` is ``not (B <= 0)``, so a NaN B stays interior, as in the
+    scalar form. An invalid row raises the scalar form's ConfigError for the
+    first such row.
+    """
+    y, p, e = np.broadcast_arrays(
+        np.asarray(income, dtype=float),
+        np.asarray(price_H, dtype=float),
+        np.asarray(E, dtype=float),
+    )
+    invalid = (y <= 0.0) | (p <= 0.0) | (e < 0.0)
+    if invalid.any():
+        i = int(np.argmax(invalid))
+        # the scalar checks, in the scalar order, raise the scalar message
+        HouseholdBudget(income=float(y.flat[i]), price_H=float(p.flat[i]))
+        gammaL_of(sched, float(e.flat[i]))
+    a = alpha_array(sched, e)
+    g_L = gammaL_array(sched, e)
+    # as in the scalar form's Python float arithmetic, an infinite price times
+    # gamma_H = 0 gives a NaN B without a warning, and that row stays interior
+    with np.errstate(invalid="ignore"):
+        b = y - g_L - p * sched.gamma_H
+    interior = ~(b <= 0.0)
+    if require_interior and not interior.all():
+        b_bad = b.flat[int(np.argmin(interior))]
+        raise NonInteriorBudget(
+            f"supernumerary income must be > 0 for an interior optimum, got B={b_bad}"
+        )
+    # non-interior rows are dropped before any power is taken
+    a, b, p, y, g_L = a[interior], b[interior], p[interior], y[interior], g_L[interior]
+    ex_L = (1.0 - a) * b
+    ex_H = a * b / p
+    c_H = sched.gamma_H + ex_H
+    columns = (g_L + ex_L, c_H, b, p * c_H / y, ex_L ** (1.0 - a) * ex_H ** a)
+    return DemandArrays(*(_scatter(col, interior) for col in columns), interior=interior)
+
+
+def _scatter(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    out = np.full(mask.shape, np.nan)
+    out[mask] = values
+    return out
 
 
 def dshare_H_dE(sched: PreferenceSchedule, budget: HouseholdBudget, E: float) -> ShareSlope:

@@ -22,18 +22,17 @@ import numpy as np
 
 from . import _kernels
 from .demand import (
-    HouseholdBudget,
     PreferenceSchedule,
+    alpha_array,
     alpha_of,
     alpha_slope_of,
-    solve_demand,
+    demand_arrays,
 )
 from .errors import (
     ConfigError,
     InvalidHorizon,
     InvalidPrice,
     InvalidState,
-    NonInteriorBudget,
     ShareOutOfRange,
 )
 
@@ -288,31 +287,12 @@ def simulate_path(
     if np.any(e_arr < 0.0):
         raise ConfigError("education path must be >= 0 everywhere")
 
-    alpha_arr = np.minimum(
-        sched.alpha_hi, np.maximum(sched.alpha_lo, sched.alpha_base + sched.alpha_slope * e_arr)
-    )
     nu, phi1, phi2, chi1, chi2 = spec.coefficients
     p, s, a_h, a_l = _kernels.simulate_arrays(
-        initial.a_H, initial.a_L, alpha_arr, e_arr, nu, phi1, phi2, chi1, chi2, horizon
+        initial.a_H, initial.a_L, alpha_array(sched, e_arr), e_arr,
+        nu, phi1, phi2, chi1, chi2, horizon,
     )
-
-    c_l = np.full(horizon, np.nan)
-    c_h = np.full(horizon, np.nan)
-    share_h = np.full(horizon, np.nan)
-    utility = np.full(horizon, np.nan)
-    interior = np.zeros(horizon, dtype=bool)
-    for t in range(horizon):
-        try:
-            sol = solve_demand(
-                sched, HouseholdBudget(income=y_arr[t], price_H=p[t]), e_arr[t]
-            )
-        except NonInteriorBudget:
-            continue
-        c_l[t] = sol.c_L
-        c_h[t] = sol.c_H
-        share_h[t] = sol.share_H
-        utility[t] = sol.utility
-        interior[t] = True
+    demand = demand_arrays(sched, y_arr, p, e_arr)
 
     return TimePath(
         t=np.arange(horizon),
@@ -320,11 +300,11 @@ def simulate_path(
         s_q=s,
         a_h=a_h,
         a_l=a_l,
-        c_l=c_l,
-        c_h=c_h,
-        share_h=share_h,
-        utility=utility,
-        interior=interior,
+        c_l=demand.c_L,
+        c_h=demand.c_H,
+        share_h=demand.share_H,
+        utility=demand.utility,
+        interior=demand.interior,
         e_path=e_arr,
         income_path=y_arr,
     )

@@ -20,18 +20,16 @@ margin.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .demand import (
-    HouseholdBudget,
     PreferenceSchedule,
-    alpha_of,
-    alpha_slope_of,
-    gammaL_slope_of,
-    solve_demand,
+    alpha_array,
+    alpha_slope_array,
+    demand_arrays,
+    gammaL_array,
 )
 from .dynamics import LearningSpec, LearningVariant, TimePath
 from .errors import ConfigError, InvalidHorizon, SpecVariantUnsupported
@@ -112,38 +110,37 @@ def evaluate_foc(
     s = path.s_q[:horizon]
     a_h = path.a_h[:horizon]
 
-    lam = np.empty(horizon)
-    pref = np.empty(horizon)
-    ds_de = np.empty(horizon)
-    c_h = np.empty(horizon)
-    for t in range(horizon):
-        net = y[t] - kappa(cfg, e[t])
-        if net <= 0.0:
-            raise ConfigError(
-                f"income {y[t]} cannot cover the education cost {kappa(cfg, e[t])} at t={t}"
-            )
-        sol = solve_demand(sched, HouseholdBudget(income=net, price_H=p[t]), e[t])
-        a = alpha_of(sched, e[t])
-        lam[t] = sol.utility / sol.supernumerary
-        ex_l = (1.0 - a) * sol.supernumerary  # above-subsistence quantities, price_L = 1
-        ex_h = sol.c_H - sched.gamma_H
-        pref[t] = sol.utility * (
-            alpha_slope_of(sched, e[t]) * math.log(ex_h / ex_l)
-            - (1.0 - a) * gammaL_slope_of(sched, e[t]) / ex_l
+    net = y - kappa(cfg, e)
+    short = np.flatnonzero(net <= 0.0)
+    ok = int(short[0]) if short.size else horizon
+    # periods before the first unaffordable one, so that the first failing
+    # period raises whichever error it hits first
+    demand = demand_arrays(sched, net[:ok], p[:ok], e[:ok], require_interior=True)
+    if ok < horizon:
+        raise ConfigError(
+            f"income {y[ok]} cannot cover the education cost {kappa(cfg, e[ok])} at t={ok}"
         )
-        ds_de[t] = alpha_slope_of(sched, e[t]) * s[t] * (1.0 - s[t]) / (a * (1.0 - a))
-        c_h[t] = sol.c_H
 
-    eta = np.zeros(horizon)
+    a = alpha_array(sched, e)
+    a_slope = alpha_slope_array(sched, e)
+    lam = demand.utility / demand.supernumerary
+    ex_l = (1.0 - a) * demand.supernumerary  # above-subsistence quantities, price_L = 1
+    ex_h = demand.c_H - sched.gamma_H
+    gl_slope = -sched.gammaL_decay * gammaL_array(sched, e)
+    pref = demand.utility * (a_slope * np.log(ex_h / ex_l) - (1.0 - a) * gl_slope / ex_l)
+    ds_de = a_slope * s * (1.0 - s) / (a * (1.0 - a))
+
+    # costate recursion backward from eta = 0 at the horizon, on Python floats
+    s_next = s[1:]
+    push = (lam[1:] * p[1:] * demand.c_H[1:] / a_h[1:]).tolist()
+    carry = (1.0 + nu * e[1:] + phi * s_next + phi * s_next * (1.0 - s_next)).tolist()
+    eta_list = [0.0] * horizon
     for t in range(horizon - 2, -1, -1):
-        g_h_next = 1.0 + nu * e[t + 1] + phi * s[t + 1]
-        eta[t] = cfg.beta * (
-            lam[t + 1] * p[t + 1] * c_h[t + 1] / a_h[t + 1]
-            + eta[t + 1] * (g_h_next + phi * s[t + 1] * (1.0 - s[t + 1]))
-        )
+        eta_list[t] = cfg.beta * (push[t] + eta_list[t + 1] * carry[t])
+    eta = np.array(eta_list)
 
     spill = eta * (phi * ds_de + nu) * a_h
-    shadow = lam * np.array([kappa_prime(cfg, e_t) for e_t in e])
+    shadow = lam * kappa_prime(cfg, e)
     wedge = pref + spill - shadow
     return FocReport(
         t=np.arange(horizon),

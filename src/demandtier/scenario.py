@@ -12,6 +12,7 @@ invariants.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -109,15 +110,23 @@ def default_scenario() -> Scenario:
 
 
 def _check_number(section: str, key: str, value, allow_list: bool) -> None:
+    # json.loads accepts NaN, Infinity and overflowing literals such as 1e999
     if isinstance(value, bool):
         raise ConfigError(f"key '{key}' in section '{section}' must be a number, got a boolean")
     if isinstance(value, (int, float)):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"key '{key}' in section '{section}' must be finite, got {value!r}")
         return
     if allow_list and isinstance(value, list):
         for item in value:
             if isinstance(item, bool) or not isinstance(item, (int, float)):
                 raise ConfigError(
                     f"key '{key}' in section '{section}' must contain numbers only"
+                )
+            if isinstance(item, float) and not math.isfinite(item):
+                raise ConfigError(
+                    f"key '{key}' in section '{section}' must contain finite numbers only, "
+                    f"got {item!r}"
                 )
         return
     raise ConfigError(f"key '{key}' in section '{section}' must be a number, got {value!r}")

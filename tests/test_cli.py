@@ -2,9 +2,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import load_goldens
+from demandtier.cli import _csv
 
 GOLDEN = load_goldens()
 
@@ -26,6 +28,18 @@ def defaults_file(tmp_path_factory):
     cp = run_cli("--dump-defaults", "--out", str(path))
     assert cp.returncode == 0, cp.stderr
     return path
+
+
+class TestCsvWriter:
+    def test_special_values_print_as_format_12g(self):
+        values = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e308,
+                  0.1, 1.0 / 3.0, 123456789012345.0, np.float64(2.0) / 3.0]
+        text = _csv("i,x,label", "%d,%.12g,%s", [(i, v, "ok") for i, v in enumerate(values)])
+        expected = "".join(f"{i},{format(float(v), '.12g')},ok\n" for i, v in enumerate(values))
+        assert text == "i,x,label\n" + expected
+
+    def test_no_rows_is_header_only(self):
+        assert _csv("a,b", "%.12g,%.12g", []) == "a,b\n"
 
 
 class TestEntryPoints:
@@ -124,6 +138,14 @@ class TestSimulate:
         assert cp.returncode == 2
         assert "a_H" in cp.stderr
 
+    def test_non_finite_scenario_number_rejected(self, tmp_path):
+        scenario = tmp_path / "nan.json"
+        scenario.write_text('{"simulation": {"a_L0": NaN, "horizon": 3}}')
+        cp = run_cli("simulate", "--scenario", str(scenario))
+        assert cp.returncode == 2
+        assert "'a_L0'" in cp.stderr
+        assert cp.stdout == ""
+
 
 class TestStatics:
     def test_luxury_necessity_columns(self):
@@ -142,6 +164,14 @@ class TestStatics:
         _, rows = parse_csv(cp.stdout)
         assert all(abs(float(r[5]) - 1.0) < 1e-12 for r in rows)
         assert all(abs(float(r[6]) - 1.0) < 1e-12 for r in rows)
+
+    def test_non_finite_scenario_number_rejected(self, tmp_path):
+        scenario = tmp_path / "inf.json"
+        scenario.write_text('{"statics": {"y_max": Infinity, "y_points": 3}}')
+        cp = run_cli("statics", "--scenario", str(scenario))
+        assert cp.returncode == 2
+        assert "'y_max'" in cp.stderr
+        assert cp.stdout == ""
 
     def test_non_interior_rows_flagged(self, tmp_path):
         scenario = tmp_path / "poor.json"

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demandtier import (
     HouseholdBudget,
     PreferenceSchedule,
     alpha_of,
+    demand_arrays,
     dshare_H_dE,
     gammaL_of,
     income_elasticities,
@@ -245,3 +248,93 @@ def test_supernumerary_income(sched):
     budget = HouseholdBudget(income=10.0, price_H=2.0)
     expected = 10.0 - gammaL_of(sched, 0.3)
     assert supernumerary_income(sched, budget, 0.3) == pytest.approx(expected, rel=1e-14)
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _demand_rows(draw):
+    """A preference schedule and rows of (income, price_H, E).
+
+    alpha_base and alpha_slope range wide enough that alpha(E) is clipped on
+    some rows and not on others. Income is a multiple of the row's
+    subsistence cost gamma_L(E) + price_H*gamma_H, from 0.2x to 5x, so rows
+    below, at and above subsistence all occur.
+    """
+    alpha_lo = draw(_finite(0.05, 0.9))
+    sched = PreferenceSchedule(
+        alpha_base=draw(_finite(0.0, 1.0)),
+        alpha_slope=draw(_finite(0.0, 2.0)),
+        alpha_lo=alpha_lo,
+        alpha_hi=draw(_finite(alpha_lo, 0.99)),
+        gammaL_base=draw(_finite(0.0, 5.0)),
+        gammaL_decay=draw(_finite(0.0, 2.0)),
+        gamma_H=draw(st.one_of(st.just(0.0), _finite(0.0, 2.0))),
+    )
+    n = draw(st.integers(1, 12))
+    e = draw(st.lists(_finite(0.0, 2.0), min_size=n, max_size=n))
+    price = draw(st.lists(_finite(0.05, 20.0), min_size=n, max_size=n))
+    factor = draw(st.lists(_finite(0.2, 5.0), min_size=n, max_size=n))
+    income = []
+    for e_t, p_t, f_t in zip(e, price, factor):
+        cost = gammaL_of(sched, e_t) + p_t * sched.gamma_H
+        income.append(f_t * cost if cost > 0.0 else f_t)
+    return sched, np.array(income), np.array(price), np.array(e)
+
+
+class TestDemandArrays:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(_demand_rows())
+    def test_matches_scalar_solve_demand(self, case):
+        sched, income, price, e = case
+        got = demand_arrays(sched, income, price, e)
+        for i in range(income.size):
+            try:
+                sol = solve_demand(sched, HouseholdBudget(income[i], price[i]), e[i])
+            except NonInteriorBudget:
+                assert not got.interior[i]
+                assert all(math.isnan(col[i]) for col in got[:5])
+                continue
+            assert got.interior[i]
+            # same libm exp and the same operation order: equal to the bit,
+            # except utility, whose power may round differently
+            assert got.c_L[i] == sol.c_L
+            assert got.c_H[i] == sol.c_H
+            assert got.supernumerary[i] == sol.supernumerary
+            assert got.share_H[i] == sol.share_H
+            assert got.utility[i] == pytest.approx(sol.utility, rel=1e-13, abs=0.0)
+
+    def test_scalars_broadcast_against_rows(self, sched):
+        income = np.array([1.0, 10.0, 20.0])
+        got = demand_arrays(sched, income, 2.0, 0.3)
+        assert got.interior.tolist() == [False, True, True]
+        sol = solve_demand(sched, HouseholdBudget(20.0, 2.0), 0.3)
+        assert got.c_H[2] == sol.c_H
+
+    @pytest.mark.parametrize("price", [math.nan, math.inf])
+    def test_nan_supernumerary_stays_interior(self, sched, price):
+        # a price of NaN or inf (productivities out of float range) makes B
+        # NaN when gamma_H = 0, which the scalar form does not reject either
+        sol = solve_demand(sched, HouseholdBudget(10.0, price), 0.2)
+        got = demand_arrays(sched, np.array([10.0]), np.array([price]), np.array([0.2]))
+        assert math.isnan(sol.supernumerary)
+        assert got.interior.tolist() == [True]
+        assert all(math.isnan(col[0]) for col in got[:5])
+
+    def test_first_invalid_row_gives_the_scalar_message(self, sched):
+        with pytest.raises(ConfigError, match=r"^price_H must be > 0, got 0.0$"):
+            demand_arrays(sched, np.array([10.0, 10.0, -1.0]), np.array([2.0, 0.0, 2.0]), 0.2)
+        with pytest.raises(ConfigError, match=r"^income must be > 0, got -1.0$"):
+            demand_arrays(sched, np.array([10.0, -1.0, 10.0]), np.array([2.0, 2.0, 0.0]), 0.2)
+        with pytest.raises(ConfigError, match="education level must be >= 0"):
+            demand_arrays(sched, 10.0, 2.0, np.array([0.2, -0.1]))
+
+    def test_require_interior_raises_for_the_first_short_row(self, sched):
+        income = np.array([10.0, 1.5, 1.0])
+        with pytest.raises(NonInteriorBudget) as scalar:
+            solve_demand(sched, HouseholdBudget(1.5, 2.0), 0.2)
+        with pytest.raises(NonInteriorBudget) as array:
+            demand_arrays(sched, income, 2.0, 0.2, require_interior=True)
+        assert str(array.value) == str(scalar.value)

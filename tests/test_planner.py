@@ -144,6 +144,29 @@ class TestDiagnostics:
             evaluate_foc(sched, linear, cfg, path)
 
 
+    @pytest.mark.parametrize(
+        "incomes, error, t",
+        [
+            ([10.0, 1.5, 0.001], NonInteriorBudget, 1),
+            ([10.0, 0.001, 1.5], ConfigError, 1),
+            ([1.5, 10.0, 0.001], NonInteriorBudget, 0),
+        ],
+    )
+    def test_first_failing_period_decides_the_error(self, sched, linear, cfg, incomes, error, t):
+        path = simulate_path(sched, linear, TechnologyState(a_H=1.0, a_L=2.0), 0.2, incomes, 3)
+        with pytest.raises(error) as caught:
+            evaluate_foc(sched, linear, cfg, path)
+        net = incomes[t] - kappa(cfg, 0.2)
+        if error is ConfigError:
+            assert str(caught.value) == (
+                f"income {incomes[t]} cannot cover the education cost {kappa(cfg, 0.2)} at t={t}"
+            )
+        else:
+            with pytest.raises(NonInteriorBudget) as scalar:
+                solve_demand(sched, HouseholdBudget(income=net, price_H=path.p[t]), 0.2)
+            assert str(caught.value) == str(scalar.value)
+
+
 class TestKappa:
     def test_power_form(self, cfg):
         assert kappa(cfg, 0.2) == pytest.approx(0.05 * 0.04, rel=1e-14)

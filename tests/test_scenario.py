@@ -104,6 +104,23 @@ class TestStrictness:
         with pytest.raises(ConfigError):
             load_scenario_dict({"simulation": {"a_H0": -1.0}})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_numbers_rejected_naming_key(self, bad):
+        with pytest.raises(ConfigError, match="key 'a_L0' in section 'simulation' must be finite"):
+            load_scenario_dict({"simulation": {"a_L0": bad, "horizon": 3}})
+        with pytest.raises(ConfigError, match="key 'y_max' in section 'statics' must be finite"):
+            load_scenario_dict({"statics": {"y_max": bad, "y_points": 3}})
+        with pytest.raises(ConfigError, match="key 'E' in section 'simulation' must contain finite"):
+            load_scenario_dict({"simulation": {"E": [0.1, bad, 0.2], "horizon": 3}})
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_json_literals_rejected(self, tmp_path, literal):
+        # json.loads reads all four as floats; 1e999 overflows to inf
+        path = tmp_path / "scenario.json"
+        path.write_text('{"learning": {"nu": %s}}' % literal, encoding="utf-8")
+        with pytest.raises(ConfigError, match="key 'nu' in section 'learning' must be finite"):
+            load_scenario(path)
+
 
 def test_defaults_json_is_strict_subset_of_schema():
     # every key the dump emits must load back without strict-parsing errors
