@@ -24,7 +24,7 @@ from .dynamics import (
     gap_polynomial,
     h_ratio,
 )
-from .errors import ConfigError, DegenerateChannel, InvalidPrice, NoConvergence
+from .errors import ConfigError, DegenerateChannel, InvalidPrice, NoConvergence, _require_int
 from .solver import FixedPoint, SolverConfig, find_fixed_points
 
 
@@ -40,9 +40,7 @@ class SweepConfig:
     def __post_init__(self):
         if not self.E_min < self.E_max:
             raise ConfigError(f"need E_min < E_max, got E_min={self.E_min}, E_max={self.E_max}")
-        if not isinstance(self.E_points, int) or isinstance(self.E_points, bool) \
-                or self.E_points < 2:
-            raise ConfigError(f"E_points must be an integer >= 2, got {self.E_points}")
+        _require_int("E_points", self.E_points, 2)
         if self.refine_tol <= 0.0:
             raise ConfigError(f"refine_tol must be > 0, got {self.refine_tol}")
 

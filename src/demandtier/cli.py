@@ -11,6 +11,7 @@ so identical scenarios yield byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -177,6 +178,17 @@ def cmd_planner_foc(scenario: Scenario, out: str | None) -> int:
     return 0
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for --E: a float that is neither nan nor inf, which float() accepts."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="demandtier",
@@ -195,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", help="scenario JSON file (defaults built in)")
         p.add_argument("--out", help="write the CSV here instead of standard output")
         if with_e:
-            p.add_argument("--E", type=float, default=None, help="education level override")
+            p.add_argument("--E", type=_finite_float, default=None, help="education level override")
 
     common(sub.add_parser("fixed-points", help="fixed points of the price map at one E"),
            with_e=True)

@@ -34,6 +34,7 @@ from .errors import (
     InvalidPrice,
     InvalidState,
     ShareOutOfRange,
+    _require_int,
 )
 
 
@@ -280,8 +281,7 @@ def simulate_path(
     at (price_L = 1, price_H = p). Education and income inputs may be scalars
     (broadcast) or sequences of length >= horizon.
     """
-    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
-        raise InvalidHorizon(f"horizon must be an integer >= 1, got {horizon}")
+    _require_int("horizon", horizon, 1, InvalidHorizon)
     e_arr = _broadcast(e_path, horizon, "e_path")
     y_arr = _broadcast(income_path, horizon, "income_path")
     if np.any(e_arr < 0.0):

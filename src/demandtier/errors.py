@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check they share."""
 
 
 class DemandTierError(Exception):
@@ -47,3 +47,9 @@ class DegenerateChannel(DemandTierError):
 
 class SpecVariantUnsupported(DemandTierError):
     """Operation is only defined for a specific learning variant."""
+
+
+def _require_int(name: str, value, minimum: int, error: type[DemandTierError] = ConfigError):
+    """Raise ``error`` unless ``value`` is an integer (not a bool) >= ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise error(f"{name} must be an integer >= {minimum}, got {value}")

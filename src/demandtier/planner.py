@@ -32,7 +32,7 @@ from .demand import (
     gammaL_array,
 )
 from .dynamics import LearningSpec, LearningVariant, TimePath
-from .errors import ConfigError, InvalidHorizon, SpecVariantUnsupported
+from .errors import ConfigError, InvalidHorizon, SpecVariantUnsupported, _require_int
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,7 @@ class PlannerConfig:
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
             raise ConfigError(f"beta must be in (0, 1), got {self.beta}")
-        if not isinstance(self.horizon, int) or isinstance(self.horizon, bool) \
-                or self.horizon < 1:
-            raise ConfigError(f"horizon must be an integer >= 1, got {self.horizon}")
+        _require_int("horizon", self.horizon, 1)
         if self.kappa_scale <= 0.0:
             raise ConfigError(f"kappa_scale must be > 0, got {self.kappa_scale}")
         if self.kappa_curv < 1.0:

@@ -1,26 +1,29 @@
 """Scenario files: strict JSON configuration with built-in defaults.
 
-A scenario is a JSON object with one section per engine component. Omitted
-sections and keys fall back to the canned default experiment (the cubic
-learning calibration, the clipped affine weight schedule, and the standard
-price/education grids), so the headline root-structure experiment runs with
-zero configuration. Parsing is strict: unknown sections or keys are rejected
-with the offending name, and every constructed object re-validates its own
-invariants.
+A scenario is a JSON object with one section per field of ``Scenario``. The
+config dataclasses are the schema: a section's keys and defaults are the
+fields of its class, read at import time, and the learning section holds both
+variants' coefficients. Omitted keys take those defaults, which form the
+headline experiment. Parsing is strict: unknown sections or keys are rejected
+by name, every number must be finite (an integer beyond float range counts as
+infinite), a key with an integer default takes only integers, and every
+constructed object re-validates its own invariants.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .bifurcation import SweepConfig
 from .demand import PreferenceSchedule
 from .dynamics import LearningSpec, LearningVariant, TechnologyState
-from .errors import ConfigError, DemandTierError
+from .errors import ConfigError, DemandTierError, _require_int
 from .planner import PlannerConfig
 from .solver import SolverConfig
 
@@ -39,9 +42,7 @@ class SimulationConfig:
     def __post_init__(self):
         # delegate positivity checks to TechnologyState
         TechnologyState(a_H=self.a_H0, a_L=self.a_L0, wage=self.wage)
-        if not isinstance(self.horizon, int) or isinstance(self.horizon, bool) \
-                or self.horizon < 1:
-            raise ConfigError(f"horizon must be an integer >= 1, got {self.horizon}")
+        _require_int("horizon", self.horizon, 1)
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,7 @@ class StaticsConfig:
             raise ConfigError(f"price_H must be > 0, got {self.price_H}")
         if not 0.0 < self.y_min <= self.y_max:
             raise ConfigError(f"need 0 < y_min <= y_max, got y_min={self.y_min}, y_max={self.y_max}")
-        if not isinstance(self.y_points, int) or isinstance(self.y_points, bool) \
-                or self.y_points < 1:
-            raise ConfigError(f"y_points must be an integer >= 1, got {self.y_points}")
+        _require_int("y_points", self.y_points, 1)
 
 
 @dataclass(frozen=True)
@@ -77,20 +76,7 @@ class Scenario:
     statics: StaticsConfig
 
 
-_SECTIONS = {
-    "preferences": PreferenceSchedule,
-    "learning": LearningSpec,
-    "solver": SolverConfig,
-    "sweep": SweepConfig,
-    "planner": PlannerConfig,
-    "simulation": SimulationConfig,
-    "statics": StaticsConfig,
-}
-
-_INT_KEYS = {"grid_points", "E_points", "horizon", "y_points"}
-# keys of the former grid-and-bisection solver: still type-checked, then ignored
-_IGNORED_KEYS = {"solver": ("grid_points", "dedup_tol")}
-_LIST_KEYS = {"E", "income"}  # simulation paths may be scalars or lists
+_SECTIONS = get_type_hints(Scenario)  # section name -> config class
 
 _LEARNING_DEFAULTS = {
     "variant": "cubic",
@@ -103,6 +89,28 @@ _LEARNING_DEFAULTS = {
     "chi2": 1.5,
 }
 
+# section -> {key: default}; the learning section keeps the inactive
+# variant's coefficients at their defaults
+_SCHEMA = {
+    section: _LEARNING_DEFAULTS if cls is LearningSpec
+    else {f.name: f.default for f in fields(cls)}
+    for section, cls in _SECTIONS.items()
+}
+# keys of the former grid-and-bisection solver at their former defaults:
+# still type-checked, then ignored
+_IGNORED_KEYS = {"solver": {"grid_points": 4001, "dedup_tol": 1e-7}}
+# simulation paths: keys whose annotation admits a list
+_LIST_KEYS = {
+    (section, f.name)
+    for section, cls in _SECTIONS.items() for f in fields(cls) if "list" in str(f.type)
+}
+# the coefficients each variant takes: the parameters of LearningSpec.linear and .cubic
+_VARIANT_KEYS = {
+    v.value: [k for k in inspect.signature(getattr(LearningSpec, v.value)).parameters
+              if k in _LEARNING_DEFAULTS]
+    for v in LearningVariant
+}
+
 
 def default_scenario() -> Scenario:
     """The canned experiment: cubic learning calibration and standard grids."""
@@ -110,44 +118,34 @@ def default_scenario() -> Scenario:
 
 
 def _check_number(section: str, key: str, value, allow_list: bool) -> None:
-    # json.loads accepts NaN, Infinity and overflowing literals such as 1e999
-    if isinstance(value, bool):
-        raise ConfigError(f"key '{key}' in section '{section}' must be a number, got a boolean")
-    if isinstance(value, (int, float)):
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"key '{key}' in section '{section}' must be finite, got {value!r}")
-        return
-    if allow_list and isinstance(value, list):
-        for item in value:
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise ConfigError(
-                    f"key '{key}' in section '{section}' must contain numbers only"
-                )
-            if isinstance(item, float) and not math.isfinite(item):
-                raise ConfigError(
-                    f"key '{key}' in section '{section}' must contain finite numbers only, "
-                    f"got {item!r}"
-                )
-        return
-    raise ConfigError(f"key '{key}' in section '{section}' must be a number, got {value!r}")
-
-
-def _build_learning(overrides: dict) -> LearningSpec:
-    merged = dict(_LEARNING_DEFAULTS)
-    merged.update(overrides)
-    variant_name = merged.pop("variant")
-    if variant_name not in ("linear", "cubic"):
-        raise ConfigError(
-            f"key 'variant' in section 'learning' must be 'linear' or 'cubic', got {variant_name!r}"
-        )
-    variant = LearningVariant(variant_name)
-    if variant is LearningVariant.LINEAR:
-        return LearningSpec.linear(nu=merged["nu"], phi=merged["phi"], chi=merged["chi"])
-    return LearningSpec.cubic(
-        nu=merged["nu"],
-        phi1=merged["phi1"], phi2=merged["phi2"],
-        chi1=merged["chi1"], chi2=merged["chi2"],
+    # json.loads accepts NaN, Infinity, overflowing literals such as 1e999 and
+    # integers of any size
+    where = f"key '{key}' in section '{section}'"
+    in_list = allow_list and isinstance(value, list)
+    be_number, be_finite = (
+        ("contain numbers only", "contain finite numbers only") if in_list
+        else ("be a number", "be finite")
     )
+    for item in value if in_list else [value]:
+        if isinstance(item, bool) or not isinstance(item, (int, float)):
+            got = "a boolean" if isinstance(item, bool) else repr(item)
+            raise ConfigError(f"{where} must {be_number}, got {got}")
+        try:
+            finite = math.isfinite(item)
+        except OverflowError:  # an integer beyond float range reads as 1e999 does
+            finite, item = False, math.inf if item > 0 else -math.inf
+        if not finite:
+            raise ConfigError(f"{where} must {be_finite}, got {item!r}")
+
+
+def _build_learning(**overrides) -> LearningSpec:
+    merged = {**_LEARNING_DEFAULTS, **overrides}
+    variant = merged["variant"]
+    if not isinstance(variant, str) or variant not in _VARIANT_KEYS:
+        raise ConfigError(
+            f"key 'variant' in section 'learning' must be 'linear' or 'cubic', got {variant!r}"
+        )
+    return getattr(LearningSpec, variant)(**{key: merged[key] for key in _VARIANT_KEYS[variant]})
 
 
 def load_scenario_dict(data: dict) -> Scenario:
@@ -163,19 +161,17 @@ def load_scenario_dict(data: dict) -> Scenario:
         overrides = data.get(section, {})
         if not isinstance(overrides, dict):
             raise ConfigError(f"section '{section}' must be an object")
-        if section == "learning":
-            known = set(_LEARNING_DEFAULTS)
-        else:
-            known = set(cls.__dataclass_fields__)
-        ignored = _IGNORED_KEYS.get(section, ())
-        bad = set(overrides) - known - set(ignored)
+        ignored = _IGNORED_KEYS.get(section, {})
+        known = {**_SCHEMA[section], **ignored}
+        bad = set(overrides) - set(known)
         if bad:
             raise ConfigError(f"unknown key '{sorted(bad)[0]}' in section '{section}'")
         for key, value in overrides.items():
-            if section == "learning" and key == "variant":
+            default = known[key]
+            if isinstance(default, str):  # the learning variant, checked on build
                 continue
-            _check_number(section, key, value, allow_list=key in _LIST_KEYS and section == "simulation")
-            if key in _INT_KEYS and not isinstance(value, int):
+            _check_number(section, key, value, allow_list=(section, key) in _LIST_KEYS)
+            if type(default) is int and not isinstance(value, int):
                 raise ConfigError(f"key '{key}' in section '{section}' must be an integer")
         for key in ignored:
             if key in overrides:
@@ -185,10 +181,7 @@ def load_scenario_dict(data: dict) -> Scenario:
                 )
         overrides = {k: v for k, v in overrides.items() if k not in ignored}
         try:
-            if section == "learning":
-                built[section] = _build_learning(overrides)
-            else:
-                built[section] = cls(**overrides)
+            built[section] = (_build_learning if cls is LearningSpec else cls)(**overrides)
         except ConfigError:
             raise
         except (TypeError, ValueError, DemandTierError) as exc:
@@ -203,74 +196,24 @@ def load_scenario(path: str | Path | None) -> Scenario:
     text = Path(path).read_text(encoding="utf-8")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal past Python's digit limit
         raise ConfigError(f"scenario file is not valid JSON: {exc}") from exc
     return load_scenario_dict(data)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Full mapping representation; reloads to an identical configuration."""
-    learning = scenario.learning
-    return {
-        "preferences": {
-            "alpha_base": scenario.preferences.alpha_base,
-            "alpha_slope": scenario.preferences.alpha_slope,
-            "alpha_lo": scenario.preferences.alpha_lo,
-            "alpha_hi": scenario.preferences.alpha_hi,
-            "gammaL_base": scenario.preferences.gammaL_base,
-            "gammaL_decay": scenario.preferences.gammaL_decay,
-            "gamma_H": scenario.preferences.gamma_H,
-        },
-        "learning": {
-            "variant": learning.variant.value,
-            "nu": learning.nu,
-            "phi": learning.phi if learning.variant is LearningVariant.LINEAR
-            else _LEARNING_DEFAULTS["phi"],
-            "chi": learning.chi if learning.variant is LearningVariant.LINEAR
-            else _LEARNING_DEFAULTS["chi"],
-            "phi1": learning.phi1 if learning.variant is LearningVariant.CUBIC
-            else _LEARNING_DEFAULTS["phi1"],
-            "phi2": learning.phi2 if learning.variant is LearningVariant.CUBIC
-            else _LEARNING_DEFAULTS["phi2"],
-            "chi1": learning.chi1 if learning.variant is LearningVariant.CUBIC
-            else _LEARNING_DEFAULTS["chi1"],
-            "chi2": learning.chi2 if learning.variant is LearningVariant.CUBIC
-            else _LEARNING_DEFAULTS["chi2"],
-        },
-        "solver": {
-            "p_min": scenario.solver.p_min,
-            "p_max": scenario.solver.p_max,
-            "bisect_tol": scenario.solver.bisect_tol,
-            "marginal_tol": scenario.solver.marginal_tol,
-        },
-        "sweep": {
-            "E_min": scenario.sweep.E_min,
-            "E_max": scenario.sweep.E_max,
-            "E_points": scenario.sweep.E_points,
-            "refine_tol": scenario.sweep.refine_tol,
-        },
-        "planner": {
-            "beta": scenario.planner.beta,
-            "horizon": scenario.planner.horizon,
-            "kappa_scale": scenario.planner.kappa_scale,
-            "kappa_curv": scenario.planner.kappa_curv,
-        },
-        "simulation": {
-            "a_H0": scenario.simulation.a_H0,
-            "a_L0": scenario.simulation.a_L0,
-            "wage": scenario.simulation.wage,
-            "E": scenario.simulation.E,
-            "income": scenario.simulation.income,
-            "horizon": scenario.simulation.horizon,
-        },
-        "statics": {
-            "E": scenario.statics.E,
-            "price_H": scenario.statics.price_H,
-            "y_min": scenario.statics.y_min,
-            "y_max": scenario.statics.y_max,
-            "y_points": scenario.statics.y_points,
-        },
-    }
+    out = {}
+    for section, defaults in _SCHEMA.items():
+        config = getattr(scenario, section)
+        if isinstance(config, LearningSpec):
+            # the inactive variant's coefficients are written at their defaults
+            variant = config.variant.value
+            active = {key: getattr(config, key) for key in _VARIANT_KEYS[variant]}
+            out[section] = {**defaults, "variant": variant, **active}
+        else:
+            out[section] = {key: getattr(config, key) for key in defaults}
+    return out
 
 
 def dump_scenario(scenario: Scenario) -> str:

@@ -57,6 +57,16 @@ class TestEntryPoints:
         assert cp.returncode == 0
 
 
+@pytest.mark.parametrize("command, value", [
+    ("statics", "nan"), ("fixed-points", "nan"), ("simulate", "inf"),
+])
+def test_non_finite_education_override_rejected(command, value):
+    cp = run_cli(command, "--E", value)
+    assert cp.returncode == 2
+    assert "--E" in cp.stderr
+    assert cp.stdout == ""
+
+
 class TestDumpDefaults:
     def test_round_trip(self, defaults_file):
         # running against the dumped file must equal running against built-ins

@@ -1,6 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demandtier import (
     LearningVariant,
@@ -11,6 +14,10 @@ from demandtier import (
     scenario_to_dict,
 )
 from demandtier.errors import ConfigError
+
+DEFAULTS_JSON = Path(__file__).parent / "data" / "default_scenario.json"
+# a JSON integer beyond float range: json.loads keeps it as a Python int
+HUGE_INT = 10**400
 
 
 class TestDefaults:
@@ -38,6 +45,10 @@ class TestRoundTrip:
         path = tmp_path / "scenario.json"
         path.write_text(dump_scenario(s), encoding="utf-8")
         assert load_scenario(path) == s
+
+    def test_dump_matches_committed_defaults(self):
+        # regenerate with: demandtier --dump-defaults --out tests/data/default_scenario.json
+        assert dump_scenario(default_scenario()) == DEFAULTS_JSON.read_text(encoding="utf-8")
 
     def test_dump_is_deterministic(self):
         assert dump_scenario(default_scenario()) == dump_scenario(default_scenario())
@@ -113,6 +124,22 @@ class TestStrictness:
         with pytest.raises(ConfigError, match="key 'E' in section 'simulation' must contain finite"):
             load_scenario_dict({"simulation": {"E": [0.1, bad, 0.2], "horizon": 3}})
 
+    def test_integer_beyond_float_range_rejected_naming_key(self):
+        with pytest.raises(ConfigError, match="key 'a_L0' in section 'simulation' must be finite"):
+            load_scenario_dict({"simulation": {"a_L0": HUGE_INT, "horizon": 3}})
+
+    def test_integer_beyond_float_range_in_path_rejected_naming_key(self):
+        with pytest.raises(ConfigError, match="key 'E' in section 'simulation' must contain finite"):
+            load_scenario_dict({"simulation": {"E": [0.1, HUGE_INT, 0.2], "horizon": 3}})
+
+    def test_integer_past_digit_limit_in_file_rejected(self, tmp_path):
+        # json.loads raises a bare ValueError for an integer literal over 4300 digits
+        # (the default limit since Python 3.11); without the limit it reads as an int
+        path = tmp_path / "scenario.json"
+        path.write_text('{"simulation": {"a_L0": 1%s}}' % ("0" * 5000), encoding="utf-8")
+        with pytest.raises(ConfigError, match="not valid JSON|key 'a_L0' .* must be finite"):
+            load_scenario(path)
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
     def test_non_finite_json_literals_rejected(self, tmp_path, literal):
         # json.loads reads all four as floats; 1e999 overflows to inf
@@ -126,3 +153,84 @@ def test_defaults_json_is_strict_subset_of_schema():
     # every key the dump emits must load back without strict-parsing errors
     data = json.loads(dump_scenario(default_scenario()))
     assert load_scenario_dict(data) == default_scenario()
+
+
+def _section(**keys):
+    """Overrides holding any subset of ``keys``, each drawn from its strategy.
+
+    The ranges keep every subset valid together with the defaults of the
+    keys left out.
+    """
+    return st.fixed_dictionaries({}, optional=keys)
+
+
+def _path(lo, hi):
+    """A scalar or a short list, as the simulation's E and income take."""
+    return st.one_of(st.floats(lo, hi), st.lists(st.floats(lo, hi), min_size=1, max_size=5))
+
+
+_LEARNING_COEFFICIENTS = dict(
+    nu=st.floats(0.1, 1.5), phi=st.floats(0.1, 1.5), chi=st.floats(0.1, 1.5),
+    # 1 + phi1 - phi2 and 1 + chi1 - chi2 stay >= 0.1, so both growth factors stay > 0
+    phi1=st.floats(0.5, 1.1), phi2=st.floats(0.0, 1.4),
+    chi1=st.floats(0.8, 1.6), chi2=st.floats(0.0, 1.7),
+)
+_VALID_SECTIONS = dict(
+    preferences=_section(
+        alpha_base=st.floats(0.5, 0.9), alpha_slope=st.floats(0.0, 0.3),
+        alpha_lo=st.floats(0.55, 0.65), alpha_hi=st.floats(0.93, 0.98),
+        gammaL_base=st.floats(0.0, 3.0), gammaL_decay=st.floats(0.0, 1.0),
+        gamma_H=st.floats(0.0, 1.0),
+    ),
+    learning=st.one_of(
+        st.fixed_dictionaries({"variant": st.just("linear")}, optional=_LEARNING_COEFFICIENTS),
+        _section(variant=st.just("cubic"), **_LEARNING_COEFFICIENTS),
+    ),
+    solver=_section(
+        p_min=st.floats(0.001, 0.5), p_max=st.floats(1.0, 50.0),
+        bisect_tol=st.floats(1e-14, 1e-6), marginal_tol=st.floats(1e-12, 1e-4),
+    ),
+    sweep=_section(
+        E_min=st.floats(0.0, 0.2), E_max=st.floats(0.3, 1.0),
+        E_points=st.integers(2, 500), refine_tol=st.floats(1e-12, 1e-4),
+    ),
+    planner=_section(
+        beta=st.floats(0.01, 0.99), horizon=st.integers(1, 100),
+        kappa_scale=st.floats(0.001, 1.0), kappa_curv=st.floats(1.0, 5.0),
+    ),
+    simulation=_section(
+        a_H0=st.floats(0.1, 10.0), a_L0=st.floats(0.1, 10.0), wage=st.floats(0.1, 10.0),
+        E=_path(0.0, 1.0), income=_path(1.0, 50.0), horizon=st.integers(1, 1000),
+    ),
+    statics=_section(
+        E=st.floats(0.0, 1.0), price_H=st.floats(0.1, 10.0), y_min=st.floats(0.5, 4.0),
+        y_max=st.floats(40.0, 100.0), y_points=st.integers(1, 100),
+    ),
+)
+VALID_OVERRIDES = st.fixed_dictionaries({}, optional=_VALID_SECTIONS)
+DEFAULT_KEYS = scenario_to_dict(default_scenario())
+
+
+class TestLoaderProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(VALID_OVERRIDES)
+    def test_dump_reloads_to_the_same_scenario(self, overrides):
+        s = load_scenario_dict(overrides)
+        assert load_scenario_dict(json.loads(dump_scenario(s))) == s
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(VALID_OVERRIDES, st.data())
+    def test_one_near_valid_value_is_a_config_error_naming_its_key(self, overrides, data):
+        section = data.draw(st.sampled_from(sorted(DEFAULT_KEYS)), label="section")
+        key = data.draw(st.sampled_from(sorted(DEFAULT_KEYS[section])), label="key")
+        bad_values = [float("nan"), float("inf"), HUGE_INT, True, "x"]
+        if not (section == "simulation" and key in ("E", "income")):
+            bad_values.append([0.1, 0.2])
+        default = DEFAULT_KEYS[section][key]
+        if isinstance(default, int) and not isinstance(default, bool):
+            bad_values.append(2.5)
+        bad = data.draw(st.sampled_from(bad_values), label="bad")
+        overrides = {**overrides, section: {**overrides.get(section, {}), key: bad}}
+        with pytest.raises(ConfigError) as info:
+            load_scenario_dict(overrides)
+        assert f"'{key}'" in str(info.value)
