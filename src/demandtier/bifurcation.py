@@ -18,14 +18,10 @@ import numpy as np
 
 from .demand import PreferenceSchedule, alpha_is_clipped, alpha_of
 from .dynamics import (
-    LearningSpec,
-    excess_share,
-    excess_share_slope_E,
-    gap_polynomial,
-    h_ratio,
+    LearningSpec, excess_share, excess_share_slope_E, gap_polynomial, h_ratio,
 )
 from .errors import ConfigError, DegenerateChannel, InvalidPrice, NoConvergence, _require_int
-from .solver import FixedPoint, SolverConfig, find_fixed_points
+from .solver import FixedPoint, SolverConfig, _fixed_point_rows
 
 
 @dataclass(frozen=True)
@@ -142,35 +138,24 @@ def sweep(
     sweep_cfg: SweepConfig | None = None,
     solver_cfg: SolverConfig | None = None,
 ) -> BifurcationDiagram:
-    """Root inventory over an education grid plus saddle-node thresholds."""
+    """Root inventory over an education grid, solved in one batch, plus saddle-node thresholds."""
     sweep_cfg = sweep_cfg or SweepConfig()
-    e_grid = np.linspace(sweep_cfg.E_min, sweep_cfg.E_max, sweep_cfg.E_points)
-    rows = [
-        DiagramRow(E=float(e), roots=find_fixed_points(sched, spec, float(e), solver_cfg))
-        for e in e_grid
-    ]
+    e_grid = np.linspace(sweep_cfg.E_min, sweep_cfg.E_max, sweep_cfg.E_points).tolist()
+    roots = _fixed_point_rows(sched, spec, np.array(e_grid), solver_cfg or SolverConfig())
+    rows = [DiagramRow(E=e, roots=r) for e, r in zip(e_grid, roots)]
 
+    counts = [len(r) for r in roots]
     transitions: list[Transition] = []
-    thresholds: list[SaddleNode] = []
-    for lo, hi in zip(rows[:-1], rows[1:]):
-        n_lo, n_hi = len(lo.roots), len(hi.roots)
-        if n_lo == n_hi:
-            continue
-        saddle = None
-        note = ""
+    for i in np.flatnonzero(np.diff(counts)).tolist():
+        saddle, note = None, ""
         try:
-            saddle = refine_saddle_node(spec, (lo.E, hi.E), sweep_cfg.refine_tol)
+            saddle = refine_saddle_node(spec, (e_grid[i], e_grid[i + 1]), sweep_cfg.refine_tol)
         except NoConvergence as exc:
             note = str(exc)
-        else:
-            thresholds.append(saddle)
         transitions.append(
-            Transition(
-                E_lo=lo.E, E_hi=hi.E, count_lo=n_lo, count_hi=n_hi,
-                saddle=saddle, note=note,
-            )
+            Transition(e_grid[i], e_grid[i + 1], counts[i], counts[i + 1], saddle, note)
         )
-
+    thresholds = [t.saddle for t in transitions if t.saddle is not None]
     return BifurcationDiagram(rows=rows, thresholds=thresholds, transitions=transitions)
 
 

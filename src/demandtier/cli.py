@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bif.add_argument("--thresholds-out", help="write the thresholds CSV here")
     p_bif.add_argument(
         "--workers", type=int, default=1,
-        help="accepted for compatibility; the sweep is serial and this has no effect",
+        help="accepted for compatibility; the sweep is one batched solve and this has no effect",
     )
     p_bif.add_argument(
         "--strict", action="store_true",

@@ -231,20 +231,20 @@ def h_ratio(spec: LearningSpec, s: float, E: float) -> HRatio:
     return HRatio(value=value, dH_ds=d_ds, dH_dE=d_de)
 
 
-def gap_polynomial(spec: LearningSpec, E: float) -> np.ndarray:
+def gap_polynomial(spec: LearningSpec, E: float | np.ndarray) -> np.ndarray:
     """Coefficients, highest power first, of g_H(s, E) - g_L(1 - s) in s.
 
     The fixed points of the price map are this cubic's roots in (0, 1); only
     the constant term nu*E - chi1 + chi2 depends on E. Linear learning gives
-    leading zeros, which ``np.roots`` and ``np.polyder`` drop.
+    leading zeros. For an array of levels E the last axis holds each level's
+    four coefficients.
     """
     nu, phi1, phi2, chi1, chi2 = spec.coefficients
-    return np.array([
-        -(phi2 + chi2),
-        3.0 * chi2,
-        phi1 + chi1 - 3.0 * chi2,
-        nu * E - chi1 + chi2,
-    ])
+    E = np.asarray(E, dtype=float)
+    gap = np.empty(E.shape + (4,))
+    gap[..., :3] = (-(phi2 + chi2), 3.0 * chi2, phi1 + chi1 - 3.0 * chi2)
+    gap[..., 3] = nu * E - chi1 + chi2
+    return gap
 
 
 def price_map(sched: PreferenceSchedule, spec: LearningSpec, p: float, E: float) -> float:

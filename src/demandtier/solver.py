@@ -2,10 +2,12 @@
 stability classification.
 
 With s = S(p; E), the fixed-point condition T(p; E) = p reads
-g_H(s, E) = g_L(1 - s), a cubic in s. Its real roots, polished by one Newton
-step, map back to p = alpha(1-s)/((1-alpha)s); the roots with s in (0, 1)
-and p in [p_min, p_max] are re-checked through the public map and classified
-through the analytic slope T'(p*) = 1 - s*(1-s*) * dH/ds.
+g_H(s, E) = g_L(1 - s), a cubic in s whose constant term alone depends on E.
+One stacked eigensolve of the cubic's companion matrices finds its real roots
+at every requested level; polished by one Newton step, they map back to
+p = alpha(1-s)/((1-alpha)s). The roots with s in (0, 1) and p in
+[p_min, p_max] are re-checked through the public map and classified through
+the analytic slope T'(p*) = 1 - s*(1-s*) * dH/ds.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .demand import PreferenceSchedule, alpha_of
+from .demand import PreferenceSchedule, alpha_array
 from .dynamics import LearningSpec, excess_share, gap_polynomial, h_ratio, price_map
 from .errors import ConfigError, NoConvergence, ShareOutOfRange
 
@@ -82,10 +84,7 @@ def classify_stability(
 
 
 def find_fixed_points(
-    sched: PreferenceSchedule,
-    spec: LearningSpec,
-    E: float,
-    cfg: SolverConfig | None = None,
+    sched: PreferenceSchedule, spec: LearningSpec, E: float, cfg: SolverConfig | None = None
 ) -> list[FixedPoint]:
     """All fixed points of T(.; E) on [p_min, p_max], ascending in p.
 
@@ -94,26 +93,44 @@ def find_fixed_points(
     re-checked here through the public map; a root that fails the bound
     raises NoConvergence.
     """
-    cfg = cfg or SolverConfig()
-    alpha = alpha_of(sched, E)
-    gap = gap_polynomial(spec, E)
-    gap_slope = np.polyder(gap)
+    return _fixed_point_rows(sched, spec, np.array([E], dtype=float), cfg or SolverConfig())[0]
 
-    p_stars: list[float] = []
-    for root in np.roots(gap):
-        if root.imag != 0.0:
-            continue
-        s = float(root.real)
-        slope = float(np.polyval(gap_slope, s))
-        if slope != 0.0:
-            s -= float(np.polyval(gap, s)) / slope
-        if 0.0 < s < 1.0:
-            p = alpha * (1.0 - s) / ((1.0 - alpha) * s)
-            if cfg.p_min <= p <= cfg.p_max:
-                p_stars.append(p)
 
-    out: list[FixedPoint] = []
-    for p_star in sorted(p_stars):
+def _fixed_point_rows(
+    sched: PreferenceSchedule, spec: LearningSpec, E_array: np.ndarray, cfg: SolverConfig
+) -> list[list[FixedPoint]]:
+    """``find_fixed_points`` at each level of E_array, in one batched eigensolve.
+
+    Only the gap's constant term depends on E, so all levels share its degree
+    d and their companion matrices (built as ``np.roots`` builds them) differ
+    in one entry. The polish keeps ``np.polyval``'s Horner order; its leading
+    step 0*s + c0 cannot change a value once a nonzero term enters.
+    """
+    gaps = gap_polynomial(spec, E_array)
+    c0, c1, c2 = head = gaps[0, :3].tolist()
+    d = 3 - next((k for k, c in enumerate(head) if c != 0.0), 3)
+    if d == 0:  # the gap does not depend on s: no isolated root
+        return [[] for _ in E_array]
+    companion = np.zeros((len(E_array), d, d))
+    companion[:, 0, :] = -gaps[:, 4 - d:] / head[3 - d]
+    companion.reshape(-1, d * d)[:, d::d + 1] = 1.0  # the subdiagonal
+    roots = np.linalg.eigvals(companion)
+
+    s = np.where(roots.imag == 0.0, roots.real, np.nan)
+    value = ((c0 * s + c1) * s + c2) * s + gaps[:, 3:]
+    slope = (c0 * 3.0 * s + c1 * 2.0) * s + c2
+    s = s - value / np.where(slope != 0.0, slope, np.inf)  # no step at a zero slope
+    s = np.where((0.0 < s) & (s < 1.0), s, np.nan)
+    alpha = alpha_array(sched, E_array)[:, None]
+    p = alpha * (1.0 - s) / ((1.0 - alpha) * s)
+    p = np.sort(np.where((cfg.p_min <= p) & (p <= cfg.p_max), p, np.nan), axis=1)
+    found = ~np.isnan(p)  # NaN sorts last: each row's roots come first, ascending
+
+    # per root on Python floats, whose s**3 can round differently from numpy's
+    E_values = E_array.tolist()
+    rows: list[list[FixedPoint]] = [[] for _ in E_values]
+    for i, p_star in zip(np.nonzero(found)[0].tolist(), p[found].tolist()):
+        E = E_values[i]
         residual = price_map(sched, spec, p_star, E) - p_star
         bound = cfg.bisect_tol * max(1.0, p_star)
         if abs(residual) > bound:
@@ -124,7 +141,5 @@ def find_fixed_points(
         s_star = excess_share(sched, E, p_star)
         d_ds = h_ratio(spec, s_star, E).dH_ds
         t_prime, stability = classify_stability(s_star, d_ds, cfg.marginal_tol)
-        out.append(
-            FixedPoint(p_star=p_star, s_star=s_star, t_prime=t_prime, stability=stability)
-        )
-    return out
+        rows[i].append(FixedPoint(p_star, s_star, t_prime, stability))
+    return rows

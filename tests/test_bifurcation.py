@@ -1,10 +1,14 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demandtier import (
     LearningSpec,
     PreferenceSchedule,
+    SolverConfig,
     Stability,
     SweepConfig,
     channel_condition,
@@ -13,10 +17,11 @@ from demandtier import (
     refine_saddle_node,
     sweep,
 )
+from demandtier.dynamics import gap_polynomial
 from demandtier.errors import ConfigError, DegenerateChannel, NoConvergence
 
 import oracles
-from conftest import random_calibration
+from conftest import flat_sched, random_calibration
 
 # closed-form thresholds of the headline cubic calibration, ascending in E
 SN_LOW, SN_HIGH = oracles.saddle_node_closed_form()
@@ -172,6 +177,101 @@ class TestRandomCalibrations:
                 assert abs(s_bar - s_ref) <= 1e-10
             checked += len(found)
         assert checked >= 3
+
+
+_UNIT = st.floats(0.1, 2.0)
+
+
+@st.composite
+def calibrations(draw):
+    """A schedule and a learning spec whose gap cubic has degree 0, 1, 2 or 3.
+
+    The linear and cubic specs are valid; the ``validate=False`` specs cancel
+    the gap's leading coefficients -(phi2 + chi2), 3*chi2 and phi1 + chi1 - 3*chi2.
+    """
+    sched = PreferenceSchedule(
+        alpha_base=draw(st.floats(0.5, 0.9)), alpha_slope=draw(st.floats(0.0, 0.3)),
+        alpha_lo=draw(st.floats(0.55, 0.65)), alpha_hi=draw(st.floats(0.93, 0.98)),
+    )
+    nu = draw(st.floats(0.3, 0.9))
+    kind = draw(st.sampled_from(["cubic", "linear", "degree 2", "degree 1", "degree 0"]))
+    if kind == "linear":
+        spec = LearningSpec.linear(nu, draw(st.floats(0.3, 1.2)), draw(st.floats(0.5, 1.5)))
+    elif kind == "cubic":
+        phi1, chi1 = draw(st.floats(0.5, 1.1)), draw(st.floats(0.8, 1.6))
+        spec = LearningSpec.cubic(
+            nu, phi1, draw(st.floats(0.5, 0.9 * (1.0 + phi1))),
+            chi1, draw(st.floats(0.8, 0.9 * (1.0 + chi1))),
+        )
+    elif kind == "degree 0":
+        phi1 = draw(_UNIT)
+        spec = LearningSpec.cubic(nu, phi1, 0.0, -phi1, 0.0, validate=False)
+    elif kind == "degree 1":
+        spec = LearningSpec.cubic(nu, draw(_UNIT), 0.0, draw(_UNIT), 0.0, validate=False)
+    else:
+        chi2 = draw(_UNIT)
+        spec = LearningSpec.cubic(nu, draw(_UNIT), -chi2, draw(_UNIT), chi2, validate=False)
+    return sched, spec
+
+
+class TestBatchInvariance:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        calibrations(), st.floats(0.0, 0.2), st.floats(0.3, 3.0), st.integers(2, 300),
+        st.sampled_from([1e-12, 1e-9]),
+    )
+    def test_sweep_rows_equal_one_level_solves(self, calibration, e_min, e_max, points, tol):
+        # solving every level in one batch gives each level exactly the roots
+        # of a one-level solve, or fails at the same level with the same message
+        sched, spec = calibration
+        sweep_cfg = SweepConfig(E_min=e_min, E_max=e_max, E_points=points)
+        solver_cfg = SolverConfig(bisect_tol=tol)
+        expected, error = [], None
+        for e in np.linspace(e_min, e_max, points).tolist():
+            try:
+                expected.append(find_fixed_points(sched, spec, e, solver_cfg))
+            except NoConvergence as exc:
+                error = str(exc)
+                break
+        if error is not None:
+            with pytest.raises(NoConvergence) as raised:
+                sweep(sched, spec, sweep_cfg, solver_cfg)
+            assert str(raised.value) == error
+            return
+        diagram = sweep(sched, spec, sweep_cfg, solver_cfg)
+        assert len(diagram.rows) == points
+        for row, roots in zip(diagram.rows, expected):
+            assert row.roots == find_fixed_points(sched, spec, row.E, solver_cfg) == roots
+
+
+class TestZeroConstantTerm:
+    def test_level_with_zero_constant_term_matches_dense_oracle(self):
+        # nu*E - chi1 + chi2 is exactly 0 at E = (chi1 - chi2)/nu = 1, so s = 0
+        # is a root of the gap; the batch keeps it in the companion matrix
+        learn = (0.5, 0.8, 1.0, 1.5, 1.0)
+        spec = LearningSpec.cubic(*learn)
+        assert gap_polynomial(spec, 1.0)[-1] == 0.0
+        diagram = sweep(flat_sched(0.5), spec, SweepConfig(E_min=0.0, E_max=2.0, E_points=5))
+        row = diagram.rows[2]
+        assert row.E == 1.0 and row.roots
+        oracle_roots = oracles.dense_roots(
+            1.0, n=200_001, alpha_params=(0.5, 0.0, 0.5, 0.5), learn_params=learn
+        )
+        assert len(row.roots) == len(oracle_roots)
+        for fp, p in zip(row.roots, oracle_roots):
+            assert abs(fp.p_star - p) <= 1e-9 * max(1.0, p)
+
+
+class TestScaling:
+    def test_hundred_thousand_level_sweep(self, sched, cubic):
+        # correctness at scale only: no timing is asserted
+        diagram = sweep(sched, cubic, SweepConfig(E_points=100_000))
+        assert len(diagram.rows) == 100_000
+        found = sorted((sn.E_bar, sn.s_bar) for sn in diagram.thresholds)
+        assert len(found) == 2
+        for (e_bar, s_bar), (e_ref, s_ref) in zip(found, (SN_LOW, SN_HIGH)):
+            assert abs(e_bar - e_ref) <= 1e-10
+            assert abs(s_bar - s_ref) <= 1e-10
 
 
 class TestSweepDeterminism:

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -285,6 +286,17 @@ class TestBifurcation:
         notes = [line for line in legacy.stderr.splitlines() if line.startswith("note:")]
         assert len(notes) == 2
         assert "'grid_points'" in notes[0] and "'dedup_tol'" in notes[1]
+
+    def test_root_above_bound_exits_3_with_float_reprs(self, tmp_path):
+        scenario = tmp_path / "tight.json"
+        scenario.write_text(json.dumps({"solver": {"bisect_tol": 1e-300}}))
+        cp = run_cli("bifurcation", "--scenario", str(scenario))
+        assert cp.returncode == 3
+        assert "Traceback" not in cp.stderr and "np.float64" not in cp.stderr
+        match = re.search(r"fixed point p\*=(\S+) at E=(\S+) has residual", cp.stderr)
+        assert match, cp.stderr
+        for text in match.groups():
+            assert repr(float(text)) == text
 
     def test_stdout_carries_both_csvs(self):
         cp = run_cli("bifurcation")
