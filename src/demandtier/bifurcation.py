@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .demand import PreferenceSchedule, alpha_is_clipped, alpha_of
+from .demand import PreferenceSchedule
 from .dynamics import (
     LearningSpec, excess_share, excess_share_slope_E, gap_polynomial, h_ratio,
 )
@@ -34,8 +34,8 @@ class SweepConfig:
     refine_tol: float = 1e-8
 
     def __post_init__(self):
-        if not self.E_min < self.E_max:
-            raise ConfigError(f"need E_min < E_max, got E_min={self.E_min}, E_max={self.E_max}")
+        if not 0.0 <= self.E_min < self.E_max:
+            raise ConfigError(f"need 0 <= E_min < E_max, got E_min={self.E_min}, E_max={self.E_max}")
         _require_int("E_points", self.E_points, 2)
         if self.refine_tol <= 0.0:
             raise ConfigError(f"refine_tol must be > 0, got {self.refine_tol}")
@@ -182,13 +182,9 @@ def channel_condition(
             f"dH/ds = {h.dH_ds} is inside the marginal band; channel ratio undefined",
             dT_dE=dT_dE,
         )
-    a = alpha_of(sched, E)
-    a_slope = 0.0 if alpha_is_clipped(sched, E) else sched.alpha_slope
-    lhs = -h.dH_dE / h.dH_ds
-    rhs = a_slope * (1.0 - s) * s / (a * (1.0 - a))
     return ChannelCondition(
-        lhs=lhs,
-        rhs=rhs,
+        lhs=-h.dH_dE / h.dH_ds,
+        rhs=s_e,
         education_lowers_price=dT_dE < 0.0,
         dT_dE=dT_dE,
     )

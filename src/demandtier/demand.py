@@ -120,9 +120,9 @@ def alpha_of(sched: PreferenceSchedule, E: float) -> float:
 
 
 def alpha_is_clipped(sched: PreferenceSchedule, E: float) -> bool:
-    """True when the affine weight sits on (or beyond) a clip bound at E."""
+    """True when the affine weight sits on (or beyond) a clip bound at E; elementwise on arrays."""
     raw = sched.alpha_base + sched.alpha_slope * E
-    return raw <= sched.alpha_lo or raw >= sched.alpha_hi
+    return (raw <= sched.alpha_lo) | (raw >= sched.alpha_hi)
 
 
 def alpha_slope_of(sched: PreferenceSchedule, E: float) -> float:
@@ -139,8 +139,7 @@ def alpha_array(sched: PreferenceSchedule, E: np.ndarray) -> np.ndarray:
 
 def alpha_slope_array(sched: PreferenceSchedule, E: np.ndarray) -> np.ndarray:
     """``alpha_slope_of`` over an array of education levels."""
-    raw = sched.alpha_base + sched.alpha_slope * E
-    return np.where((raw <= sched.alpha_lo) | (raw >= sched.alpha_hi), 0.0, sched.alpha_slope)
+    return np.where(alpha_is_clipped(sched, E), 0.0, sched.alpha_slope)
 
 
 def gammaL_of(sched: PreferenceSchedule, E: float) -> float:
@@ -304,10 +303,7 @@ def dshare_H_dE(sched: PreferenceSchedule, budget: HouseholdBudget, E: float) ->
         raise NonInteriorBudget(
             f"supernumerary income must be > 0 for an interior optimum, got B={b}"
         )
-    clipped = alpha_is_clipped(sched, E)
     a = alpha_of(sched, E)
-    a_slope = 0.0 if clipped else sched.alpha_slope
-    value = a_slope * b / budget.income - (a / budget.income) * budget.price_L * gammaL_slope_of(
-        sched, E
-    )
-    return ShareSlope(value=value, alpha_clipped=clipped)
+    preference = alpha_slope_of(sched, E) * b / budget.income
+    value = preference - (a / budget.income) * budget.price_L * gammaL_slope_of(sched, E)
+    return ShareSlope(value=value, alpha_clipped=alpha_is_clipped(sched, E))

@@ -66,16 +66,20 @@ class LearningSpec:
     s in [0, 1] (checked at E = 0; education only raises g_H). ``validate``
     exists solely for diagnostic constructions that deliberately switch
     channels off; it does not participate in equality comparisons.
+
+    The field defaults are the headline calibration, so ``LearningSpec()`` is
+    the default scenario's spec. Both variants' coefficients are fields: the
+    inactive variant's are kept as given, neither checked nor used.
     """
 
     variant: LearningVariant = LearningVariant.CUBIC
     nu: float = 0.6
-    phi: float = 0.0
-    chi: float = 0.0
-    phi1: float = 0.0
-    phi2: float = 0.0
-    chi1: float = 0.0
-    chi2: float = 0.0
+    phi: float = 0.8
+    chi: float = 1.2
+    phi1: float = 0.8
+    phi2: float = 1.0
+    chi1: float = 1.2
+    chi2: float = 1.5
     validate: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
@@ -217,12 +221,9 @@ def growth_factors(spec: LearningSpec, s: float, E: float) -> GrowthFactors:
 
 def h_ratio(spec: LearningSpec, s: float, E: float) -> HRatio:
     """Growth-factor ratio H = g_L/g_H with its exact partials in s and E."""
-    if not 0.0 <= s <= 1.0:
-        raise ShareOutOfRange(f"share must be in [0, 1], got {s}")
+    g_h, g_l = growth_factors(spec, s, E)
     nu, phi1, phi2, chi1, chi2 = spec.coefficients
     u = 1.0 - s
-    g_h = 1.0 + nu * E + phi1 * s - phi2 * s**3
-    g_l = 1.0 + chi1 * u - chi2 * u**3
     gh_s = phi1 - 3.0 * phi2 * s**2
     gl_s = -(chi1 - 3.0 * chi2 * u**2)
     value = g_l / g_h

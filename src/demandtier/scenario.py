@@ -2,27 +2,29 @@
 
 A scenario is a JSON object with one section per field of ``Scenario``. The
 config dataclasses are the schema: a section's keys and defaults are the
-fields of its class, read at import time, and the learning section holds both
-variants' coefficients. Omitted keys take those defaults, which form the
-headline experiment. Parsing is strict: unknown sections or keys are rejected
-by name, every number must be finite (an integer beyond float range counts as
-infinite), a key with an integer default takes only integers, and every
-constructed object re-validates its own invariants.
+compared fields of its class, read at import time. The learning section is no
+exception: ``LearningSpec`` holds both variants' coefficients, and the
+inactive variant's are kept as given. Omitted keys take those defaults, which
+form the headline experiment. Parsing is strict: unknown sections or keys are
+rejected by name, every number must be finite (an integer beyond float range
+counts as infinite), a key with an integer default takes only integers, an
+enum key takes only its members' string values, and every constructed object
+re-validates its own invariants.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
 import sys
 from dataclasses import dataclass, fields
+from enum import Enum
 from pathlib import Path
 from typing import get_type_hints
 
 from .bifurcation import SweepConfig
 from .demand import PreferenceSchedule
-from .dynamics import LearningSpec, LearningVariant, TechnologyState
+from .dynamics import LearningSpec, TechnologyState
 from .errors import ConfigError, DemandTierError, _require_int
 from .planner import PlannerConfig
 from .solver import SolverConfig
@@ -78,22 +80,9 @@ class Scenario:
 
 _SECTIONS = get_type_hints(Scenario)  # section name -> config class
 
-_LEARNING_DEFAULTS = {
-    "variant": "cubic",
-    "nu": 0.6,
-    "phi": 0.8,
-    "chi": 1.2,
-    "phi1": 0.8,
-    "phi2": 1.0,
-    "chi1": 1.2,
-    "chi2": 1.5,
-}
-
-# section -> {key: default}; the learning section keeps the inactive
-# variant's coefficients at their defaults
+# section -> {key: default}; a field left out of comparisons is no key
 _SCHEMA = {
-    section: _LEARNING_DEFAULTS if cls is LearningSpec
-    else {f.name: f.default for f in fields(cls)}
+    section: {f.name: f.default for f in fields(cls) if f.compare}
     for section, cls in _SECTIONS.items()
 }
 # keys of the former grid-and-bisection solver at their former defaults:
@@ -103,12 +92,6 @@ _IGNORED_KEYS = {"solver": {"grid_points": 4001, "dedup_tol": 1e-7}}
 _LIST_KEYS = {
     (section, f.name)
     for section, cls in _SECTIONS.items() for f in fields(cls) if "list" in str(f.type)
-}
-# the coefficients each variant takes: the parameters of LearningSpec.linear and .cubic
-_VARIANT_KEYS = {
-    v.value: [k for k in inspect.signature(getattr(LearningSpec, v.value)).parameters
-              if k in _LEARNING_DEFAULTS]
-    for v in LearningVariant
 }
 
 
@@ -138,16 +121,6 @@ def _check_number(section: str, key: str, value, allow_list: bool) -> None:
             raise ConfigError(f"{where} must {be_finite}, got {item!r}")
 
 
-def _build_learning(**overrides) -> LearningSpec:
-    merged = {**_LEARNING_DEFAULTS, **overrides}
-    variant = merged["variant"]
-    if not isinstance(variant, str) or variant not in _VARIANT_KEYS:
-        raise ConfigError(
-            f"key 'variant' in section 'learning' must be 'linear' or 'cubic', got {variant!r}"
-        )
-    return getattr(LearningSpec, variant)(**{key: merged[key] for key in _VARIANT_KEYS[variant]})
-
-
 def load_scenario_dict(data: dict) -> Scenario:
     """Validate a scenario mapping and build the configured objects."""
     if not isinstance(data, dict):
@@ -168,7 +141,13 @@ def load_scenario_dict(data: dict) -> Scenario:
             raise ConfigError(f"unknown key '{sorted(bad)[0]}' in section '{section}'")
         for key, value in overrides.items():
             default = known[key]
-            if isinstance(default, str):  # the learning variant, checked on build
+            if isinstance(default, Enum):
+                choices = [member.value for member in type(default)]
+                if value not in choices:
+                    raise ConfigError(
+                        f"key '{key}' in section '{section}' must be "
+                        f"{' or '.join(map(repr, choices))}, got {value!r}"
+                    )
                 continue
             _check_number(section, key, value, allow_list=(section, key) in _LIST_KEYS)
             if type(default) is int and not isinstance(value, int):
@@ -179,9 +158,12 @@ def load_scenario_dict(data: dict) -> Scenario:
                     f"note: key '{key}' in section '{section}' is ignored; "
                     "fixed points are exact cubic roots\n"
                 )
-        overrides = {k: v for k, v in overrides.items() if k not in ignored}
+        kwargs = {
+            key: type(known[key])(value) if isinstance(known[key], Enum) else value
+            for key, value in overrides.items() if key not in ignored
+        }
         try:
-            built[section] = (_build_learning if cls is LearningSpec else cls)(**overrides)
+            built[section] = cls(**kwargs)
         except ConfigError:
             raise
         except (TypeError, ValueError, DemandTierError) as exc:
@@ -202,17 +184,11 @@ def load_scenario(path: str | Path | None) -> Scenario:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    """Full mapping representation; reloads to an identical configuration."""
+    """Full mapping of plain JSON types; reloads to an identical configuration."""
     out = {}
     for section, defaults in _SCHEMA.items():
-        config = getattr(scenario, section)
-        if isinstance(config, LearningSpec):
-            # the inactive variant's coefficients are written at their defaults
-            variant = config.variant.value
-            active = {key: getattr(config, key) for key in _VARIANT_KEYS[variant]}
-            out[section] = {**defaults, "variant": variant, **active}
-        else:
-            out[section] = {key: getattr(config, key) for key in defaults}
+        values = {key: getattr(getattr(scenario, section), key) for key in defaults}
+        out[section] = {k: v.value if isinstance(v, Enum) else v for k, v in values.items()}
     return out
 
 

@@ -6,8 +6,8 @@ g_H(s, E) = g_L(1 - s), a cubic in s whose constant term alone depends on E.
 One stacked eigensolve of the cubic's companion matrices finds its real roots
 at every requested level; polished by one Newton step, they map back to
 p = alpha(1-s)/((1-alpha)s). The roots with s in (0, 1) and p in
-[p_min, p_max] are re-checked through the public map and classified through
-the analytic slope T'(p*) = 1 - s*(1-s*) * dH/ds.
+[p_min, p_max] are re-checked through ``excess_share`` and ``h_ratio`` and
+classified through the analytic slope T'(p*) = 1 - s*(1-s*) * dH/ds.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .demand import PreferenceSchedule, alpha_array
-from .dynamics import LearningSpec, excess_share, gap_polynomial, h_ratio, price_map
+from .dynamics import LearningSpec, excess_share, gap_polynomial, h_ratio
 from .errors import ConfigError, NoConvergence, ShareOutOfRange
 
 
@@ -90,12 +90,13 @@ def find_fixed_points(
 
     An empty list is a legal result: an interior fixed point need not exist.
     Every returned root satisfies |T(p*) - p*| <= bisect_tol * max(1, p*),
-    re-checked here through the public map; a root that fails the bound
-    raises NoConvergence.
+    re-checked here through ``excess_share`` and ``h_ratio``; a root that
+    fails the bound raises NoConvergence. E < 0 raises ConfigError.
     """
     return _fixed_point_rows(sched, spec, np.array([E], dtype=float), cfg or SolverConfig())[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _fixed_point_rows(
     sched: PreferenceSchedule, spec: LearningSpec, E_array: np.ndarray, cfg: SolverConfig
 ) -> list[list[FixedPoint]]:
@@ -104,8 +105,12 @@ def _fixed_point_rows(
     Only the gap's constant term depends on E, so all levels share its degree
     d and their companion matrices (built as ``np.roots`` builds them) differ
     in one entry. The polish keeps ``np.polyval``'s Horner order; its leading
-    step 0*s + c0 cannot change a value once a nonzero term enters.
+    step 0*s + c0 cannot change a value once a nonzero term enters. A level
+    whose entry leaves float range (nu*E overflows, so g_H is infinite) has no
+    root; any other non-finite value is a root outside (0, 1) and is dropped.
     """
+    if not (E_array >= 0.0).all():
+        raise ConfigError(f"education level must be >= 0, got {E_array.min()}")
     gaps = gap_polynomial(spec, E_array)
     c0, c1, c2 = head = gaps[0, :3].tolist()
     d = 3 - next((k for k, c in enumerate(head) if c != 0.0), 3)
@@ -114,9 +119,11 @@ def _fixed_point_rows(
     companion = np.zeros((len(E_array), d, d))
     companion[:, 0, :] = -gaps[:, 4 - d:] / head[3 - d]
     companion.reshape(-1, d * d)[:, d::d + 1] = 1.0  # the subdiagonal
+    solvable = np.isfinite(companion[:, 0, -1])
+    companion[~solvable, 0, -1] = 0.0
     roots = np.linalg.eigvals(companion)
 
-    s = np.where(roots.imag == 0.0, roots.real, np.nan)
+    s = np.where((roots.imag == 0.0) & solvable[:, None], roots.real, np.nan)
     value = ((c0 * s + c1) * s + c2) * s + gaps[:, 3:]
     slope = (c0 * 3.0 * s + c1 * 2.0) * s + c2
     s = s - value / np.where(slope != 0.0, slope, np.inf)  # no step at a zero slope
@@ -131,15 +138,15 @@ def _fixed_point_rows(
     rows: list[list[FixedPoint]] = [[] for _ in E_values]
     for i, p_star in zip(np.nonzero(found)[0].tolist(), p[found].tolist()):
         E = E_values[i]
-        residual = price_map(sched, spec, p_star, E) - p_star
+        s_star = excess_share(sched, E, p_star)
+        h = h_ratio(spec, s_star, E)
+        residual = p_star * h.value - p_star  # T(p*) - p*
         bound = cfg.bisect_tol * max(1.0, p_star)
         if abs(residual) > bound:
             raise NoConvergence(
                 f"fixed point p*={p_star} at E={E} has residual {residual}, above "
                 f"the bound bisect_tol * max(1, p*) = {bound}"
             )
-        s_star = excess_share(sched, E, p_star)
-        d_ds = h_ratio(spec, s_star, E).dH_ds
-        t_prime, stability = classify_stability(s_star, d_ds, cfg.marginal_tol)
+        t_prime, stability = classify_stability(s_star, h.dH_ds, cfg.marginal_tol)
         rows[i].append(FixedPoint(p_star, s_star, t_prime, stability))
     return rows

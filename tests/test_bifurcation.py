@@ -262,6 +262,21 @@ class TestZeroConstantTerm:
             assert abs(fp.p_star - p) <= 1e-9 * max(1.0, p)
 
 
+class TestEducationDomain:
+    def test_negative_E_min_rejected_naming_the_value(self):
+        with pytest.raises(ConfigError, match=r"E_min=-2\.0"):
+            SweepConfig(E_min=-2.0)
+
+    def test_level_where_nu_E_overflows_is_a_rootless_row(self, sched):
+        # 10 * 5e307 and 10 * 1e308 are beyond float range: g_H is infinite there
+        spec = LearningSpec.cubic(nu=10.0, phi1=0.8, phi2=1.0, chi1=1.2, chi2=1.5)
+        diagram = sweep(sched, spec, SweepConfig(E_min=0.01, E_max=1e308, E_points=3))
+        assert [row.E for row in diagram.rows] == [0.01, 5e307, 1e308]
+        assert diagram.rows[0].roots == find_fixed_points(sched, spec, 0.01)
+        assert len(diagram.rows[0].roots) == 3
+        assert diagram.rows[1].roots == diagram.rows[2].roots == []
+
+
 class TestScaling:
     def test_hundred_thousand_level_sweep(self, sched, cubic):
         # correctness at scale only: no timing is asserted

@@ -68,6 +68,31 @@ def test_non_finite_education_override_rejected(command, value):
     assert cp.stdout == ""
 
 
+@pytest.mark.parametrize("scenario, args, named", [
+    (None, ("fixed-points", "--E", "-5"), "-5.0"),
+    ({"simulation": {"E": -1.0}}, ("fixed-points",), "-1.0"),
+    ({"sweep": {"E_min": -2.0}}, ("bifurcation",), "E_min=-2.0"),
+])
+def test_negative_education_exits_2_naming_the_value(tmp_path, scenario, args, named):
+    if scenario is not None:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        args += ("--scenario", str(path))
+    cp = run_cli(*args)
+    assert cp.returncode == 2
+    assert named in cp.stderr
+    assert cp.stdout == ""
+
+
+def test_level_where_nu_E_overflows_has_no_fixed_point(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"learning": {"nu": 10.0}}))
+    cp = run_cli("fixed-points", "--E", "1e308", "--scenario", str(path))
+    assert cp.returncode == 0
+    assert cp.stdout == "E,p_star,s_star,t_prime,stability\n"
+    assert cp.stderr == ""  # no RuntimeWarning either
+
+
 class TestDumpDefaults:
     def test_round_trip(self, defaults_file):
         # running against the dumped file must equal running against built-ins

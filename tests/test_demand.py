@@ -17,6 +17,7 @@ from demandtier import (
     stone_geary_utility,
     supernumerary_income,
 )
+from demandtier.demand import alpha_is_clipped, alpha_slope_array
 from demandtier.errors import ConfigError, NonInteriorBudget
 
 from conftest import flat_sched
@@ -43,6 +44,15 @@ class TestAlphaSchedule:
             PreferenceSchedule(alpha_lo=0.9, alpha_hi=0.5)
         with pytest.raises(ConfigError, match="alpha_slope"):
             PreferenceSchedule(alpha_slope=-0.1)
+
+
+def test_clip_test_on_an_array_matches_the_scalar_one(sched):
+    # both kinks, (0.6 - 0.78)/0.16 and (0.97 - 0.78)/0.16, lie on the grid
+    grid = np.concatenate([np.linspace(-3.0, 3.0, 97), [-1.125, 1.1875]])
+    clipped = alpha_is_clipped(sched, grid)
+    assert clipped.tolist() == [alpha_is_clipped(sched, e) for e in grid.tolist()]
+    assert clipped.any() and not clipped.all()
+    assert alpha_slope_array(sched, grid).tolist() == [0.0 if c else 0.16 for c in clipped]
 
 
 class TestGammaL:

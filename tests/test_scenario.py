@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demandtier import (
+    LearningSpec,
     LearningVariant,
     default_scenario,
     dump_scenario,
@@ -147,6 +149,30 @@ class TestStrictness:
         path.write_text('{"learning": {"nu": %s}}' % literal, encoding="utf-8")
         with pytest.raises(ConfigError, match="key 'nu' in section 'learning' must be finite"):
             load_scenario(path)
+
+
+class TestLearningSection:
+    def test_spec_defaults_are_the_default_scenario(self):
+        assert LearningSpec() == default_scenario().learning
+
+    def test_dump_keys_are_each_sections_compared_fields(self):
+        s = default_scenario()
+        for section, keys in scenario_to_dict(s).items():
+            config = getattr(s, section)
+            assert set(keys) == {f.name for f in fields(config) if f.compare}
+        assert "validate" not in scenario_to_dict(s)["learning"]
+
+    def test_inactive_coefficients_are_kept(self):
+        s = load_scenario_dict({"learning": {"variant": "linear", "phi1": 5}})
+        assert s.learning.phi1 == 5
+        assert scenario_to_dict(s)["learning"]["phi1"] == 5
+        assert load_scenario_dict(json.loads(dump_scenario(s))) == s
+
+    def test_dict_holds_plain_json_types(self):
+        d = scenario_to_dict(default_scenario())
+        assert type(d["learning"]["variant"]) is str
+        for section in d.values():
+            assert all(type(v) in (int, float, str, list) for v in section.values())
 
 
 def test_defaults_json_is_strict_subset_of_schema():
