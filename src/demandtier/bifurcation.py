@@ -2,16 +2,19 @@
 and the education-channel decomposition of the price map.
 
 Sweeping an education grid and counting fixed points per level localizes
-parameter intervals where the root count changes. A genuine saddle-node is a
-double root of the fixed-point cubic, so its share solves a quadratic and its
-education level follows in closed form; a transition with no saddle-node in
-its bracket comes from a root crossing the price window and is kept as a
-flagged transition instead of a threshold.
+parameter intervals where the root count changes. The whole grid is solved,
+re-checked and classified in one batch; the diagram keeps the roots as
+columns and builds per-level rows only when asked for them. A genuine
+saddle-node is a double root of the fixed-point cubic, so its share solves a
+quadratic and its education level follows in closed form; a transition with
+no saddle-node in its bracket comes from a root crossing the price window and
+is kept as a flagged transition instead of a threshold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -21,7 +24,7 @@ from .dynamics import (
     LearningSpec, excess_share, excess_share_slope_E, gap_polynomial, h_ratio,
 )
 from .errors import ConfigError, DegenerateChannel, InvalidPrice, NoConvergence, _require_int
-from .solver import FixedPoint, SolverConfig, _fixed_point_rows
+from .solver import FixedPoint, RootColumns, SolverConfig, _fixed_point_rows
 
 
 @dataclass(frozen=True)
@@ -73,11 +76,27 @@ class DiagramRow:
     roots: list[FixedPoint]
 
 
-@dataclass
+@dataclass(eq=False)
 class BifurcationDiagram:
-    rows: list[DiagramRow]
+    """A sweep's E grid, its roots as columns, thresholds and transitions.
+
+    ``rows`` groups the roots per level as ``DiagramRow`` objects, built on
+    first access.
+    """
+
+    E: np.ndarray
+    roots: RootColumns
     thresholds: list[SaddleNode]
     transitions: list[Transition]
+
+    @cached_property
+    def rows(self) -> list[DiagramRow]:
+        ends = np.cumsum(np.bincount(self.roots.level, minlength=len(self.E))).tolist()
+        fixed_points = self.roots.fixed_points()
+        return [
+            DiagramRow(E=e, roots=fixed_points[start:end])
+            for e, start, end in zip(self.E.tolist(), [0, *ends], ends)
+        ]
 
 
 class ChannelCondition(NamedTuple):
@@ -138,25 +157,28 @@ def sweep(
     sweep_cfg: SweepConfig | None = None,
     solver_cfg: SolverConfig | None = None,
 ) -> BifurcationDiagram:
-    """Root inventory over an education grid, solved in one batch, plus saddle-node thresholds."""
-    sweep_cfg = sweep_cfg or SweepConfig()
-    e_grid = np.linspace(sweep_cfg.E_min, sweep_cfg.E_max, sweep_cfg.E_points).tolist()
-    roots = _fixed_point_rows(sched, spec, np.array(e_grid), solver_cfg or SolverConfig())
-    rows = [DiagramRow(E=e, roots=r) for e, r in zip(e_grid, roots)]
+    """Root inventory over an education grid, solved in one batch, plus saddle-node thresholds.
 
-    counts = [len(r) for r in roots]
+    The roots stay columns: counting them per level is one ``np.bincount``.
+    """
+    sweep_cfg = sweep_cfg or SweepConfig()
+    E = np.linspace(sweep_cfg.E_min, sweep_cfg.E_max, sweep_cfg.E_points)
+    roots = _fixed_point_rows(sched, spec, E, solver_cfg or SolverConfig())
+
+    counts = np.bincount(roots.level, minlength=len(E))
     transitions: list[Transition] = []
     for i in np.flatnonzero(np.diff(counts)).tolist():
+        e_lo, e_hi = E[i].item(), E[i + 1].item()
         saddle, note = None, ""
         try:
-            saddle = refine_saddle_node(spec, (e_grid[i], e_grid[i + 1]), sweep_cfg.refine_tol)
+            saddle = refine_saddle_node(spec, (e_lo, e_hi), sweep_cfg.refine_tol)
         except NoConvergence as exc:
             note = str(exc)
         transitions.append(
-            Transition(e_grid[i], e_grid[i + 1], counts[i], counts[i + 1], saddle, note)
+            Transition(e_lo, e_hi, counts[i].item(), counts[i + 1].item(), saddle, note)
         )
     thresholds = [t.saddle for t in transitions if t.saddle is not None]
-    return BifurcationDiagram(rows=rows, thresholds=thresholds, transitions=transitions)
+    return BifurcationDiagram(E, roots, thresholds, transitions)
 
 
 def channel_condition(

@@ -25,7 +25,7 @@ from .dynamics import TechnologyState, simulate_path
 from .errors import ConfigError, DemandTierError, NoConvergence
 from .planner import evaluate_foc
 from .scenario import Scenario, default_scenario, dump_scenario, load_scenario
-from .solver import find_fixed_points
+from .solver import STABILITY_ORDER, find_fixed_points
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -76,14 +76,18 @@ def cmd_bifurcation(
     strict: bool,
 ) -> int:
     diagram = sweep(scenario.preferences, scenario.learning, scenario.sweep, scenario.solver)
-    # a level with no fixed point keeps a row with empty fields
-    locus_rows: list[tuple] = []
-    for row in diagram.rows:
-        if not row.roots:
-            locus_rows.append((row.E, "", ""))
-        for fp in row.roots:
-            locus_rows.append((row.E, "%.12g" % fp.p_star, fp.stability.value))
-    locus_csv = _csv("E,p_star,stability", "%.12g,%s,%s", locus_rows)
+    roots = diagram.roots
+    # one line per root; a level with no fixed point keeps a line with empty fields
+    e_text = ["%.12g" % e for e in diagram.E.tolist()]
+    labels = [stability.value for stability in STABILITY_ORDER]
+    rootless = np.flatnonzero(np.bincount(roots.level, minlength=len(e_text)) == 0)
+    lines = [
+        "%s,%.12g,%s\n" % (e_text[i], p, labels[code])
+        for i, p, code in zip(roots.level.tolist(), roots.p_star.tolist(),
+                              roots.stability.tolist())
+    ] + [e_text[i] + ",,\n" for i in rootless.tolist()]
+    order = np.argsort(np.concatenate([roots.level, rootless]), kind="stable")
+    locus_csv = "E,p_star,stability\n" + "".join([lines[k] for k in order.tolist()])
 
     threshold_rows = [(sn.E_bar, sn.s_bar, *sn.residuals) for sn in diagram.thresholds]
     thresholds_csv = _csv(

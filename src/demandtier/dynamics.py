@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -68,8 +69,10 @@ class LearningSpec:
     channels off; it does not participate in equality comparisons.
 
     The field defaults are the headline calibration, so ``LearningSpec()`` is
-    the default scenario's spec. Both variants' coefficients are fields: the
-    inactive variant's are kept as given, neither checked nor used.
+    the default scenario's spec. ``variant`` may be given as its string value
+    and is stored as the ``LearningVariant`` member; any other value raises
+    ConfigError, also with ``validate=False``. Both variants' coefficients are
+    fields: the inactive variant's are kept as given, neither checked nor used.
     """
 
     variant: LearningVariant = LearningVariant.CUBIC
@@ -83,6 +86,11 @@ class LearningSpec:
     validate: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "variant", LearningVariant(self.variant))
+        except ValueError:
+            choices = " or ".join(repr(v.value) for v in LearningVariant)
+            raise ConfigError(f"variant must be {choices}, got {self.variant!r}") from None
         if not self.validate:
             return
         if self.nu <= 0.0:
@@ -229,6 +237,31 @@ def h_ratio(spec: LearningSpec, s: float, E: float) -> HRatio:
     value = g_l / g_h
     d_ds = (gl_s * g_h - g_l * gh_s) / g_h**2
     d_de = -nu * g_l / g_h**2
+    return HRatio(value=value, dH_ds=d_ds, dH_dE=d_de)
+
+
+def _libm_pow(x: np.ndarray, y: float) -> np.ndarray:
+    """x**y elementwise through ``math.pow``: the libm ``pow`` that a Python
+    float's ``**`` calls, which ``np.power`` can miss by the last bit."""
+    return np.fromiter(map(math.pow, x.tolist(), repeat(y)), float, x.size)
+
+
+def h_ratio_array(spec: LearningSpec, s: np.ndarray, E: np.ndarray | float) -> HRatio:
+    """``h_ratio`` over a 1-d array of shares, each with its level in E,
+    equal to the scalar form bit for bit."""
+    outside = ~((0.0 <= s) & (s <= 1.0))
+    if outside.any():
+        raise ShareOutOfRange(f"share must be in [0, 1], got {s[outside][0].item()}")
+    nu, phi1, phi2, chi1, chi2 = spec.coefficients
+    u = 1.0 - s
+    g_h = 1.0 + nu * E + phi1 * s - phi2 * _libm_pow(s, 3.0)
+    g_l = 1.0 + chi1 * u - chi2 * _libm_pow(u, 3.0)
+    gh_s = phi1 - 3.0 * phi2 * _libm_pow(s, 2.0)
+    gl_s = -(chi1 - 3.0 * chi2 * _libm_pow(u, 2.0))
+    gh_sq = _libm_pow(g_h, 2.0)
+    value = g_l / g_h
+    d_ds = (gl_s * g_h - g_l * gh_s) / gh_sq
+    d_de = -nu * g_l / gh_sq
     return HRatio(value=value, dH_ds=d_ds, dH_dE=d_de)
 
 

@@ -6,19 +6,23 @@ g_H(s, E) = g_L(1 - s), a cubic in s whose constant term alone depends on E.
 One stacked eigensolve of the cubic's companion matrices finds its real roots
 at every requested level; polished by one Newton step, they map back to
 p = alpha(1-s)/((1-alpha)s). The roots with s in (0, 1) and p in
-[p_min, p_max] are re-checked through ``excess_share`` and ``h_ratio`` and
-classified through the analytic slope T'(p*) = 1 - s*(1-s*) * dH/ds.
+[p_min, p_max] are re-checked and classified through the analytic slope
+T'(p*) = 1 - s*(1-s*) * dH/ds all at once, over arrays: ``h_ratio_array``
+and the inlined ``excess_share`` and ``classify_stability`` give each root the
+values their scalar forms give it, bit for bit. The result is a set of root
+columns; ``find_fixed_points`` turns one level's into ``FixedPoint`` objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .demand import PreferenceSchedule, alpha_array
-from .dynamics import LearningSpec, excess_share, gap_polynomial, h_ratio
+from .dynamics import LearningSpec, gap_polynomial, h_ratio_array
 from .errors import ConfigError, NoConvergence, ShareOutOfRange
 
 
@@ -83,6 +87,28 @@ def classify_stability(
     return t_prime, stability
 
 
+STABILITY_ORDER = tuple(Stability)  # stable, unstable, marginal
+
+
+class RootColumns(NamedTuple):
+    """Fixed points of many levels as columns, one entry per root, in
+    (level, ascending p) order; ``stability`` indexes ``STABILITY_ORDER``."""
+
+    level: np.ndarray
+    p_star: np.ndarray
+    s_star: np.ndarray
+    t_prime: np.ndarray
+    stability: np.ndarray
+
+    def fixed_points(self) -> list[FixedPoint]:
+        """Every root as a ``FixedPoint`` on Python floats, in column order."""
+        return [
+            FixedPoint(p, s, t, STABILITY_ORDER[code])
+            for p, s, t, code in zip(self.p_star.tolist(), self.s_star.tolist(),
+                                     self.t_prime.tolist(), self.stability.tolist())
+        ]
+
+
 def find_fixed_points(
     sched: PreferenceSchedule, spec: LearningSpec, E: float, cfg: SolverConfig | None = None
 ) -> list[FixedPoint]:
@@ -90,16 +116,17 @@ def find_fixed_points(
 
     An empty list is a legal result: an interior fixed point need not exist.
     Every returned root satisfies |T(p*) - p*| <= bisect_tol * max(1, p*),
-    re-checked here through ``excess_share`` and ``h_ratio``; a root that
+    re-checked as ``excess_share`` and ``h_ratio`` compute it; a root that
     fails the bound raises NoConvergence. E < 0 raises ConfigError.
     """
-    return _fixed_point_rows(sched, spec, np.array([E], dtype=float), cfg or SolverConfig())[0]
+    E_array = np.array([E], dtype=float)
+    return _fixed_point_rows(sched, spec, E_array, cfg or SolverConfig()).fixed_points()
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _fixed_point_rows(
     sched: PreferenceSchedule, spec: LearningSpec, E_array: np.ndarray, cfg: SolverConfig
-) -> list[list[FixedPoint]]:
+) -> RootColumns:
     """``find_fixed_points`` at each level of E_array, in one batched eigensolve.
 
     Only the gap's constant term depends on E, so all levels share its degree
@@ -108,6 +135,9 @@ def _fixed_point_rows(
     step 0*s + c0 cannot change a value once a nonzero term enters. A level
     whose entry leaves float range (nu*E overflows, so g_H is infinite) has no
     root; any other non-finite value is a root outside (0, 1) and is dropped.
+    The re-check and classification run over all roots at once and equal
+    ``excess_share``, ``h_ratio`` and ``classify_stability`` bit for bit; the
+    first root that fails, in column order, raises.
     """
     if not (E_array >= 0.0).all():
         raise ConfigError(f"education level must be >= 0, got {E_array.min()}")
@@ -115,7 +145,8 @@ def _fixed_point_rows(
     c0, c1, c2 = head = gaps[0, :3].tolist()
     d = 3 - next((k for k, c in enumerate(head) if c != 0.0), 3)
     if d == 0:  # the gap does not depend on s: no isolated root
-        return [[] for _ in E_array]
+        empty, no_index = np.empty(0), np.empty(0, dtype=np.intp)
+        return RootColumns(no_index, empty, empty, empty, no_index)
     companion = np.zeros((len(E_array), d, d))
     companion[:, 0, :] = -gaps[:, 4 - d:] / head[3 - d]
     companion.reshape(-1, d * d)[:, d::d + 1] = 1.0  # the subdiagonal
@@ -133,20 +164,27 @@ def _fixed_point_rows(
     p = np.sort(np.where((cfg.p_min <= p) & (p <= cfg.p_max), p, np.nan), axis=1)
     found = ~np.isnan(p)  # NaN sorts last: each row's roots come first, ascending
 
-    # per root on Python floats, whose s**3 can round differently from numpy's
-    E_values = E_array.tolist()
-    rows: list[list[FixedPoint]] = [[] for _ in E_values]
-    for i, p_star in zip(np.nonzero(found)[0].tolist(), p[found].tolist()):
-        E = E_values[i]
-        s_star = excess_share(sched, E, p_star)
-        h = h_ratio(spec, s_star, E)
-        residual = p_star * h.value - p_star  # T(p*) - p*
-        bound = cfg.bisect_tol * max(1.0, p_star)
-        if abs(residual) > bound:
+    level = np.nonzero(found)[0]
+    p_star = p[found]
+    E = E_array[level]
+    a = alpha[level, 0]
+    s_star = a / (a + (1.0 - a) * p_star)  # excess_share
+    h = h_ratio_array(spec, s_star, E)
+    residual = p_star * h.value - p_star  # T(p*) - p*
+    bound = cfg.bisect_tol * np.maximum(1.0, p_star)
+    t_prime = 1.0 - s_star * (1.0 - s_star) * h.dH_ds  # classify_stability
+    failed = (np.abs(residual) > bound) | ~((0.0 < s_star) & (s_star < 1.0))
+    if failed.any():
+        k = np.argmax(failed)
+        if abs(residual[k]) > bound[k]:
             raise NoConvergence(
-                f"fixed point p*={p_star} at E={E} has residual {residual}, above "
-                f"the bound bisect_tol * max(1, p*) = {bound}"
+                f"fixed point p*={p_star[k].item()} at E={E[k].item()} has residual "
+                f"{residual[k].item()}, above the bound bisect_tol * max(1, p*) = "
+                f"{bound[k].item()}"
             )
-        t_prime, stability = classify_stability(s_star, h.dH_ds, cfg.marginal_tol)
-        rows[i].append(FixedPoint(p_star, s_star, t_prime, stability))
-    return rows
+        raise ShareOutOfRange(f"share must be in (0, 1), got {s_star[k].item()}")
+    magnitude = np.abs(t_prime)
+    stability = np.where(
+        magnitude < 1.0 - cfg.marginal_tol, 0, np.where(magnitude > 1.0 + cfg.marginal_tol, 1, 2)
+    )
+    return RootColumns(level, p_star, s_star, t_prime, stability)

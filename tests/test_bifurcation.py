@@ -6,18 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demandtier import (
+    HRatio,
     LearningSpec,
     PreferenceSchedule,
     SolverConfig,
     Stability,
     SweepConfig,
     channel_condition,
+    classify_stability,
+    excess_share,
     find_fixed_points,
     h_ratio,
     refine_saddle_node,
     sweep,
 )
-from demandtier.dynamics import gap_polynomial
+from demandtier.dynamics import gap_polynomial, h_ratio_array
 from demandtier.errors import ConfigError, DegenerateChannel, NoConvergence
 
 import oracles
@@ -242,6 +245,61 @@ class TestBatchInvariance:
         assert len(diagram.rows) == points
         for row, roots in zip(diagram.rows, expected):
             assert row.roots == find_fixed_points(sched, spec, row.E, solver_cfg) == roots
+
+
+class TestScalarParity:
+    """The solver re-checks and classifies every root over arrays; each value
+    equals the scalar ``excess_share`` -> ``h_ratio`` -> ``classify_stability``
+    chain bit for bit, and a failed re-check names the same root."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        calibrations(),
+        st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 3.0)), min_size=1, max_size=40),
+    )
+    def test_h_ratio_array_equals_scalar_h_ratio(self, calibration, points):
+        _, spec = calibration
+        shares, levels = (np.array(column) for column in zip(*points))
+        columns = h_ratio_array(spec, shares, levels)
+        scalar = [h_ratio(spec, s, e) for s, e in points]
+        for name, column in zip(HRatio._fields, columns):
+            expected = np.array([getattr(h, name) for h in scalar])
+            assert column.tobytes() == expected.tobytes(), name
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(calibrations(), st.floats(0.0, 0.2), st.floats(0.3, 3.0), st.integers(2, 300))
+    def test_sweep_roots_equal_the_scalar_chain(self, calibration, e_min, e_max, points):
+        sched, spec = calibration
+        cfg = SolverConfig(bisect_tol=1e-6)  # the residual bound is not under test here
+        diagram = sweep(sched, spec, SweepConfig(e_min, e_max, points), cfg)
+        for row in diagram.rows:
+            for fp in row.roots:
+                s = excess_share(sched, row.E, fp.p_star)
+                h = h_ratio(spec, s, row.E)
+                t_prime, label = classify_stability(s, h.dH_ds, cfg.marginal_tol)
+                assert (fp.s_star.hex(), fp.t_prime.hex(), fp.stability) == (
+                    s.hex(), t_prime.hex(), label)
+
+    def test_first_root_above_the_bound_is_named(self, sched, cubic, diagram):
+        # pick bisect_tol between the second and third largest residual
+        # ratios of the default sweep, so exactly two roots fail, at two levels
+        roots = []
+        for i, row in enumerate(diagram.rows):
+            for fp in row.roots:
+                h = h_ratio(cubic, excess_share(sched, row.E, fp.p_star), row.E)
+                residual = fp.p_star * h.value - fp.p_star
+                roots.append((i, row.E, fp.p_star, residual))
+        ratios = sorted(abs(r) / max(1.0, p) for _, _, p, r in roots)
+        tol = 0.5 * (ratios[-2] + ratios[-3])
+        failing = [root for root in roots if abs(root[3]) > tol * max(1.0, root[2])]
+        assert len(failing) == 2 and failing[0][0] != failing[1][0]
+        _, e, p_star, residual = failing[0]  # roots are in (level, ascending p) order
+        with pytest.raises(NoConvergence) as raised:
+            sweep(sched, cubic, solver_cfg=SolverConfig(bisect_tol=tol))
+        assert str(raised.value) == (
+            f"fixed point p*={p_star} at E={e} has residual {residual}, above the "
+            f"bound bisect_tol * max(1, p*) = {tol * max(1.0, p_star)}"
+        )
 
 
 class TestZeroConstantTerm:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import load_goldens
+from conftest import DATA_DIR, load_goldens
 from demandtier.cli import _csv
 
 GOLDEN = load_goldens()
@@ -41,6 +41,29 @@ class TestCsvWriter:
 
     def test_no_rows_is_header_only(self):
         assert _csv("a,b", "%.12g,%.12g", []) == "a,b\n"
+
+
+CLI_GOLDENS = DATA_DIR / "cli"
+
+
+@pytest.mark.parametrize("name, args", [
+    ("bifurcation", ("bifurcation",)),
+    ("fixed-points_E0.145", ("fixed-points", "--E", "0.145")),
+    ("fixed-points_E0.215", ("fixed-points", "--E", "0.215")),
+    ("fixed-points_E0.28", ("fixed-points", "--E", "0.28")),
+    ("simulate", ("simulate",)),
+    ("statics", ("statics",)),
+    ("planner-foc_linear",
+     ("planner-foc", "--scenario", str(CLI_GOLDENS / "linear_scenario.json"))),
+])
+def test_default_output_bytes_match_golden(name, args):
+    # tests/data/cli/<name>.stdout (and .stderr, where one is committed) hold
+    # the exact bytes; rewrite them only for a deliberate change of output
+    cp = subprocess.run([sys.executable, "-m", "demandtier", *args], capture_output=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == (CLI_GOLDENS / f"{name}.stdout").read_bytes()
+    stderr = CLI_GOLDENS / f"{name}.stderr"
+    assert cp.stderr == (stderr.read_bytes() if stderr.exists() else b"")
 
 
 class TestEntryPoints:

@@ -4,6 +4,7 @@ import pytest
 from demandtier import (
     HouseholdBudget,
     LearningSpec,
+    LearningVariant,
     TechnologyState,
     excess_share,
     excess_share_slope_E,
@@ -120,6 +121,19 @@ class TestLearningSpecValidation:
     def test_diagnostic_escape_hatch(self):
         spec = LearningSpec.linear(nu=0.0, phi=0.0, chi=1.2, validate=False)
         assert spec.nu == 0.0
+
+    def test_string_variant_is_the_enum_member(self):
+        spec = LearningSpec(variant="linear", phi=0.5)
+        assert spec.variant is LearningVariant.LINEAR
+        assert spec.coefficients == (0.6, 0.5, 0.0, 1.2, 0.0)
+        # converted before the validate early return, and checked there too
+        with pytest.raises(ConfigError, match="phi must be > 0 for linear"):
+            LearningSpec(variant="linear", phi=0.0)
+        assert LearningSpec(variant="linear", validate=False).variant is LearningVariant.LINEAR
+
+    def test_unknown_string_variant_rejected(self):
+        with pytest.raises(ConfigError, match="'linear' or 'cubic', got 'quadratic'"):
+            LearningSpec(variant="quadratic")
 
 
 class TestHRatio:
