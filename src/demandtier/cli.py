@@ -166,7 +166,7 @@ def cmd_planner_foc(scenario: Scenario, out: str | None) -> int:
     initial = TechnologyState(a_H=sim.a_H0, a_L=sim.a_L0, wage=sim.wage)
     path = simulate_path(
         scenario.preferences, scenario.learning, initial,
-        sim.E, sim.income, max(sim.horizon, scenario.planner.horizon),
+        sim.E, sim.income, scenario.planner.horizon,
     )
     report = evaluate_foc(scenario.preferences, scenario.learning, scenario.planner, path)
     columns = (report.t, report.preference_term, report.spillover_term,

@@ -319,7 +319,7 @@ def simulate_path(
     e_arr = _broadcast(e_path, horizon, "e_path")
     y_arr = _broadcast(income_path, horizon, "income_path")
     if np.any(e_arr < 0.0):
-        raise ConfigError("education path must be >= 0 everywhere")
+        raise ConfigError(f"education level must be >= 0, got {float(e_arr[e_arr < 0.0][0])}")
 
     nu, phi1, phi2, chi1, chi2 = spec.coefficients
     p, s, a_h, a_l = _kernels.simulate_arrays(

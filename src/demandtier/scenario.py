@@ -5,18 +5,18 @@ config dataclasses are the schema: a section's keys and defaults are the
 compared fields of its class, read at import time. The learning section is no
 exception: ``LearningSpec`` holds both variants' coefficients, and the
 inactive variant's are kept as given. Omitted keys take those defaults, which
-form the headline experiment. Parsing is strict: unknown sections or keys are
-rejected by name, every number must be finite (an integer beyond float range
-counts as infinite), a key with an integer default takes only integers, an
-enum key takes only its members' string values, and every constructed object
-re-validates its own invariants.
+form the headline experiment. Parsing is strict: a section accepts exactly
+the keys that ``scenario_to_dict`` writes, and an unknown section or key is
+rejected by name. Every number must be finite (an integer beyond float range
+counts as infinite), a key with an integer default takes only integers, and an
+enum key takes only its members' string values. Each section's overrides then
+go unchanged to its class, whose constructor re-validates its own invariants.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -85,9 +85,6 @@ _SCHEMA = {
     section: {f.name: f.default for f in fields(cls) if f.compare}
     for section, cls in _SECTIONS.items()
 }
-# keys of the former grid-and-bisection solver at their former defaults:
-# still type-checked, then ignored
-_IGNORED_KEYS = {"solver": {"grid_points": 4001, "dedup_tol": 1e-7}}
 # simulation paths: keys whose annotation admits a list
 _LIST_KEYS = {
     (section, f.name)
@@ -134,8 +131,7 @@ def load_scenario_dict(data: dict) -> Scenario:
         overrides = data.get(section, {})
         if not isinstance(overrides, dict):
             raise ConfigError(f"section '{section}' must be an object")
-        ignored = _IGNORED_KEYS.get(section, {})
-        known = {**_SCHEMA[section], **ignored}
+        known = _SCHEMA[section]
         bad = set(overrides) - set(known)
         if bad:
             raise ConfigError(f"unknown key '{sorted(bad)[0]}' in section '{section}'")
@@ -152,18 +148,8 @@ def load_scenario_dict(data: dict) -> Scenario:
             _check_number(section, key, value, allow_list=(section, key) in _LIST_KEYS)
             if type(default) is int and not isinstance(value, int):
                 raise ConfigError(f"key '{key}' in section '{section}' must be an integer")
-        for key in ignored:
-            if key in overrides:
-                sys.stderr.write(
-                    f"note: key '{key}' in section '{section}' is ignored; "
-                    "fixed points are exact cubic roots\n"
-                )
-        kwargs = {
-            key: type(known[key])(value) if isinstance(known[key], Enum) else value
-            for key, value in overrides.items() if key not in ignored
-        }
         try:
-            built[section] = cls(**kwargs)
+            built[section] = cls(**overrides)
         except ConfigError:
             raise
         except (TypeError, ValueError, DemandTierError) as exc:

@@ -95,6 +95,10 @@ def test_non_finite_education_override_rejected(command, value):
     (None, ("fixed-points", "--E", "-5"), "-5.0"),
     ({"simulation": {"E": -1.0}}, ("fixed-points",), "-1.0"),
     ({"sweep": {"E_min": -2.0}}, ("bifurcation",), "E_min=-2.0"),
+    (None, ("simulate", "--E", "-1"), "education level must be >= 0, got -1.0"),
+    ({"simulation": {"E": [0.1, -0.5, 0.2], "horizon": 3}}, ("simulate",),
+     "education level must be >= 0, got -0.5"),
+    (None, ("statics", "--E", "-3"), "education level must be >= 0, got -3.0"),
 ])
 def test_negative_education_exits_2_naming_the_value(tmp_path, scenario, args, named):
     if scenario is not None:
@@ -321,19 +325,16 @@ class TestBifurcation:
         _, rows = parse_csv(locus.read_text())
         assert len({r[0] for r in rows}) == 4001
 
-    def test_legacy_solver_keys_ignored(self, tmp_path):
-        # keys of the former grid solver still load, with one note per key
+    def test_legacy_solver_keys_rejected(self, tmp_path):
+        # keys of the former grid solver are unknown keys like any other
         scenario = tmp_path / "legacy.json"
-        scenario.write_text(json.dumps({"solver": {"grid_points": 8001, "dedup_tol": 1e-9}}))
-        empty = tmp_path / "empty.json"
-        empty.write_text("{}")
-        legacy = run_cli("bifurcation", "--scenario", str(scenario))
-        base = run_cli("bifurcation", "--scenario", str(empty))
-        assert legacy.returncode == base.returncode == 0, legacy.stderr
-        assert legacy.stdout == base.stdout
-        notes = [line for line in legacy.stderr.splitlines() if line.startswith("note:")]
-        assert len(notes) == 2
-        assert "'grid_points'" in notes[0] and "'dedup_tol'" in notes[1]
+        for key, value in [("grid_points", 4001), ("dedup_tol", 1e-7)]:
+            scenario.write_text(json.dumps({"solver": {key: value}}))
+            cp = run_cli("bifurcation", "--scenario", str(scenario))
+            assert cp.returncode == 2
+            assert f"unknown key '{key}' in section 'solver'" in cp.stderr
+            assert "note:" not in cp.stderr
+            assert cp.stdout == ""
 
     def test_root_above_bound_exits_3_with_float_reprs(self, tmp_path):
         scenario = tmp_path / "tight.json"
@@ -400,3 +401,30 @@ class TestPlannerFoc:
         cp = run_cli("planner-foc")
         assert cp.returncode == 2
         assert "linear" in cp.stderr
+
+    def test_simulation_horizon_ignored(self, tmp_path):
+        # a path of ten entries is long enough for the planner's three periods
+        scenario = tmp_path / "short_path.json"
+        scenario.write_text(json.dumps({
+            "learning": {"variant": "linear"},
+            "simulation": {"horizon": 500, "E": [0.28] * 10},
+        }))
+        cp = subprocess.run(
+            [sys.executable, "-m", "demandtier", "planner-foc", "--scenario", str(scenario)],
+            capture_output=True,
+        )
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout == (CLI_GOLDENS / "planner-foc_linear.stdout").read_bytes()
+
+    def test_high_education_within_planner_horizon(self, tmp_path):
+        # E = 10 overflows a_H within 500 periods, but not within the planner's three
+        scenario = tmp_path / "high_E.json"
+        scenario.write_text(json.dumps({
+            "learning": {"variant": "linear"},
+            "simulation": {"E": 10, "income": 1000},
+        }))
+        cp = run_cli("planner-foc", "--scenario", str(scenario))
+        assert cp.returncode == 0, cp.stderr
+        _, rows = parse_csv(cp.stdout)
+        assert len(rows) == 3
+        assert all(np.isfinite(float(v)) for row in rows for v in row)

@@ -91,17 +91,16 @@ class TestStrictness:
         with pytest.raises(ConfigError, match="must be a number"):
             load_scenario_dict({"solver": {"p_min": "small"}})
         with pytest.raises(ConfigError, match="must be an integer"):
-            load_scenario_dict({"solver": {"grid_points": 4001.5}})
+            load_scenario_dict({"sweep": {"E_points": 81.5}})
         with pytest.raises(ConfigError, match="variant"):
             load_scenario_dict({"learning": {"variant": "quartic"}})
 
-    def test_legacy_solver_keys_accepted_and_ignored(self, capsys):
-        s = load_scenario_dict({"solver": {"grid_points": 8001, "dedup_tol": 1e-9}})
-        assert s == default_scenario()
-        assert "grid_points" in capsys.readouterr().err
-        assert "grid_points" not in scenario_to_dict(s)["solver"]
-        with pytest.raises(ConfigError, match="must be a number"):
-            load_scenario_dict({"solver": {"dedup_tol": "tiny"}})
+    def test_legacy_solver_keys_rejected(self, capsys):
+        # keys of the former grid solver are unknown keys like any other
+        for key, value in [("grid_points", 4001), ("dedup_tol", 1e-7)]:
+            with pytest.raises(ConfigError, match=f"unknown key '{key}' in section 'solver'"):
+                load_scenario_dict({"solver": {key: value}})
+        assert capsys.readouterr() == ("", "")
 
     def test_list_only_for_simulation_paths(self):
         with pytest.raises(ConfigError):
