@@ -23,7 +23,7 @@ from .demand import PreferenceSchedule
 from .dynamics import (
     LearningSpec, excess_share, excess_share_slope_E, gap_polynomial, h_ratio,
 )
-from .errors import ConfigError, DegenerateChannel, InvalidPrice, NoConvergence, _require_int
+from .errors import ConfigError, DegenerateChannel, NoConvergence, _require_int
 from .solver import FixedPoint, RootColumns, SolverConfig, _fixed_point_rows
 
 
@@ -193,8 +193,6 @@ def channel_condition(
     Raises DegenerateChannel when dH/ds sits inside the marginal band, since
     the channel ratio is then undefined; the exception still carries dT/dE.
     """
-    if p_star <= 0.0:
-        raise InvalidPrice(f"relative price must be > 0, got {p_star}")
     s = excess_share(sched, E, p_star)
     h = h_ratio(spec, s, E)
     s_e = excess_share_slope_E(sched, E, p_star)

@@ -5,13 +5,15 @@ quantitative work) and a high-tier good H. Utility is Cobb-Douglas over
 consumption in excess of subsistence thresholds, with the high-tier weight
 ``alpha`` rising in education and the low-tier threshold ``gamma_L`` falling
 in it. Everything here is closed-form; operations are pure functions and
-safe to call concurrently.
+safe to call concurrently. The schedule formulas take one education level or
+an array of them and work elementwise; a scalar level gives a Python float.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -114,56 +116,52 @@ class ShareSlope(NamedTuple):
     alpha_clipped: bool
 
 
-def alpha_of(sched: PreferenceSchedule, E: float) -> float:
+def _libm(f, x, *args):
+    """``f(x, *args)``, elementwise and keeping the shape if x is an array. ``f`` is
+    a ``math``-module or builtin function of floats, so every value comes from
+    libm as a scalar's does; numpy's ``exp`` and ``power`` can miss it by a bit."""
+    if not isinstance(x, np.ndarray):
+        return f(x, *args)
+    values = map(f, x.ravel().tolist(), *map(repeat, args))
+    return np.fromiter(values, float, x.size).reshape(x.shape)
+
+
+def _first(values, where):
+    """The first entry of ``values``, a scalar or an array, where ``where`` holds."""
+    return np.asarray(values)[where].flat[0].item()
+
+
+def alpha_of(sched: PreferenceSchedule, E: float | np.ndarray):
     """High-tier utility weight at education level E (clipped affine)."""
-    return min(sched.alpha_hi, max(sched.alpha_lo, sched.alpha_base + sched.alpha_slope * E))
+    raw = sched.alpha_base + sched.alpha_slope * E
+    # fmin/fmax treat NaN as min(hi, max(lo, x)) does
+    alpha = np.fmin(sched.alpha_hi, np.fmax(sched.alpha_lo, raw))
+    return alpha if isinstance(E, np.ndarray) else float(alpha)
 
 
-def alpha_is_clipped(sched: PreferenceSchedule, E: float) -> bool:
-    """True when the affine weight sits on (or beyond) a clip bound at E; elementwise on arrays."""
+def alpha_is_clipped(sched: PreferenceSchedule, E: float | np.ndarray):
+    """True when the affine weight sits on (or beyond) a clip bound at E."""
     raw = sched.alpha_base + sched.alpha_slope * E
     return (raw <= sched.alpha_lo) | (raw >= sched.alpha_hi)
 
 
-def alpha_slope_of(sched: PreferenceSchedule, E: float) -> float:
+def alpha_slope_of(sched: PreferenceSchedule, E: float | np.ndarray):
     """d alpha/dE at E; zero inside clipped regions and at the kinks."""
-    return 0.0 if alpha_is_clipped(sched, E) else sched.alpha_slope
+    slope = np.where(alpha_is_clipped(sched, E), 0.0, sched.alpha_slope)
+    return slope if isinstance(E, np.ndarray) else float(slope)
 
 
-def alpha_array(sched: PreferenceSchedule, E: np.ndarray) -> np.ndarray:
-    """``alpha_of`` over an array of education levels."""
-    return np.minimum(
-        sched.alpha_hi, np.maximum(sched.alpha_lo, sched.alpha_base + sched.alpha_slope * E)
-    )
+def gammaL_of(sched: PreferenceSchedule, E: float | np.ndarray):
+    """Low-tier subsistence threshold at education level E, which must be >= 0."""
+    negative = E < 0.0
+    if np.count_nonzero(negative):
+        raise ConfigError(f"education level must be >= 0, got {_first(E, negative)}")
+    return sched.gammaL_base * _libm(math.exp, -sched.gammaL_decay * E)
 
 
-def alpha_slope_array(sched: PreferenceSchedule, E: np.ndarray) -> np.ndarray:
-    """``alpha_slope_of`` over an array of education levels."""
-    return np.where(alpha_is_clipped(sched, E), 0.0, sched.alpha_slope)
-
-
-def gammaL_of(sched: PreferenceSchedule, E: float) -> float:
-    """Low-tier subsistence threshold at education level E."""
-    if E < 0.0:
-        raise ConfigError(f"education level must be >= 0, got {E}")
-    return sched.gammaL_base * math.exp(-sched.gammaL_decay * E)
-
-
-def gammaL_slope_of(sched: PreferenceSchedule, E: float) -> float:
+def gammaL_slope_of(sched: PreferenceSchedule, E: float | np.ndarray):
     """d gamma_L/dE at E (nonpositive by construction)."""
     return -sched.gammaL_decay * gammaL_of(sched, E)
-
-
-def gammaL_array(sched: PreferenceSchedule, E: np.ndarray) -> np.ndarray:
-    """``gammaL_of`` over an array of education levels, which must be >= 0.
-
-    The exponential is libm's ``math.exp``, as in the scalar form: ``np.exp``
-    differs from it in the last bit on some inputs, and gamma_L decides the
-    sign of B where income just covers subsistence.
-    """
-    x = -sched.gammaL_decay * np.asarray(E, dtype=float)
-    decay = np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size)
-    return sched.gammaL_base * decay.reshape(x.shape)
 
 
 def supernumerary_income(sched: PreferenceSchedule, budget: HouseholdBudget, E: float) -> float:
@@ -263,8 +261,8 @@ def demand_arrays(
         # the scalar checks, in the scalar order, raise the scalar message
         HouseholdBudget(income=float(y.flat[i]), price_H=float(p.flat[i]))
         gammaL_of(sched, float(e.flat[i]))
-    a = alpha_array(sched, e)
-    g_L = gammaL_array(sched, e)
+    a = alpha_of(sched, e)
+    g_L = gammaL_of(sched, e)
     # as in the scalar form's Python float arithmetic, an infinite price times
     # gamma_H = 0 gives a NaN B without a warning, and that row stays interior
     with np.errstate(invalid="ignore"):

@@ -8,7 +8,8 @@ relative price p of the high-tier good:
 
 where s is the excess-quantity share of high-tier consumption and g_H, g_L
 are the sectoral growth factors. Education enters twice: directly in g_H and
-through the preference weight inside S.
+through the preference weight inside S. S, g_H, g_L and H take scalars or
+arrays and work elementwise, with the same values either way.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -24,7 +24,8 @@ import numpy as np
 from . import _kernels
 from .demand import (
     PreferenceSchedule,
-    alpha_array,
+    _first,
+    _libm,
     alpha_of,
     alpha_slope_of,
     demand_arrays,
@@ -196,69 +197,49 @@ class HRatio(NamedTuple):
     dH_dE: float
 
 
-def excess_share(sched: PreferenceSchedule, E: float, p: float) -> float:
+def excess_share(sched: PreferenceSchedule, E: float | np.ndarray, p: float | np.ndarray):
     """Excess-quantity share of the high-tier good at relative price p.
 
     Equals alpha/(alpha + (1-alpha)*p): subsistence terms cancel out of the
     above-subsistence quantity ratio, so only the weight and the price remain.
     Strictly decreasing in p, nondecreasing in E.
     """
-    if p <= 0.0:
-        raise InvalidPrice(f"relative price must be > 0, got {p}")
+    nonpositive = p <= 0.0
+    if np.count_nonzero(nonpositive):
+        raise InvalidPrice(f"relative price must be > 0, got {_first(p, nonpositive)}")
     a = alpha_of(sched, E)
     return a / (a + (1.0 - a) * p)
 
 
-def excess_share_slope_E(sched: PreferenceSchedule, E: float, p: float) -> float:
+def excess_share_slope_E(sched: PreferenceSchedule, E: float | np.ndarray, p: float | np.ndarray):
     """dS/dE at (p, E): alpha'(E) * s(1-s) / (alpha (1-alpha))."""
     s = excess_share(sched, E, p)
     a = alpha_of(sched, E)
     return alpha_slope_of(sched, E) * s * (1.0 - s) / (a * (1.0 - a))
 
 
-def growth_factors(spec: LearningSpec, s: float, E: float) -> GrowthFactors:
+def growth_factors(
+    spec: LearningSpec, s: float | np.ndarray, E: float | np.ndarray
+) -> GrowthFactors:
     """Sectoral growth factors at share s and education E."""
-    if not 0.0 <= s <= 1.0:
-        raise ShareOutOfRange(f"share must be in [0, 1], got {s}")
+    outside = np.logical_not((0.0 <= s) & (s <= 1.0))
+    if np.count_nonzero(outside):
+        raise ShareOutOfRange(f"share must be in [0, 1], got {_first(s, outside)}")
     nu, phi1, phi2, chi1, chi2 = spec.coefficients
     u = 1.0 - s
-    g_h = 1.0 + nu * E + phi1 * s - phi2 * s**3
-    g_l = 1.0 + chi1 * u - chi2 * u**3
+    g_h = 1.0 + nu * E + phi1 * s - phi2 * _libm(pow, s, 3.0)
+    g_l = 1.0 + chi1 * u - chi2 * _libm(pow, u, 3.0)
     return GrowthFactors(g_H=g_h, g_L=g_l)
 
 
-def h_ratio(spec: LearningSpec, s: float, E: float) -> HRatio:
+def h_ratio(spec: LearningSpec, s: float | np.ndarray, E: float | np.ndarray) -> HRatio:
     """Growth-factor ratio H = g_L/g_H with its exact partials in s and E."""
     g_h, g_l = growth_factors(spec, s, E)
     nu, phi1, phi2, chi1, chi2 = spec.coefficients
     u = 1.0 - s
-    gh_s = phi1 - 3.0 * phi2 * s**2
-    gl_s = -(chi1 - 3.0 * chi2 * u**2)
-    value = g_l / g_h
-    d_ds = (gl_s * g_h - g_l * gh_s) / g_h**2
-    d_de = -nu * g_l / g_h**2
-    return HRatio(value=value, dH_ds=d_ds, dH_dE=d_de)
-
-
-def _libm_pow(x: np.ndarray, y: float) -> np.ndarray:
-    """x**y elementwise through ``math.pow``: the libm ``pow`` that a Python
-    float's ``**`` calls, which ``np.power`` can miss by the last bit."""
-    return np.fromiter(map(math.pow, x.tolist(), repeat(y)), float, x.size)
-
-
-def h_ratio_array(spec: LearningSpec, s: np.ndarray, E: np.ndarray | float) -> HRatio:
-    """``h_ratio`` over a 1-d array of shares, each with its level in E,
-    equal to the scalar form bit for bit."""
-    outside = ~((0.0 <= s) & (s <= 1.0))
-    if outside.any():
-        raise ShareOutOfRange(f"share must be in [0, 1], got {s[outside][0].item()}")
-    nu, phi1, phi2, chi1, chi2 = spec.coefficients
-    u = 1.0 - s
-    g_h = 1.0 + nu * E + phi1 * s - phi2 * _libm_pow(s, 3.0)
-    g_l = 1.0 + chi1 * u - chi2 * _libm_pow(u, 3.0)
-    gh_s = phi1 - 3.0 * phi2 * _libm_pow(s, 2.0)
-    gl_s = -(chi1 - 3.0 * chi2 * _libm_pow(u, 2.0))
-    gh_sq = _libm_pow(g_h, 2.0)
+    gh_s = phi1 - 3.0 * phi2 * _libm(pow, s, 2.0)
+    gl_s = -(chi1 - 3.0 * chi2 * _libm(pow, u, 2.0))
+    gh_sq = _libm(pow, g_h, 2.0)
     value = g_l / g_h
     d_ds = (gl_s * g_h - g_l * gh_s) / gh_sq
     d_de = -nu * g_l / gh_sq
@@ -288,13 +269,14 @@ def price_map(sched: PreferenceSchedule, spec: LearningSpec, p: float, E: float)
     return p * g.g_L / g.g_H
 
 
-def _broadcast(path, horizon: int, name: str) -> np.ndarray:
+def _broadcast(path, horizon: int, key: str) -> np.ndarray:
     if np.ndim(path) == 0:
         return np.full(horizon, float(path))
     arr = np.asarray(path, dtype=float)
     if arr.shape[0] < horizon:
         raise InvalidHorizon(
-            f"{name} has length {arr.shape[0]} but the horizon is {horizon}"
+            f"key '{key}' in section 'simulation' has {arr.shape[0]} entries, "
+            f"fewer than the {horizon} periods to simulate"
         )
     return arr[:horizon].copy()
 
@@ -313,17 +295,18 @@ def simulate_path(
     the excess-quantity share follows from it, both productivities advance by
     their growth factors, and household quantities come from the demand system
     at (price_L = 1, price_H = p). Education and income inputs may be scalars
-    (broadcast) or sequences of length >= horizon.
+    (broadcast) or sequences of length >= horizon; errors name them by their
+    scenario keys, ``E`` and ``income`` in section ``simulation``.
     """
     _require_int("horizon", horizon, 1, InvalidHorizon)
-    e_arr = _broadcast(e_path, horizon, "e_path")
-    y_arr = _broadcast(income_path, horizon, "income_path")
+    e_arr = _broadcast(e_path, horizon, "E")
+    y_arr = _broadcast(income_path, horizon, "income")
     if np.any(e_arr < 0.0):
         raise ConfigError(f"education level must be >= 0, got {float(e_arr[e_arr < 0.0][0])}")
 
     nu, phi1, phi2, chi1, chi2 = spec.coefficients
     p, s, a_h, a_l = _kernels.simulate_arrays(
-        initial.a_H, initial.a_L, alpha_array(sched, e_arr), e_arr,
+        initial.a_H, initial.a_L, alpha_of(sched, e_arr), e_arr,
         nu, phi1, phi2, chi1, chi2, horizon,
     )
     demand = demand_arrays(sched, y_arr, p, e_arr)

@@ -26,12 +26,12 @@ import numpy as np
 
 from .demand import (
     PreferenceSchedule,
-    alpha_array,
-    alpha_slope_array,
+    alpha_of,
+    alpha_slope_of,
     demand_arrays,
-    gammaL_array,
+    gammaL_slope_of,
 )
-from .dynamics import LearningSpec, LearningVariant, TimePath
+from .dynamics import LearningSpec, LearningVariant, TimePath, excess_share_slope_E
 from .errors import ConfigError, InvalidHorizon, SpecVariantUnsupported, _require_int
 
 
@@ -119,14 +119,14 @@ def evaluate_foc(
             f"income {y[ok]} cannot cover the education cost {kappa(cfg, e[ok])} at t={ok}"
         )
 
-    a = alpha_array(sched, e)
-    a_slope = alpha_slope_array(sched, e)
+    a = alpha_of(sched, e)
+    a_slope = alpha_slope_of(sched, e)
     lam = demand.utility / demand.supernumerary
     ex_l = (1.0 - a) * demand.supernumerary  # above-subsistence quantities, price_L = 1
     ex_h = demand.c_H - sched.gamma_H
-    gl_slope = -sched.gammaL_decay * gammaL_array(sched, e)
+    gl_slope = gammaL_slope_of(sched, e)
     pref = demand.utility * (a_slope * np.log(ex_h / ex_l) - (1.0 - a) * gl_slope / ex_l)
-    ds_de = a_slope * s * (1.0 - s) / (a * (1.0 - a))
+    ds_de = excess_share_slope_E(sched, e, p)
 
     # costate recursion backward from eta = 0 at the horizon, on Python floats
     s_next = s[1:]

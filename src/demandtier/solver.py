@@ -7,10 +7,10 @@ One stacked eigensolve of the cubic's companion matrices finds its real roots
 at every requested level; polished by one Newton step, they map back to
 p = alpha(1-s)/((1-alpha)s). The roots with s in (0, 1) and p in
 [p_min, p_max] are re-checked and classified through the analytic slope
-T'(p*) = 1 - s*(1-s*) * dH/ds all at once, over arrays: ``h_ratio_array``
-and the inlined ``excess_share`` and ``classify_stability`` give each root the
-values their scalar forms give it, bit for bit. The result is a set of root
-columns; ``find_fixed_points`` turns one level's into ``FixedPoint`` objects.
+T'(p*) = 1 - s*(1-s*) * dH/ds all at once, by ``excess_share``, ``h_ratio``
+and the stability band of ``classify_stability``, each called on arrays. The
+result is a set of root columns; ``find_fixed_points`` turns one level's into
+``FixedPoint`` objects.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .demand import PreferenceSchedule, alpha_array
-from .dynamics import LearningSpec, gap_polynomial, h_ratio_array
+from .demand import PreferenceSchedule, alpha_of
+from .dynamics import LearningSpec, excess_share, gap_polynomial, h_ratio
 from .errors import ConfigError, NoConvergence, ShareOutOfRange
 
 
@@ -65,6 +65,17 @@ class FixedPoint:
     stability: Stability
 
 
+STABILITY_ORDER = tuple(Stability)  # stable, unstable, marginal
+
+
+def _slope_and_class(s_star, dH_ds_at_star, marginal_tol):
+    """T' and its class as an index into ``STABILITY_ORDER``, elementwise."""
+    t_prime = 1.0 - s_star * (1.0 - s_star) * dH_ds_at_star
+    magnitude = abs(t_prime)
+    band = np.where(magnitude > 1.0 + marginal_tol, 1, 2)
+    return t_prime, np.where(magnitude < 1.0 - marginal_tol, 0, band)
+
+
 def classify_stability(
     s_star: float, dH_ds_at_star: float, marginal_tol: float = 1e-8
 ) -> tuple[float, Stability]:
@@ -76,18 +87,8 @@ def classify_stability(
     """
     if not 0.0 < s_star < 1.0:
         raise ShareOutOfRange(f"share must be in (0, 1), got {s_star}")
-    t_prime = 1.0 - s_star * (1.0 - s_star) * dH_ds_at_star
-    mag = abs(t_prime)
-    if mag < 1.0 - marginal_tol:
-        stability = Stability.STABLE
-    elif mag > 1.0 + marginal_tol:
-        stability = Stability.UNSTABLE
-    else:
-        stability = Stability.MARGINAL
-    return t_prime, stability
-
-
-STABILITY_ORDER = tuple(Stability)  # stable, unstable, marginal
+    t_prime, code = _slope_and_class(s_star, dH_ds_at_star, marginal_tol)
+    return t_prime, STABILITY_ORDER[code]
 
 
 class RootColumns(NamedTuple):
@@ -135,8 +136,8 @@ def _fixed_point_rows(
     step 0*s + c0 cannot change a value once a nonzero term enters. A level
     whose entry leaves float range (nu*E overflows, so g_H is infinite) has no
     root; any other non-finite value is a root outside (0, 1) and is dropped.
-    The re-check and classification run over all roots at once and equal
-    ``excess_share``, ``h_ratio`` and ``classify_stability`` bit for bit; the
+    The re-check and classification run over all roots at once, through
+    ``excess_share``, ``h_ratio`` and the band of ``classify_stability``; the
     first root that fails, in column order, raises.
     """
     if not (E_array >= 0.0).all():
@@ -159,7 +160,7 @@ def _fixed_point_rows(
     slope = (c0 * 3.0 * s + c1 * 2.0) * s + c2
     s = s - value / np.where(slope != 0.0, slope, np.inf)  # no step at a zero slope
     s = np.where((0.0 < s) & (s < 1.0), s, np.nan)
-    alpha = alpha_array(sched, E_array)[:, None]
+    alpha = alpha_of(sched, E_array)[:, None]
     p = alpha * (1.0 - s) / ((1.0 - alpha) * s)
     p = np.sort(np.where((cfg.p_min <= p) & (p <= cfg.p_max), p, np.nan), axis=1)
     found = ~np.isnan(p)  # NaN sorts last: each row's roots come first, ascending
@@ -167,12 +168,10 @@ def _fixed_point_rows(
     level = np.nonzero(found)[0]
     p_star = p[found]
     E = E_array[level]
-    a = alpha[level, 0]
-    s_star = a / (a + (1.0 - a) * p_star)  # excess_share
-    h = h_ratio_array(spec, s_star, E)
+    s_star = excess_share(sched, E, p_star)
+    h = h_ratio(spec, s_star, E)
     residual = p_star * h.value - p_star  # T(p*) - p*
     bound = cfg.bisect_tol * np.maximum(1.0, p_star)
-    t_prime = 1.0 - s_star * (1.0 - s_star) * h.dH_ds  # classify_stability
     failed = (np.abs(residual) > bound) | ~((0.0 < s_star) & (s_star < 1.0))
     if failed.any():
         k = np.argmax(failed)
@@ -182,9 +181,6 @@ def _fixed_point_rows(
                 f"{residual[k].item()}, above the bound bisect_tol * max(1, p*) = "
                 f"{bound[k].item()}"
             )
-        raise ShareOutOfRange(f"share must be in (0, 1), got {s_star[k].item()}")
-    magnitude = np.abs(t_prime)
-    stability = np.where(
-        magnitude < 1.0 - cfg.marginal_tol, 0, np.where(magnitude > 1.0 + cfg.marginal_tol, 1, 2)
-    )
+        classify_stability(s_star[k].item(), h.dH_ds[k].item())  # its share check raises
+    t_prime, stability = _slope_and_class(s_star, h.dH_ds, cfg.marginal_tol)
     return RootColumns(level, p_star, s_star, t_prime, stability)

@@ -20,6 +20,10 @@ def clip_alpha(E, params=ALPHA_PARAMS):
     return min(hi, max(lo, base + slope * E))
 
 
+def gamma_l(E, base=2.0, decay=0.5):
+    return base * math.exp(-decay * E)
+
+
 def share_of_price(p, alpha):
     return alpha / (alpha + (1.0 - alpha) * p)
 
@@ -131,9 +135,8 @@ def planner_objective(e_vec, a_h0, a_l_path, y_vec, beta, nu, phi,
     for t, e in enumerate(e_vec):
         p = a_l_path[t] / a_h
         alpha = clip_alpha(e, alpha_params)
-        gamma_l = gl_base * math.exp(-gl_decay * e)
         net = y_vec[t] - kappa_scale * e**kappa_curv
-        budget = net - gamma_l - p * gamma_h
+        budget = net - gamma_l(e, gl_base, gl_decay) - p * gamma_h
         if budget <= 0.0:
             raise ValueError("non-interior period in oracle objective")
         utility = ((1.0 - alpha) * budget) ** (1.0 - alpha) * (alpha * budget / p) ** alpha

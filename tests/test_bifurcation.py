@@ -15,13 +15,15 @@ from demandtier import (
     channel_condition,
     classify_stability,
     excess_share,
+    excess_share_slope_E,
     find_fixed_points,
+    growth_factors,
     h_ratio,
     refine_saddle_node,
     sweep,
 )
-from demandtier.dynamics import gap_polynomial, h_ratio_array
-from demandtier.errors import ConfigError, DegenerateChannel, NoConvergence
+from demandtier.dynamics import gap_polynomial
+from demandtier.errors import ConfigError, DegenerateChannel, InvalidPrice, NoConvergence
 
 import oracles
 from conftest import flat_sched, random_calibration
@@ -255,16 +257,37 @@ class TestScalarParity:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
         calibrations(),
-        st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 3.0)), min_size=1, max_size=40),
+        st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 3.0), st.floats(1e-3, 1e3)),
+                 min_size=1, max_size=40),
     )
     def test_h_ratio_array_equals_scalar_h_ratio(self, calibration, points):
-        _, spec = calibration
-        shares, levels = (np.array(column) for column in zip(*points))
-        columns = h_ratio_array(spec, shares, levels)
-        scalar = [h_ratio(spec, s, e) for s, e in points]
-        for name, column in zip(HRatio._fields, columns):
-            expected = np.array([getattr(h, name) for h in scalar])
-            assert column.tobytes() == expected.tobytes(), name
+        # each formula over arrays equals its own scalar calls bit for bit,
+        # and the oracles' independent formulas too
+        sched, spec = calibration
+        shares, levels, prices = (np.array(column) for column in zip(*points))
+
+        def assert_same_bits(column, values, name):
+            assert column.tobytes() == np.array(values).tobytes(), name
+
+        scalar = [h_ratio(spec, s, e) for s, e, _ in points]
+        assert all(type(value) is float for h in scalar for value in h)
+        for name, column in zip(HRatio._fields, h_ratio(spec, shares, levels)):
+            assert_same_bits(column, [getattr(h, name) for h in scalar], name)
+        pairs = [growth_factors(spec, s, e) for s, e, _ in points]
+        oracle_pairs = [oracles.growth_pair(s, e, spec.coefficients) for s, e, _ in points]
+        for k, column in enumerate(growth_factors(spec, shares, levels)):
+            assert_same_bits(column, [pair[k] for pair in pairs], "growth_factors")
+            assert_same_bits(column, [pair[k] for pair in oracle_pairs], "growth_pair")
+        alpha_params = (sched.alpha_base, sched.alpha_slope, sched.alpha_lo, sched.alpha_hi)
+        share = excess_share(sched, levels, prices)
+        assert_same_bits(share, [excess_share(sched, e, p) for _, e, p in points], "excess_share")
+        oracle_shares = [oracles.share_of_price(p, oracles.clip_alpha(e, alpha_params))
+                         for _, e, p in points]
+        assert_same_bits(share, oracle_shares, "share_of_price")
+        assert_same_bits(
+            excess_share_slope_E(sched, levels, prices),
+            [excess_share_slope_E(sched, e, p) for _, e, p in points], "excess_share_slope_E",
+        )
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(calibrations(), st.floats(0.0, 0.2), st.floats(0.3, 3.0), st.integers(2, 300))
@@ -412,6 +435,11 @@ class TestChannelCondition:
                     oracles.t_map(fp.p_star, e + h) - oracles.t_map(fp.p_star, e - h)
                 ) / (2.0 * h)
                 assert cond.education_lowers_price == (fd < 0.0)
+
+    def test_nonpositive_price_rejected(self, sched, cubic):
+        for p in (0.0, -1.5):
+            with pytest.raises(InvalidPrice, match=f"relative price must be > 0, got {p}$"):
+                channel_condition(sched, cubic, p, 0.215)
 
     def test_degenerate_channel_at_saddle_node(self, sched, cubic):
         e_bar, s_bar = SN_HIGH

@@ -111,6 +111,23 @@ def test_negative_education_exits_2_naming_the_value(tmp_path, scenario, args, n
     assert cp.stdout == ""
 
 
+@pytest.mark.parametrize("scenario, command, named", [
+    ({"simulation": {"E": [0.1, 0.2, 0.3]}}, "simulate",
+     "key 'E' in section 'simulation' has 3 entries, fewer than the 500 periods"),
+    ({"simulation": {"income": [10.0, 12.0], "horizon": 4}}, "simulate",
+     "key 'income' in section 'simulation' has 2 entries, fewer than the 4 periods"),
+    ({"learning": {"variant": "linear"}, "simulation": {"E": [0.28, 0.28]}}, "planner-foc",
+     "key 'E' in section 'simulation' has 2 entries, fewer than the 3 periods"),
+])
+def test_short_simulation_path_exits_2_naming_its_key(tmp_path, scenario, command, named):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    cp = run_cli(command, "--scenario", str(path))
+    assert cp.returncode == 2
+    assert named in cp.stderr
+    assert cp.stdout == ""
+
+
 def test_level_where_nu_E_overflows_has_no_fixed_point(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"learning": {"nu": 10.0}}))

@@ -17,9 +17,10 @@ from demandtier import (
     stone_geary_utility,
     supernumerary_income,
 )
-from demandtier.demand import alpha_is_clipped, alpha_slope_array
+from demandtier.demand import alpha_is_clipped, alpha_slope_of, gammaL_slope_of
 from demandtier.errors import ConfigError, NonInteriorBudget
 
+import oracles
 from conftest import flat_sched
 
 
@@ -52,7 +53,23 @@ def test_clip_test_on_an_array_matches_the_scalar_one(sched):
     clipped = alpha_is_clipped(sched, grid)
     assert clipped.tolist() == [alpha_is_clipped(sched, e) for e in grid.tolist()]
     assert clipped.any() and not clipped.all()
-    assert alpha_slope_array(sched, grid).tolist() == [0.0 if c else 0.16 for c in clipped]
+    assert alpha_slope_of(sched, grid).tolist() == [0.0 if c else 0.16 for c in clipped]
+    # each formula over an array equals its own scalar calls, which return
+    # Python floats, bit for bit; gamma_L is defined for E >= 0 only
+    levels = grid[grid >= 0.0]
+    for formula, values in [(alpha_of, grid), (alpha_slope_of, grid),
+                            (gammaL_of, levels), (gammaL_slope_of, levels)]:
+        scalars = [formula(sched, e) for e in values.tolist()]
+        assert all(type(x) is float for x in scalars)
+        assert formula(sched, values).tobytes() == np.array(scalars).tobytes()
+        on_square = formula(sched, values[:36].reshape(6, 6))  # the shape is kept
+        assert on_square.shape == (6, 6)
+        assert on_square.tobytes() == np.array(scalars[:36]).tobytes()
+    # and equals the oracles' independent formulas bit for bit
+    oracle_alpha = [oracles.clip_alpha(e) for e in grid.tolist()]
+    assert alpha_of(sched, grid).tobytes() == np.array(oracle_alpha).tobytes()
+    oracle_gamma = [oracles.gamma_l(e) for e in levels.tolist()]
+    assert gammaL_of(sched, levels).tobytes() == np.array(oracle_gamma).tobytes()
 
 
 class TestGammaL:
@@ -79,6 +96,8 @@ class TestGammaL:
     def test_negative_education_rejected(self, sched):
         with pytest.raises(ConfigError):
             gammaL_of(sched, -0.1)
+        with pytest.raises(ConfigError, match="got -0.5$"):
+            gammaL_of(sched, np.array([0.1, -0.5, -2.0]))
 
 
 class TestSolveDemand:

@@ -62,6 +62,8 @@ class TestExcessShare:
             excess_share(sched, 0.1, 0.0)
         with pytest.raises(InvalidPrice):
             excess_share(sched, 0.1, -2.0)
+        with pytest.raises(InvalidPrice, match="got -2.0$"):  # an array names its first
+            excess_share(sched, 0.1, np.array([1.0, -2.0, 0.0]))
 
     def test_slope_in_education_matches_fd(self, sched):
         h = 1e-7
@@ -88,6 +90,8 @@ class TestGrowthFactors:
             growth_factors(cubic, -0.01, 0.0)
         with pytest.raises(ShareOutOfRange):
             growth_factors(cubic, 1.01, 0.0)
+        with pytest.raises(ShareOutOfRange, match="got nan$"):  # an array names its first
+            growth_factors(cubic, np.array([0.5, np.nan, 1.01]), 0.0)
 
     def test_strictly_positive_on_unit_interval(self, cubic, linear):
         for spec in (cubic, linear):
