@@ -3,14 +3,19 @@
 Subcommands: fixed-points, bifurcation, simulate, statics, planner-foc.
 Standard output carries CSV; diagnostics go to standard error. Exit codes:
 0 success, 2 validation error, 3 numerical failure (a root that fails its
-residual bound, or a flagged transition under --strict). Floats are printed
-with 12 significant digits (``%.12g``, the same text as ``format(x, '.12g')``)
-so identical scenarios yield byte-identical files.
+residual bound, a flagged transition under --strict, or a statics price_H so
+small that c_H overflows). Floats are printed with 12 significant digits
+(``%.12g``, the same text as ``format(x, '.12g')``) so identical scenarios
+yield byte-identical files.
+
+``main(argv)`` may be called repeatedly in one process: it builds the argument
+parser on the first call and reuses it on every later one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -22,7 +27,7 @@ from . import __version__
 from .bifurcation import sweep
 from .demand import alpha_of, demand_arrays
 from .dynamics import TechnologyState, simulate_path
-from .errors import ConfigError, DemandTierError, NoConvergence
+from .errors import ConfigError, DemandTierError, NoConvergence, NumericalOverflow
 from .planner import evaluate_foc
 from .scenario import Scenario, default_scenario, dump_scenario, load_scenario
 from .solver import STABILITY_ORDER, find_fixed_points
@@ -144,7 +149,16 @@ def cmd_statics(scenario: Scenario, E: float | None, out: str | None) -> int:
     incomes = np.linspace(st.y_min, st.y_max, st.y_points)
     # income elasticities as in income_elasticities: eta_H = Y/B and
     # eta_L = (1-alpha)/share_L; every column is NaN on non-interior rows
-    demand = demand_arrays(scenario.preferences, incomes, st.price_H, e_val)
+    with np.errstate(over="ignore"):
+        demand = demand_arrays(scenario.preferences, incomes, st.price_H, e_val)
+    # c_H = alpha*B/price_H is the one column that can overflow: share_H is
+    # then alpha*B/Y <= alpha, and Y/B and eta_L stay finite for B > 0
+    overflow = np.isinf(demand.c_H)
+    if overflow.any():
+        raise NumericalOverflow(
+            f"key 'price_H' in section 'statics' is too small: c_H overflows at "
+            f"Y={incomes[overflow][0]:.12g}, got price_H={st.price_H!r}"
+        )
     share_l = 1.0 - demand.share_H
     eta_h = incomes / demand.supernumerary
     eta_l = (1.0 - alpha_of(scenario.preferences, e_val)) / share_l
@@ -193,6 +207,7 @@ def _finite_float(text: str) -> float:
     return value
 
 
+@functools.cache  # parse_args leaves the parser as it found it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="demandtier",
@@ -257,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_statics(scenario, args.E, args.out)
         if args.command == "planner-foc":
             return cmd_planner_foc(scenario, args.out)
-    except NoConvergence as exc:
+    except (NoConvergence, NumericalOverflow) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERICAL
     except (DemandTierError, OSError) as exc:

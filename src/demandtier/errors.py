@@ -33,6 +33,10 @@ class NoConvergence(DemandTierError):
     """A root or threshold is missing from its bracket or fails its tolerance."""
 
 
+class NumericalOverflow(DemandTierError):
+    """A result would leave the float range; the message names the input that drives it."""
+
+
 class DegenerateChannel(DemandTierError):
     """The share channel is flat, so the channel-dominance ratio is undefined.
 

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import re
 import subprocess
@@ -7,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import DATA_DIR, load_goldens
+from demandtier import cli
 from demandtier.cli import _csv
 
 GOLDEN = load_goldens()
@@ -46,7 +50,7 @@ class TestCsvWriter:
 CLI_GOLDENS = DATA_DIR / "cli"
 
 
-@pytest.mark.parametrize("name, args", [
+GOLDEN_CASES = [
     ("bifurcation", ("bifurcation",)),
     ("fixed-points_E0.145", ("fixed-points", "--E", "0.145")),
     ("fixed-points_E0.215", ("fixed-points", "--E", "0.215")),
@@ -55,15 +59,71 @@ CLI_GOLDENS = DATA_DIR / "cli"
     ("statics", ("statics",)),
     ("planner-foc_linear",
      ("planner-foc", "--scenario", str(CLI_GOLDENS / "linear_scenario.json"))),
-])
+]
+
+
+def golden_bytes(name):
+    """(stdout, stderr) bytes committed for a default output."""
+    stderr = CLI_GOLDENS / f"{name}.stderr"
+    return (CLI_GOLDENS / f"{name}.stdout").read_bytes(), (
+        stderr.read_bytes() if stderr.exists() else b"")
+
+
+@pytest.mark.parametrize("name, args", GOLDEN_CASES)
 def test_default_output_bytes_match_golden(name, args):
     # tests/data/cli/<name>.stdout (and .stderr, where one is committed) hold
     # the exact bytes; rewrite them only for a deliberate change of output
     cp = subprocess.run([sys.executable, "-m", "demandtier", *args], capture_output=True)
     assert cp.returncode == 0, cp.stderr
-    assert cp.stdout == (CLI_GOLDENS / f"{name}.stdout").read_bytes()
-    stderr = CLI_GOLDENS / f"{name}.stderr"
-    assert cp.stderr == (stderr.read_bytes() if stderr.exists() else b"")
+    assert (cp.stdout, cp.stderr) == golden_bytes(name)
+
+
+def main_in_process(args):
+    """(exit code, stdout bytes, stderr bytes) of one ``cli.main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # argparse exits for --help, --version and bad flags
+            code = exc.code
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def test_repeated_in_process_calls_match_fresh_processes(tmp_path, monkeypatch):
+    # main reuses one parser for every call in a process: no call, whether it
+    # succeeds, exits 2 or leaves through argparse, may change a later one
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap at the terminal width
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"solver": {"p_min": 5.0, "p_max": 1.0}}))
+    others = [(("fixed-points", "--E", "nan"), 2), (("--version",), 0), (("--help",), 0),
+              (("fixed-points", "--scenario", str(bad)), 2)]
+    expected = {}
+    for args, code in others:
+        cp = subprocess.run([sys.executable, "-m", "demandtier", *args], capture_output=True)
+        assert cp.returncode == code, cp.stderr
+        expected[args] = (code, cp.stdout, cp.stderr)
+    for name, args in GOLDEN_CASES:
+        expected[args] = (0, *golden_bytes(name))
+    for k, (_, args) in enumerate(GOLDEN_CASES * 2):
+        for call in (args, others[k % len(others)][0]):
+            assert main_in_process(call) == expected[call], call
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    new_parsers = []
+    for _ in range(3):
+        before = len(built)
+        assert main_in_process(("fixed-points", "--E", "0.215"))[0] == 0
+        new_parsers.append(len(built) - before)
+    assert new_parsers[1:] == [0, 0]
 
 
 class TestEntryPoints:
@@ -118,6 +178,8 @@ def test_negative_education_exits_2_naming_the_value(tmp_path, scenario, args, n
      "key 'income' in section 'simulation' has 2 entries, fewer than the 4 periods"),
     ({"learning": {"variant": "linear"}, "simulation": {"E": [0.28, 0.28]}}, "planner-foc",
      "key 'E' in section 'simulation' has 2 entries, fewer than the 3 periods"),
+    ({"simulation": {"E": []}}, "simulate",
+     "key 'E' in section 'simulation' has 0 entries, fewer than the 500 periods"),
 ])
 def test_short_simulation_path_exits_2_naming_its_key(tmp_path, scenario, command, named):
     path = tmp_path / "scenario.json"
@@ -251,6 +313,18 @@ class TestStatics:
         cp = run_cli("statics", "--scenario", str(scenario))
         assert cp.returncode == 2
         assert "'y_max'" in cp.stderr
+        assert cp.stdout == ""
+
+    def test_price_so_small_that_c_H_overflows_exits_3(self, tmp_path):
+        # c_H = alpha*B/price_H passes the float range from Y = 8 on
+        scenario = tmp_path / "tiny_price.json"
+        scenario.write_text(json.dumps({"statics": {"price_H": 1e-308}}))
+        cp = run_cli("statics", "--scenario", str(scenario))
+        assert cp.returncode == 3
+        assert cp.stderr == (
+            "error: key 'price_H' in section 'statics' is too small: "
+            "c_H overflows at Y=8, got price_H=1e-308\n"
+        )
         assert cp.stdout == ""
 
     def test_non_interior_rows_flagged(self, tmp_path):

@@ -150,6 +150,33 @@ class TestStrictness:
             load_scenario(path)
 
 
+class TestPathLists:
+    # a path list of finite numbers is accepted in one pass; any other list is
+    # re-checked entry by entry, which words the message for the first bad one
+    @pytest.mark.parametrize("literal, got", [
+        ("true", "numbers only, got a boolean"),
+        ('"x"', "numbers only, got 'x'"),
+        ("null", "numbers only, got None"),
+        ("[0.1]", "numbers only, got [0.1]"),
+        ("NaN", "finite numbers only, got nan"),
+        ("Infinity", "finite numbers only, got inf"),
+        ("1e999", "finite numbers only, got inf"),
+        pytest.param(str(HUGE_INT), "finite numbers only, got inf", id="10**400"),
+    ])
+    def test_one_bad_entry_after_good_ones_is_named(self, tmp_path, literal, got):
+        path = tmp_path / "scenario.json"
+        path.write_text('{"simulation": {"E": [0.1, 2, 0.3, %s, 0.5]}}' % literal,
+                        encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            load_scenario(path)
+        assert str(info.value) == f"key 'E' in section 'simulation' must contain {got}"
+
+    def test_all_integer_list_accepted(self):
+        s = load_scenario_dict({"simulation": {"E": [0, 1, 2], "income": [10, 11, 12],
+                                               "horizon": 3}})
+        assert (s.simulation.E, s.simulation.income) == ([0, 1, 2], [10, 11, 12])
+
+
 class TestLearningSection:
     def test_spec_defaults_are_the_default_scenario(self):
         assert LearningSpec() == default_scenario().learning
