@@ -8,14 +8,13 @@ small that c_H overflows). Floats are printed with 12 significant digits
 (``%.12g``, the same text as ``format(x, '.12g')``) so identical scenarios
 yield byte-identical files.
 
-``main(argv)`` may be called repeatedly in one process: it builds the argument
-parser on the first call and reuses it on every later one.
+``main(argv)`` may be called repeatedly in one process (the benchmark and the
+tests do): the argument parser is built once, when this module is imported.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import sys
 from pathlib import Path
@@ -25,9 +24,11 @@ import numpy as np
 
 from . import __version__
 from .bifurcation import sweep
-from .demand import alpha_of, demand_arrays
+from .demand import HouseholdBudget, alpha_of, demand_arrays, solve_demand
 from .dynamics import TechnologyState, simulate_path
-from .errors import ConfigError, DemandTierError, NoConvergence, NumericalOverflow
+from .errors import (
+    ConfigError, DemandTierError, NoConvergence, NonInteriorBudget, NumericalOverflow,
+)
 from .planner import evaluate_foc
 from .scenario import Scenario, default_scenario, dump_scenario, load_scenario
 from .solver import STABILITY_ORDER, find_fixed_points
@@ -147,18 +148,21 @@ def cmd_statics(scenario: Scenario, E: float | None, out: str | None) -> int:
         raise ConfigError("statics requires gamma_H = 0 (income elasticities)")
     e_val = E if E is not None else st.E
     incomes = np.linspace(st.y_min, st.y_max, st.y_points)
-    # income elasticities as in income_elasticities: eta_H = Y/B and
-    # eta_L = (1-alpha)/share_L; every column is NaN on non-interior rows
-    with np.errstate(over="ignore"):
-        demand = demand_arrays(scenario.preferences, incomes, st.price_H, e_val)
-    # c_H = alpha*B/price_H is the one column that can overflow: share_H is
-    # then alpha*B/Y <= alpha, and Y/B and eta_L stay finite for B > 0
-    overflow = np.isinf(demand.c_H)
-    if overflow.any():
+    # c_H = alpha*B/price_H rises with Y, so it overflows on some row only if
+    # it does on the last one, which the scalar form computes without a warning
+    y_top = incomes[-1].item()
+    try:
+        top = solve_demand(scenario.preferences, HouseholdBudget(y_top, st.price_H), e_val)
+    except NonInteriorBudget:  # B <= 0 on every row, so no row divides by price_H
+        top = None
+    if top is not None and math.isinf(top.c_H):
         raise NumericalOverflow(
             f"key 'price_H' in section 'statics' is too small: c_H overflows at "
-            f"Y={incomes[overflow][0]:.12g}, got price_H={st.price_H!r}"
+            f"Y={y_top:.12g}, got price_H={st.price_H!r}"
         )
+    # income elasticities as in income_elasticities: eta_H = Y/B and
+    # eta_L = (1-alpha)/share_L; every column is NaN on non-interior rows
+    demand = demand_arrays(scenario.preferences, incomes, st.price_H, e_val)
     share_l = 1.0 - demand.share_H
     eta_h = incomes / demand.supernumerary
     eta_l = (1.0 - alpha_of(scenario.preferences, e_val)) / share_l
@@ -207,7 +211,6 @@ def _finite_float(text: str) -> float:
     return value
 
 
-@functools.cache  # parse_args leaves the parser as it found it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="demandtier",
@@ -248,15 +251,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process, with the module: parse_args leaves a parser as it
+# found it, and help reads the terminal width when it is formatted
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     if args.dump_defaults:
         _write_text(dump_scenario(default_scenario()), args.out)
         return 0
     if args.command is None:
-        parser.print_usage(sys.stderr)
+        _PARSER.print_usage(sys.stderr)
         sys.stderr.write("error: a subcommand (or --dump-defaults) is required\n")
         return EXIT_VALIDATION
 

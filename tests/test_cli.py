@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -123,7 +124,8 @@ def test_parser_is_built_once_per_process(monkeypatch):
         before = len(built)
         assert main_in_process(("fixed-points", "--E", "0.215"))[0] == 0
         new_parsers.append(len(built) - before)
-    assert new_parsers[1:] == [0, 0]
+    # the parser is built when demandtier.cli is imported, never by a call
+    assert new_parsers == [0, 0, 0]
 
 
 class TestEntryPoints:
@@ -315,17 +317,42 @@ class TestStatics:
         assert "'y_max'" in cp.stderr
         assert cp.stdout == ""
 
-    def test_price_so_small_that_c_H_overflows_exits_3(self, tmp_path):
-        # c_H = alpha*B/price_H passes the float range from Y = 8 on
+    @pytest.mark.parametrize("statics, y_named", [
+        ({"price_H": 1e-308}, "40"),  # overflows from Y = 8 on; named at y_max
+        ({"price_H": 1e-309, "y_points": 1}, "4"),  # a one-point grid holds y_min only
+    ])
+    def test_price_so_small_that_c_H_overflows_exits_3(self, tmp_path, statics, y_named):
         scenario = tmp_path / "tiny_price.json"
-        scenario.write_text(json.dumps({"statics": {"price_H": 1e-308}}))
+        scenario.write_text(json.dumps({"statics": statics}))
         cp = run_cli("statics", "--scenario", str(scenario))
         assert cp.returncode == 3
         assert cp.stderr == (
             "error: key 'price_H' in section 'statics' is too small: "
-            "c_H overflows at Y=8, got price_H=1e-308\n"
+            f"c_H overflows at Y={y_named}, got price_H={statics['price_H']!r}\n"
         )
         assert cp.stdout == ""
+
+    def test_tiny_price_without_interior_rows_is_no_overflow(self, tmp_path):
+        # gamma_L(0.2) = 1.81 > Y, so B <= 0 on every row and no c_H is computed
+        scenario = tmp_path / "poor.json"
+        scenario.write_text(json.dumps(
+            {"statics": {"price_H": 1e-308, "y_min": 1.0, "y_max": 1.5, "y_points": 3}}))
+        cp = run_cli("statics", "--scenario", str(scenario))
+        assert (cp.returncode, cp.stderr) == (0, "")
+        _, rows = parse_csv(cp.stdout)
+        assert [r[7] for r in rows] == ["0", "0", "0"]
+
+    def test_overflow_outside_c_H_keeps_its_warning(self, tmp_path):
+        # alpha_slope*E overflows to inf and alpha clips to alpha_hi: the rows
+        # are finite, and numpy's warning stays on standard error
+        scenario = tmp_path / "steep.json"
+        scenario.write_text(json.dumps(
+            {"preferences": {"alpha_slope": 1e300}, "statics": {"E": 1e10}}))
+        cp = run_cli("statics", "--scenario", str(scenario))
+        assert cp.returncode == 0, cp.stderr
+        assert "RuntimeWarning: overflow encountered in multiply" in cp.stderr
+        _, rows = parse_csv(cp.stdout)
+        assert all(math.isfinite(float(x)) for r in rows for x in r)
 
     def test_non_interior_rows_flagged(self, tmp_path):
         scenario = tmp_path / "poor.json"
