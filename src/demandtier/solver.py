@@ -3,26 +3,39 @@ stability classification.
 
 With s = S(p; E), the fixed-point condition T(p; E) = p reads
 g_H(s, E) = g_L(1 - s), a cubic in s whose constant term alone depends on E.
-One stacked eigensolve of the cubic's companion matrices finds its real roots
-at every requested level; polished by one Newton step, they map back to
-p = alpha(1-s)/((1-alpha)s). The roots with s in (0, 1) and p in
-[p_min, p_max] are re-checked and classified through the analytic slope
-T'(p*) = 1 - s*(1-s*) * dH/ds all at once, by ``excess_share``, ``h_ratio``
-and the stability band of ``classify_stability``, each called on arrays. The
-result is a set of root columns; ``find_fixed_points`` turns one level's into
-``FixedPoint`` objects.
+Its real roots come in closed form: the trigonometric form for three real
+roots, Cardano's for one, the quadratic or linear formula for lower degrees.
+One Newton step in doubles sharpens them. One Newton step on the exact gap
+nu*E + phi1*s - phi2*s^3 - chi1*(1-s) + chi2*(1-s)^3, evaluated in
+double-double arithmetic (Dekker 1971), then p = alpha(1-s)/((1-alpha)s)
+formed in double-double, make each p* the correctly rounded double of the
+exact root of the model as the package specifies it: float parameters and
+the float alpha_of(E). An error bound certifies each rounding. A root it
+cannot certify (next to a saddle-node) takes more double-double steps, and a
+level that still holds one, or whose root count the rounded discriminant
+cannot decide, is solved in exact rational arithmetic. The correctly rounded
+root is unique, so every path gives the same bits.
+
+The roots with p* in [p_min, p_max] are re-checked and classified through the
+analytic slope T'(p*) = 1 - s*(1-s*) * dH/ds, by ``excess_share``, ``h_ratio``
+and the stability band of ``classify_stability``. The polish uses arithmetic
+operators only, so ``find_fixed_points`` runs it on the Python floats of one
+level while a sweep runs the same functions on the arrays of all its levels,
+whose roots it keeps as columns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
 from .demand import PreferenceSchedule, alpha_of
-from .dynamics import LearningSpec, excess_share, gap_polynomial, h_ratio
+from .dynamics import LearningSpec, excess_share, gap_coefficients, h_ratio
 from .errors import ConfigError, NoConvergence, ShareOutOfRange
 
 
@@ -68,12 +81,19 @@ class FixedPoint:
 STABILITY_ORDER = tuple(Stability)  # stable, unstable, marginal
 
 
+def _select(cond, a, b):
+    """``a`` where ``cond`` holds, else ``b``: ``np.where`` on arrays, a branch on floats."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
 def _slope_and_class(s_star, dH_ds_at_star, marginal_tol):
     """T' and its class as an index into ``STABILITY_ORDER``, elementwise."""
     t_prime = 1.0 - s_star * (1.0 - s_star) * dH_ds_at_star
     magnitude = abs(t_prime)
-    band = np.where(magnitude > 1.0 + marginal_tol, 1, 2)
-    return t_prime, np.where(magnitude < 1.0 - marginal_tol, 0, band)
+    band = _select(magnitude > 1.0 + marginal_tol, 1, 2)
+    return t_prime, _select(magnitude < 1.0 - marginal_tol, 0, band)
 
 
 def classify_stability(
@@ -110,77 +130,392 @@ class RootColumns(NamedTuple):
         ]
 
 
+# ---------------------------------------------------------------- closed form
+
+_U = 2.0 ** -53  # unit roundoff
+_MATH = SimpleNamespace(sqrt=math.sqrt, cbrt=math.cbrt, arccos=math.acos, cos=math.cos,
+                        copysign=math.copysign)
+
+
+def _real_roots(c3, c2, c1, c0, sizes):
+    """Real roots of c3*s^3 + c2*s^2 + c1*s + c0 in doubles, in closed form.
+
+    c3, c2 and c1 are floats; c0 is a float or an array of levels. Returns
+    three candidates, each NaN where the level has no such root, and whether
+    the level's count of real roots is too close to call: its discriminant
+    lies within the error that ``sizes``, the magnitudes of the terms that
+    make up each coefficient, allow.
+    """
+    xp = np if isinstance(c0, np.ndarray) else _MATH
+    s3, s2, s1, s0 = sizes
+    nan = c0 * math.nan
+    if c3 != 0.0:  # the trigonometric form for three real roots, else Cardano's
+        disc = (18.0 * c3 * c2 * c1 * c0 - 4.0 * c2 * c2 * c2 * c0 + c2 * c2 * c1 * c1
+                - 4.0 * c3 * c1 * c1 * c1 - 27.0 * c3 * c3 * c0 * c0)
+        bound = 256.0 * _U * (18.0 * s3 * s2 * s1 * s0 + 4.0 * s2 * s2 * s2 * s0
+                              + s2 * s2 * s1 * s1 + 4.0 * s3 * s1 * s1 * s1
+                              + 27.0 * s3 * s3 * s0 * s0)
+        a, b, c = c2 / c3, c1 / c3, c0 / c3
+        p3 = (b - a * a / 3.0) / 3.0  # s = t - a/3 gives t^3 + 3*p3*t + 2*half_q = 0
+        half_q = 0.5 * ((2.0 * a * a * a / 27.0 - a * b / 3.0) + c)
+        shift = a / 3.0
+        three = disc > 0.0
+        scale = p3 * math.sqrt(max(-p3, 0.0))
+        if scale < 0.0:
+            root = math.sqrt(-p3)
+            arg = half_q / scale
+            arg = _select(arg > 1.0, 1.0, _select(arg < -1.0, -1.0, arg))
+            theta = xp.arccos(arg) / 3.0
+            trig = [2.0 * root * xp.cos(theta - k * (2.0 * math.pi / 3.0)) - shift
+                    for k in range(3)]
+        else:
+            three, trig = False & three, [nan, nan, nan]
+        rest = half_q * half_q + p3 * p3 * p3
+        w = -(half_q + xp.copysign(xp.sqrt(_select(rest > 0.0, rest, 0.0)), half_q))
+        u = xp.cbrt(w)
+        one = u - p3 / _select(u != 0.0, u, math.inf) - shift
+        roots = [_select(three, trig[0], one), _select(three, trig[1], nan),
+                 _select(three, trig[2], nan)]
+    elif c2 != 0.0:
+        disc = c1 * c1 - 4.0 * c2 * c0
+        bound = 256.0 * _U * (s1 * s1 + 4.0 * s2 * s0)
+        two = disc >= 0.0
+        q = -0.5 * (c1 + xp.copysign(xp.sqrt(_select(two, disc, 0.0)), c1))
+        roots = [_select(two, q / c2, nan),
+                 _select(two & (q != 0.0), c0 / _select(q != 0.0, q, 1.0), nan), nan]
+    else:
+        disc, bound = 1.0, 0.0
+        roots = [-c0 / c1 if c1 != 0.0 else nan, nan, nan]
+    return roots, abs(disc) <= bound
+
+
+def _newton(s, c3, c2, c1, c0):
+    """One Newton step in doubles on the gap polynomial, by Horner's rule; no
+    step where the slope is zero."""
+    value = ((c3 * s + c2) * s + c1) * s + c0
+    slope = (c3 * 3.0 * s + c2 * 2.0) * s + c1
+    return s - value / _select(slope != 0.0, slope, math.inf)
+
+
+# ---------------------------------------------------------------- double-double
+
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a double into two halves
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _fast_two_sum(a, b):
+    """``_two_sum`` for |a| >= |b|."""
+    s = a + b
+    return s, b - (s - a)
+
+
+def _two_prod(a, b):
+    """(p, e) with p = fl(a * b) and p + e = a * b exactly, by Dekker's split."""
+    p = a * b
+    t = _SPLIT * a
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    t = _SPLIT * b
+    b_hi = t - (t - b)
+    b_lo = b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _dd_add(x, y):
+    s, e = _two_sum(x[0], y[0])
+    return _fast_two_sum(s, e + (x[1] + y[1]))
+
+
+def _dd_mul(x, y):
+    p, e = _two_prod(x[0], y[0])
+    return _fast_two_sum(p, e + (x[0] * y[1] + x[1] * y[0]))
+
+
+def _dd_scale(x, b):
+    p, e = _two_prod(x[0], b)
+    return _fast_two_sum(p, e + x[1] * b)
+
+
+def _newton_dd(x, E, coefficients):
+    """One Newton step on the exact gap from the doubles x, in double-double.
+
+    Returns the step's result y as (hi, lo) and a bound on its distance to
+    the root next to x, or NaN where the step cannot vouch for one: the slope
+    is too uncertain or the start too far out for Kantorovich's condition.
+    The gap is evaluated to within 64 u^2 times the sum of its terms'
+    magnitudes; the slope, in doubles, to within 16 u times its own.
+    """
+    nu, phi1, phi2, chi1, chi2 = coefficients
+    t = _two_sum(1.0, -x)  # 1 - x
+    gap = _dd_add(_two_prod(nu, E), _two_prod(phi1, x))
+    gap = _dd_add(gap, _dd_scale(_dd_scale(_two_prod(x, x), x), -phi2))
+    gap = _dd_add(gap, _dd_scale(t, -chi1))
+    gap = _dd_add(gap, _dd_scale(_dd_mul(_dd_mul(t, t), t), chi2))
+    ax, at = abs(x), abs(t[0])
+    size = (abs(nu * E) + abs(phi1) * ax + abs(phi2) * ax * ax * ax + abs(chi1) * at
+            + abs(chi2) * at * at * at)
+    slope = (phi1 + chi1) - 3.0 * (phi2 * x * x + chi2 * t[0] * t[0])
+    slope_err = 16.0 * _U * (abs(phi1) + abs(chi1)
+                             + 3.0 * (abs(phi2) * ax * ax + abs(chi2) * at * at))
+    d = _select(slope != 0.0, slope, math.inf)
+    q1 = gap[0] / d
+    p = _two_prod(q1, d)
+    q2 = (((gap[0] - p[0]) - p[1]) + gap[1]) / d  # the step is q1 + q2
+    y = _two_sum(x, -q1)
+    y = _fast_two_sum(y[0], y[1] - q2)
+    step = abs(q1)
+    m2 = 6.0 * (abs(phi2) * (ax + 2.0 * step) + abs(chi2) * (at + 2.0 * step))  # |gap''|
+    ad = abs(d)
+    bound = (2.0 * (64.0 * _U * _U * size + step * slope_err + 3.0 * m2 * step * step) / ad
+             + 8.0 * _U * _U * (step + abs(y[0])))
+    valid = (slope_err < 0.25 * abs(slope)) & (m2 * step < 0.25 * ad)
+    return _select(valid, y[0], math.nan), y[1], _select(valid, bound, math.nan)
+
+
+def _next_down(p):
+    if isinstance(p, np.ndarray):
+        return np.nextafter(p, 0.0)
+    return math.nextafter(p, 0.0)
+
+
+def _polish(x, E, alpha, coefficients):
+    """Correctly rounded p* from the share estimates x: (p*, certified, share).
+
+    One ``_newton_dd`` step, then p = alpha(1-s)/((1-alpha)s) in double-double;
+    the rounding of p to a double is certified when every value within the
+    propagated error bound rounds to the same double. ``share`` is the step's
+    double share, from which another step may start.
+    """
+    y_hi, y_lo, s_err = _newton_dd(x, E, coefficients)
+    t = _two_sum(1.0, -y_hi)  # 1 - s
+    t = (t[0], t[1] - y_lo)
+    num = _dd_scale(t, alpha)
+    den = _dd_mul((y_hi, y_lo), _two_sum(1.0, -alpha))
+    den_hi = _select(den[0] != 0.0, den[0], math.nan)
+    q1 = num[0] / den_hi
+    r = _dd_add(num, _dd_scale(den, -q1))
+    p_hi, p_lo = _fast_two_sum(q1, r[0] / den_hi)
+    # dp/p = -ds/(s(1-s)); the relative error stays below twice its first
+    # order while that is below 1/4. Forming 1 - s rounds away up to
+    # u^2 * s, which counts as an error in s.
+    weight = abs(y_hi * t[0])
+    rel = (s_err + 2.0 * _U * _U * abs(y_hi)) / _select(weight > 0.0, weight, math.nan)
+    p_err = abs(p_hi) * (2.0 * rel + 64.0 * _U * _U)
+    half_ulp = 0.5 * (p_hi - _next_down(p_hi))  # the smaller half-spacing around p_hi
+    certified = (rel < 0.25) & (abs(p_lo) + 2.0 * p_err < half_ulp)
+    return p_hi, certified, y_hi
+
+
+# ---------------------------------------------------------------- exact fallback
+
+
+def _exact_prices(E, alpha, coefficients, head, cfg):
+    """The correctly rounded roots of one level in [p_min, p_max], ascending,
+    in exact rational arithmetic.
+
+    The critical shares of the gap (the real roots of its derivative, from
+    the gap's leading coefficients ``head``) cut the price window, widened to
+    [p_min/2, 2*p_max], into pieces on which the gap is monotone in p. A piece
+    whose ends have opposite exact signs holds one root. Bisection over the
+    doubles in the piece ends at two neighbours, and the sign at their
+    midpoint picks the nearer; a root exactly halfway goes to the even one,
+    as ``float(Fraction)`` rounds.
+    """
+    from fractions import Fraction
+
+    nu, phi1, phi2, chi1, chi2 = map(Fraction, coefficients)
+    a = Fraction(alpha)
+    nu_e = nu * Fraction(E)
+
+    def sign(p):
+        s = a / (a + (1 - a) * p)
+        t = 1 - s
+        gap = nu_e + phi1 * s - phi2 * s ** 3 - chi1 * t + chi2 * t ** 3
+        return (gap > 0) - (gap < 0)
+
+    def rounded_root(lo, hi, side_lo):
+        while True:
+            x, y = float(lo), float(hi)
+            if x == y:
+                return x
+            adjacent = math.nextafter(x, math.inf) == y
+            mid = (Fraction(x) + Fraction(y)) / 2 if adjacent else Fraction(0.5 * x + 0.5 * y)
+            side = sign(mid)
+            if side == 0:
+                return float(mid)
+            if adjacent:
+                return y if side == side_lo else x
+            if side == side_lo:
+                lo = mid
+            else:
+                hi = mid
+
+    c3, c2, c1 = head
+    critical, _ = _real_roots(0.0, 3.0 * c3, 2.0 * c2, c1, (0.0,) * 4)
+    cuts = sorted(a * (1 - Fraction(s)) / ((1 - a) * Fraction(s))
+                  for s in critical if 0.0 < s < 1.0)
+    lo_end, hi_end = Fraction(cfg.p_min) / 2, 2 * Fraction(cfg.p_max)
+    ends = [lo_end, *(c for c in cuts if lo_end < c < hi_end), hi_end]
+    signs = [sign(p) for p in ends]
+    found = {float(p) for p, side in zip(ends, signs) if side == 0}
+    for lo, hi, side_lo, side_hi in zip(ends, ends[1:], signs, signs[1:]):
+        if side_lo * side_hi < 0:
+            found.add(rounded_root(lo, hi, side_lo))
+    return sorted(p for p in found if cfg.p_min <= p <= cfg.p_max)
+
+
+# ---------------------------------------------------------------- levels
+
+_WINDOW_SLACK = 1e-6  # estimates this far (relative) outside the window are polished too
+_EXTRA_STEPS = 3  # double-double steps for a root the first one cannot certify
+
+
+def _gap_terms(spec: LearningSpec, E):
+    """The gap's coefficients, highest power first, and the magnitudes of the
+    terms that make up each one, which bound its rounding."""
+    nu, phi1, phi2, chi1, chi2 = spec.coefficients
+    coefficients = gap_coefficients(spec, E)
+    sizes = (abs(phi2) + abs(chi2), 3.0 * abs(chi2), abs(phi1) + abs(chi1) + 3.0 * abs(chi2),
+             abs(nu * E) + abs(chi1) + abs(chi2))
+    return coefficients, sizes
+
+
+def _share_window(alpha, cfg: SolverConfig):
+    """Shares whose prices lie in the window widened by ``_WINDOW_SLACK``."""
+    top = cfg.p_max * (1.0 + _WINDOW_SLACK)
+    bottom = cfg.p_min * (1.0 - _WINDOW_SLACK)
+    return alpha / (alpha + (1.0 - alpha) * top), alpha / (alpha + (1.0 - alpha) * bottom)
+
+
+def _level_prices(sched: PreferenceSchedule, spec: LearningSpec, E: float,
+                  cfg: SolverConfig) -> list[float]:
+    """The correctly rounded roots of one level in [p_min, p_max], ascending, on floats."""
+    (c3, c2, c1, c0), sizes = _gap_terms(spec, E)
+    if c3 == c2 == c1 == 0.0 or not math.isfinite(c0):
+        return []  # the gap does not depend on s, or nu*E overflows: no root
+    candidates, exact = _real_roots(c3, c2, c1, c0, sizes)
+    alpha = alpha_of(sched, E)
+    s_lo, s_hi = _share_window(alpha, cfg)
+    prices = []
+    for x in candidates:
+        x = _newton(x, c3, c2, c1, c0)
+        if exact or not s_lo <= x <= s_hi:
+            continue
+        for _ in range(1 + _EXTRA_STEPS):
+            p, certified, x = _polish(x, E, alpha, spec.coefficients)
+            if certified:
+                break
+        prices.append(p)
+        exact |= not certified
+    if exact:
+        return _exact_prices(E, alpha, spec.coefficients, (c3, c2, c1), cfg)
+    return sorted(p for p in prices if cfg.p_min <= p <= cfg.p_max)
+
+
 def find_fixed_points(
     sched: PreferenceSchedule, spec: LearningSpec, E: float, cfg: SolverConfig | None = None
 ) -> list[FixedPoint]:
     """All fixed points of T(.; E) on [p_min, p_max], ascending in p.
 
     An empty list is a legal result: an interior fixed point need not exist.
-    Every returned root satisfies |T(p*) - p*| <= bisect_tol * max(1, p*),
-    re-checked as ``excess_share`` and ``h_ratio`` compute it; a root that
-    fails the bound raises NoConvergence. E < 0 raises ConfigError.
+    Each p* is the correctly rounded root. Every returned root satisfies
+    |T(p*) - p*| <= bisect_tol * max(1, p*), re-checked as ``excess_share``
+    and ``h_ratio`` compute it; a root that fails the bound raises
+    NoConvergence. E < 0 raises ConfigError. The level is solved on Python
+    floats, through the functions a sweep runs on arrays.
     """
-    E_array = np.array([E], dtype=float)
-    return _fixed_point_rows(sched, spec, E_array, cfg or SolverConfig()).fixed_points()
+    cfg = cfg or SolverConfig()
+    E = float(E)
+    if not E >= 0.0:
+        raise ConfigError(f"education level must be >= 0, got {E}")
+    roots = []
+    for p_star in _level_prices(sched, spec, E, cfg):
+        s_star = excess_share(sched, E, p_star)
+        h = h_ratio(spec, s_star, E)
+        residual, bound = _residual(p_star, h, cfg)
+        if abs(residual) > bound:
+            raise _residual_error(p_star, E, residual, bound)
+        if not 0.0 < s_star < 1.0:
+            classify_stability(s_star, h.dH_ds)  # its share check raises
+        t_prime, code = _slope_and_class(s_star, h.dH_ds, cfg.marginal_tol)
+        roots.append(FixedPoint(p_star, s_star, t_prime, STABILITY_ORDER[code]))
+    return roots
 
 
-@np.errstate(over="ignore", invalid="ignore")
+def _residual(p_star, h, cfg: SolverConfig):
+    """T(p*) - p* and its bound bisect_tol * max(1, p*)."""
+    return p_star * h.value - p_star, cfg.bisect_tol * _select(p_star > 1.0, p_star, 1.0)
+
+
+def _residual_error(p_star: float, E: float, residual: float, bound: float) -> NoConvergence:
+    return NoConvergence(
+        f"fixed point p*={p_star} at E={E} has residual {residual}, above the bound "
+        f"bisect_tol * max(1, p*) = {bound}"
+    )
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _fixed_point_rows(
     sched: PreferenceSchedule, spec: LearningSpec, E_array: np.ndarray, cfg: SolverConfig
 ) -> RootColumns:
-    """``find_fixed_points`` at each level of E_array, in one batched eigensolve.
+    """``find_fixed_points`` at each level of E_array, all at once on arrays.
 
-    Only the gap's constant term depends on E, so all levels share its degree
-    d and their companion matrices (built as ``np.roots`` builds them) differ
-    in one entry. The polish keeps ``np.polyval``'s Horner order; its leading
-    step 0*s + c0 cannot change a value once a nonzero term enters. A level
-    whose entry leaves float range (nu*E overflows, so g_H is infinite) has no
-    root; any other non-finite value is a root outside (0, 1) and is dropped.
-    The re-check and classification run over all roots at once, through
-    ``excess_share``, ``h_ratio`` and the band of ``classify_stability``; the
-    first root that fails, in column order, raises.
+    Only the gap's constant term depends on E, so every level shares the
+    closed form's other terms. A level whose constant term leaves float range
+    (nu*E overflows, so g_H is infinite) has no root. The re-check and
+    classification run over all roots at once; the first root that fails, in
+    column order, raises.
     """
     if not (E_array >= 0.0).all():
         raise ConfigError(f"education level must be >= 0, got {E_array.min()}")
-    gaps = gap_polynomial(spec, E_array)
-    c0, c1, c2 = head = gaps[0, :3].tolist()
-    d = 3 - next((k for k, c in enumerate(head) if c != 0.0), 3)
-    if d == 0:  # the gap does not depend on s: no isolated root
+    (c3, c2, c1, c0), sizes = _gap_terms(spec, E_array)
+    if c3 == c2 == c1 == 0.0:  # the gap does not depend on s: no isolated root
         empty, no_index = np.empty(0), np.empty(0, dtype=np.intp)
         return RootColumns(no_index, empty, empty, empty, no_index)
-    companion = np.zeros((len(E_array), d, d))
-    companion[:, 0, :] = -gaps[:, 4 - d:] / head[3 - d]
-    companion.reshape(-1, d * d)[:, d::d + 1] = 1.0  # the subdiagonal
-    solvable = np.isfinite(companion[:, 0, -1])
-    companion[~solvable, 0, -1] = 0.0
-    roots = np.linalg.eigvals(companion)
-
-    s = np.where((roots.imag == 0.0) & solvable[:, None], roots.real, np.nan)
-    value = ((c0 * s + c1) * s + c2) * s + gaps[:, 3:]
-    slope = (c0 * 3.0 * s + c1 * 2.0) * s + c2
-    s = s - value / np.where(slope != 0.0, slope, np.inf)  # no step at a zero slope
-    s = np.where((0.0 < s) & (s < 1.0), s, np.nan)
-    alpha = alpha_of(sched, E_array)[:, None]
-    p = alpha * (1.0 - s) / ((1.0 - alpha) * s)
-    p = np.sort(np.where((cfg.p_min <= p) & (p <= cfg.p_max), p, np.nan), axis=1)
-    found = ~np.isnan(p)  # NaN sorts last: each row's roots come first, ascending
+    solvable = np.isfinite(c0)
+    c0 = np.where(solvable, c0, 0.0)
+    candidates, exact = _real_roots(c3, c2, c1, c0, sizes)
+    exact = exact & solvable
+    x = _newton(np.stack(candidates, axis=1), c3, c2, c1, c0[:, None])
+    alpha = alpha_of(sched, E_array)
+    s_lo, s_hi = _share_window(alpha[:, None], cfg)
+    level, slot = np.nonzero((s_lo <= x) & (x <= s_hi) & (solvable & ~exact)[:, None])
+    p, certified, x = _polish(x[level, slot], E_array[level], alpha[level], spec.coefficients)
+    for _ in range(_EXTRA_STEPS):
+        redo = np.flatnonzero(~certified)
+        if not len(redo):
+            break
+        p[redo], certified[redo], x[redo] = _polish(
+            x[redo], E_array[level[redo]], alpha[level[redo]], spec.coefficients)
+    prices = np.full((len(E_array), 3), np.nan)
+    prices[level, slot] = p
+    exact[level[~certified]] = True
+    for i in np.flatnonzero(exact).tolist():
+        found = _exact_prices(E_array[i].item(), alpha[i].item(), spec.coefficients,
+                              (c3, c2, c1), cfg)
+        prices[i] = found + [np.nan] * (3 - len(found))
+    window = (cfg.p_min <= prices) & (prices <= cfg.p_max)
+    prices = np.sort(np.where(window, prices, np.nan), axis=1)
+    found = ~np.isnan(prices)  # NaN sorts last: each row's roots come first, ascending
 
     level = np.nonzero(found)[0]
-    p_star = p[found]
+    p_star = prices[found]
     E = E_array[level]
     s_star = excess_share(sched, E, p_star)
     h = h_ratio(spec, s_star, E)
-    residual = p_star * h.value - p_star  # T(p*) - p*
-    bound = cfg.bisect_tol * np.maximum(1.0, p_star)
+    residual, bound = _residual(p_star, h, cfg)
     failed = (np.abs(residual) > bound) | ~((0.0 < s_star) & (s_star < 1.0))
     if failed.any():
         k = np.argmax(failed)
         if abs(residual[k]) > bound[k]:
-            raise NoConvergence(
-                f"fixed point p*={p_star[k].item()} at E={E[k].item()} has residual "
-                f"{residual[k].item()}, above the bound bisect_tol * max(1, p*) = "
-                f"{bound[k].item()}"
-            )
+            raise _residual_error(p_star[k].item(), E[k].item(), residual[k].item(),
+                                  bound[k].item())
         classify_stability(s_star[k].item(), h.dH_ds[k].item())  # its share check raises
     t_prime, stability = _slope_and_class(s_star, h.dH_ds, cfg.marginal_tol)
     return RootColumns(level, p_star, s_star, t_prime, stability)

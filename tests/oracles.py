@@ -6,6 +6,7 @@ derivation rather than against itself.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -83,6 +84,142 @@ def dense_roots(E, p_min=0.01, p_max=14.0, n=1_000_001,
     return roots
 
 
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_trim(a):
+    while a and a[-1] == 0:
+        a = a[:-1]
+    return a
+
+
+def _poly_sub_rem(a, b):
+    """Remainder of a divided by b; coefficients lowest power first."""
+    a = list(a)
+    while len(a) >= len(b):
+        factor = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for k, c in enumerate(b):
+            a[shift + k] -= factor * c
+        a = _poly_trim(a[:-1])
+    return a
+
+
+def _poly_div(a, b):
+    """Exact quotient of a by b (b divides a)."""
+    a, quotient = list(a), [Fraction(0)] * (len(a) - len(b) + 1)
+    for shift in range(len(a) - len(b), -1, -1):
+        factor = a[shift + len(b) - 1] / b[-1]
+        quotient[shift] = factor
+        for k, c in enumerate(b):
+            a[shift + k] -= factor * c
+    return quotient
+
+
+def _integer_poly(a):
+    """a times the positive lcm of its denominators: integer coefficients, same signs."""
+    scale = math.lcm(*(c.denominator for c in a))
+    return [int(c * scale) for c in a]
+
+
+def _sign_at(poly, x):
+    """Sign of the integer polynomial ``poly`` at the dyadic rational x.
+
+    With x = n / 2**k, 2**(k*deg) * poly(x) is an integer; Horner's rule
+    computes it with shifts in place of divisions.
+    """
+    n, k = x.numerator, x.denominator.bit_length() - 1
+    value = poly[-1]
+    for shift, c in enumerate(reversed(poly[:-1]), start=1):
+        value = value * n + (c << (k * shift))
+    return (value > 0) - (value < 0)
+
+
+def _round_root(poly, lo, hi):
+    """The double nearest the one root of ``poly`` in (lo, hi), where poly
+    changes sign; a root halfway between two doubles goes to the even one,
+    as float(Fraction) rounds. lo and hi are dyadic."""
+    sign_lo = _sign_at(poly, lo)
+    while True:
+        a, b = float(lo), float(hi)
+        if a == b:
+            return a
+        adjacent = math.nextafter(a, math.inf) == b
+        mid = (Fraction(a) + Fraction(b)) / 2 if adjacent else Fraction(0.5 * a + 0.5 * b)
+        side = _sign_at(poly, mid)
+        if side == 0:
+            return float(mid)
+        if adjacent:
+            return b if side == sign_lo else a
+        if side == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+
+
+def exact_roots(E, p_min=0.01, p_max=14.0,
+                alpha_params=ALPHA_PARAMS, learn_params=CUBIC_PARAMS):
+    """The fixed points in [p_min, p_max], each the double nearest the exact root.
+
+    Exact for the model as floats specify it: the parameters, E and
+    alpha = clip_alpha(E) are taken as the rationals they hold. With
+    D = alpha + (1-alpha)*p, s = alpha/D and 1 - s = (1-alpha)*p/D, the gap
+    g_H(s, E) - g_L(1-s) times D^3 > 0 is a polynomial in p; Sturm's theorem
+    isolates its distinct roots in (p_min/2, 2*p_max], exact bisection rounds
+    each one, and the rounded roots inside the window are returned ascending.
+    """
+    a = Fraction(clip_alpha(E, alpha_params))
+    b = 1 - a
+    nu, phi1, phi2, chi1, chi2 = map(Fraction, learn_params)
+    d1 = [a, b]  # D, lowest power of p first
+    d2 = _poly_mul(d1, d1)
+    d3 = _poly_mul(d2, d1)
+    gap = [nu * Fraction(E) * c for c in d3]
+    for k, c in enumerate(d2):
+        gap[k] += phi1 * a * c
+        gap[k + 1] -= chi1 * b * c
+    gap[0] -= phi2 * a ** 3
+    gap[3] += chi2 * b ** 3
+    gap = _poly_trim(gap)
+    if len(gap) < 2:  # constant in p: no isolated root
+        return []
+    derivative = _poly_trim([k * c for k, c in enumerate(gap)][1:])
+    common = gap
+    rest = derivative
+    while rest:
+        common, rest = rest, _poly_sub_rem(common, rest)
+    simple = _poly_div(gap, common)  # the square-free part: every root simple
+    chain = [simple, _poly_trim([k * c for k, c in enumerate(simple)][1:])]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in _poly_sub_rem(chain[-2], chain[-1])])
+    chain = [_integer_poly(poly) for poly in chain]
+
+    def variations(x):
+        signs = [s for s in (_sign_at(poly, x) for poly in chain) if s]
+        return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+    found = []
+    stack = [(Fraction(p_min) / 2, 2 * Fraction(p_max))]
+    while stack:
+        lo, hi = stack.pop()
+        count = variations(lo) - variations(hi)
+        if count == 0:
+            continue
+        if count > 1:
+            mid = (lo + hi) / 2
+            stack += [(lo, mid), (mid, hi)]
+        elif _sign_at(chain[0], hi) == 0:
+            found.append(float(hi))
+        else:
+            found.append(_round_root(chain[0], lo, hi))
+    return sorted(p for p in found if p_min <= p <= p_max)
+
+
 def fd_stability(p_star, E, alpha_params=ALPHA_PARAMS, learn_params=CUBIC_PARAMS):
     """Stability label from a finite-difference map slope at the root."""
     h = 1e-6 * p_star
@@ -113,9 +250,13 @@ def saddle_node_closed_form(learn_params=CUBIC_PARAMS):
     c = phi1 + chi1 - 3.0 * chi2
     disc = b * b - 4.0 * a * c
     out = []
-    if disc < 0.0:  # q is monotone on the reals: no collision anywhere
+    if a == 0.0:  # phi2 = -chi2: q' is linear, or constant under linear learning
+        roots = (-c / b,) if b != 0.0 else ()
+    elif disc < 0.0:  # q is monotone on the reals: no collision anywhere
         return out
-    for root in ((-b + math.sqrt(disc)) / (2.0 * a), (-b - math.sqrt(disc)) / (2.0 * a)):
+    else:
+        roots = ((-b + math.sqrt(disc)) / (2.0 * a), (-b - math.sqrt(disc)) / (2.0 * a))
+    for root in roots:
         if 0.0 < root < 1.0:
             out.append((-q(root) / nu, root))
     return sorted(out)

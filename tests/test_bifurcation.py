@@ -356,6 +356,7 @@ class TestEducationDomain:
         assert diagram.rows[0].roots == find_fixed_points(sched, spec, 0.01)
         assert len(diagram.rows[0].roots) == 3
         assert diagram.rows[1].roots == diagram.rows[2].roots == []
+        assert find_fixed_points(sched, spec, 5e307) == find_fixed_points(sched, spec, 1e308) == []
 
 
 class TestScaling:

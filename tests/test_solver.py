@@ -15,6 +15,7 @@ from demandtier import (
     simulate_path,
 )
 from demandtier.errors import ConfigError, NoConvergence, ShareOutOfRange
+from demandtier.solver import STABILITY_ORDER
 
 import oracles
 from conftest import load_goldens, random_calibration
@@ -73,9 +74,18 @@ class TestResiduals:
             assert all(b - a > 1e-7 for a, b in zip(roots, roots[1:]))
 
     def test_root_above_bound_raises(self, sched, cubic):
-        # at E = 0.145 the one root's residual is a few ulps, far above 1e-300
-        with pytest.raises(NoConvergence, match="bisect_tol"):
-            find_fixed_points(sched, cubic, 0.145, SolverConfig(bisect_tol=1e-300))
+        # at E = 0.145 the one root's residual is a few ulps, far above 1e-300;
+        # a one-level solve and a batch name it alike
+        cfg = SolverConfig(bisect_tol=1e-300)
+        with pytest.raises(NoConvergence, match="bisect_tol") as one_level:
+            find_fixed_points(sched, cubic, 0.145, cfg)
+        with pytest.raises(NoConvergence) as batch:
+            solver_rows(sched, cubic, np.array([0.145, 0.215]), cfg)
+        p_star = oracles.exact_roots(0.145)[0]
+        assert str(one_level.value) == str(batch.value)
+        assert str(one_level.value).startswith(f"fixed point p*={p_star} at E=0.145 has residual ")
+        assert str(one_level.value).endswith(
+            f", above the bound bisect_tol * max(1, p*) = {1e-300 * p_star}")
 
     def test_fixed_point_characterizations_agree(self, sched, cubic):
         # H(S(p*)) = 1 is the same equation as T(p*) = p*
@@ -115,6 +125,107 @@ class TestOracleAgreement:
                 )
                 assert_matches_oracle(find_fixed_points(sched, spec, e), oracle_roots)
         assert near_threshold >= 4
+
+
+def _oracle_roots(sched, spec, e, cfg=None):
+    cfg = cfg or SolverConfig()
+    alpha_params = (sched.alpha_base, sched.alpha_slope, sched.alpha_lo, sched.alpha_hi)
+    return oracles.exact_roots(e, cfg.p_min, cfg.p_max, alpha_params, spec.coefficients)
+
+
+class TestCorrectRounding:
+    """Every p* is the double nearest the exact root of the model as floats
+    specify it, which ``oracles.exact_roots`` finds in rational arithmetic."""
+
+    def test_headline_roots_equal_the_exact_oracle(self, sched, cubic):
+        for e in oracles.E_VALUES:
+            assert [fp.p_star for fp in find_fixed_points(sched, cubic, e)] == (
+                oracles.exact_roots(e))
+
+    def test_random_calibrations_equal_the_exact_oracle(self):
+        rng = random.Random(20261019)
+        roots = 0
+        for _ in range(60):
+            sched, spec, _, _ = random_calibration(rng)
+            for e in [rng.uniform(0.0, 0.5) for _ in range(4)]:
+                want = _oracle_roots(sched, spec, e)
+                assert [fp.p_star for fp in find_fixed_points(sched, spec, e)] == want, e
+                roots += len(want)
+        assert roots >= 100
+
+    def test_levels_next_to_saddle_nodes_equal_the_exact_oracle(self, monkeypatch):
+        # a root pair about to collide: 1e-9 away the first double-double step
+        # may not certify a root, and closer in the rounded discriminant cannot
+        # tell one real root from three, so both fallbacks run
+        from demandtier import solver
+
+        uncertified, exact = [], []
+        polish, exact_prices = solver._polish, solver._exact_prices
+
+        def counted_polish(*args):
+            result = polish(*args)
+            uncertified.append(not result[1])
+            return result
+
+        def counted_exact_prices(*args):
+            exact.append(args[0])
+            return exact_prices(*args)
+
+        monkeypatch.setattr(solver, "_polish", counted_polish)
+        monkeypatch.setattr(solver, "_exact_prices", counted_exact_prices)
+        rng = random.Random(20261020)
+        levels = roots = 0
+        while levels < 120:
+            sched, spec, _, learn = random_calibration(rng)
+            for e_bar, _ in oracles.saddle_node_closed_form(learn):
+                if e_bar <= 1e-9:
+                    continue
+                for e in (e_bar - 1e-9, e_bar + 1e-9, e_bar - 1e-13, e_bar + 1e-13, e_bar):
+                    want = _oracle_roots(sched, spec, e)
+                    assert [fp.p_star for fp in find_fixed_points(sched, spec, e)] == want, e
+                    levels += 1
+                    roots += len(want)
+        assert roots > levels
+        assert sum(uncertified) >= 5 and len(exact) >= levels // 5
+
+
+class TestOneLevelAndBatch:
+    """``find_fixed_points`` solves one level on floats, a sweep all levels on
+    arrays; both give the same bits and the same errors."""
+
+    def test_one_level_solves_equal_the_sweep_columns(self):
+        # floats for one level, arrays for a sweep: the same bits, also on
+        # levels next to a saddle-node, where the fallbacks run
+        rng = random.Random(20261021)
+        for _ in range(12):
+            sched, spec, _, learn = random_calibration(rng)
+            e_min, e_max = rng.uniform(0.0, 0.1), rng.uniform(0.3, 0.5)
+            grid = np.linspace(e_min, e_max, rng.randrange(50, 400))
+            thresholds = oracles.saddle_node_closed_form(learn)
+            near = [e_bar + d for e_bar, _ in thresholds if e_bar > 1e-9
+                    for d in (-1e-9, -1e-13, 0.0, 1e-13, 1e-9)]
+            levels = np.sort(np.concatenate([grid, near]))
+            columns = solver_rows(sched, spec, levels)
+            expected = [(i, fp.p_star, fp.s_star, fp.t_prime, fp.stability)
+                        for i, e in enumerate(levels.tolist())
+                        for fp in find_fixed_points(sched, spec, e)]
+            got = list(zip(columns.level.tolist(), columns.p_star.tolist(),
+                           columns.s_star.tolist(), columns.t_prime.tolist(),
+                           [STABILITY_ORDER[c] for c in columns.stability.tolist()]))
+            assert got == expected
+
+    def test_negative_level_rejected_on_both_paths(self, sched, cubic):
+        message = "education level must be >= 0, got -0.25"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            find_fixed_points(sched, cubic, -0.25)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            solver_rows(sched, cubic, np.array([0.1, -0.25]))
+
+
+def solver_rows(sched, spec, levels, cfg=None):
+    from demandtier.solver import _fixed_point_rows
+
+    return _fixed_point_rows(sched, spec, levels, cfg or SolverConfig())
 
 
 class TestStability:
