@@ -27,6 +27,7 @@ whose roots it keeps as columns.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
@@ -133,6 +134,7 @@ class RootColumns(NamedTuple):
 # ---------------------------------------------------------------- closed form
 
 _U = 2.0 ** -53  # unit roundoff
+_SCALE_LIMIT = 2.0 ** 16  # closed-form errors stay below 2**-36 in the share
 _MATH = SimpleNamespace(sqrt=math.sqrt, cbrt=math.cbrt, arccos=math.acos, cos=math.cos,
                         copysign=math.copysign)
 
@@ -142,9 +144,12 @@ def _real_roots(c3, c2, c1, c0, sizes):
 
     c3, c2 and c1 are floats; c0 is a float or an array of levels. Returns
     three candidates, each NaN where the level has no such root, and whether
-    the level's count of real roots is too close to call: its discriminant
-    lies within the error that ``sizes``, the magnitudes of the terms that
-    make up each coefficient, allow.
+    the closed form cannot be trusted at the level: its discriminant lies
+    within the error that ``sizes``, the magnitudes of the terms that make up
+    each coefficient, allow (so the count of real roots is too close to
+    call), or is not finite, or the cubic's roots and intermediate values
+    reach ``_SCALE_LIMIT``, where the trigonometric form's absolute error
+    could carry a root in (0, 1) out of the price window unseen.
     """
     xp = np if isinstance(c0, np.ndarray) else _MATH
     s3, s2, s1, s0 = sizes
@@ -160,10 +165,10 @@ def _real_roots(c3, c2, c1, c0, sizes):
         half_q = 0.5 * ((2.0 * a * a * a / 27.0 - a * b / 3.0) + c)
         shift = a / 3.0
         three = disc > 0.0
-        scale = p3 * math.sqrt(max(-p3, 0.0))
-        if scale < 0.0:
+        denominator = p3 * math.sqrt(max(-p3, 0.0))
+        if denominator < 0.0:
             root = math.sqrt(-p3)
-            arg = half_q / scale
+            arg = half_q / denominator
             arg = _select(arg > 1.0, 1.0, _select(arg < -1.0, -1.0, arg))
             theta = xp.arccos(arg) / 3.0
             trig = [2.0 * root * xp.cos(theta - k * (2.0 * math.pi / 3.0)) - shift
@@ -176,6 +181,8 @@ def _real_roots(c3, c2, c1, c0, sizes):
         one = u - p3 / _select(u != 0.0, u, math.inf) - shift
         roots = [_select(three, trig[0], one), _select(three, trig[1], nan),
                  _select(three, trig[2], nan)]
+        scale = abs(shift) + 2.0 * math.sqrt(abs(p3)) + 2.0 * xp.cbrt(abs(half_q))
+        return roots, np.logical_not((abs(disc) > bound) & (scale < _SCALE_LIMIT))
     elif c2 != 0.0:
         disc = c1 * c1 - 4.0 * c2 * c0
         bound = 256.0 * _U * (s1 * s1 + 4.0 * s2 * s0)
@@ -186,7 +193,7 @@ def _real_roots(c3, c2, c1, c0, sizes):
     else:
         disc, bound = 1.0, 0.0
         roots = [-c0 / c1 if c1 != 0.0 else nan, nan, nan]
-    return roots, abs(disc) <= bound
+    return roots, np.logical_not(abs(disc) > bound)
 
 
 def _newton(s, c3, c2, c1, c0):
@@ -321,7 +328,8 @@ def _exact_prices(E, alpha, coefficients, head, cfg):
 
     The critical shares of the gap (the real roots of its derivative, from
     the gap's leading coefficients ``head``) cut the price window, widened to
-    [p_min/2, 2*p_max], into pieces on which the gap is monotone in p. A piece
+    [p_min/2, 2*p_max] (capped at the largest double), into pieces on which
+    the gap is monotone in p. A piece
     whose ends have opposite exact signs holds one root. Bisection over the
     doubles in the piece ends at two neighbours, and the sign at their
     midpoint picks the nearer; a root exactly halfway goes to the even one,
@@ -360,7 +368,8 @@ def _exact_prices(E, alpha, coefficients, head, cfg):
     critical, _ = _real_roots(0.0, 3.0 * c3, 2.0 * c2, c1, (0.0,) * 4)
     cuts = sorted(a * (1 - Fraction(s)) / ((1 - a) * Fraction(s))
                   for s in critical if 0.0 < s < 1.0)
-    lo_end, hi_end = Fraction(cfg.p_min) / 2, 2 * Fraction(cfg.p_max)
+    lo_end = Fraction(cfg.p_min) / 2
+    hi_end = min(2 * Fraction(cfg.p_max), Fraction(sys.float_info.max))
     ends = [lo_end, *(c for c in cuts if lo_end < c < hi_end), hi_end]
     signs = [sign(p) for p in ends]
     found = {float(p) for p, side in zip(ends, signs) if side == 0}

@@ -6,6 +6,7 @@ derivation rather than against itself.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -170,7 +171,8 @@ def exact_roots(E, p_min=0.01, p_max=14.0,
     alpha = clip_alpha(E) are taken as the rationals they hold. With
     D = alpha + (1-alpha)*p, s = alpha/D and 1 - s = (1-alpha)*p/D, the gap
     g_H(s, E) - g_L(1-s) times D^3 > 0 is a polynomial in p; Sturm's theorem
-    isolates its distinct roots in (p_min/2, 2*p_max], exact bisection rounds
+    isolates its distinct roots in (p_min/2, 2*p_max] (capped at the largest
+    double), exact bisection rounds
     each one, and the rounded roots inside the window are returned ascending.
     """
     a = Fraction(clip_alpha(E, alpha_params))
@@ -204,7 +206,7 @@ def exact_roots(E, p_min=0.01, p_max=14.0,
         return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
     found = []
-    stack = [(Fraction(p_min) / 2, 2 * Fraction(p_max))]
+    stack = [(Fraction(p_min) / 2, min(2 * Fraction(p_max), Fraction(sys.float_info.max)))]
     while stack:
         lo, hi = stack.pop()
         count = variations(lo) - variations(hi)

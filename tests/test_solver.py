@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from demandtier import (
+    LearningSpec,
     SolverConfig,
     Stability,
     TechnologyState,
@@ -187,6 +188,21 @@ class TestCorrectRounding:
                     roots += len(want)
         assert roots > levels
         assert sum(uncertified) >= 5 and len(exact) >= levels // 5
+
+
+    @pytest.mark.parametrize("learn", [
+        (0.6, 0.8, 0.0, 1.2, 1e-300),  # two roots near +-1e150 and one in (0, 1)
+        (0.6, 0.8, 1.0, 1.2, -1.0 + 1e-12),
+        (0.6, 0.8, 1.0, 1.2, -1.7e308),  # the gap's coefficients overflow
+    ])
+    def test_extreme_cubics_equal_the_exact_oracle(self, sched, learn):
+        spec = LearningSpec.cubic(*learn)
+        levels = [0.05, 0.1, 0.215, 0.3, 0.45]
+        columns = solver_rows(sched, spec, np.array(levels))
+        for i, e in enumerate(levels):
+            want = oracles.exact_roots(e, learn_params=learn)
+            assert [fp.p_star for fp in find_fixed_points(sched, spec, e)] == want, e
+            assert columns.p_star[columns.level == i].tolist() == want, e
 
 
 class TestOneLevelAndBatch:
