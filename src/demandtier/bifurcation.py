@@ -115,29 +115,26 @@ class ChannelCondition(NamedTuple):
     dT_dE: float
 
 
-def _saddle_node_candidates(spec: LearningSpec) -> list[tuple[float, float]]:
-    """Every double root of the gap cubic q(s) + nu*E with s_bar in (0, 1), as
-    (E_bar, s_bar), in ``np.roots`` order.
+def refine_saddle_node(
+    spec: LearningSpec,
+    E_bracket: tuple[float, float],
+    refine_tol: float = 1e-8,
+) -> SaddleNode:
+    """The saddle-node with E_bar strictly inside E_bracket, in closed form.
 
-    q is the gap g_H(s, E) - g_L(1 - s) at E = 0: s_bar solves the quadratic
-    q'(s) = 0 and E_bar = -q(s_bar)/nu.
+    A saddle-node is a double root of the gap cubic q(s) + nu*E, where q is
+    the gap g_H(s, E) - g_L(1 - s) at E = 0: s_bar solves the quadratic
+    q'(s) = 0 and E_bar = -q(s_bar)/nu. Raises NoConvergence when no such
+    point with s_bar in (0, 1) lies in the bracket, or when its residuals
+    |H - 1| and |dH/ds| exceed ``refine_tol``.
     """
+    e_lo, e_hi = E_bracket
     q = gap_polynomial(spec, 0.0)
-    candidates = []
     for root in np.roots(np.polyder(q)):
         s_bar = float(root.real)
-        if root.imag == 0.0 and 0.0 < s_bar < 1.0:
-            candidates.append((-float(np.polyval(q, s_bar)) / spec.nu, s_bar))
-    return candidates
-
-
-def _saddle_node_in(
-    spec: LearningSpec, candidates, E_bracket: tuple[float, float], refine_tol: float
-) -> SaddleNode:
-    """The first of ``candidates`` with E_bar strictly inside E_bracket, with
-    its residuals (see ``refine_saddle_node``)."""
-    e_lo, e_hi = E_bracket
-    for e_bar, s_bar in candidates:
+        if root.imag != 0.0 or not 0.0 < s_bar < 1.0:
+            continue
+        e_bar = -float(np.polyval(q, s_bar)) / spec.nu
         if not e_lo < e_bar < e_hi:
             continue
         h = h_ratio(spec, s_bar, e_bar)
@@ -154,22 +151,6 @@ def _saddle_node_in(
     )
 
 
-def refine_saddle_node(
-    spec: LearningSpec,
-    E_bracket: tuple[float, float],
-    refine_tol: float = 1e-8,
-) -> SaddleNode:
-    """The saddle-node with E_bar strictly inside E_bracket, in closed form.
-
-    A saddle-node is a double root of the gap cubic q(s) + nu*E, where q is
-    the gap g_H(s, E) - g_L(1 - s) at E = 0: s_bar solves the quadratic
-    q'(s) = 0 and E_bar = -q(s_bar)/nu. Raises NoConvergence when no such
-    point with s_bar in (0, 1) lies in the bracket, or when its residuals
-    |H - 1| and |dH/ds| exceed ``refine_tol``.
-    """
-    return _saddle_node_in(spec, _saddle_node_candidates(spec), E_bracket, refine_tol)
-
-
 def sweep(
     sched: PreferenceSchedule,
     spec: LearningSpec,
@@ -179,23 +160,18 @@ def sweep(
     """Root inventory over an education grid, solved in one batch, plus saddle-node thresholds.
 
     The roots stay columns: counting them per level is one ``np.bincount``.
-    The saddle-node candidates are computed once per sweep and each
-    root-count transition picks the one inside its bracket, as
-    ``refine_saddle_node`` does.
     """
     sweep_cfg = sweep_cfg or SweepConfig()
     E = np.linspace(sweep_cfg.E_min, sweep_cfg.E_max, sweep_cfg.E_points)
     roots = _fixed_point_rows(sched, spec, E, solver_cfg or SolverConfig())
 
     counts = np.bincount(roots.level, minlength=len(E))
-    changes = np.flatnonzero(np.diff(counts)).tolist()
-    candidates = _saddle_node_candidates(spec) if changes else []
     transitions: list[Transition] = []
-    for i in changes:
+    for i in np.flatnonzero(np.diff(counts)).tolist():
         e_lo, e_hi = E[i].item(), E[i + 1].item()
         saddle, note = None, ""
         try:
-            saddle = _saddle_node_in(spec, candidates, (e_lo, e_hi), sweep_cfg.refine_tol)
+            saddle = refine_saddle_node(spec, (e_lo, e_hi), sweep_cfg.refine_tol)
         except NoConvergence as exc:
             note = str(exc)
         transitions.append(

@@ -35,7 +35,6 @@ from .errors import (
     InvalidHorizon,
     InvalidPrice,
     InvalidState,
-    NumericalOverflow,
     ShareOutOfRange,
     _require_int,
 )
@@ -258,14 +257,9 @@ def gap_coefficients(spec: LearningSpec, E: float | np.ndarray) -> tuple:
     return -(phi2 + chi2), 3.0 * chi2, phi1 + chi1 - 3.0 * chi2, nu * E - chi1 + chi2
 
 
-def gap_polynomial(spec: LearningSpec, E: float | np.ndarray) -> np.ndarray:
-    """``gap_coefficients`` as an array; for an array of levels E the last axis
-    holds each level's four coefficients."""
-    *head, const = gap_coefficients(spec, np.asarray(E, dtype=float))
-    gap = np.empty(np.shape(const) + (4,))
-    gap[..., :3] = head
-    gap[..., 3] = const
-    return gap
+def gap_polynomial(spec: LearningSpec, E: float) -> np.ndarray:
+    """``gap_coefficients`` at one level E as an array, for ``np.polyval``."""
+    return np.array(gap_coefficients(spec, float(E)))
 
 
 def price_map(sched: PreferenceSchedule, spec: LearningSpec, p: float, E: float) -> float:
@@ -287,34 +281,6 @@ def _broadcast(path, horizon: int, key: str) -> np.ndarray:
     return arr[:horizon].copy()
 
 
-def _check_levels(*series: tuple[str, np.ndarray]) -> None:
-    """Raise NumericalOverflow at the first period where one of the named
-    series leaves the finite positive floats, naming the series, the period
-    and how it left; within a period the first series listed is named.
-
-    One pass over the stacked series finds the bad entries; NaN fails the
-    same comparisons.
-    """
-    stacked = np.stack([values for _, values in series])
-    with np.errstate(invalid="ignore"):
-        bad = ~((stacked > 0.0) & (stacked < math.inf))
-    if not bad.any():
-        return
-    period = int(np.argmax(bad.any(axis=0)))
-    row = int(np.argmax(bad[:, period]))
-    value = stacked[row, period].item()
-    if value == math.inf:
-        what = "overflows to inf"
-    elif value == 0.0:
-        what = "underflows to 0"
-    else:
-        what = f"is {value!r}"
-    raise NumericalOverflow(
-        f"{series[row][0]} {what} at period t={period} of the simulated path: "
-        "the levels leave float range within the horizon"
-    )
-
-
 def simulate_path(
     sched: PreferenceSchedule,
     spec: LearningSpec,
@@ -330,10 +296,7 @@ def simulate_path(
     their growth factors, and household quantities come from the demand system
     at (price_L = 1, price_H = p). Education and income inputs may be scalars
     (broadcast) or sequences of length >= horizon; errors name them by their
-    scenario keys, ``E`` and ``income`` in section ``simulation``. A path on
-    which a_H, a_L or p leaves the finite positive floats (a level overflows,
-    or the price underflows to 0) raises NumericalOverflow naming the first
-    such period and series.
+    scenario keys, ``E`` and ``income`` in section ``simulation``.
     """
     _require_int("horizon", horizon, 1, InvalidHorizon)
     e_arr = _broadcast(e_path, horizon, "E")
@@ -346,7 +309,6 @@ def simulate_path(
         initial.a_H, initial.a_L, alpha_of(sched, e_arr), e_arr,
         nu, phi1, phi2, chi1, chi2, horizon,
     )
-    _check_levels(("a_H", a_h), ("a_L", a_l), ("p", p))
     demand = demand_arrays(sched, y_arr, p, e_arr)
 
     return TimePath(

@@ -10,10 +10,10 @@ nu*E + phi1*s - phi2*s^3 - chi1*(1-s) + chi2*(1-s)^3, evaluated in
 double-double arithmetic (Dekker 1971), then p = alpha(1-s)/((1-alpha)s)
 formed in double-double, make each p* the correctly rounded double of the
 exact root of the model as the package specifies it: float parameters and
-the float alpha_of(E). An error bound certifies each rounding. A root it
-cannot certify (next to a saddle-node) takes more double-double steps, and a
-level that still holds one, or whose root count the rounded discriminant
-cannot decide, is solved in exact rational arithmetic. The correctly rounded
+the float alpha_of(E). An error bound certifies each rounding. A level that
+holds a root it cannot certify (next to a saddle-node), or whose root count
+the rounded discriminant cannot decide, is solved in exact rational
+arithmetic. The correctly rounded
 root is unique, so every path gives the same bits.
 
 The roots with p* in [p_min, p_max] are re-checked and classified through the
@@ -292,12 +292,11 @@ def _next_down(p):
 
 
 def _polish(x, E, alpha, coefficients):
-    """Correctly rounded p* from the share estimates x: (p*, certified, share).
+    """Correctly rounded p* from the share estimates x: (p*, certified).
 
     One ``_newton_dd`` step, then p = alpha(1-s)/((1-alpha)s) in double-double;
     the rounding of p to a double is certified when every value within the
-    propagated error bound rounds to the same double. ``share`` is the step's
-    double share, from which another step may start.
+    propagated error bound rounds to the same double.
     """
     y_hi, y_lo, s_err = _newton_dd(x, E, coefficients)
     t = _two_sum(1.0, -y_hi)  # 1 - s
@@ -316,7 +315,7 @@ def _polish(x, E, alpha, coefficients):
     p_err = abs(p_hi) * (2.0 * rel + 64.0 * _U * _U)
     half_ulp = 0.5 * (p_hi - _next_down(p_hi))  # the smaller half-spacing around p_hi
     certified = (rel < 0.25) & (abs(p_lo) + 2.0 * p_err < half_ulp)
-    return p_hi, certified, y_hi
+    return p_hi, certified
 
 
 # ---------------------------------------------------------------- exact fallback
@@ -382,7 +381,6 @@ def _exact_prices(E, alpha, coefficients, head, cfg):
 # ---------------------------------------------------------------- levels
 
 _WINDOW_SLACK = 1e-6  # estimates this far (relative) outside the window are polished too
-_EXTRA_STEPS = 3  # double-double steps for a root the first one cannot certify
 
 
 def _gap_terms(spec: LearningSpec, E):
@@ -416,10 +414,7 @@ def _level_prices(sched: PreferenceSchedule, spec: LearningSpec, E: float,
         x = _newton(x, c3, c2, c1, c0)
         if exact or not s_lo <= x <= s_hi:
             continue
-        for _ in range(1 + _EXTRA_STEPS):
-            p, certified, x = _polish(x, E, alpha, spec.coefficients)
-            if certified:
-                break
+        p, certified = _polish(x, E, alpha, spec.coefficients)
         prices.append(p)
         exact |= not certified
     if exact:
@@ -495,13 +490,7 @@ def _fixed_point_rows(
     alpha = alpha_of(sched, E_array)
     s_lo, s_hi = _share_window(alpha[:, None], cfg)
     level, slot = np.nonzero((s_lo <= x) & (x <= s_hi) & (solvable & ~exact)[:, None])
-    p, certified, x = _polish(x[level, slot], E_array[level], alpha[level], spec.coefficients)
-    for _ in range(_EXTRA_STEPS):
-        redo = np.flatnonzero(~certified)
-        if not len(redo):
-            break
-        p[redo], certified[redo], x[redo] = _polish(
-            x[redo], E_array[level[redo]], alpha[level[redo]], spec.coefficients)
+    p, certified = _polish(x[level, slot], E_array[level], alpha[level], spec.coefficients)
     prices = np.full((len(E_array), 3), np.nan)
     prices[level, slot] = p
     exact[level[~certified]] = True

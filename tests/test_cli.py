@@ -291,28 +291,6 @@ class TestSimulate:
         assert cp.stdout == ""
 
 
-    @pytest.mark.parametrize("scenario, args, message", [
-        # a_H outgrows float range while p sits at its stable root: exit 2
-        # blaming "price_H must be > 0, got 0.0" before
-        ({"simulation": {"horizon": 20000}}, (),
-         "a_H overflows to inf at period t=16521"),
-        # p grows about 1.88x per period: exit 0 with inf and NaN rows before
-        ({"learning": {"variant": "linear"}, "simulation": {"horizon": 5000}}, (),
-         "a_L overflows to inf at period t=902"),
-        # p shrinks about 6.8x per period: exit 2 blaming price_H before
-        ({}, ("--E", "10"), "a_H overflows to inf at period t=371"),
-    ])
-    def test_path_leaving_float_range_exits_3(self, tmp_path, scenario, args, message):
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(scenario))
-        code, out, err = main_in_process(("simulate", "--scenario", str(path), *args))
-        assert (code, out) == (3, b"")
-        assert err.decode() == (
-            f"error: {message} of the simulated path: the levels leave float range "
-            "within the horizon\n"
-        )
-
-
 class TestStatics:
     def test_luxury_necessity_columns(self):
         cp = run_cli("statics")

@@ -19,7 +19,6 @@ from demandtier.errors import (
     InvalidHorizon,
     InvalidPrice,
     InvalidState,
-    NumericalOverflow,
     ShareOutOfRange,
 )
 
@@ -252,16 +251,6 @@ class TestSimulatePath:
             np.full(50, 0.2), np.full(50, 10.0), 50,
         )
         assert np.array_equal(a.p, b.p)
-
-    @pytest.mark.parametrize("a_h0, a_l0, e, named", [
-        (1.0, 4.0, 10.0, "a_H overflows to inf at period t=371"),
-        (1e-300, 1e300, 0.2, "p overflows to inf at period t=0"),
-        (1e300, 1e-300, 0.2, "p underflows to 0 at period t=0"),
-    ])
-    def test_leaving_float_range_names_period_and_series(self, sched, cubic, a_h0, a_l0, e, named):
-        with pytest.raises(NumericalOverflow) as raised:
-            simulate_path(sched, cubic, TechnologyState(a_H=a_h0, a_L=a_l0), e, 10.0, 400)
-        assert str(raised.value).startswith(named + " of the simulated path")
 
     def test_invalid_horizon(self, sched, cubic):
         state = TechnologyState(a_H=1.0, a_L=4.0)

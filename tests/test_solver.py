@@ -155,9 +155,9 @@ class TestCorrectRounding:
         assert roots >= 100
 
     def test_levels_next_to_saddle_nodes_equal_the_exact_oracle(self, monkeypatch):
-        # a root pair about to collide: 1e-9 away the first double-double step
-        # may not certify a root, and closer in the rounded discriminant cannot
-        # tell one real root from three, so both fallbacks run
+        # a root pair about to collide: 1e-9 away the double-double step may
+        # not certify a root, and closer in the rounded discriminant cannot
+        # tell one real root from three; both send the level to exact arithmetic
         from demandtier import solver
 
         uncertified, exact = [], []
@@ -188,7 +188,6 @@ class TestCorrectRounding:
                     roots += len(want)
         assert roots > levels
         assert sum(uncertified) >= 5 and len(exact) >= levels // 5
-
 
     @pytest.mark.parametrize("learn", [
         (0.6, 0.8, 0.0, 1.2, 1e-300),  # two roots near +-1e150 and one in (0, 1)
