@@ -3,10 +3,10 @@
 Subcommands: fixed-points, bifurcation, simulate, statics, planner-foc.
 Standard output carries CSV; diagnostics go to standard error. Exit codes:
 0 success, 2 validation error, 3 numerical failure (a root that fails its
-residual bound, a flagged transition under --strict, or a statics price_H so
-small that c_H overflows). Floats are printed with 12 significant digits
-(``%.12g``, the same text as ``format(x, '.12g')``) so identical scenarios
-yield byte-identical files.
+residual bound, a flagged transition under --strict, a statics price_H so
+small that c_H overflows, or a g_H whose square overflows). Floats are
+printed with 12 significant digits (``%.12g``, the same text as
+``format(x, '.12g')``) so identical scenarios yield byte-identical files.
 
 ``main(argv)`` may be called repeatedly in one process (the benchmark and the
 tests do): the argument parser is built once, when this module is imported.

@@ -35,6 +35,7 @@ from .errors import (
     InvalidHorizon,
     InvalidPrice,
     InvalidState,
+    NumericalOverflow,
     ShareOutOfRange,
     _require_int,
 )
@@ -232,14 +233,25 @@ def growth_factors(
     return GrowthFactors(g_H=g_h, g_L=g_l)
 
 
+def growth_slope_H(spec: LearningSpec, s: float | np.ndarray):
+    """dg_H/ds at share s: phi1 - 3*phi2*s^2 (phi under linear learning)."""
+    _, phi1, phi2, _, _ = spec.coefficients
+    return phi1 - 3.0 * phi2 * _libm(pow, s, 2.0)
+
+
 def h_ratio(spec: LearningSpec, s: float | np.ndarray, E: float | np.ndarray) -> HRatio:
     """Growth-factor ratio H = g_L/g_H with its exact partials in s and E."""
     g_h, g_l = growth_factors(spec, s, E)
-    nu, phi1, phi2, chi1, chi2 = spec.coefficients
+    nu, _, _, chi1, chi2 = spec.coefficients
     u = 1.0 - s
-    gh_s = phi1 - 3.0 * phi2 * _libm(pow, s, 2.0)
+    gh_s = growth_slope_H(spec, s)
     gl_s = -(chi1 - 3.0 * chi2 * _libm(pow, u, 2.0))
-    gh_sq = _libm(pow, g_h, 2.0)
+    try:
+        gh_sq = _libm(pow, g_h, 2.0)
+    except OverflowError:  # g_H >= 2**512, whose square leaves the float range
+        big, e = np.abs(g_h) >= 2.0**512, np.broadcast_to(E, np.shape(g_h))
+        raise NumericalOverflow(f"g_H = {_first(g_h, big)!r} at E = {_first(e, big)!r} is too "
+                                "large: its square, in dH/ds and dH/dE, overflows") from None
     value = g_l / g_h
     d_ds = (gl_s * g_h - g_l * gh_s) / gh_sq
     d_de = -nu * g_l / gh_sq
@@ -255,11 +267,6 @@ def gap_coefficients(spec: LearningSpec, E: float | np.ndarray) -> tuple:
     """
     nu, phi1, phi2, chi1, chi2 = spec.coefficients
     return -(phi2 + chi2), 3.0 * chi2, phi1 + chi1 - 3.0 * chi2, nu * E - chi1 + chi2
-
-
-def gap_polynomial(spec: LearningSpec, E: float) -> np.ndarray:
-    """``gap_coefficients`` at one level E as an array, for ``np.polyval``."""
-    return np.array(gap_coefficients(spec, float(E)))
 
 
 def price_map(sched: PreferenceSchedule, spec: LearningSpec, p: float, E: float) -> float:

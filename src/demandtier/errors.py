@@ -49,10 +49,6 @@ class DegenerateChannel(DemandTierError):
         self.dT_dE = dT_dE
 
 
-class SpecVariantUnsupported(DemandTierError):
-    """Operation is only defined for a specific learning variant."""
-
-
 def _require_int(name: str, value, minimum: int, error: type[DemandTierError] = ConfigError):
     """Raise ``error`` unless ``value`` is an integer (not a bool) >= ``minimum``."""
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:

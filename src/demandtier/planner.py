@@ -1,21 +1,23 @@
 """Social-planner education diagnostics over a finite horizon.
 
 The planner discounts period utilities, pays a resource cost kappa(E) for
-education, and internalizes that the high-tier productivity grows with the
-excess-quantity share (linear learning only). Along a given simulated path
-this module evaluates, period by period, the three terms of the education
-first-order condition:
+education, and internalizes that the high-tier productivity grows by
+g_H(s, E) in education and the excess-quantity share s. Along a given
+simulated path this module evaluates, period by period, the three terms of
+the education first-order condition:
 
     preference term   dU/dE at the optimal bundle,
-    spillover term    eta * (phi * dS/dE + nu) * A_H,
+    spillover term    eta * (g_H,s * dS/dE + nu) * A_H,   g_H,s = dg_H/ds,
     shadow cost       lambda * kappa'(E),
 
 plus their residual ("wedge"). The costate eta follows a backward recursion
 obtained by differentiating the Lagrangian in next-period high-tier
 productivity, with the price channel p = A_L/A_H sent through the demand
-system via Roy's identity; the terminal costate is zero. A positive wedge
-means the evaluated path underprovides education relative to the planner's
-margin.
+system via Roy's identity and through the share, so eta carries by
+g_H + g_H,s * s(1-s); the terminal costate is zero. Linear learning is the
+paper's case g_H,s = phi; cubic learning is this package's extension, under
+the same exogenous low-tier productivity path. A positive wedge means the
+evaluated path underprovides education relative to the planner's margin.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from .demand import (
     demand_arrays,
     gammaL_slope_of,
 )
-from .dynamics import LearningSpec, LearningVariant, TimePath, excess_share_slope_E
-from .errors import ConfigError, InvalidHorizon, SpecVariantUnsupported, _require_int
+from .dynamics import LearningSpec, TimePath, excess_share_slope_E, growth_factors, growth_slope_H
+from .errors import ConfigError, InvalidHorizon, _require_int
 
 
 @dataclass(frozen=True)
@@ -88,20 +90,14 @@ def evaluate_foc(
 
     Bundles are re-solved at the net income Y - kappa(E) so the resource
     constraint holds as the planner writes it; the low-tier productivity path
-    is taken as exogenous data. Requires linear learning and an interior
+    is taken as exogenous data. Either learning variant; requires an interior
     optimum every period.
     """
-    if spec.variant is not LearningVariant.LINEAR:
-        raise SpecVariantUnsupported(
-            "the planner first-order condition is stated for linear learning"
-        )
     horizon = cfg.horizon
     if len(path) < horizon:
         raise InvalidHorizon(
             f"path has {len(path)} rows but the planner horizon is {horizon}"
         )
-    nu, phi = spec.nu, spec.phi
-
     e = path.e_path[:horizon]
     y = path.income_path[:horizon]
     p = path.p[:horizon]
@@ -127,17 +123,17 @@ def evaluate_foc(
     gl_slope = gammaL_slope_of(sched, e)
     pref = demand.utility * (a_slope * np.log(ex_h / ex_l) - (1.0 - a) * gl_slope / ex_l)
     ds_de = excess_share_slope_E(sched, e, p)
+    gh_s = growth_slope_H(spec, s)
 
     # costate recursion backward from eta = 0 at the horizon, on Python floats
-    s_next = s[1:]
     push = (lam[1:] * p[1:] * demand.c_H[1:] / a_h[1:]).tolist()
-    carry = (1.0 + nu * e[1:] + phi * s_next + phi * s_next * (1.0 - s_next)).tolist()
+    carry = (growth_factors(spec, s, e).g_H + gh_s * s * (1.0 - s))[1:].tolist()
     eta_list = [0.0] * horizon
     for t in range(horizon - 2, -1, -1):
         eta_list[t] = cfg.beta * (push[t] + eta_list[t + 1] * carry[t])
     eta = np.array(eta_list)
 
-    spill = eta * (phi * ds_de + nu) * a_h
+    spill = eta * (gh_s * ds_de + spec.nu) * a_h
     shadow = lam * kappa_prime(cfg, e)
     wedge = pref + spill - shadow
     return FocReport(

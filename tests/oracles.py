@@ -266,12 +266,15 @@ def saddle_node_closed_form(learn_params=CUBIC_PARAMS):
 
 def planner_objective(e_vec, a_h0, a_l_path, y_vec, beta, nu, phi,
                       kappa_scale, kappa_curv,
-                      alpha_params=ALPHA_PARAMS, gl_base=2.0, gl_decay=0.5, gamma_h=0.0):
+                      alpha_params=ALPHA_PARAMS, gl_base=2.0, gl_decay=0.5, gamma_h=0.0,
+                      phi2=0.0):
     """Discounted utility sum under the planner's constraint set.
 
-    The high-tier productivity responds to education and the excess share;
-    the low-tier productivity path is exogenous data. Consumption is chosen
-    optimally each period out of income net of the education cost.
+    The high-tier productivity grows by 1 + nu*E + phi*s - phi2*s^3 in the
+    education level and the excess share: linear learning by default, cubic
+    learning (phi as phi1) with phi2 set. The low-tier productivity path is
+    exogenous data. Consumption is chosen optimally each period out of income
+    net of the education cost.
     """
     a_h = a_h0
     total = 0.0
@@ -285,7 +288,7 @@ def planner_objective(e_vec, a_h0, a_l_path, y_vec, beta, nu, phi,
         utility = ((1.0 - alpha) * budget) ** (1.0 - alpha) * (alpha * budget / p) ** alpha
         total += beta**t * utility
         s = alpha / (alpha + (1.0 - alpha) * p)
-        a_h *= 1.0 + nu * e + phi * s
+        a_h *= 1.0 + nu * e + phi * s - phi2 * s**3
     return total
 
 

@@ -22,7 +22,7 @@ from demandtier import (
     refine_saddle_node,
     sweep,
 )
-from demandtier.dynamics import gap_polynomial
+from demandtier.dynamics import gap_coefficients
 from demandtier.errors import ConfigError, DegenerateChannel, InvalidPrice, NoConvergence
 
 import oracles
@@ -328,10 +328,10 @@ class TestScalarParity:
 class TestZeroConstantTerm:
     def test_level_with_zero_constant_term_matches_dense_oracle(self):
         # nu*E - chi1 + chi2 is exactly 0 at E = (chi1 - chi2)/nu = 1, so s = 0
-        # is a root of the gap; the batch keeps it in the companion matrix
+        # is a root of the gap, and the closed form must still find it
         learn = (0.5, 0.8, 1.0, 1.5, 1.0)
         spec = LearningSpec.cubic(*learn)
-        assert gap_polynomial(spec, 1.0)[-1] == 0.0
+        assert gap_coefficients(spec, 1.0)[-1] == 0.0
         diagram = sweep(flat_sched(0.5), spec, SweepConfig(E_min=0.0, E_max=2.0, E_points=5))
         row = diagram.rows[2]
         assert row.E == 1.0 and row.roots

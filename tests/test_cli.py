@@ -60,6 +60,7 @@ GOLDEN_CASES = [
     ("statics", ("statics",)),
     ("planner-foc_linear",
      ("planner-foc", "--scenario", str(CLI_GOLDENS / "linear_scenario.json"))),
+    ("planner-foc", ("planner-foc",)),
 ]
 
 
@@ -199,6 +200,21 @@ def test_level_where_nu_E_overflows_has_no_fixed_point(tmp_path):
     assert cp.returncode == 0
     assert cp.stdout == "E,p_star,s_star,t_prime,stability\n"
     assert cp.stderr == ""  # no RuntimeWarning either
+
+
+@pytest.mark.parametrize("args, named", [
+    (("bifurcation",), "g_H = 5e+298 at E = 0.05"),
+    (("fixed-points", "--E", "0.3"), "g_H = 3e+299 at E = 0.3"),
+], ids=["bifurcation", "fixed-points"])
+def test_growth_factor_whose_square_overflows_exits_3(tmp_path, args, named):
+    # g_H = 1 + 1e300*E has roots, but its square in dH/ds leaves float range
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"learning": {"chi2": -1e-06, "nu": 1e+300, "chi1": 1e+300}}))
+    cp = run_cli(*args, "--scenario", str(path))
+    assert cp.returncode == 3
+    assert named in cp.stderr
+    assert "Traceback" not in cp.stderr
+    assert cp.stdout == ""
 
 
 class TestDumpDefaults:
@@ -515,10 +531,26 @@ class TestPlannerFoc:
         for row, expected in zip(rows, fd):
             assert float(row[4]) == pytest.approx(expected, rel=1e-4)
 
-    def test_cubic_default_rejected(self):
+    def test_cubic_default_wedge_column_matches_oracle(self):
+        import oracles
+        from demandtier import LearningSpec, PreferenceSchedule, TechnologyState, simulate_path
+
         cp = run_cli("planner-foc")
-        assert cp.returncode == 2
-        assert "linear" in cp.stderr
+        assert cp.returncode == 0, cp.stderr
+        _, rows = parse_csv(cp.stdout)
+        spec = LearningSpec()
+        path = simulate_path(
+            PreferenceSchedule(), spec, TechnologyState(a_H=1.0, a_L=5.0), 0.28, 10.0, 3
+        )
+        fd = oracles.planner_fd_wedges(
+            list(path.e_path), a_h0=1.0, a_l_path=path.a_l, y_vec=path.income_path,
+            beta=0.95, nu=spec.nu, phi=spec.phi1, phi2=spec.phi2,
+            kappa_scale=0.05, kappa_curv=2.0,
+        )
+        wedges = [float(row[4]) for row in rows]
+        assert len(wedges) == 3
+        for analytic, numeric in zip(wedges, fd):
+            assert abs(analytic - numeric) <= 1e-7 * max(map(abs, wedges))
 
     def test_simulation_horizon_ignored(self, tmp_path):
         # a path of ten entries is long enough for the planner's three periods

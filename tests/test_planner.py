@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from demandtier import (
     HouseholdBudget,
     LearningSpec,
     PlannerConfig,
+    PreferenceSchedule,
     TechnologyState,
     education_wedge_sign,
     evaluate_foc,
@@ -17,7 +20,6 @@ from demandtier.errors import (
     ConfigError,
     InvalidHorizon,
     NonInteriorBudget,
-    SpecVariantUnsupported,
 )
 
 import oracles
@@ -34,13 +36,15 @@ def small_path(sched, linear):
 
 
 def _oracle_args(path, cfg, spec):
+    _, phi1, phi2, _, _ = spec.coefficients
     return dict(
         a_h0=path.a_h[0],
         a_l_path=path.a_l,
         y_vec=path.income_path,
         beta=cfg.beta,
         nu=spec.nu,
-        phi=spec.phi,
+        phi=phi1,
+        phi2=phi2,
         kappa_scale=cfg.kappa_scale,
         kappa_curv=cfg.kappa_curv,
     )
@@ -124,9 +128,13 @@ class TestDiagnostics:
         low = evaluate_foc(sched, linear, PlannerConfig(beta=0.50, horizon=3), small_path)
         assert np.all(np.abs(low.spillover_term) <= np.abs(high.spillover_term))
 
-    def test_cubic_variant_rejected(self, sched, cubic, cfg, small_path):
-        with pytest.raises(SpecVariantUnsupported):
-            evaluate_foc(sched, cubic, cfg, small_path)
+    def test_cubic_variant_matches_objective_gradient(self, sched, cubic, cfg):
+        path = simulate_path(sched, cubic, TechnologyState(a_H=1.0, a_L=2.0), 0.2, 10.0, 3)
+        report = evaluate_foc(sched, cubic, cfg, path)
+        fd = oracles.planner_fd_wedges(list(path.e_path), **_oracle_args(path, cfg, cubic))
+        assert report.spillover_term[0] > 0.0
+        for analytic, numeric in zip(report.wedge, fd):
+            assert analytic == pytest.approx(numeric, rel=1e-6)
 
     def test_short_path_rejected(self, sched, linear, small_path):
         with pytest.raises(InvalidHorizon):
@@ -195,3 +203,58 @@ class TestLongerHorizon:
         )
         for analytic, numeric in zip(report.wedge, fd):
             assert analytic == pytest.approx(numeric, rel=1e-5)
+
+
+def _random_planner_case(rng, variant):
+    """A seeded calibration, planner set-up and simulated path for one variant.
+
+    Returns (schedule, spec, planner config, path, oracle keyword arguments);
+    half the draws have gamma_H > 0.
+    """
+    alpha = (rng.uniform(0.65, 0.80), rng.uniform(0.05, 0.30),
+             rng.uniform(0.55, 0.62), rng.uniform(0.93, 0.98))
+    gl_base, gl_decay = rng.uniform(0.5, 3.0), rng.uniform(0.1, 0.8)
+    gamma_h = rng.uniform(0.01, 0.3) if rng.random() < 0.5 else 0.0
+    sched = PreferenceSchedule(
+        alpha_base=alpha[0], alpha_slope=alpha[1], alpha_lo=alpha[2], alpha_hi=alpha[3],
+        gammaL_base=gl_base, gammaL_decay=gl_decay, gamma_H=gamma_h,
+    )
+    nu, phi1, chi1 = rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.5), rng.uniform(0.1, 1.5)
+    if variant == "linear":
+        spec = LearningSpec.linear(nu=nu, phi=phi1, chi=chi1)
+    else:
+        # phi2 < 1 + phi1 and chi2 < 1 + chi1 keep both growth factors positive
+        spec = LearningSpec.cubic(nu, phi1, rng.uniform(0.0, 0.9 * (1.0 + phi1)),
+                                  chi1, rng.uniform(0.0, 0.9 * (1.0 + chi1)))
+    horizon = rng.randint(2, 12)
+    cfg = PlannerConfig(beta=rng.uniform(0.5, 0.99), horizon=horizon,
+                        kappa_scale=rng.uniform(0.01, 0.3), kappa_curv=rng.uniform(1.0, 3.0))
+    initial = TechnologyState(a_H=rng.uniform(0.5, 2.0), a_L=rng.uniform(0.5, 4.0))
+    path = simulate_path(sched, spec, initial, [rng.uniform(0.05, 0.6) for _ in range(horizon)],
+                         [rng.uniform(8.0, 20.0) for _ in range(horizon)], horizon)
+    oracle_args = dict(_oracle_args(path, cfg, spec), alpha_params=alpha,
+                       gl_base=gl_base, gl_decay=gl_decay, gamma_h=gamma_h)
+    return sched, spec, cfg, path, oracle_args
+
+
+class TestRandomCalibrations:
+    @pytest.mark.parametrize("variant, seed", [("linear", 20), ("cubic", 21)])
+    def test_wedges_match_objective_gradient(self, variant, seed):
+        # 120 seeded draws per variant, horizons 2-12, random beta and kappa;
+        # a draw with a non-interior period has no FOC and is drawn again. The
+        # step h = 1e-5 keeps the difference quotient's rounding, which the
+        # 1/beta^t rescaling of late periods magnifies, below its truncation
+        rng = random.Random(seed)
+        checked = with_gamma_h = 0
+        while checked < 120:
+            sched, spec, cfg, path, oracle_args = _random_planner_case(rng, variant)
+            try:
+                report = evaluate_foc(sched, spec, cfg, path)
+            except NonInteriorBudget:
+                continue
+            fd = oracles.planner_fd_wedges(list(path.e_path), h=1e-5, **oracle_args)
+            scale = np.max(np.abs(report.wedge))
+            assert np.max(np.abs(report.wedge - fd)) <= 1e-7 * scale, (checked, spec, cfg)
+            checked += 1
+            with_gamma_h += sched.gamma_H > 0.0
+        assert with_gamma_h >= 40
