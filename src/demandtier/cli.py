@@ -8,6 +8,12 @@ small that c_H overflows, or a g_H whose square overflows). Floats are
 printed with 12 significant digits (``%.12g``, the same text as
 ``format(x, '.12g')``) so identical scenarios yield byte-identical files.
 
+The long tables of simulate, statics and planner-foc are built column-wise
+(``_csv_columns``): numpy arithmetic writes the text of every value whose
+12-digit rounding it can certify, and ``%`` formats the rest, so the bytes are
+those of ``%.12g`` and ``%d`` row by row. fixed-points and the bifurcation
+thresholds, tables of a few rows, are %-formatted row by row (``_csv``).
+
 ``main(argv)`` may be called repeatedly in one process (the benchmark and the
 tests do): the argument parser is built once, when this module is imported.
 """
@@ -52,6 +58,183 @@ def _csv(header: str, row_format: str, rows: Iterable[tuple]) -> str:
     """
     line = row_format + "\n"
     return header + "\n" + "".join([line % row for row in rows])
+
+
+# Column-wise CSV. Each field becomes five little-endian uint64 words of ASCII
+# text, NUL where a position holds no character: a prefix word (the sign, and
+# "0." with the leading zeros of a value below 1), three digit words holding a
+# 12-digit integer mantissa at their odd bytes (each even byte can take the
+# decimal point), and a suffix word (the exponent of the e-notation) whose last
+# byte is the comma or newline. One bytes.translate then deletes every NUL.
+
+_WORD = np.dtype("<u8")
+# fields per chunk, so that the chunk's temporaries stay in the CPU cache
+_CHUNK_FIELDS = 8192
+# the decimal exponents the scaled path reaches: the clamp of log10 to
+# [-296, 308], one step of fix-up either way
+_EXP_LO, _EXP_HI = -297, 309
+
+
+def _as_words(text: np.ndarray) -> np.ndarray:
+    """Rows of 8*k text bytes as rows of k words."""
+    return np.ascontiguousarray(text, dtype=np.uint8).view(_WORD)
+
+
+def _digit_words() -> np.ndarray:
+    """Word v < 10^4: the four digits of v at the odd bytes. Word 10^4 + v: the
+    same with v's trailing zeros NUL, for the lowest groups of a mantissa."""
+    digits = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1).T
+    text = np.zeros((2, 10_000, 8), np.uint8)
+    text[:, :, 1::2] = digits + np.uint8(48)
+    text[1, :, 1::2] *= np.logical_or.accumulate(digits[:, ::-1] > 0, axis=1)[:, ::-1]
+    return _as_words(text.reshape(20_000, 8)).ravel()
+
+
+def _overlay_words() -> np.ndarray:
+    """Prefix word and the three digit-word overlays, indexed by
+    36*sign + 2*class + dot, one row per word.
+
+    Class c in 1..16 is the fixed notation of exponent c - 5; classes 0 and 17
+    are the e-notation, whose point follows the first digit. From exponent 0
+    up, the overlay ORs '0' into the integer digits, which the stripped digit
+    words may have made NUL ('0' | d is d for every digit d), and puts the
+    point after digit e; ``dot`` is 0 where no digit follows it.
+    """
+    # bytes 0-7 are the prefix word; digit i sits at byte 9 + 2i and the
+    # point after it at byte 10 + 2i
+    text = np.zeros((2, 18, 2, 32), np.uint8)
+    text[1, :, :, 0] = ord("-")
+    for c in range(18):
+        e = c - 5
+        if -4 <= e < 0:
+            text[:, c, :, 1:3] = (ord("0"), ord("."))
+            text[:, c, :, 3:2 - e] = ord("0")
+        elif 0 <= e < 12:
+            text[:, c, :, 9:11 + 2 * e:2] = ord("0")
+            if e < 11:
+                text[:, c, 1, 10 + 2 * e] = ord(".")
+        else:
+            text[:, c, 1, 10] = ord(".")
+    return _as_words(text.reshape(72, 32)).T.copy()
+
+
+def _exponent_tables():
+    """Per exponent e in [_EXP_LO, _EXP_HI]: the suffix word, 10**(11-e) rounded
+    to nearest, the divisor whose remainder holds the digits after the point,
+    and 2*class for the overlay index."""
+    e = np.arange(_EXP_LO, _EXP_HI + 1)
+    fixed = (e >= -4) & (e < 12)
+    mag = np.abs(e)
+    text = np.zeros((e.size, 8), np.uint8)
+    text[:, 0] = ord("e")
+    text[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    digits = 48 + np.stack([mag // 100, mag // 10 % 10, mag % 10], axis=1)
+    text[:, 2:5] = np.where((mag >= 100)[:, None], digits,
+                            np.pad(digits[:, 1:], ((0, 0), (0, 1))))
+    text[fixed] = 0
+    tens = [1]
+    for _ in range(308):
+        tens.append(tens[-1] * 10)
+    # float(int) and int / int are correctly rounded
+    scale = np.array([float(tens[k]) if k >= 0 else 1 / tens[-k] for k in (11 - e).tolist()])
+    # from exponent 0 to 11, the digits after the point are r mod 10**(11-e)
+    dot_div = np.where(fixed & (e >= 0), scale, 1e11)
+    return _as_words(text).ravel(), scale, dot_div, 2 * np.clip(e + 5, 0, 17)
+
+
+_DIGITS = _digit_words()
+_OVERLAY = _overlay_words()
+_SUFFIX, _SCALE, _DOT_DIV, _CLASS2 = _exponent_tables()
+
+
+def _field_words(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the ``%.12g`` text of the floats ``x`` into ``out`` (n, 5); returns
+    the mask of the values written, the ones certified to round as ``%`` does.
+
+    With e = floor(log10|x|), y = |x| * 10**(11-e) lies in [1e11, 1e12); the
+    rounded scale and the product put y within 2**-12 of the exact scaled value,
+    since y < 2**40. Where y is farther than 2**-11 from a half-integer, rint(y)
+    is the correctly rounded 12-digit mantissa. Zeros are written too. The rest
+    (ties, NaN, inf, values below 1e-296 and mantissas that round up to 10**12)
+    are left to ``%``.
+    """
+    with np.errstate(all="ignore"):
+        a = np.abs(x)
+        lg = np.log10(a)
+        # j = e - _EXP_LO: positive, so that the cast truncates to the floor;
+        # NaN, inf, zero and the values below 1e-296 get some exponent in
+        # [-296, 308] here and fail the certificate
+        lg -= _EXP_LO
+        np.fmax(lg, -296.0 - _EXP_LO, out=lg)
+        j = np.fmin(lg, 308.0 - _EXP_LO, out=lg).astype(np.intp)
+        y = a * _SCALE[j]
+        off = np.flatnonzero((y >= 1e12) | (y < 1e11))  # log10 near a power of ten
+        if off.size:
+            j[off] += np.where(y[off] >= 1e12, 1, -1)
+            y[off] = a[off] * _SCALE[j[off]]
+        r = np.rint(y)
+        certified = (np.abs(y - r) < 0.5 - 2.0**-11) & (r >= 1e11) & (r < 1e12)
+        # a zero keeps r = 0, whose digit words are all NUL, and takes the
+        # exponent 0, whose overlay restores the one digit: "0" or "-0"
+        zero = a == 0.0
+        certified |= zero
+        np.copyto(j, -_EXP_LO, where=zero)
+        np.copyto(r, 1e11, where=~certified)
+        scaled = r / _DOT_DIV[j]
+    overlay = np.signbit(x) * 36 + _CLASS2[j] + (scaled != np.floor(scaled))
+    rh = r + 0.5  # the fractions of rh/1e8 and rh/1e4 lie far from the integers
+    hi = np.floor(rh * 1e-8)
+    q = np.floor(rh * 1e-4)
+    mid = q - 1e4 * hi
+    lo = r - 1e4 * q
+    lo_zero = lo == 0.0
+    # strip the trailing zeros: always in the low group, in the middle one if
+    # the low group is all zeros, in the high one if both are
+    hi += (lo_zero & (mid == 0.0)) * 1e4
+    mid += lo_zero * 1e4
+    lo += 1e4
+    out[:, 0] = _OVERLAY[0][overlay]
+    for w, group in enumerate((hi, mid, lo), 1):
+        out[:, w] = _DIGITS[group.astype(np.intp)] | _OVERLAY[w][overlay]
+    out[:, 4] = _SUFFIX[j]
+    return certified
+
+
+def _csv_columns(header: str, row_format: str, columns) -> str:
+    """``_csv(header, row_format, zip(*columns))`` for numpy columns, built column-wise.
+
+    Each comma-separated field of ``row_format`` is ``%.12g`` (a float column) or
+    ``%d`` (an integer or bool column). The text is that of ``_csv`` byte for
+    byte: the values that ``_field_words`` does not certify are %-formatted one
+    by one.
+    """
+    kinds = row_format.split(",")
+    if not set(kinds) <= {"%.12g", "%d"}:
+        raise ValueError(f"fields must be %.12g or %d, got {row_format!r}")
+    integers = [i for i, kind in enumerate(kinds) if kind == "%d"]
+    n_fields = len(kinds)
+    terminator = np.full(n_fields, ord(","), _WORD)
+    terminator[-1] = ord("\n")
+    terminator <<= np.uint64(56)
+    n_rows = len(columns[0])
+    step = max(1, _CHUNK_FIELDS // n_fields)
+    parts = [(header + "\n").encode("ascii")]
+    for start in range(0, n_rows, step):
+        block = np.stack([col[start:start + step] for col in columns], axis=1, dtype=float)
+        words = np.empty(block.shape + (5,), _WORD)
+        written = _field_words(block.ravel(), words.reshape(-1, 5)).reshape(block.shape)
+        for i in integers:  # %.12g of an integer below 10**12 is its %d text
+            written[:, i] &= np.abs(block[:, i]) < 1e12
+        rest = np.flatnonzero(~written)
+        if rest.size:
+            row, field = np.divmod(rest, n_fields)
+            exact = [kinds[i] % columns[i][start + r].item()
+                     for r, i in zip(row.tolist(), field.tolist())]
+            words.view(np.uint8).reshape(block.shape + (40,))[row, field, :39] = \
+                np.array(exact, dtype="S39").view(np.uint8).reshape(-1, 39)
+        words[:, :, 4] |= terminator
+        parts.append(words.tobytes().translate(None, b"\0"))
+    return b"".join(parts).decode("ascii")
 
 
 def _scalar_education(scenario: Scenario, override: float | None) -> float:
@@ -132,10 +315,10 @@ def cmd_simulate(scenario: Scenario, E: float | None, out: str | None) -> int:
     columns = (path.t, path.p, path.s_q, path.a_h, path.a_l,
                path.c_l, path.c_h, path.share_h, path.utility, path.interior)
     _write_text(
-        _csv(
+        _csv_columns(
             "t,p,s_Q,a_H,a_L,c_L,c_H,share_H,utility,interior_flag",
             "%d" + ",%.12g" * 8 + ",%d",
-            zip(*[col.tolist() for col in columns]),
+            columns,
         ),
         out,
     )
@@ -169,10 +352,10 @@ def cmd_statics(scenario: Scenario, E: float | None, out: str | None) -> int:
     columns = (incomes, demand.c_L, demand.c_H, demand.share_H, share_l,
                eta_h, eta_l, demand.interior)
     _write_text(
-        _csv(
+        _csv_columns(
             "Y,c_L,c_H,share_H,share_L,eta_H,eta_L,interior_flag",
             ",".join(["%.12g"] * 7) + ",%d",
-            zip(*[col.tolist() for col in columns]),
+            columns,
         ),
         out,
     )
@@ -190,10 +373,10 @@ def cmd_planner_foc(scenario: Scenario, out: str | None) -> int:
     columns = (report.t, report.preference_term, report.spillover_term,
                report.shadow_cost, report.wedge, report.lambda_t, report.eta_t)
     _write_text(
-        _csv(
+        _csv_columns(
             "t,preference_term,spillover_term,shadow_cost,wedge,lambda,eta",
             "%d" + ",%.12g" * 6,
-            zip(*[col.tolist() for col in columns]),
+            columns,
         ),
         out,
     )

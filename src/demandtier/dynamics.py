@@ -226,11 +226,17 @@ def growth_factors(
     outside = np.logical_not((0.0 <= s) & (s <= 1.0))
     if np.count_nonzero(outside):
         raise ShareOutOfRange(f"share must be in [0, 1], got {_first(s, outside)}")
-    nu, phi1, phi2, chi1, chi2 = spec.coefficients
+    _, _, _, chi1, chi2 = spec.coefficients
     u = 1.0 - s
-    g_h = 1.0 + nu * E + phi1 * s - phi2 * _libm(pow, s, 3.0)
     g_l = 1.0 + chi1 * u - chi2 * _libm(pow, u, 3.0)
-    return GrowthFactors(g_H=g_h, g_L=g_l)
+    return GrowthFactors(g_H=growth_H(spec, s, E), g_L=g_l)
+
+
+def growth_H(spec: LearningSpec, s: float | np.ndarray, E: float | np.ndarray):
+    """High-tier growth factor g_H(s, E) = 1 + nu*E + phi1*s - phi2*s^3, for a
+    share s in [0, 1] (``growth_factors`` checks it)."""
+    nu, phi1, phi2, _, _ = spec.coefficients
+    return 1.0 + nu * E + phi1 * s - phi2 * _libm(pow, s, 3.0)
 
 
 def growth_slope_H(spec: LearningSpec, s: float | np.ndarray):

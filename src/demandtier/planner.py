@@ -33,7 +33,7 @@ from .demand import (
     demand_arrays,
     gammaL_slope_of,
 )
-from .dynamics import LearningSpec, TimePath, excess_share_slope_E, growth_factors, growth_slope_H
+from .dynamics import LearningSpec, TimePath, excess_share_slope_E, growth_H, growth_slope_H
 from .errors import ConfigError, InvalidHorizon, _require_int
 
 
@@ -127,7 +127,7 @@ def evaluate_foc(
 
     # costate recursion backward from eta = 0 at the horizon, on Python floats
     push = (lam[1:] * p[1:] * demand.c_H[1:] / a_h[1:]).tolist()
-    carry = (growth_factors(spec, s, e).g_H + gh_s * s * (1.0 - s))[1:].tolist()
+    carry = (growth_H(spec, s, e) + gh_s * s * (1.0 - s))[1:].tolist()
     eta_list = [0.0] * horizon
     for t in range(horizon - 2, -1, -1):
         eta_list[t] = cfg.beta * (push[t] + eta_list[t + 1] * carry[t])

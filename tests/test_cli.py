@@ -9,10 +9,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from check_format import FAMILIES, integers, mismatches, samples
 from conftest import DATA_DIR, load_goldens
 from demandtier import cli
-from demandtier.cli import _csv
+from demandtier.cli import _csv, _csv_columns, _field_words
 
 GOLDEN = load_goldens()
 
@@ -40,12 +43,66 @@ class TestCsvWriter:
     def test_special_values_print_as_format_12g(self):
         values = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e308,
                   0.1, 1.0 / 3.0, 123456789012345.0, np.float64(2.0) / 3.0]
-        text = _csv("i,x,label", "%d,%.12g,%s", [(i, v, "ok") for i, v in enumerate(values)])
-        expected = "".join(f"{i},{format(float(v), '.12g')},ok\n" for i, v in enumerate(values))
-        assert text == "i,x,label\n" + expected
+        text = _csv_columns("i,x", "%d,%.12g", [np.arange(len(values)), np.array(values)])
+        expected = "".join(f"{i},{format(float(v), '.12g')}\n" for i, v in enumerate(values))
+        assert text == "i,x\n" + expected
 
     def test_no_rows_is_header_only(self):
         assert _csv("a,b", "%.12g,%.12g", []) == "a,b\n"
+
+
+# the values where %.12g changes notation, digit count or rounding direction
+EDGE_FLOATS = [
+    math.nan, math.inf, 0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    1e-4, 9.99999999999949e-5, 999999999999.5, 1e12, 1e16, 123456789012.5,
+]
+EDGE_INTS = [0, 1, 10**12 - 1, 10**12, 2**63 - 1]
+INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
+
+def assert_same_as_percent(ints, floats):
+    assert mismatches(np.array(ints, dtype=np.int64), np.array(floats, dtype=float)) == []
+
+
+class TestColumnCsv:
+    """``_csv_columns`` writes the bytes of ``_csv``: '%d' and '%.12g' per value."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(INT64, st.floats()), max_size=40))
+    def test_any_int64_and_float_as_percent(self, rows):
+        assert_same_as_percent([i for i, _ in rows], [x for _, x in rows])
+
+    def test_edge_values_as_percent(self):
+        floats = EDGE_FLOATS + [-x for x in EDGE_FLOATS]
+        ints = EDGE_INTS + [-i for i in EDGE_INTS] + [-(2**63)]
+        assert_same_as_percent(range(len(floats)), floats)
+        assert_same_as_percent(ints, [1.0] * len(ints))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_sampled_families_as_percent(self, family):
+        rng = np.random.default_rng(14)
+        assert_same_as_percent(integers(4000, rng), samples(family, 4000, rng))
+
+    def test_zero_rows_is_header_only(self):
+        empty = np.array([])
+        assert _csv_columns("t,x,flag", "%d,%.12g,%d", [empty, empty, empty]) == "t,x,flag\n"
+
+    def test_bool_and_integer_columns_print_as_d(self):
+        flags = np.array([True, False, True])
+        text = _csv_columns("t,x,flag", "%d,%.12g,%d", [np.arange(3), np.ones(3), flags])
+        assert text == "t,x,flag\n0,1,1\n1,1,0\n2,1,1\n"
+
+    def test_only_uncertain_values_are_left_to_percent(self):
+        # ties, NaN, inf and values below 1e-296 are %-formatted; zeros and
+        # ordinary values, of any magnitude, are written by the scaled path
+        left = np.array([123456789012.5, math.nan, -math.inf, 5e-324, 1e-300])
+        written = np.array([0.0, -0.0, 1.0, -2.5e-268, 3.7e268, 1e-296, 0.1])
+        assert not _field_words(left, np.empty((left.size, 5), np.uint64)).any()
+        assert _field_words(written, np.empty((written.size, 5), np.uint64)).all()
+
+    def test_rejects_other_fields(self):
+        with pytest.raises(ValueError, match="%s"):
+            _csv_columns("a", "%s", [np.ones(2)])
 
 
 CLI_GOLDENS = DATA_DIR / "cli"
