@@ -92,7 +92,8 @@ def _digit_words() -> np.ndarray:
 
 def _overlay_words() -> np.ndarray:
     """Prefix word and the three digit-word overlays, indexed by
-    36*sign + 2*class + dot, one row per word.
+    36*sign + 2*class + dot, one row per word; rows 72, 73 and 74 write
+    "nan", "inf" and "-inf" over digit words that are all NUL.
 
     Class c in 1..16 is the fixed notation of exponent c - 5; classes 0 and 17
     are the e-notation, whose point follows the first digit. From exponent 0
@@ -102,20 +103,23 @@ def _overlay_words() -> np.ndarray:
     """
     # bytes 0-7 are the prefix word; digit i sits at byte 9 + 2i and the
     # point after it at byte 10 + 2i
-    text = np.zeros((2, 18, 2, 32), np.uint8)
-    text[1, :, :, 0] = ord("-")
+    text = np.zeros((75, 32), np.uint8)
+    rows = text[:72].reshape(2, 18, 2, 32)
+    rows[1, :, :, 0] = ord("-")
     for c in range(18):
         e = c - 5
         if -4 <= e < 0:
-            text[:, c, :, 1:3] = (ord("0"), ord("."))
-            text[:, c, :, 3:2 - e] = ord("0")
+            rows[:, c, :, 1:3] = (ord("0"), ord("."))
+            rows[:, c, :, 3:2 - e] = ord("0")
         elif 0 <= e < 12:
-            text[:, c, :, 9:11 + 2 * e:2] = ord("0")
+            rows[:, c, :, 9:11 + 2 * e:2] = ord("0")
             if e < 11:
-                text[:, c, 1, 10 + 2 * e] = ord(".")
+                rows[:, c, 1, 10 + 2 * e] = ord(".")
         else:
-            text[:, c, 1, 10] = ord(".")
-    return _as_words(text.reshape(72, 32)).T.copy()
+            rows[:, c, 1, 10] = ord(".")
+    for row, word in enumerate((b"nan", b"inf", b"-inf"), 72):
+        text[row, :len(word)] = list(word)
+    return _as_words(text).T.copy()
 
 
 def _exponent_tables():
@@ -154,15 +158,16 @@ def _field_words(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     With e = floor(log10|x|), y = |x| * 10**(11-e) lies in [1e11, 1e12); the
     rounded scale and the product put y within 2**-12 of the exact scaled value,
     since y < 2**40. Where y is farther than 2**-11 from a half-integer, rint(y)
-    is the correctly rounded 12-digit mantissa. Zeros are written too. The rest
-    (ties, NaN, inf, values below 1e-296 and mantissas that round up to 10**12)
+    is the correctly rounded 12-digit mantissa. Zeros, NaN and infinities,
+    whose texts are fixed, are written too. The rest (values at or next to a
+    rounding tie, values below 1e-296 and mantissas that round up to 10**12)
     are left to ``%``.
     """
     with np.errstate(all="ignore"):
         a = np.abs(x)
         lg = np.log10(a)
         # j = e - _EXP_LO: positive, so that the cast truncates to the floor;
-        # NaN, inf, zero and the values below 1e-296 get some exponent in
+        # zero, NaN, inf and the values below 1e-296 get some exponent in
         # [-296, 308] here and fail the certificate
         lg -= _EXP_LO
         np.fmax(lg, -296.0 - _EXP_LO, out=lg)
@@ -174,14 +179,19 @@ def _field_words(x: np.ndarray, out: np.ndarray) -> np.ndarray:
             y[off] = a[off] * _SCALE[j[off]]
         r = np.rint(y)
         certified = (np.abs(y - r) < 0.5 - 2.0**-11) & (r >= 1e11) & (r < 1e12)
-        # a zero keeps r = 0, whose digit words are all NUL, and takes the
-        # exponent 0, whose overlay restores the one digit: "0" or "-0"
-        zero = a == 0.0
-        certified |= zero
-        np.copyto(j, -_EXP_LO, where=zero)
         np.copyto(r, 1e11, where=~certified)
+        # zero, NaN and inf take r = 0, whose digit words are all NUL, and the
+        # exponent 0, whose overlay restores the one digit of "0" and "-0"
+        special = np.flatnonzero(~((a > 0.0) & (a < np.inf)))
+        certified[special] = True
+        r[special] = 0.0
+        j[special] = -_EXP_LO
         scaled = r / _DOT_DIV[j]
     overlay = np.signbit(x) * 36 + _CLASS2[j] + (scaled != np.floor(scaled))
+    if special.size:
+        v = x[special]
+        overlay[special] = np.where(np.isnan(v), 72,
+                                    np.where(np.isinf(v), 73 + (v < 0), overlay[special]))
     rh = r + 0.5  # the fractions of rh/1e8 and rh/1e4 lie far from the integers
     hi = np.floor(rh * 1e-8)
     q = np.floor(rh * 1e-4)

@@ -93,10 +93,11 @@ class TestColumnCsv:
         assert text == "t,x,flag\n0,1,1\n1,1,0\n2,1,1\n"
 
     def test_only_uncertain_values_are_left_to_percent(self):
-        # ties, NaN, inf and values below 1e-296 are %-formatted; zeros and
-        # ordinary values, of any magnitude, are written by the scaled path
-        left = np.array([123456789012.5, math.nan, -math.inf, 5e-324, 1e-300])
-        written = np.array([0.0, -0.0, 1.0, -2.5e-268, 3.7e268, 1e-296, 0.1])
+        # ties and values below 1e-296 are %-formatted; ordinary values of
+        # any magnitude, zeros, NaN and infinities are written column-wise
+        left = np.array([123456789012.5, -0.5000000000005, 5e-324, 1e-300])
+        written = np.array([0.0, -0.0, 1.0, -2.5e-268, 3.7e268, 1e-296, 0.1,
+                            math.nan, -math.nan, math.inf, -math.inf])
         assert not _field_words(left, np.empty((left.size, 5), np.uint64)).any()
         assert _field_words(written, np.empty((written.size, 5), np.uint64)).all()
 
