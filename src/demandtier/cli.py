@@ -4,7 +4,8 @@ Subcommands: fixed-points, bifurcation, simulate, statics, planner-foc.
 Standard output carries CSV; diagnostics go to standard error. Exit codes:
 0 success, 2 validation error, 3 numerical failure (a root that fails its
 residual bound, a flagged transition under --strict, a statics price_H so
-small that c_H overflows, or a g_H whose square overflows). Floats are
+small that c_H overflows, a g_H whose square overflows, or a planner-foc term
+that is not finite). Floats are
 printed with 12 significant digits (``%.12g``, the same text as
 ``format(x, '.12g')``) so identical scenarios yield byte-identical files.
 
@@ -30,12 +31,10 @@ import numpy as np
 
 from . import __version__
 from .bifurcation import sweep
-from .demand import HouseholdBudget, alpha_of, demand_arrays, solve_demand
+from .demand import elasticity_arrays
 from .dynamics import TechnologyState, simulate_path
-from .errors import (
-    ConfigError, DemandTierError, NoConvergence, NonInteriorBudget, NumericalOverflow,
-)
-from .planner import evaluate_foc
+from .errors import ConfigError, DemandTierError, NoConvergence, NumericalOverflow
+from .planner import FOC_COLUMNS, evaluate_foc
 from .scenario import Scenario, default_scenario, dump_scenario, load_scenario
 from .solver import STABILITY_ORDER, find_fixed_points
 
@@ -337,30 +336,23 @@ def cmd_simulate(scenario: Scenario, E: float | None, out: str | None) -> int:
 
 def cmd_statics(scenario: Scenario, E: float | None, out: str | None) -> int:
     st = scenario.statics
-    if scenario.preferences.gamma_H != 0.0:
-        raise ConfigError("statics requires gamma_H = 0 (income elasticities)")
     e_val = E if E is not None else st.E
     incomes = np.linspace(st.y_min, st.y_max, st.y_points)
     # c_H = alpha*B/price_H rises with Y, so it overflows on some row only if
-    # it does on the last one, which the scalar form computes without a warning
+    # it does on the last one, which is solved first with numpy's warning off;
+    # through elasticity_arrays, so that gamma_H != 0 still exits 2 first
     y_top = incomes[-1].item()
-    try:
-        top = solve_demand(scenario.preferences, HouseholdBudget(y_top, st.price_H), e_val)
-    except NonInteriorBudget:  # B <= 0 on every row, so no row divides by price_H
-        top = None
-    if top is not None and math.isinf(top.c_H):
+    with np.errstate(over="ignore"):
+        top, _ = elasticity_arrays(scenario.preferences, y_top, st.price_H, e_val)
+    if math.isinf(top.c_H[0]):  # NaN when B <= 0: no row divides by price_H
         raise NumericalOverflow(
             f"key 'price_H' in section 'statics' is too small: c_H overflows at "
             f"Y={y_top:.12g}, got price_H={st.price_H!r}"
         )
-    # income elasticities as in income_elasticities: eta_H = Y/B and
-    # eta_L = (1-alpha)/share_L; every column is NaN on non-interior rows
-    demand = demand_arrays(scenario.preferences, incomes, st.price_H, e_val)
-    share_l = 1.0 - demand.share_H
-    eta_h = incomes / demand.supernumerary
-    eta_l = (1.0 - alpha_of(scenario.preferences, e_val)) / share_l
-    columns = (incomes, demand.c_L, demand.c_H, demand.share_H, share_l,
-               eta_h, eta_l, demand.interior)
+    # every column is NaN on non-interior rows
+    demand, eta = elasticity_arrays(scenario.preferences, incomes, st.price_H, e_val)
+    columns = (incomes, demand.c_L, demand.c_H, demand.share_H, 1.0 - demand.share_H,
+               eta.eta_H, eta.eta_L, demand.interior)
     _write_text(
         _csv_columns(
             "Y,c_L,c_H,share_H,share_L,eta_H,eta_L,interior_flag",
@@ -384,7 +376,7 @@ def cmd_planner_foc(scenario: Scenario, out: str | None) -> int:
                report.shadow_cost, report.wedge, report.lambda_t, report.eta_t)
     _write_text(
         _csv_columns(
-            "t,preference_term,spillover_term,shadow_cost,wedge,lambda,eta",
+            ",".join(("t", *FOC_COLUMNS)),
             "%d" + ",%.12g" * 6,
             columns,
         ),

@@ -101,8 +101,10 @@ class DemandArrays(NamedTuple):
 
 
 class IncomeElasticities(NamedTuple):
-    eta_H: float
-    eta_L: float
+    """Floats from ``income_elasticities``, columns from ``elasticity_arrays``."""
+
+    eta_H: float | np.ndarray
+    eta_L: float | np.ndarray
 
 
 class ShareSlope(NamedTuple):
@@ -164,11 +166,6 @@ def gammaL_slope_of(sched: PreferenceSchedule, E: float | np.ndarray):
     return -sched.gammaL_decay * gammaL_of(sched, E)
 
 
-def supernumerary_income(sched: PreferenceSchedule, budget: HouseholdBudget, E: float) -> float:
-    """Income left after subsistence purchases at current prices."""
-    return budget.income - budget.price_L * gammaL_of(sched, E) - budget.price_H * sched.gamma_H
-
-
 def stone_geary_utility(sched: PreferenceSchedule, E: float, c_L: float, c_H: float) -> float:
     """Utility of an arbitrary feasible bundle; zero on the subsistence boundary."""
     ex_L = c_L - gammaL_of(sched, E)
@@ -179,56 +176,57 @@ def stone_geary_utility(sched: PreferenceSchedule, E: float, c_L: float, c_H: fl
     return ex_L ** (1.0 - a) * ex_H ** a
 
 
+def _in_units_of_L(budget: HouseholdBudget) -> tuple[float, float]:
+    """Income and price_H over price_L: demand is homogeneous of degree zero in
+    income and prices, so a budget is solved at price_L = 1, where this is exact."""
+    return budget.income / budget.price_L, budget.price_H / budget.price_L
+
+
 def solve_demand(sched: PreferenceSchedule, budget: HouseholdBudget, E: float) -> DemandSolution:
-    """Interior Marshallian demands, budget shares, and utility.
+    """Interior Marshallian demands, budget shares, and utility: one row of
+    ``demand_arrays``, solved in units of the low-tier good.
 
-    Each good gets its subsistence quantity plus a fixed fraction of the
-    supernumerary income B: the high-tier good receives ``alpha(E)*B`` and the
-    low-tier good the rest. Raises NonInteriorBudget when B <= 0, i.e. the
-    household cannot afford subsistence at current prices.
+    B, solved in those units, is multiplied back by price_L. Raises
+    NonInteriorBudget when B <= 0, i.e. the household cannot afford
+    subsistence at current prices; the message states B in units of the
+    low-tier good.
     """
-    a = alpha_of(sched, E)
-    g_L = gammaL_of(sched, E)
-    b = budget.income - budget.price_L * g_L - budget.price_H * sched.gamma_H
-    if b <= 0.0:
-        raise NonInteriorBudget(
-            f"supernumerary income must be > 0 for an interior optimum, got B={b}"
-        )
-    ex_L = (1.0 - a) * b / budget.price_L
-    ex_H = a * b / budget.price_H
-    c_L = g_L + ex_L
-    c_H = sched.gamma_H + ex_H
-    share_H = budget.price_H * c_H / budget.income
-    share_L = 1.0 - share_H
-    utility = ex_L ** (1.0 - a) * ex_H ** a
-    return DemandSolution(
-        c_L=c_L,
-        c_H=c_H,
-        supernumerary=b,
-        share_H=share_H,
-        share_L=share_L,
-        utility=utility,
-    )
+    row = demand_arrays(sched, *_in_units_of_L(budget), E, require_interior=True)
+    c_L, c_H, b, share_H, utility = (col.item() for col in row[:5])
+    return DemandSolution(c_L, c_H, b * budget.price_L, share_H, 1.0 - share_H, utility)
 
 
-def income_elasticities(
-    sched: PreferenceSchedule, budget: HouseholdBudget, E: float
-) -> IncomeElasticities:
-    """Income elasticities of the two goods under the gamma_H = 0 normalization.
+def elasticity_arrays(
+    sched: PreferenceSchedule,
+    income: np.ndarray | float,
+    price_H: np.ndarray | float,
+    E: np.ndarray | float,
+    require_interior: bool = False,
+) -> tuple[DemandArrays, IncomeElasticities]:
+    """``demand_arrays`` rows and the income elasticities of both goods on
+    each, under the gamma_H = 0 normalization.
 
     eta_H = income/B = alpha/share_H and eta_L = (1-alpha)/share_L. Whenever
     gamma_L(E) > 0 the high-tier good is a luxury (eta_H > 1) and the low-tier
-    good a necessity (eta_L < 1).
+    good a necessity (eta_L < 1). Both are NaN on non-interior rows.
     """
     if sched.gamma_H != 0.0:
         raise ConfigError(
             f"income elasticities are derived under gamma_H = 0, got gamma_H={sched.gamma_H}"
         )
-    sol = solve_demand(sched, budget, E)
-    a = alpha_of(sched, E)
-    eta_H = budget.income / sol.supernumerary
-    eta_L = (1.0 - a) / sol.share_L
-    return IncomeElasticities(eta_H=eta_H, eta_L=eta_L)
+    demand = demand_arrays(sched, income, price_H, E, require_interior)
+    eta_H = income / demand.supernumerary
+    eta_L = (1.0 - alpha_of(sched, E)) / (1.0 - demand.share_H)
+    return demand, IncomeElasticities(eta_H=eta_H, eta_L=eta_L)
+
+
+def income_elasticities(
+    sched: PreferenceSchedule, budget: HouseholdBudget, E: float
+) -> IncomeElasticities:
+    """Income elasticities of the two goods at one budget: one row of
+    ``elasticity_arrays``, solved in units of the low-tier good."""
+    _, eta = elasticity_arrays(sched, *_in_units_of_L(budget), E, require_interior=True)
+    return IncomeElasticities(eta_H=eta.eta_H.item(), eta_L=eta.eta_L.item())
 
 
 def demand_arrays(
@@ -238,22 +236,22 @@ def demand_arrays(
     E: np.ndarray | float,
     require_interior: bool = False,
 ) -> DemandArrays:
-    """``solve_demand`` over arrays of incomes, prices and education levels.
+    """Marshallian demand over arrays of incomes, prices and education levels.
 
-    The three inputs broadcast against each other and price_L is 1. Row i
-    holds what ``solve_demand(sched, HouseholdBudget(income[i], price_H[i]),
-    E[i])`` returns, except that ``utility`` may differ in the last bit
-    (``np.power`` in place of libm ``pow``). A row whose supernumerary income
-    B is <= 0 is flagged non-interior and its columns are NaN; with
-    ``require_interior`` the first such row raises NonInteriorBudget instead.
-    ``interior`` is ``not (B <= 0)``, so a NaN B stays interior, as in the
-    scalar form. An invalid row raises the scalar form's ConfigError for the
-    first such row.
+    The three inputs broadcast against each other, and price_L is 1; scalars
+    alone give one row. Each good gets its subsistence quantity plus a fixed
+    fraction of the supernumerary income B = income - gamma_L(E) -
+    price_H*gamma_H: the high-tier good receives ``alpha(E)*B`` and the
+    low-tier good the rest. A row whose B is <= 0 is flagged non-interior and
+    its columns are NaN; with ``require_interior`` the first such row raises
+    NonInteriorBudget instead. ``interior`` is ``not (B <= 0)``, so a NaN B
+    stays interior. The first invalid row raises the ConfigError of
+    ``HouseholdBudget`` or ``gammaL_of``.
     """
+    # at least one dimension: 0-d arithmetic would decay to numpy scalars,
+    # which the schedule formulas return as Python floats
     y, p, e = np.broadcast_arrays(
-        np.asarray(income, dtype=float),
-        np.asarray(price_H, dtype=float),
-        np.asarray(E, dtype=float),
+        *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (income, price_H, E))
     )
     invalid = (y <= 0.0) | (p <= 0.0) | (e < 0.0)
     if invalid.any():
@@ -263,8 +261,8 @@ def demand_arrays(
         gammaL_of(sched, float(e.flat[i]))
     a = alpha_of(sched, e)
     g_L = gammaL_of(sched, e)
-    # as in the scalar form's Python float arithmetic, an infinite price times
-    # gamma_H = 0 gives a NaN B without a warning, and that row stays interior
+    # an infinite price times gamma_H = 0 gives a NaN B without a warning, and
+    # that row stays interior
     with np.errstate(invalid="ignore"):
         b = y - g_L - p * sched.gamma_H
     interior = ~(b <= 0.0)
@@ -278,14 +276,9 @@ def demand_arrays(
     ex_L = (1.0 - a) * b
     ex_H = a * b / p
     c_H = sched.gamma_H + ex_H
-    columns = (g_L + ex_L, c_H, b, p * c_H / y, ex_L ** (1.0 - a) * ex_H ** a)
-    return DemandArrays(*(_scatter(col, interior) for col in columns), interior=interior)
-
-
-def _scatter(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    out = np.full(mask.shape, np.nan)
-    out[mask] = values
-    return out
+    out = np.full((5, *interior.shape), np.nan)
+    out[:, interior] = (g_L + ex_L, c_H, b, p * c_H / y, ex_L ** (1.0 - a) * ex_H ** a)
+    return DemandArrays(*out, interior=interior)
 
 
 def dshare_H_dE(sched: PreferenceSchedule, budget: HouseholdBudget, E: float) -> ShareSlope:
@@ -294,13 +287,10 @@ def dshare_H_dE(sched: PreferenceSchedule, budget: HouseholdBudget, E: float) ->
     Combines the preference channel alpha'(E)*B/Y with the subsistence channel
     -(alpha/Y)*price_L*gamma_L'(E); strictly positive whenever either channel
     is active. Inside clipped regions of the weight schedule the preference
-    channel uses the one-sided derivative 0 and the result is flagged.
+    channel uses the one-sided derivative 0 and the result is flagged. Raises
+    solve_demand's NonInteriorBudget when B <= 0.
     """
-    b = supernumerary_income(sched, budget, E)
-    if b <= 0.0:
-        raise NonInteriorBudget(
-            f"supernumerary income must be > 0 for an interior optimum, got B={b}"
-        )
+    b = solve_demand(sched, budget, E).supernumerary
     a = alpha_of(sched, E)
     preference = alpha_slope_of(sched, E) * b / budget.income
     value = preference - (a / budget.income) * budget.price_L * gammaL_slope_of(sched, E)

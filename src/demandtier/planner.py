@@ -34,7 +34,11 @@ from .demand import (
     gammaL_slope_of,
 )
 from .dynamics import LearningSpec, TimePath, excess_share_slope_E, growth_H, growth_slope_H
-from .errors import ConfigError, InvalidHorizon, _require_int
+from .errors import ConfigError, InvalidHorizon, NumericalOverflow, _require_int
+
+
+# the CSV names of the FocReport columns after t, in order
+FOC_COLUMNS = ("preference_term", "spillover_term", "shadow_cost", "wedge", "lambda", "eta")
 
 
 @dataclass(frozen=True)
@@ -91,7 +95,8 @@ def evaluate_foc(
     Bundles are re-solved at the net income Y - kappa(E) so the resource
     constraint holds as the planner writes it; the low-tier productivity path
     is taken as exogenous data. Either learning variant; requires an interior
-    optimum every period.
+    optimum every period. Raises NumericalOverflow, naming the column and the
+    period, where a term is not finite.
     """
     horizon = cfg.horizon
     if len(path) < horizon:
@@ -136,6 +141,12 @@ def evaluate_foc(
     spill = eta * (gh_s * ds_de + spec.nu) * a_h
     shadow = lam * kappa_prime(cfg, e)
     wedge = pref + spill - shadow
+    table = np.column_stack((pref, spill, shadow, wedge, lam, eta))
+    bad = ~np.isfinite(table)
+    if bad.any():
+        t, k = divmod(int(np.argmax(bad)), len(FOC_COLUMNS))  # the first period, then column
+        raise NumericalOverflow(f"planner FOC column '{FOC_COLUMNS[k]}' is {table[t, k].item()!r}"
+                                f" at t={t}: the terms leave the float range along the path")
     return FocReport(
         t=np.arange(horizon),
         preference_term=pref,

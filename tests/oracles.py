@@ -46,6 +46,24 @@ def t_map(p, E, alpha_params=ALPHA_PARAMS, learn_params=CUBIC_PARAMS):
     return p * g_l / g_h
 
 
+def household(income, price_l, price_h, alpha, gamma_l_value, gamma_h=0.0):
+    """Stone-Geary demand from its first-order conditions, in plain floats.
+
+    Returns (B, c_L, c_H, share_H, utility, eta_H, eta_L), or None when the
+    supernumerary income B is not positive. The elasticities are
+    dc/dY * Y/c with dc_L/dY = (1-alpha)/price_L and dc_H/dY = alpha/price_H.
+    """
+    b = income - price_l * gamma_l_value - price_h * gamma_h
+    if b <= 0.0:
+        return None
+    c_l = gamma_l_value + (1.0 - alpha) * b / price_l
+    c_h = gamma_h + alpha * b / price_h
+    utility = (c_l - gamma_l_value) ** (1.0 - alpha) * (c_h - gamma_h) ** alpha
+    eta_h = alpha / price_h * income / c_h
+    eta_l = (1.0 - alpha) / price_l * income / c_l
+    return b, c_l, c_h, price_h * c_h / income, utility, eta_h, eta_l
+
+
 def central_diff(f, x, h):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 

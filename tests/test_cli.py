@@ -383,6 +383,17 @@ class TestStatics:
         assert all(abs(float(r[5]) - 1.0) < 1e-12 for r in rows)
         assert all(abs(float(r[6]) - 1.0) < 1e-12 for r in rows)
 
+    def test_gamma_h_nonzero_exits_2_naming_it(self, tmp_path):
+        # the elasticities are derived under gamma_H = 0
+        scenario = tmp_path / "gamma_h.json"
+        scenario.write_text(json.dumps({"preferences": {"gamma_H": 0.3}}))
+        cp = run_cli("statics", "--scenario", str(scenario))
+        assert cp.returncode == 2
+        assert cp.stderr == (
+            "error: income elasticities are derived under gamma_H = 0, got gamma_H=0.3\n"
+        )
+        assert cp.stdout == ""
+
     def test_non_finite_scenario_number_rejected(self, tmp_path):
         scenario = tmp_path / "inf.json"
         scenario.write_text('{"statics": {"y_max": Infinity, "y_points": 3}}')
@@ -571,6 +582,19 @@ class TestPlannerFoc:
         ]
         assert len(rows) == 3
         assert float(rows[-1][2]) == 0.0
+
+    def test_non_finite_term_exits_3_naming_column_and_period(self, tmp_path):
+        # chi = 1e300 drives a_L, and so p, past the float range by period 2;
+        # the costate carries the NaN back to t = 0
+        scenario = tmp_path / "huge_chi.json"
+        scenario.write_text(json.dumps({"learning": {"variant": "linear", "chi": 1e300}}))
+        cp = run_cli("planner-foc", "--scenario", str(scenario))
+        assert cp.returncode == 3
+        assert cp.stderr == (
+            "error: planner FOC column 'spillover_term' is nan at t=0: "
+            "the terms leave the float range along the path\n"
+        )
+        assert cp.stdout == ""
 
     def test_wedge_column_matches_oracle(self, linear_scenario):
         import oracles

@@ -15,7 +15,6 @@ from demandtier import (
     income_elasticities,
     solve_demand,
     stone_geary_utility,
-    supernumerary_income,
 )
 from demandtier.demand import alpha_is_clipped, alpha_slope_of, gammaL_slope_of
 from demandtier.errors import ConfigError, NonInteriorBudget
@@ -276,7 +275,50 @@ class TestDemandIdentities:
 def test_supernumerary_income(sched):
     budget = HouseholdBudget(income=10.0, price_H=2.0)
     expected = 10.0 - gammaL_of(sched, 0.3)
-    assert supernumerary_income(sched, budget, 0.3) == pytest.approx(expected, rel=1e-14)
+    assert solve_demand(sched, budget, 0.3).supernumerary == pytest.approx(expected, rel=1e-14)
+
+
+def _oracle(sched, budget, e):
+    """oracles.household at a budget, with alpha and gamma_L from the oracles too."""
+    alpha = oracles.clip_alpha(e, (sched.alpha_base, sched.alpha_slope,
+                                   sched.alpha_lo, sched.alpha_hi))
+    gamma_l = oracles.gamma_l(e, sched.gammaL_base, sched.gammaL_decay)
+    return oracles.household(budget.income, budget.price_L, budget.price_H, alpha,
+                             gamma_l, sched.gamma_H)
+
+
+class TestHouseholdOracle:
+    """The one demand formula against a straight derivation in plain floats,
+    on draws where price_L is not 1."""
+
+    N = 1000
+
+    def test_solve_demand(self):
+        for sched, budget, e in _random_cases(self.N, seed=404, gamma_h_zero=False):
+            sol = solve_demand(sched, budget, e)
+            b, c_l, c_h, share_h, utility, _, _ = _oracle(sched, budget, e)
+            got = (sol.supernumerary, sol.c_L, sol.c_H, sol.share_H, sol.utility)
+            assert got == pytest.approx((b, c_l, c_h, share_h, utility), rel=1e-12, abs=0.0)
+            assert sol.share_L == pytest.approx(1.0 - share_h, rel=1e-12, abs=0.0)
+
+    def test_demand_arrays(self):
+        # the array form is at price_L = 1: some draws' incomes then fall short
+        for sched, budget, e in _random_cases(self.N, seed=505, gamma_h_zero=False):
+            at_one = HouseholdBudget(income=budget.income, price_H=budget.price_H)
+            expected = _oracle(sched, at_one, e)
+            got = demand_arrays(sched, budget.income, budget.price_H, e)
+            assert got.interior.tolist() == [expected is not None]
+            row = [got.supernumerary[0], got.c_L[0], got.c_H[0], got.share_H[0], got.utility[0]]
+            if expected is None:
+                assert all(math.isnan(x) for x in row)
+                continue
+            assert row == pytest.approx(expected[:5], rel=1e-12, abs=0.0)
+
+    def test_income_elasticities(self):
+        for sched, budget, e in _random_cases(self.N, seed=606):
+            eta = income_elasticities(sched, budget, e)
+            *_, eta_h, eta_l = _oracle(sched, budget, e)
+            assert (eta.eta_H, eta.eta_L) == pytest.approx((eta_h, eta_l), rel=1e-12, abs=0.0)
 
 
 def _finite(lo, hi):
@@ -327,8 +369,9 @@ class TestDemandArrays:
                 assert all(math.isnan(col[i]) for col in got[:5])
                 continue
             assert got.interior[i]
-            # same libm exp and the same operation order: equal to the bit,
-            # except utility, whose power may round differently
+            # solve_demand is a one-row call, so this checks that a row in a
+            # batch is the row solved alone: equal to the bit, except utility,
+            # whose np.power may take another vector path in a batch
             assert got.c_L[i] == sol.c_L
             assert got.c_H[i] == sol.c_H
             assert got.supernumerary[i] == sol.supernumerary
@@ -351,6 +394,14 @@ class TestDemandArrays:
         assert math.isnan(sol.supernumerary)
         assert got.interior.tolist() == [True]
         assert all(math.isnan(col[0]) for col in got[:5])
+
+    @pytest.mark.parametrize("income", [10.0, 1.0])  # interior, and B <= 0
+    def test_all_scalar_inputs_give_the_one_element_row(self, sched, income):
+        got = demand_arrays(sched, income, 2.0, 0.3)
+        one = demand_arrays(sched, np.array([income]), np.array([2.0]), np.array([0.3]))
+        for col, expected in zip(got, one):
+            assert col.shape == (1,)
+            assert col.tobytes() == expected.tobytes()
 
     def test_first_invalid_row_gives_the_scalar_message(self, sched):
         with pytest.raises(ConfigError, match=r"^price_H must be > 0, got 0.0$"):

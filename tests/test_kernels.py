@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from demandtier import _kernels
+from demandtier import (
+    LearningSpec, LearningVariant, PreferenceSchedule, _kernels, alpha_of, growth_factors,
+)
 
 COEFFS = (0.6, 0.8, 1.0, 1.2, 1.5)
 ALPHA = 0.8144
@@ -33,6 +35,40 @@ def test_simulate_price_after_a_h_underflows(a_l0):
     assert np.any(a_h == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         assert np.array_equal(p, a_l / a_h, equal_nan=True)
+
+
+def test_simulated_levels_within_their_ulp_bound_of_growth_factors():
+    # the loop cubes by products and growth_factors by libm pow, so the levels
+    # are not bit-equal to growth_factors(s_t, E_t) * level_t. To first order,
+    # with u = 2**-53: the cubes differ by 4u of s^3 (two product roundings,
+    # pow within 1 ulp), phi2 times them by 2u more, the two g by 2u of g and
+    # the two levels by 2u of the level: (4 + 6*m)u of a level, with
+    # m = phi2*s^3/g_H (chi2*(1-s)^3/g_L for a_L), and u*|x| < spacing(x)
+    rng = np.random.default_rng(20261018)
+    for i in range(200):
+        sched = PreferenceSchedule(alpha_base=rng.uniform(0.3, 0.9),
+                                   alpha_slope=rng.uniform(0.0, 0.3))
+        if i % 2:
+            spec = LearningSpec.linear(*rng.uniform(0.1, 1.5, 3))
+        else:  # 1 + c1*x - c2*x^3 is least on [0, 1] at x = 1, so c2 < 1 + c1
+            nu, phi1, chi1 = rng.uniform(0.1, 1.5, 3)
+            spec = LearningSpec.cubic(nu, phi1, rng.uniform(0.0, 1.0) * (1.0 + phi1),
+                                      chi1, rng.uniform(0.0, 1.0) * (1.0 + chi1))
+        e = rng.uniform(0.0, 0.5, 60)
+        p, s, a_h, a_l = _kernels.simulate_arrays(
+            rng.uniform(0.5, 2.0), rng.uniform(0.5, 8.0), alpha_of(sched, e), e,
+            *spec.coefficients, 60)
+        assert np.array_equal(p, a_l / a_h)
+        _, _, phi2, _, chi2 = spec.coefficients
+        s, u = s[:-1], 1.0 - s[:-1]
+        g = growth_factors(spec, s, e[:-1])
+        for level, factor, m in ((a_h, g.g_H, phi2 * s**3 / g.g_H),
+                                 (a_l, g.g_L, chi2 * u**3 / g.g_L)):
+            exact = factor * level[:-1]
+            gap = np.abs(level[1:] - exact)
+            assert np.all(gap <= (4.0 + 6.0 * m) * np.spacing(exact))
+            if spec.variant is LearningVariant.LINEAR:
+                assert not gap.any()  # no cube: the same operations
 
 
 def test_bisect_finds_known_root():

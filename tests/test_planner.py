@@ -20,6 +20,7 @@ from demandtier.errors import (
     ConfigError,
     InvalidHorizon,
     NonInteriorBudget,
+    NumericalOverflow,
 )
 
 import oracles
@@ -151,6 +152,13 @@ class TestDiagnostics:
         with pytest.raises(ConfigError, match="education cost"):
             evaluate_foc(sched, linear, cfg, path)
 
+    def test_non_finite_term_raises_naming_column_and_period(self, sched, cfg):
+        huge_chi = LearningSpec.linear(nu=0.6, phi=0.8, chi=1e300)
+        path = simulate_path(sched, huge_chi, TechnologyState(a_H=1.0, a_L=5.0), 0.2, 10.0, 3)
+        assert np.isinf(path.p[2])
+        with pytest.raises(NumericalOverflow, match=r"^planner FOC column 'spillover_term' "
+                           r"is nan at t=0: "):
+            evaluate_foc(sched, huge_chi, cfg, path)
 
     @pytest.mark.parametrize(
         "incomes, error, t",
