@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-import numpy as np
-
+from ._np import np
 from .demand import PreferenceSchedule
 from .dynamics import (
     LearningSpec, excess_share, excess_share_slope_E, gap_coefficients, h_ratio,

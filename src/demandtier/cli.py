@@ -17,6 +17,8 @@ thresholds, tables of a few rows, are %-formatted row by row (``_csv``).
 
 ``main(argv)`` may be called repeatedly in one process (the benchmark and the
 tests do): the argument parser is built once, when this module is imported.
+Importing it loads neither numpy nor the CSV tables, which the first array operation
+loads: fixed-points, --dump-defaults, --version, --help and loader errors need none.
 """
 
 from __future__ import annotations
@@ -24,12 +26,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Iterable
 
-import numpy as np
-
 from . import __version__
+from ._np import np
 from .bifurcation import sweep
 from .demand import elasticity_arrays
 from .dynamics import TechnologyState, simulate_path
@@ -66,7 +68,7 @@ def _csv(header: str, row_format: str, rows: Iterable[tuple]) -> str:
 # decimal point), and a suffix word (the exponent of the e-notation) whose last
 # byte is the comma or newline. One bytes.translate then deletes every NUL.
 
-_WORD = np.dtype("<u8")
+_WORD = "<u8"
 # fields per chunk, so that the chunk's temporaries stay in the CPU cache
 _CHUNK_FIELDS = 8192
 # the decimal exponents the scaled path reaches: the clamp of log10 to
@@ -145,9 +147,9 @@ def _exponent_tables():
     return _as_words(text).ravel(), scale, dot_div, 2 * np.clip(e + 5, 0, 17)
 
 
-_DIGITS = _digit_words()
-_OVERLAY = _overlay_words()
-_SUFFIX, _SCALE, _DOT_DIV, _CLASS2 = _exponent_tables()
+@cache  # the digit, overlay and exponent tables, built by the first call
+def _tables():
+    return _digit_words(), _overlay_words(), *_exponent_tables()
 
 
 def _field_words(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -162,6 +164,7 @@ def _field_words(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     rounding tie, values below 1e-296 and mantissas that round up to 10**12)
     are left to ``%``.
     """
+    digits, overlays, suffixes, scales, dot_div, class2 = _tables()
     with np.errstate(all="ignore"):
         a = np.abs(x)
         lg = np.log10(a)
@@ -171,11 +174,11 @@ def _field_words(x: np.ndarray, out: np.ndarray) -> np.ndarray:
         lg -= _EXP_LO
         np.fmax(lg, -296.0 - _EXP_LO, out=lg)
         j = np.fmin(lg, 308.0 - _EXP_LO, out=lg).astype(np.intp)
-        y = a * _SCALE[j]
+        y = a * scales[j]
         off = np.flatnonzero((y >= 1e12) | (y < 1e11))  # log10 near a power of ten
         if off.size:
             j[off] += np.where(y[off] >= 1e12, 1, -1)
-            y[off] = a[off] * _SCALE[j[off]]
+            y[off] = a[off] * scales[j[off]]
         r = np.rint(y)
         certified = (np.abs(y - r) < 0.5 - 2.0**-11) & (r >= 1e11) & (r < 1e12)
         np.copyto(r, 1e11, where=~certified)
@@ -185,8 +188,8 @@ def _field_words(x: np.ndarray, out: np.ndarray) -> np.ndarray:
         certified[special] = True
         r[special] = 0.0
         j[special] = -_EXP_LO
-        scaled = r / _DOT_DIV[j]
-    overlay = np.signbit(x) * 36 + _CLASS2[j] + (scaled != np.floor(scaled))
+        scaled = r / dot_div[j]
+    overlay = np.signbit(x) * 36 + class2[j] + (scaled != np.floor(scaled))
     if special.size:
         v = x[special]
         overlay[special] = np.where(np.isnan(v), 72,
@@ -202,10 +205,10 @@ def _field_words(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     hi += (lo_zero & (mid == 0.0)) * 1e4
     mid += lo_zero * 1e4
     lo += 1e4
-    out[:, 0] = _OVERLAY[0][overlay]
+    out[:, 0] = overlays[0][overlay]
     for w, group in enumerate((hi, mid, lo), 1):
-        out[:, w] = _DIGITS[group.astype(np.intp)] | _OVERLAY[w][overlay]
-    out[:, 4] = _SUFFIX[j]
+        out[:, w] = digits[group.astype(np.intp)] | overlays[w][overlay]
+    out[:, 4] = suffixes[j]
     return certified
 
 
@@ -343,7 +346,7 @@ def cmd_statics(scenario: Scenario, E: float | None, out: str | None) -> int:
     # through elasticity_arrays, so that gamma_H != 0 still exits 2 first
     y_top = incomes[-1].item()
     with np.errstate(over="ignore"):
-        top, _ = elasticity_arrays(scenario.preferences, y_top, st.price_H, e_val)
+        top, _ = elasticity_arrays(scenario.preferences, incomes[-1:], st.price_H, e_val)
     if math.isinf(top.c_H[0]):  # NaN when B <= 0: no row divides by price_H
         raise NumericalOverflow(
             f"key 'price_H' in section 'statics' is too small: c_H overflows at "

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
-import numpy as np
-
+from ._np import _any, _first, _libm, _select, _xp, np
 from .errors import ConfigError, NonInteriorBudget
 
 
@@ -118,26 +116,11 @@ class ShareSlope(NamedTuple):
     alpha_clipped: bool
 
 
-def _libm(f, x, *args):
-    """``f(x, *args)``, elementwise and keeping the shape if x is an array. ``f`` is
-    a ``math``-module or builtin function of floats, so every value comes from
-    libm as a scalar's does; numpy's ``exp`` and ``power`` can miss it by a bit."""
-    if not isinstance(x, np.ndarray):
-        return f(x, *args)
-    values = map(f, x.ravel().tolist(), *map(repeat, args))
-    return np.fromiter(values, float, x.size).reshape(x.shape)
-
-
-def _first(values, where):
-    """The first entry of ``values``, a scalar or an array, where ``where`` holds."""
-    return np.asarray(values)[where].flat[0].item()
-
-
 def alpha_of(sched: PreferenceSchedule, E: float | np.ndarray):
     """High-tier utility weight at education level E (clipped affine)."""
     raw = sched.alpha_base + sched.alpha_slope * E
-    # fmin/fmax treat NaN as min(hi, max(lo, x)) does
-    alpha = np.fmin(sched.alpha_hi, np.fmax(sched.alpha_lo, raw))
+    xp = _xp(E)
+    alpha = xp.fmin(sched.alpha_hi, xp.fmax(sched.alpha_lo, raw))
     return alpha if isinstance(E, np.ndarray) else float(alpha)
 
 
@@ -149,14 +132,13 @@ def alpha_is_clipped(sched: PreferenceSchedule, E: float | np.ndarray):
 
 def alpha_slope_of(sched: PreferenceSchedule, E: float | np.ndarray):
     """d alpha/dE at E; zero inside clipped regions and at the kinks."""
-    slope = np.where(alpha_is_clipped(sched, E), 0.0, sched.alpha_slope)
-    return slope if isinstance(E, np.ndarray) else float(slope)
+    return _select(alpha_is_clipped(sched, E), 0.0, float(sched.alpha_slope))
 
 
 def gammaL_of(sched: PreferenceSchedule, E: float | np.ndarray):
     """Low-tier subsistence threshold at education level E, which must be >= 0."""
     negative = E < 0.0
-    if np.count_nonzero(negative):
+    if _any(negative):
         raise ConfigError(f"education level must be >= 0, got {_first(E, negative)}")
     return sched.gammaL_base * _libm(math.exp, -sched.gammaL_decay * E)
 
@@ -179,20 +161,19 @@ def stone_geary_utility(sched: PreferenceSchedule, E: float, c_L: float, c_H: fl
 def _in_units_of_L(budget: HouseholdBudget) -> tuple[float, float]:
     """Income and price_H over price_L: demand is homogeneous of degree zero in
     income and prices, so a budget is solved at price_L = 1, where this is exact."""
-    return budget.income / budget.price_L, budget.price_H / budget.price_L
+    return float(budget.income / budget.price_L), float(budget.price_H / budget.price_L)
 
 
 def solve_demand(sched: PreferenceSchedule, budget: HouseholdBudget, E: float) -> DemandSolution:
-    """Interior Marshallian demands, budget shares, and utility: one row of
-    ``demand_arrays``, solved in units of the low-tier good.
+    """Interior Marshallian demands, budget shares, and utility: the row of
+    ``demand_arrays``, solved on floats in units of the low-tier good.
 
     B, solved in those units, is multiplied back by price_L. Raises
     NonInteriorBudget when B <= 0, i.e. the household cannot afford
     subsistence at current prices; the message states B in units of the
     low-tier good.
     """
-    row = demand_arrays(sched, *_in_units_of_L(budget), E, require_interior=True)
-    c_L, c_H, b, share_H, utility = (col.item() for col in row[:5])
+    c_L, c_H, b, share_H, utility, _ = _demand(sched, *_in_units_of_L(budget), E, True)
     return DemandSolution(c_L, c_H, b * budget.price_L, share_H, 1.0 - share_H, utility)
 
 
@@ -204,7 +185,7 @@ def elasticity_arrays(
     require_interior: bool = False,
 ) -> tuple[DemandArrays, IncomeElasticities]:
     """``demand_arrays`` rows and the income elasticities of both goods on
-    each, under the gamma_H = 0 normalization.
+    each, under the gamma_H = 0 normalization; floats alone give floats.
 
     eta_H = income/B = alpha/share_H and eta_L = (1-alpha)/share_L. Whenever
     gamma_L(E) > 0 the high-tier good is a luxury (eta_H > 1) and the low-tier
@@ -214,7 +195,7 @@ def elasticity_arrays(
         raise ConfigError(
             f"income elasticities are derived under gamma_H = 0, got gamma_H={sched.gamma_H}"
         )
-    demand = demand_arrays(sched, income, price_H, E, require_interior)
+    demand = DemandArrays(*_demand(sched, income, price_H, E, require_interior))
     eta_H = income / demand.supernumerary
     eta_L = (1.0 - alpha_of(sched, E)) / (1.0 - demand.share_H)
     return demand, IncomeElasticities(eta_H=eta_H, eta_L=eta_L)
@@ -223,10 +204,9 @@ def elasticity_arrays(
 def income_elasticities(
     sched: PreferenceSchedule, budget: HouseholdBudget, E: float
 ) -> IncomeElasticities:
-    """Income elasticities of the two goods at one budget: one row of
-    ``elasticity_arrays``, solved in units of the low-tier good."""
-    _, eta = elasticity_arrays(sched, *_in_units_of_L(budget), E, require_interior=True)
-    return IncomeElasticities(eta_H=eta.eta_H.item(), eta_L=eta.eta_L.item())
+    """Income elasticities of the two goods at one budget: ``elasticity_arrays``
+    on floats, solved in units of the low-tier good."""
+    return elasticity_arrays(sched, *_in_units_of_L(budget), E, require_interior=True)[1]
 
 
 def demand_arrays(
@@ -248,37 +228,40 @@ def demand_arrays(
     stays interior. The first invalid row raises the ConfigError of
     ``HouseholdBudget`` or ``gammaL_of``.
     """
-    # at least one dimension: 0-d arithmetic would decay to numpy scalars,
-    # which the schedule formulas return as Python floats
-    y, p, e = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (income, price_H, E))
-    )
+    # at least one dimension, so that scalars alone give one row, not floats
+    rows = map(np.atleast_1d, (income, price_H, E))
+    return DemandArrays(*_demand(sched, *rows, require_interior))
+
+
+def _demand(sched: PreferenceSchedule, y, p, e, require_interior: bool) -> tuple:
+    """The columns of ``demand_arrays`` and ``interior``: the one household
+    formula. Floats alone give floats, without numpy."""
+    if any(isinstance(x, np.ndarray) for x in (y, p, e)):
+        y, p, e = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (y, p, e)))
     invalid = (y <= 0.0) | (p <= 0.0) | (e < 0.0)
-    if invalid.any():
-        i = int(np.argmax(invalid))
+    if _any(invalid):
         # the scalar checks, in the scalar order, raise the scalar message
-        HouseholdBudget(income=float(y.flat[i]), price_H=float(p.flat[i]))
-        gammaL_of(sched, float(e.flat[i]))
+        HouseholdBudget(income=_first(y, invalid), price_H=_first(p, invalid))
+        gammaL_of(sched, _first(e, invalid))
+    xp = _xp(invalid)
     a = alpha_of(sched, e)
     g_L = gammaL_of(sched, e)
     # an infinite price times gamma_H = 0 gives a NaN B without a warning, and
     # that row stays interior
-    with np.errstate(invalid="ignore"):
+    with xp.errstate(invalid="ignore"):
         b = y - g_L - p * sched.gamma_H
-    interior = ~(b <= 0.0)
-    if require_interior and not interior.all():
-        b_bad = b.flat[int(np.argmin(interior))]
+    short = b <= 0.0
+    if require_interior and _any(short):
         raise NonInteriorBudget(
-            f"supernumerary income must be > 0 for an interior optimum, got B={b_bad}"
+            f"supernumerary income must be > 0 for an interior optimum, got B={_first(b, short)}"
         )
-    # non-interior rows are dropped before any power is taken
-    a, b, p, y, g_L = a[interior], b[interior], p[interior], y[interior], g_L[interior]
+    # B <= 0 turns NaN, so that no power of a negative is taken and every
+    # column of that row is NaN
+    b = _select(short, math.nan, b)
     ex_L = (1.0 - a) * b
     ex_H = a * b / p
     c_H = sched.gamma_H + ex_H
-    out = np.full((5, *interior.shape), np.nan)
-    out[:, interior] = (g_L + ex_L, c_H, b, p * c_H / y, ex_L ** (1.0 - a) * ex_H ** a)
-    return DemandArrays(*out, interior=interior)
+    return g_L + ex_L, c_H, b, p * c_H / y, ex_L ** (1.0 - a) * ex_H ** a, xp.logical_not(short)
 
 
 def dshare_H_dE(sched: PreferenceSchedule, budget: HouseholdBudget, E: float) -> ShareSlope:

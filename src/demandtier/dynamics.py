@@ -19,17 +19,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from . import _kernels
-from .demand import (
-    PreferenceSchedule,
-    _first,
-    _libm,
-    alpha_of,
-    alpha_slope_of,
-    demand_arrays,
-)
+from ._np import _any, _first, _libm, _xp, np
+from .demand import PreferenceSchedule, alpha_of, alpha_slope_of, demand_arrays
 from .errors import (
     ConfigError,
     InvalidHorizon,
@@ -206,7 +198,7 @@ def excess_share(sched: PreferenceSchedule, E: float | np.ndarray, p: float | np
     Strictly decreasing in p, nondecreasing in E.
     """
     nonpositive = p <= 0.0
-    if np.count_nonzero(nonpositive):
+    if _any(nonpositive):
         raise InvalidPrice(f"relative price must be > 0, got {_first(p, nonpositive)}")
     a = alpha_of(sched, E)
     return a / (a + (1.0 - a) * p)
@@ -223,8 +215,8 @@ def growth_factors(
     spec: LearningSpec, s: float | np.ndarray, E: float | np.ndarray
 ) -> GrowthFactors:
     """Sectoral growth factors at share s and education E."""
-    outside = np.logical_not((0.0 <= s) & (s <= 1.0))
-    if np.count_nonzero(outside):
+    outside = _xp(s).logical_not((0.0 <= s) & (s <= 1.0))
+    if _any(outside):
         raise ShareOutOfRange(f"share must be in [0, 1], got {_first(s, outside)}")
     _, _, _, chi1, chi2 = spec.coefficients
     u = 1.0 - s
@@ -255,8 +247,8 @@ def h_ratio(spec: LearningSpec, s: float | np.ndarray, E: float | np.ndarray) ->
     try:
         gh_sq = _libm(pow, g_h, 2.0)
     except OverflowError:  # g_H >= 2**512, whose square leaves the float range
-        big, e = np.abs(g_h) >= 2.0**512, np.broadcast_to(E, np.shape(g_h))
-        raise NumericalOverflow(f"g_H = {_first(g_h, big)!r} at E = {_first(e, big)!r} is too "
+        big = abs(g_h) >= 2.0**512
+        raise NumericalOverflow(f"g_H = {_first(g_h, big)!r} at E = {_first(E, big)!r} is too "
                                 "large: its square, in dH/ds and dH/dE, overflows") from None
     value = g_l / g_h
     d_ds = (gl_s * g_h - g_l * gh_s) / gh_sq

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._np import np
 from .demand import (
     PreferenceSchedule,
     alpha_of,

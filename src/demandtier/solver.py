@@ -30,11 +30,9 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from types import SimpleNamespace
 from typing import NamedTuple
 
-import numpy as np
-
+from ._np import _select, _xp, np
 from .demand import PreferenceSchedule, alpha_of
 from .dynamics import LearningSpec, excess_share, gap_coefficients, h_ratio
 from .errors import ConfigError, NoConvergence, ShareOutOfRange
@@ -80,13 +78,6 @@ class FixedPoint:
 
 
 STABILITY_ORDER = tuple(Stability)  # stable, unstable, marginal
-
-
-def _select(cond, a, b):
-    """``a`` where ``cond`` holds, else ``b``: ``np.where`` on arrays, a branch on floats."""
-    if isinstance(cond, np.ndarray):
-        return np.where(cond, a, b)
-    return a if cond else b
 
 
 def _slope_and_class(s_star, dH_ds_at_star, marginal_tol):
@@ -135,8 +126,6 @@ class RootColumns(NamedTuple):
 
 _U = 2.0 ** -53  # unit roundoff
 _SCALE_LIMIT = 2.0 ** 16  # closed-form errors stay below 2**-36 in the share
-_MATH = SimpleNamespace(sqrt=math.sqrt, cbrt=math.cbrt, arccos=math.acos, cos=math.cos,
-                        copysign=math.copysign)
 
 
 def _real_roots(c3, c2, c1, c0, sizes):
@@ -151,7 +140,7 @@ def _real_roots(c3, c2, c1, c0, sizes):
     reach ``_SCALE_LIMIT``, where the trigonometric form's absolute error
     could carry a root in (0, 1) out of the price window unseen.
     """
-    xp = np if isinstance(c0, np.ndarray) else _MATH
+    xp = _xp(c0)
     s3, s2, s1, s0 = sizes
     nan = c0 * math.nan
     if c3 != 0.0:  # the trigonometric form for three real roots, else Cardano's
@@ -182,7 +171,7 @@ def _real_roots(c3, c2, c1, c0, sizes):
         roots = [_select(three, trig[0], one), _select(three, trig[1], nan),
                  _select(three, trig[2], nan)]
         scale = abs(shift) + 2.0 * math.sqrt(abs(p3)) + 2.0 * xp.cbrt(abs(half_q))
-        return roots, np.logical_not((abs(disc) > bound) & (scale < _SCALE_LIMIT))
+        return roots, xp.logical_not((abs(disc) > bound) & (scale < _SCALE_LIMIT))
     elif c2 != 0.0:
         disc = c1 * c1 - 4.0 * c2 * c0
         bound = 256.0 * _U * (s1 * s1 + 4.0 * s2 * s0)
@@ -193,7 +182,7 @@ def _real_roots(c3, c2, c1, c0, sizes):
     else:
         disc, bound = 1.0, 0.0
         roots = [-c0 / c1 if c1 != 0.0 else nan, nan, nan]
-    return roots, np.logical_not(abs(disc) > bound)
+    return roots, xp.logical_not(abs(disc) > bound)
 
 
 def _newton(s, c3, c2, c1, c0):
@@ -285,12 +274,6 @@ def _newton_dd(x, E, coefficients):
     return _select(valid, y[0], math.nan), y[1], _select(valid, bound, math.nan)
 
 
-def _next_down(p):
-    if isinstance(p, np.ndarray):
-        return np.nextafter(p, 0.0)
-    return math.nextafter(p, 0.0)
-
-
 def _polish(x, E, alpha, coefficients):
     """Correctly rounded p* from the share estimates x: (p*, certified).
 
@@ -313,7 +296,7 @@ def _polish(x, E, alpha, coefficients):
     weight = abs(y_hi * t[0])
     rel = (s_err + 2.0 * _U * _U * abs(y_hi)) / _select(weight > 0.0, weight, math.nan)
     p_err = abs(p_hi) * (2.0 * rel + 64.0 * _U * _U)
-    half_ulp = 0.5 * (p_hi - _next_down(p_hi))  # the smaller half-spacing around p_hi
+    half_ulp = 0.5 * (p_hi - _xp(p_hi).nextafter(p_hi, 0.0))  # the smaller half-spacing
     certified = (rel < 0.25) & (abs(p_lo) + 2.0 * p_err < half_ulp)
     return p_hi, certified
 
@@ -464,7 +447,6 @@ def _residual_error(p_star: float, E: float, residual: float, bound: float) -> N
     )
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _fixed_point_rows(
     sched: PreferenceSchedule, spec: LearningSpec, E_array: np.ndarray, cfg: SolverConfig
 ) -> RootColumns:
@@ -476,44 +458,45 @@ def _fixed_point_rows(
     classification run over all roots at once; the first root that fails, in
     column order, raises.
     """
-    if not (E_array >= 0.0).all():
-        raise ConfigError(f"education level must be >= 0, got {E_array.min()}")
-    (c3, c2, c1, c0), sizes = _gap_terms(spec, E_array)
-    if c3 == c2 == c1 == 0.0:  # the gap does not depend on s: no isolated root
-        empty, no_index = np.empty(0), np.empty(0, dtype=np.intp)
-        return RootColumns(no_index, empty, empty, empty, no_index)
-    solvable = np.isfinite(c0)
-    c0 = np.where(solvable, c0, 0.0)
-    candidates, exact = _real_roots(c3, c2, c1, c0, sizes)
-    exact = exact & solvable
-    x = _newton(np.stack(candidates, axis=1), c3, c2, c1, c0[:, None])
-    alpha = alpha_of(sched, E_array)
-    s_lo, s_hi = _share_window(alpha[:, None], cfg)
-    level, slot = np.nonzero((s_lo <= x) & (x <= s_hi) & (solvable & ~exact)[:, None])
-    p, certified = _polish(x[level, slot], E_array[level], alpha[level], spec.coefficients)
-    prices = np.full((len(E_array), 3), np.nan)
-    prices[level, slot] = p
-    exact[level[~certified]] = True
-    for i in np.flatnonzero(exact).tolist():
-        found = _exact_prices(E_array[i].item(), alpha[i].item(), spec.coefficients,
-                              (c3, c2, c1), cfg)
-        prices[i] = found + [np.nan] * (3 - len(found))
-    window = (cfg.p_min <= prices) & (prices <= cfg.p_max)
-    prices = np.sort(np.where(window, prices, np.nan), axis=1)
-    found = ~np.isnan(prices)  # NaN sorts last: each row's roots come first, ascending
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if not (E_array >= 0.0).all():
+            raise ConfigError(f"education level must be >= 0, got {E_array.min()}")
+        (c3, c2, c1, c0), sizes = _gap_terms(spec, E_array)
+        if c3 == c2 == c1 == 0.0:  # the gap does not depend on s: no isolated root
+            empty, no_index = np.empty(0), np.empty(0, dtype=np.intp)
+            return RootColumns(no_index, empty, empty, empty, no_index)
+        solvable = np.isfinite(c0)
+        c0 = np.where(solvable, c0, 0.0)
+        candidates, exact = _real_roots(c3, c2, c1, c0, sizes)
+        exact = exact & solvable
+        x = _newton(np.stack(candidates, axis=1), c3, c2, c1, c0[:, None])
+        alpha = alpha_of(sched, E_array)
+        s_lo, s_hi = _share_window(alpha[:, None], cfg)
+        level, slot = np.nonzero((s_lo <= x) & (x <= s_hi) & (solvable & ~exact)[:, None])
+        p, certified = _polish(x[level, slot], E_array[level], alpha[level], spec.coefficients)
+        prices = np.full((len(E_array), 3), np.nan)
+        prices[level, slot] = p
+        exact[level[~certified]] = True
+        for i in np.flatnonzero(exact).tolist():
+            found = _exact_prices(E_array[i].item(), alpha[i].item(), spec.coefficients,
+                                  (c3, c2, c1), cfg)
+            prices[i] = found + [np.nan] * (3 - len(found))
+        window = (cfg.p_min <= prices) & (prices <= cfg.p_max)
+        prices = np.sort(np.where(window, prices, np.nan), axis=1)
+        found = ~np.isnan(prices)  # NaN sorts last: each row's roots come first, ascending
 
-    level = np.nonzero(found)[0]
-    p_star = prices[found]
-    E = E_array[level]
-    s_star = excess_share(sched, E, p_star)
-    h = h_ratio(spec, s_star, E)
-    residual, bound = _residual(p_star, h, cfg)
-    failed = (np.abs(residual) > bound) | ~((0.0 < s_star) & (s_star < 1.0))
-    if failed.any():
-        k = np.argmax(failed)
-        if abs(residual[k]) > bound[k]:
-            raise _residual_error(p_star[k].item(), E[k].item(), residual[k].item(),
-                                  bound[k].item())
-        classify_stability(s_star[k].item(), h.dH_ds[k].item())  # its share check raises
-    t_prime, stability = _slope_and_class(s_star, h.dH_ds, cfg.marginal_tol)
-    return RootColumns(level, p_star, s_star, t_prime, stability)
+        level = np.nonzero(found)[0]
+        p_star = prices[found]
+        E = E_array[level]
+        s_star = excess_share(sched, E, p_star)
+        h = h_ratio(spec, s_star, E)
+        residual, bound = _residual(p_star, h, cfg)
+        failed = (np.abs(residual) > bound) | ~((0.0 < s_star) & (s_star < 1.0))
+        if failed.any():
+            k = np.argmax(failed)
+            if abs(residual[k]) > bound[k]:
+                raise _residual_error(p_star[k].item(), E[k].item(), residual[k].item(),
+                                      bound[k].item())
+            classify_stability(s_star[k].item(), h.dH_ds[k].item())  # its share check raises
+        t_prime, stability = _slope_and_class(s_star, h.dH_ds, cfg.marginal_tol)
+        return RootColumns(level, p_star, s_star, t_prime, stability)

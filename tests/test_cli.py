@@ -187,6 +187,42 @@ def test_parser_is_built_once_per_process(monkeypatch):
     assert new_parsers == [0, 0, 0]
 
 
+# runs each argument list of argv[1] through cli.main in one process and
+# records the exit code and whether numpy is imported after it; then simulate
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+from demandtier import cli
+seen = []
+for args in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:
+            code = exc.code
+    seen.append([code, "numpy" in sys.modules])
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    seen.append([cli.main(["simulate"]), out.getvalue()])
+print(json.dumps(seen))
+"""
+
+
+def test_commands_without_arrays_never_import_numpy(tmp_path):
+    # fixed-points solves its one level on Python floats, and the loader's
+    # checks, --dump-defaults, --version and --help compute nothing; numpy
+    # loads with the first array, and simulate then still writes its golden
+    unknown = tmp_path / "unknown.json"
+    unknown.write_text(json.dumps({"solver": {"no_such_key": 1}}))
+    calls = [["fixed-points", "--E", "0.215"], ["--dump-defaults"], ["--version"], ["--help"],
+             ["fixed-points", "--scenario", str(unknown)]]
+    cp = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(calls)],
+                        capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    seen = json.loads(cp.stdout)
+    assert seen[:-1] == [[0, False], [0, False], [0, False], [0, False], [2, False]]
+    assert seen[-1] == [0, golden_bytes("simulate")[0].decode()]
+
+
 class TestEntryPoints:
     def test_help(self):
         cp = run_cli("--help")
