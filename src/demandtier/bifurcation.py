@@ -23,7 +23,7 @@ from .dynamics import (
     LearningSpec, excess_share, excess_share_slope_E, gap_coefficients, h_ratio,
 )
 from .errors import ConfigError, DegenerateChannel, NoConvergence, _require_int
-from .solver import FixedPoint, RootColumns, SolverConfig, _fixed_point_rows, _real_roots
+from .solver import FixedPoint, RootColumns, SolverConfig, _critical_shares, _fixed_point_rows
 
 
 @dataclass(frozen=True)
@@ -122,17 +122,14 @@ def refine_saddle_node(
     """The saddle-node with E_bar strictly inside E_bracket, in closed form.
 
     A saddle-node is a double root of the gap cubic q(s) + nu*E, where q is
-    the gap g_H(s, E) - g_L(1 - s) at E = 0: s_bar solves the quadratic
-    q'(s) = 0 in closed form and E_bar = -q(s_bar)/nu by Horner's rule.
+    the gap g_H(s, E) - g_L(1 - s) at E = 0: s_bar is a root of q'(s) = 0 from
+    ``solver._critical_shares`` and E_bar = -q(s_bar)/nu by Horner's rule.
     Raises NoConvergence when no such point with s_bar in (0, 1) lies in the
     bracket, or when its residuals |H - 1| and |dH/ds| exceed ``refine_tol``.
     """
     e_lo, e_hi = E_bracket
     c3, c2, c1, c0 = gap_coefficients(spec, 0.0)
-    critical, _ = _real_roots(0.0, 3.0 * c3, 2.0 * c2, c1, (0.0,) * 4)
-    for s_bar in critical:
-        if not 0.0 < s_bar < 1.0:  # also skips a missing root, which is NaN
-            continue
+    for s_bar in _critical_shares(spec):
         e_bar = -(((c3 * s_bar + c2) * s_bar + c1) * s_bar + c0) / spec.nu
         if not e_lo < e_bar < e_hi:
             continue

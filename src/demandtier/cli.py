@@ -4,8 +4,9 @@ Subcommands: fixed-points, bifurcation, simulate, statics, planner-foc.
 Standard output carries CSV; diagnostics go to standard error. Exit codes:
 0 success, 2 validation error, 3 numerical failure (a root that fails its
 residual bound, a flagged transition under --strict, a statics price_H so
-small that c_H overflows, a g_H whose square overflows, or a planner-foc term
-that is not finite). Floats are
+small that c_H overflows, a g_H whose square overflows, a planner-foc term
+that is not finite, or a simulate or planner-foc path whose initial price
+a_L0/a_H0 leaves the positive floats or whose c_H overflows). Floats are
 printed with 12 significant digits (``%.12g``, the same text as
 ``format(x, '.12g')``) so identical scenarios yield byte-identical files.
 
@@ -18,7 +19,8 @@ thresholds, tables of a few rows, are %-formatted row by row (``_csv``).
 ``main(argv)`` may be called repeatedly in one process (the benchmark and the
 tests do): the argument parser is built once, when this module is imported.
 Importing it loads neither numpy nor the CSV tables, which the first array operation
-loads: fixed-points, --dump-defaults, --version, --help and loader errors need none.
+loads: fixed-points, --dump-defaults, --version, --help and loader errors need none,
+nor do the validation exits that simulate and statics take before their first array.
 """
 
 from __future__ import annotations
@@ -257,6 +259,8 @@ def _scalar_education(scenario: Scenario, override: float | None) -> float:
         raise ConfigError(
             "scenario simulation E is a path; pass --E to pick the education level"
         )
+    if e < 0.0:
+        raise ConfigError(f"key 'E' in section 'simulation' must be >= 0, got {float(e)}")
     return float(e)
 
 
@@ -340,18 +344,17 @@ def cmd_simulate(scenario: Scenario, E: float | None, out: str | None) -> int:
 def cmd_statics(scenario: Scenario, E: float | None, out: str | None) -> int:
     st = scenario.statics
     e_val = E if E is not None else st.E
-    incomes = np.linspace(st.y_min, st.y_max, st.y_points)
     # c_H = alpha*B/price_H rises with Y, so it overflows on some row only if
-    # it does on the last one, which is solved first with numpy's warning off;
-    # through elasticity_arrays, so that gamma_H != 0 still exits 2 first
-    y_top = incomes[-1].item()
-    with np.errstate(over="ignore"):
-        top, _ = elasticity_arrays(scenario.preferences, incomes[-1:], st.price_H, e_val)
-    if math.isinf(top.c_H[0]):  # NaN when B <= 0: no row divides by price_H
+    # it does on the last one, which is solved first on floats, before numpy
+    # loads; through elasticity_arrays, so that an invalid key exits 2 first
+    y_top = st.y_max if st.y_points > 1 else st.y_min  # linspace ends on y_max
+    top, _ = elasticity_arrays(scenario.preferences, y_top, st.price_H, e_val)
+    if math.isinf(top.c_H):  # NaN when B <= 0: no row divides by price_H
         raise NumericalOverflow(
             f"key 'price_H' in section 'statics' is too small: c_H overflows at "
             f"Y={y_top:.12g}, got price_H={st.price_H!r}"
         )
+    incomes = np.linspace(st.y_min, st.y_max, st.y_points)
     # every column is NaN on non-interior rows
     demand, eta = elasticity_arrays(scenario.preferences, incomes, st.price_H, e_val)
     columns = (incomes, demand.c_L, demand.c_H, demand.share_H, 1.0 - demand.share_H,

@@ -197,7 +197,11 @@ def elasticity_arrays(
         )
     demand = DemandArrays(*_demand(sched, income, price_H, E, require_interior))
     eta_H = income / demand.supernumerary
-    eta_L = (1.0 - alpha_of(sched, E)) / (1.0 - demand.share_H)
+    share_L = 1.0 - demand.share_H
+    # where share_H rounds to 1, floats give inf as numpy's division does
+    nonzero = share_L != 0.0
+    eta_L = _select(nonzero, (1.0 - alpha_of(sched, E)) / _select(nonzero, share_L, 1.0),
+                    math.inf)
     return demand, IncomeElasticities(eta_H=eta_H, eta_L=eta_L)
 
 

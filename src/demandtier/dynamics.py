@@ -274,16 +274,25 @@ def price_map(sched: PreferenceSchedule, spec: LearningSpec, p: float, E: float)
     return p * g.g_L / g.g_H
 
 
-def _broadcast(path, horizon: int, key: str) -> np.ndarray:
-    if np.ndim(path) == 0:
-        return np.full(horizon, float(path))
-    arr = np.asarray(path, dtype=float)
-    if arr.shape[0] < horizon:
+def _is_scalar(path, horizon: int, key: str) -> bool:
+    """Whether ``path`` is one value; a sequence or array of them must hold at
+    least ``horizon``. Builds no array."""
+    try:
+        entries = len(path)
+    except TypeError:  # a number, or an array of no dimension
+        return True
+    if entries < horizon:
         raise InvalidHorizon(
-            f"key '{key}' in section 'simulation' has {arr.shape[0]} entries, "
+            f"key '{key}' in section 'simulation' has {entries} entries, "
             f"fewer than the {horizon} periods to simulate"
         )
-    return arr[:horizon].copy()
+    return False
+
+
+def _broadcast(path, horizon: int, scalar: bool) -> np.ndarray:
+    if scalar:
+        return np.full(horizon, float(path))
+    return np.asarray(path, dtype=float)[:horizon].copy()
 
 
 def simulate_path(
@@ -301,11 +310,25 @@ def simulate_path(
     their growth factors, and household quantities come from the demand system
     at (price_L = 1, price_H = p). Education and income inputs may be scalars
     (broadcast) or sequences of length >= horizon; errors name them by their
-    scenario keys, ``E`` and ``income`` in section ``simulation``.
+    scenario keys, ``E`` and ``income`` in section ``simulation``. Those checks,
+    on scalars and lengths, build no array. A relative price a_L/a_H that leaves
+    the positive floats at period 0, or a finite price too small for c_H to stay
+    finite, raises NumericalOverflow naming the period.
     """
     _require_int("horizon", horizon, 1, InvalidHorizon)
-    e_arr = _broadcast(e_path, horizon, "E")
-    y_arr = _broadcast(income_path, horizon, "income")
+    scalar_e = _is_scalar(e_path, horizon, "E")
+    scalar_y = _is_scalar(income_path, horizon, "income")
+    if scalar_e and e_path < 0.0:
+        raise ConfigError(f"education level must be >= 0, got {float(e_path)}")
+    p0 = initial.relative_price
+    if not 0.0 < p0 < math.inf:
+        raise NumericalOverflow(
+            f"the relative price a_L0/a_H0 {'overflows' if p0 else 'underflows to 0'} at "
+            f"period 0: keys 'a_L0' = {initial.a_L!r} and 'a_H0' = {initial.a_H!r} in "
+            "section 'simulation' are too far apart"
+        )
+    e_arr = _broadcast(e_path, horizon, scalar_e)
+    y_arr = _broadcast(income_path, horizon, scalar_y)
     if np.any(e_arr < 0.0):
         raise ConfigError(f"education level must be >= 0, got {float(e_arr[e_arr < 0.0][0])}")
 
@@ -314,7 +337,16 @@ def simulate_path(
         initial.a_H, initial.a_L, alpha_of(sched, e_arr), e_arr,
         nu, phi1, phi2, chi1, chi2, horizon,
     )
-    demand = demand_arrays(sched, y_arr, p, e_arr)
+    with np.errstate(over="ignore"):  # an overflowing c_H raises below
+        demand = demand_arrays(sched, y_arr, p, e_arr)
+    # c_H = alpha*B/p: a finite, positive p too small for the income
+    overflow = np.isinf(demand.c_H) & (p > 0.0) & (p < math.inf)
+    if overflow.any():
+        t = np.argmax(overflow).item()
+        raise NumericalOverflow(
+            f"c_H overflows at period {t}: the relative price p = {p[t].item()!r} is too "
+            f"small for income {y_arr[t].item()!r}"
+        )
 
     return TimePath(
         t=np.arange(horizon),

@@ -5,23 +5,24 @@ With s = S(p; E), the fixed-point condition T(p; E) = p reads
 g_H(s, E) = g_L(1 - s), a cubic in s whose constant term alone depends on E.
 Its real roots come in closed form: the trigonometric form for three real
 roots, Cardano's for one, the quadratic or linear formula for lower degrees.
-One Newton step in doubles sharpens them. One Newton step on the exact gap
-nu*E + phi1*s - phi2*s^3 - chi1*(1-s) + chi2*(1-s)^3, evaluated in
-double-double arithmetic (Dekker 1971), then p = alpha(1-s)/((1-alpha)s)
-formed in double-double, make each p* the correctly rounded double of the
-exact root of the model as the package specifies it: float parameters and
-the float alpha_of(E). An error bound certifies each rounding. A level that
-holds a root it cannot certify (next to a saddle-node), or whose root count
-the rounded discriminant cannot decide, is solved in exact rational
-arithmetic. The correctly rounded
-root is unique, so every path gives the same bits.
+One Newton step from them on the exact gap nu*E + phi1*s - phi2*s^3 -
+chi1*(1-s) + chi2*(1-s)^3, evaluated in double-double arithmetic (Dekker
+1971), then p = alpha(1-s)/((1-alpha)s) formed in double-double, make each p*
+the correctly rounded double of the exact root of the model as the package
+specifies it: float parameters and the float alpha_of(E). An error bound
+certifies each rounding. A level that holds a root it cannot certify (next to
+a saddle-node), or whose root count the rounded discriminant cannot decide, is
+solved in exact rational arithmetic, between the prices of the critical
+shares, where the gap's slope vanishes. The correctly rounded root is unique,
+so every path gives the same bits.
 
-The roots with p* in [p_min, p_max] are re-checked and classified through the
-analytic slope T'(p*) = 1 - s*(1-s*) * dH/ds, by ``excess_share``, ``h_ratio``
-and the stability band of ``classify_stability``. The polish uses arithmetic
-operators only, so ``find_fixed_points`` runs it on the Python floats of one
-level while a sweep runs the same functions on the arrays of all its levels,
-whose roots it keeps as columns.
+The roots with p* in [p_min, p_max] are re-checked and classified by one
+function, ``_recheck``, through the analytic slope T'(p*) = 1 - s*(1-s*) *
+dH/ds, by ``excess_share``, ``h_ratio`` and the stability band of
+``classify_stability``. The polish and the re-check use arithmetic operators
+and the float-or-array helpers of ``_np`` only, so ``find_fixed_points`` runs
+them on the Python floats of one level while a sweep runs them once on the
+arrays of all its levels, whose roots it keeps as columns.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from ._np import _select, _xp, np
+from ._np import _any, _first, _select, _xp, np
 from .demand import PreferenceSchedule, alpha_of
 from .dynamics import LearningSpec, excess_share, gap_coefficients, h_ratio
 from .errors import ConfigError, NoConvergence, ShareOutOfRange
@@ -185,12 +186,12 @@ def _real_roots(c3, c2, c1, c0, sizes):
     return roots, xp.logical_not(abs(disc) > bound)
 
 
-def _newton(s, c3, c2, c1, c0):
-    """One Newton step in doubles on the gap polynomial, by Horner's rule; no
-    step where the slope is zero."""
-    value = ((c3 * s + c2) * s + c1) * s + c0
-    slope = (c3 * 3.0 * s + c2 * 2.0) * s + c1
-    return s - value / _select(slope != 0.0, slope, math.inf)
+def _critical_shares(spec: LearningSpec) -> list[float]:
+    """The shares in (0, 1) where the gap's slope q'(s) vanishes, ascending: the
+    same for every level, since only the gap's constant term depends on E."""
+    c3, c2, c1, _ = gap_coefficients(spec, 0.0)
+    critical, _ = _real_roots(0.0, 3.0 * c3, 2.0 * c2, c1, (0.0,) * 4)
+    return sorted(s for s in critical if 0.0 < s < 1.0)  # also drops a missing root, NaN
 
 
 # ---------------------------------------------------------------- double-double
@@ -304,12 +305,11 @@ def _polish(x, E, alpha, coefficients):
 # ---------------------------------------------------------------- exact fallback
 
 
-def _exact_prices(E, alpha, coefficients, head, cfg):
+def _exact_prices(E, alpha, spec: LearningSpec, cfg):
     """The correctly rounded roots of one level in [p_min, p_max], ascending,
     in exact rational arithmetic.
 
-    The critical shares of the gap (the real roots of its derivative, from
-    the gap's leading coefficients ``head``) cut the price window, widened to
+    The prices of the gap's critical shares cut the price window, widened to
     [p_min/2, 2*p_max] (capped at the largest double), into pieces on which
     the gap is monotone in p. A piece
     whose ends have opposite exact signs holds one root. Bisection over the
@@ -319,7 +319,7 @@ def _exact_prices(E, alpha, coefficients, head, cfg):
     """
     from fractions import Fraction
 
-    nu, phi1, phi2, chi1, chi2 = map(Fraction, coefficients)
+    nu, phi1, phi2, chi1, chi2 = map(Fraction, spec.coefficients)
     a = Fraction(alpha)
     nu_e = nu * Fraction(E)
 
@@ -346,10 +346,8 @@ def _exact_prices(E, alpha, coefficients, head, cfg):
             else:
                 hi = mid
 
-    c3, c2, c1 = head
-    critical, _ = _real_roots(0.0, 3.0 * c3, 2.0 * c2, c1, (0.0,) * 4)
     cuts = sorted(a * (1 - Fraction(s)) / ((1 - a) * Fraction(s))
-                  for s in critical if 0.0 < s < 1.0)
+                  for s in _critical_shares(spec))
     lo_end = Fraction(cfg.p_min) / 2
     hi_end = min(2 * Fraction(cfg.p_max), Fraction(sys.float_info.max))
     ends = [lo_end, *(c for c in cuts if lo_end < c < hi_end), hi_end]
@@ -394,14 +392,13 @@ def _level_prices(sched: PreferenceSchedule, spec: LearningSpec, E: float,
     s_lo, s_hi = _share_window(alpha, cfg)
     prices = []
     for x in candidates:
-        x = _newton(x, c3, c2, c1, c0)
         if exact or not s_lo <= x <= s_hi:
             continue
         p, certified = _polish(x, E, alpha, spec.coefficients)
         prices.append(p)
         exact |= not certified
     if exact:
-        return _exact_prices(E, alpha, spec.coefficients, (c3, c2, c1), cfg)
+        return _exact_prices(E, alpha, spec, cfg)
     return sorted(p for p in prices if cfg.p_min <= p <= cfg.p_max)
 
 
@@ -423,28 +420,32 @@ def find_fixed_points(
         raise ConfigError(f"education level must be >= 0, got {E}")
     roots = []
     for p_star in _level_prices(sched, spec, E, cfg):
-        s_star = excess_share(sched, E, p_star)
-        h = h_ratio(spec, s_star, E)
-        residual, bound = _residual(p_star, h, cfg)
-        if abs(residual) > bound:
-            raise _residual_error(p_star, E, residual, bound)
-        if not 0.0 < s_star < 1.0:
-            classify_stability(s_star, h.dH_ds)  # its share check raises
-        t_prime, code = _slope_and_class(s_star, h.dH_ds, cfg.marginal_tol)
+        s_star, t_prime, code = _recheck(sched, spec, E, p_star, cfg)
         roots.append(FixedPoint(p_star, s_star, t_prime, STABILITY_ORDER[code]))
     return roots
 
 
-def _residual(p_star, h, cfg: SolverConfig):
-    """T(p*) - p* and its bound bisect_tol * max(1, p*)."""
-    return p_star * h.value - p_star, cfg.bisect_tol * _select(p_star > 1.0, p_star, 1.0)
+def _recheck(sched: PreferenceSchedule, spec: LearningSpec, E, p_star, cfg: SolverConfig):
+    """(s*, T', class index) of the roots p_star at the levels E, floats or arrays.
 
-
-def _residual_error(p_star: float, E: float, residual: float, bound: float) -> NoConvergence:
-    return NoConvergence(
-        f"fixed point p*={p_star} at E={E} has residual {residual}, above the bound "
-        f"bisect_tol * max(1, p*) = {bound}"
-    )
+    Each root must satisfy |T(p*) - p*| <= bisect_tol * max(1, p*), as
+    ``excess_share`` and ``h_ratio`` compute it, and have its share in (0, 1).
+    The first root that fails, in column order, raises: NoConvergence for the
+    residual, else the share check of ``classify_stability``.
+    """
+    s_star = excess_share(sched, E, p_star)
+    h = h_ratio(spec, s_star, E)
+    residual = p_star * h.value - p_star
+    bound = cfg.bisect_tol * _select(p_star > 1.0, p_star, 1.0)
+    failed = (abs(residual) > bound) | _xp(s_star).logical_not((0.0 < s_star) & (s_star < 1.0))
+    if _any(failed):
+        p, e, r, b = (_first(v, failed) for v in (p_star, E, residual, bound))
+        if abs(r) > b:
+            raise NoConvergence(f"fixed point p*={p} at E={e} has residual {r}, above the "
+                                f"bound bisect_tol * max(1, p*) = {b}")
+        # the share check of classify_stability raises
+        classify_stability(_first(s_star, failed), _first(h.dH_ds, failed))
+    return (s_star, *_slope_and_class(s_star, h.dH_ds, cfg.marginal_tol))
 
 
 def _fixed_point_rows(
@@ -469,7 +470,7 @@ def _fixed_point_rows(
         c0 = np.where(solvable, c0, 0.0)
         candidates, exact = _real_roots(c3, c2, c1, c0, sizes)
         exact = exact & solvable
-        x = _newton(np.stack(candidates, axis=1), c3, c2, c1, c0[:, None])
+        x = np.stack(candidates, axis=1)
         alpha = alpha_of(sched, E_array)
         s_lo, s_hi = _share_window(alpha[:, None], cfg)
         level, slot = np.nonzero((s_lo <= x) & (x <= s_hi) & (solvable & ~exact)[:, None])
@@ -478,25 +479,11 @@ def _fixed_point_rows(
         prices[level, slot] = p
         exact[level[~certified]] = True
         for i in np.flatnonzero(exact).tolist():
-            found = _exact_prices(E_array[i].item(), alpha[i].item(), spec.coefficients,
-                                  (c3, c2, c1), cfg)
+            found = _exact_prices(E_array[i].item(), alpha[i].item(), spec, cfg)
             prices[i] = found + [np.nan] * (3 - len(found))
         window = (cfg.p_min <= prices) & (prices <= cfg.p_max)
         prices = np.sort(np.where(window, prices, np.nan), axis=1)
         found = ~np.isnan(prices)  # NaN sorts last: each row's roots come first, ascending
-
         level = np.nonzero(found)[0]
         p_star = prices[found]
-        E = E_array[level]
-        s_star = excess_share(sched, E, p_star)
-        h = h_ratio(spec, s_star, E)
-        residual, bound = _residual(p_star, h, cfg)
-        failed = (np.abs(residual) > bound) | ~((0.0 < s_star) & (s_star < 1.0))
-        if failed.any():
-            k = np.argmax(failed)
-            if abs(residual[k]) > bound[k]:
-                raise _residual_error(p_star[k].item(), E[k].item(), residual[k].item(),
-                                      bound[k].item())
-            classify_stability(s_star[k].item(), h.dH_ds[k].item())  # its share check raises
-        t_prime, stability = _slope_and_class(s_star, h.dH_ds, cfg.marginal_tol)
-        return RootColumns(level, p_star, s_star, t_prime, stability)
+        return RootColumns(level, p_star, *_recheck(sched, spec, E_array[level], p_star, cfg))

@@ -14,9 +14,10 @@ they were installed with). The samples interleave the cases and modes.
 
 Prints the median and the range of the wall times per case and mode, then one
 JSON line with every sample. The times are reported, not gated. It exits 1 if
-numpy is imported by ``import demandtier.cli``, ``fixed-points`` or
-``--dump-defaults``: the first array operation imports numpy, and those need
-none. It is not part of the test suite.
+numpy is imported by ``import demandtier.cli``, ``fixed-points``,
+``--dump-defaults`` or ``simulate --E -1``: the first array operation imports
+numpy, and those need none; the last is a validation exit (2), whose check
+comes before any array. It is not part of the test suite.
 """
 
 import argparse
@@ -44,14 +45,16 @@ CASES = {
     "statics": (ENTRY, ["statics"]),
     "planner-foc": (ENTRY, ["planner-foc"]),
     "--dump-defaults": (ENTRY, ["--dump-defaults"]),
+    "simulate --E -1": (ENTRY, ["simulate", "--E", "-1"]),
 }
-NUMPY_FREE = ("import demandtier.cli", "fixed-points", "--dump-defaults")
+NUMPY_FREE = ("import demandtier.cli", "fixed-points", "--dump-defaults", "simulate --E -1")
+EXIT_CODES = {"simulate --E -1": 2}  # every other case exits 0
 
 
-def run(code: str, args: list, env: dict) -> subprocess.CompletedProcess:
+def run(code: str, args: list, env: dict, name: str) -> subprocess.CompletedProcess:
     cp = subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=env["PYTHONPATH"],
                         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-    if cp.returncode != 0:
+    if cp.returncode != EXIT_CODES.get(name, 0):
         raise SystemExit(f"{args or code!r} exited {cp.returncode}: {cp.stderr}")
     return cp
 
@@ -73,13 +76,13 @@ def main() -> int:
 
         loaded = {}
         for name, (code, argv) in CASES.items():  # untimed: writes the cached bytecode
-            loaded[name] = run(PRELUDE + code, argv, envs["cached"]).stderr.split()[-1]
+            loaded[name] = run(PRELUDE + code, argv, envs["cached"], name).stderr.split()[-1]
         times = {mode: {name: [] for name in CASES} for mode in envs}
         for _ in range(args.samples):
             for mode, env in envs.items():
                 for name, (code, argv) in CASES.items():
                     start = time.perf_counter()
-                    run(code, argv, env)
+                    run(code, argv, env, name)
                     times[mode][name].append(time.perf_counter() - start)
 
     print(f"fresh-process wall time, median [min, max] of {args.samples} runs, in ms")

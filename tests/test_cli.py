@@ -6,10 +6,11 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from check_format import FAMILIES, integers, mismatches, samples
@@ -209,17 +210,32 @@ print(json.dumps(seen))
 
 def test_commands_without_arrays_never_import_numpy(tmp_path):
     # fixed-points solves its one level on Python floats, and the loader's
-    # checks, --dump-defaults, --version and --help compute nothing; numpy
+    # checks, --dump-defaults, --version and --help compute nothing; simulate
+    # and statics check their scalar inputs and list lengths, and statics
+    # probes its top income, on floats before they build an array; numpy
     # loads with the first array, and simulate then still writes its golden
-    unknown = tmp_path / "unknown.json"
-    unknown.write_text(json.dumps({"solver": {"no_such_key": 1}}))
+    scenarios = {
+        "unknown": {"solver": {"no_such_key": 1}},
+        "short_E": {"simulation": {"E": [0.2, 0.3], "horizon": 3}},
+        "short_income": {"simulation": {"income": [10.0], "horizon": 2}},
+        "gamma_H": {"preferences": {"gamma_H": 1.0}},
+    }
+    paths = {}
+    for name, scenario in scenarios.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(scenario))
     calls = [["fixed-points", "--E", "0.215"], ["--dump-defaults"], ["--version"], ["--help"],
-             ["fixed-points", "--scenario", str(unknown)]]
+             ["fixed-points", "--scenario", str(paths["unknown"])],
+             ["simulate", "--E", "-1"],
+             ["simulate", "--scenario", str(paths["short_E"])],
+             ["simulate", "--scenario", str(paths["short_income"])],
+             ["statics", "--E", "-1"],
+             ["statics", "--scenario", str(paths["gamma_H"])]]
     cp = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(calls)],
                         capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
     seen = json.loads(cp.stdout)
-    assert seen[:-1] == [[0, False], [0, False], [0, False], [0, False], [2, False]]
+    assert seen[:-1] == [[0, False]] * 4 + [[2, False]] * 6
     assert seen[-1] == [0, golden_bytes("simulate")[0].decode()]
 
 
@@ -350,6 +366,30 @@ class TestFixedPoints:
         assert cp.returncode == 2
         assert "p_max" in cp.stderr
         assert cp.stdout == ""
+
+
+@pytest.mark.parametrize("simulation, command, named", [
+    ({"a_H0": 1e-300, "a_L0": 1e300, "horizon": 3}, "simulate",
+     "the relative price a_L0/a_H0 overflows at period 0"),
+    ({"a_H0": 1e300, "a_L0": 1e-300}, "simulate",
+     "the relative price a_L0/a_H0 underflows to 0 at period 0"),
+    ({"a_H0": 1e300, "a_L0": 1e-300}, "planner-foc",
+     "the relative price a_L0/a_H0 underflows to 0 at period 0"),
+    ({"a_H0": 1e300, "a_L0": 1e-8, "horizon": 2}, "simulate",
+     "c_H overflows at period 0: the relative price p = 1e-308 is too small for income 10.0"),
+], ids=["p0-overflows", "p0-underflows", "p0-underflows-planner", "c_H-overflows"])
+def test_extreme_initial_state_exits_3_naming_period_and_cause(
+        tmp_path, simulation, command, named):
+    # the initial price is checked before any array is built, c_H after the
+    # household block; before, these wrote inf or NaN on rows flagged
+    # interior, or blamed price_H with exit 2
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"simulation": simulation}))
+    cp = run_cli(command, "--scenario", str(path))
+    assert cp.returncode == 3
+    assert cp.stderr.startswith("error: " + named), cp.stderr
+    assert "Warning" not in cp.stderr
+    assert cp.stdout == ""
 
 
 class TestSimulate:
@@ -696,3 +736,73 @@ class TestPlannerFoc:
         _, rows = parse_csv(cp.stdout)
         assert len(rows) == 3
         assert all(np.isfinite(float(v)) for row in rows for v in row)
+
+
+# The guard suite over random valid and near-valid scenarios. Each example
+# moves one to three of the keys a command reads off their defaults: mostly to
+# a value in the key's plausible range, else to a value at or past a validity
+# edge, or at the float range's ends.
+PREFERENCES = {"alpha_base": (0.0, 1.0), "alpha_slope": (0.0, 2.0), "alpha_lo": (0.01, 0.7),
+               "alpha_hi": (0.75, 0.999), "gammaL_base": (0.0, 5.0),
+               "gammaL_decay": (0.0, 3.0), "gamma_H": (0.0, 1.0)}
+LEARNING = {"variant": None, "nu": (0.01, 3.0), "phi": (0.01, 3.0), "chi": (0.01, 3.0),
+            "phi1": (0.0, 2.0), "phi2": (0.0, 2.0), "chi1": (0.0, 2.0), "chi2": (0.0, 2.0)}
+SOLVER = {"p_min": (1e-3, 1.0), "p_max": (2.0, 100.0), "bisect_tol": (1e-14, 1e-6),
+          "marginal_tol": (1e-12, 1e-4)}
+GUARD_KEYS = {
+    "fixed-points": {"preferences": PREFERENCES, "learning": LEARNING, "solver": SOLVER,
+                     "simulation": {"E": (0.0, 1.0)}},
+    "bifurcation": {"preferences": PREFERENCES, "learning": LEARNING, "solver": SOLVER,
+                    "sweep": {"E_min": (0.0, 0.3), "E_max": (0.3, 1.0), "E_points": (2, 60),
+                              "refine_tol": (1e-12, 1e-4)}},
+    "statics": {"preferences": PREFERENCES,
+                "statics": {"E": (0.0, 1.0), "price_H": (0.01, 100.0), "y_min": (0.1, 10.0),
+                            "y_max": (10.0, 100.0), "y_points": (1, 40)}},
+}
+EDGE_VALUES = (0.0, -1e-9, -1.0, 5e-324, 1e-300, 1e300)
+
+
+@st.composite
+def guard_scenarios(draw, command):
+    keys = [(section, key, bounds) for section, ranges in GUARD_KEYS[command].items()
+            for key, bounds in ranges.items()]
+    scenario, perturbed = {}, set()
+    for section, key, bounds in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3,
+                                              unique=True)):
+        if bounds is None:
+            value = draw(st.sampled_from(["cubic", "linear"]))
+        elif isinstance(bounds[0], int):
+            value = draw(st.integers(bounds[0] - 2, bounds[1]))
+        elif draw(st.integers(0, 3)) == 0:
+            value = draw(st.sampled_from(EDGE_VALUES))
+        else:
+            value = draw(st.floats(*bounds))
+        scenario.setdefault(section, {})[key] = value
+        perturbed.add(key)
+    return scenario, perturbed
+
+
+@pytest.mark.parametrize("command", sorted(GUARD_KEYS))
+def test_random_scenarios_exit_0_2_or_3_with_finite_output(tmp_path_factory, command):
+    path = tmp_path_factory.mktemp("guard") / "scenario.json"
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(guard_scenarios(command))
+    @example(({"simulation": {"E": -1.0}}, {"E"}))  # found by a longer run
+    def check(drawn):
+        scenario, perturbed = drawn
+        path.write_text(json.dumps(scenario))
+        with warnings.catch_warnings():  # numpy's warnings go to stderr, as in a process
+            warnings.simplefilter("ignore")
+            code, out, err = main_in_process((command, "--scenario", str(path)))
+        assert code in (0, 2, 3), err
+        if code == 2:
+            assert any(re.search(rf"\b{key}\b", err.decode()) for key in perturbed), err
+        header, rows = parse_csv(out.decode()) if out else ([], [])
+        assert not any("inf" in field for row in rows for field in row), scenario
+        flagged = header.index("interior_flag") if "interior_flag" in header else None
+        for row in rows:
+            if flagged is None or row[flagged] == "1":
+                assert "nan" not in row, scenario
+
+    check()

@@ -16,7 +16,9 @@ from demandtier import (
     solve_demand,
     stone_geary_utility,
 )
-from demandtier.demand import alpha_is_clipped, alpha_slope_of, gammaL_slope_of
+from demandtier.demand import (
+    alpha_is_clipped, alpha_slope_of, elasticity_arrays, gammaL_slope_of,
+)
 from demandtier.errors import ConfigError, NonInteriorBudget
 
 import oracles
@@ -319,6 +321,15 @@ class TestHouseholdOracle:
             eta = income_elasticities(sched, budget, e)
             *_, eta_h, eta_l = _oracle(sched, budget, e)
             assert (eta.eta_H, eta.eta_L) == pytest.approx((eta_h, eta_l), rel=1e-12, abs=0.0)
+
+    def test_share_H_rounded_to_one_gives_inf_on_floats_as_on_arrays(self):
+        # alpha = 1 - 2**-53 and no subsistence: share_H rounds to 1, and
+        # eta_L = (1 - alpha)/(1 - share_H) divides by zero
+        sched = PreferenceSchedule(alpha_lo=1.0 - 2.0**-53, alpha_hi=1.0 - 2.0**-53,
+                                   gammaL_base=0.0)
+        _, floats = elasticity_arrays(sched, 1.0, 0.7, 0.2)
+        _, arrays = elasticity_arrays(sched, np.array([1.0]), 0.7, 0.2)
+        assert floats.eta_L == arrays.eta_L[0] == math.inf
 
 
 def _finite(lo, hi):
