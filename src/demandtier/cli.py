@@ -17,7 +17,8 @@ those of ``%.12g`` and ``%d`` row by row. fixed-points and the bifurcation
 thresholds, tables of a few rows, are %-formatted row by row (``_csv``).
 
 ``main(argv)`` may be called repeatedly in one process (the benchmark and the
-tests do): the argument parser is built once, when this module is imported.
+tests do): the argument parser is built once, when this module is imported, and
+an argv that starts with a command name is parsed by that command's parser alone.
 Importing it loads neither numpy nor the CSV tables, which the first array operation
 loads: fixed-points, --dump-defaults, --version, --help and loader errors need none,
 nor do the validation exits that simulate and statics take before their first array.
@@ -251,21 +252,24 @@ def _csv_columns(header: str, row_format: str, columns) -> str:
     return b"".join(parts).decode("ascii")
 
 
-def _scalar_education(scenario: Scenario, override: float | None) -> float:
+def _education(scenario: Scenario, override: float | None, path_ok: bool = False):
+    """--E if given, else simulation.E, whose scalar must be >= 0; a path only if path_ok."""
     if override is not None:
         return override
     e = scenario.simulation.E
     if isinstance(e, list):
+        if path_ok:
+            return e
         raise ConfigError(
             "scenario simulation E is a path; pass --E to pick the education level"
         )
     if e < 0.0:
         raise ConfigError(f"key 'E' in section 'simulation' must be >= 0, got {float(e)}")
-    return float(e)
+    return e
 
 
 def cmd_fixed_points(scenario: Scenario, E: float | None, out: str | None) -> int:
-    e_val = _scalar_education(scenario, E)
+    e_val = float(_education(scenario, E))
     roots = find_fixed_points(scenario.preferences, scenario.learning, e_val, scenario.solver)
     rows = [(e_val, fp.p_star, fp.s_star, fp.t_prime, fp.stability.value) for fp in roots]
     _write_text(
@@ -322,8 +326,8 @@ def cmd_bifurcation(
 
 def cmd_simulate(scenario: Scenario, E: float | None, out: str | None) -> int:
     sim = scenario.simulation
+    e_path = _education(scenario, E, path_ok=True)
     initial = TechnologyState(a_H=sim.a_H0, a_L=sim.a_L0, wage=sim.wage)
-    e_path = E if E is not None else sim.E
     path = simulate_path(
         scenario.preferences, scenario.learning, initial,
         e_path, sim.income, sim.horizon,
@@ -372,10 +376,11 @@ def cmd_statics(scenario: Scenario, E: float | None, out: str | None) -> int:
 
 def cmd_planner_foc(scenario: Scenario, out: str | None) -> int:
     sim = scenario.simulation
+    e_path = _education(scenario, None, path_ok=True)
     initial = TechnologyState(a_H=sim.a_H0, a_L=sim.a_L0, wage=sim.wage)
     path = simulate_path(
         scenario.preferences, scenario.learning, initial,
-        sim.E, sim.income, scenario.planner.horizon,
+        e_path, sim.income, scenario.planner.horizon,
     )
     report = evaluate_foc(scenario.preferences, scenario.learning, scenario.planner, path)
     columns = (report.t, report.preference_term, report.spillover_term,
@@ -402,7 +407,8 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``demandtier`` parser, and each subcommand's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="demandtier",
         description="Demand-hierarchy equilibrium engine: fixed points, education sweeps, "
@@ -415,17 +421,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--out", help="output path for --dump-defaults", default=None)
     sub = parser.add_subparsers(dest="command")
+    commands = {}
 
-    def common(p, with_e=False):
+    def command(name, summary, with_e=False):
+        p = commands[name] = sub.add_parser(name, help=summary)
         p.add_argument("--scenario", help="scenario JSON file (defaults built in)")
         p.add_argument("--out", help="write the CSV here instead of standard output")
         if with_e:
             p.add_argument("--E", type=_finite_float, default=None, help="education level override")
+        return p
 
-    common(sub.add_parser("fixed-points", help="fixed points of the price map at one E"),
-           with_e=True)
-    p_bif = sub.add_parser("bifurcation", help="education sweep: root locus and thresholds")
-    common(p_bif)
+    command("fixed-points", "fixed points of the price map at one E", with_e=True)
+    p_bif = command("bifurcation", "education sweep: root locus and thresholds")
     p_bif.add_argument("--thresholds-out", help="write the thresholds CSV here")
     p_bif.add_argument(
         "--workers", type=int, default=1,
@@ -435,20 +442,39 @@ def build_parser() -> argparse.ArgumentParser:
         "--strict", action="store_true",
         help="exit 3 if any root-count transition is not a saddle-node",
     )
-    common(sub.add_parser("simulate", help="forward time path"), with_e=True)
-    common(sub.add_parser("statics", help="shares and income elasticities over an income grid"),
-           with_e=True)
-    common(sub.add_parser("planner-foc", help="planner education FOC terms along a path"))
-    return parser
+    command("simulate", "forward time path", with_e=True)
+    command("statics", "shares and income elasticities over an income grid", with_e=True)
+    command("planner-foc", "planner education FOC terms along a path")
+    return parser, commands
 
 
 # built once per process, with the module: parse_args leaves a parser as it
 # found it, and help reads the terminal width when it is formatted
-_PARSER = build_parser()
+_PARSER, _COMMANDS = build_parser()
+
+
+def _parse_argv(argv: list[str] | None) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)``: the same namespace, output and exit.
+
+    An argv that starts with a command name goes straight to that command's
+    parser, which is what the full parser hands it to, at about half the cost.
+    Arguments it leaves over are rejected by the full parser's error, as
+    ``parse_args`` rejects them.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _COMMANDS.get(argv[0]) if argv else None
+    if parser is None:
+        return _PARSER.parse_args(argv)
+    args, extras = parser.parse_known_args(argv[1:])
+    if extras:
+        _PARSER.error("unrecognized arguments: %s" % " ".join(extras))
+    args.command = argv[0]
+    args.dump_defaults = False
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse_argv(argv)
 
     if args.dump_defaults:
         _write_text(dump_scenario(default_scenario()), args.out)

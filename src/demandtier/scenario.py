@@ -10,7 +10,9 @@ the keys that ``scenario_to_dict`` writes, and an unknown section or key is
 rejected by name. Every number must be finite (an integer beyond float range
 counts as infinite), a key with an integer default takes only integers, and an
 enum key takes only its members' string values. Each section's overrides then
-go unchanged to its class, whose constructor re-validates its own invariants.
+go unchanged to its class, whose constructor re-validates its own invariants;
+its error is reported under the section's name. Only the sections a scenario
+names are built: the others are the default instances, built once per process.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import get_type_hints
 
 from .bifurcation import SweepConfig
 from .demand import PreferenceSchedule
-from .dynamics import LearningSpec, TechnologyState
+from .dynamics import LearningSpec
 from .errors import ConfigError, DemandTierError, _require_int
 from .planner import PlannerConfig
 from .solver import SolverConfig
@@ -42,8 +44,9 @@ class SimulationConfig:
     horizon: int = 500
 
     def __post_init__(self):
-        # delegate positivity checks to TechnologyState
-        TechnologyState(a_H=self.a_H0, a_L=self.a_L0, wage=self.wage)
+        for key in ("a_H0", "a_L0", "wage"):
+            if getattr(self, key) <= 0.0:
+                raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")
         _require_int("horizon", self.horizon, 1)
 
 
@@ -90,14 +93,19 @@ _LIST_KEYS = {
     (section, f.name)
     for section, cls in _SECTIONS.items() for f in fields(cls) if "list" in str(f.type)
 }
+# each section built from its defaults, once per process: a scenario shares
+# these frozen instances for the sections it does not name
+_DEFAULTS = {section: cls() for section, cls in _SECTIONS.items()}
 
 
 def default_scenario() -> Scenario:
     """The canned experiment: cubic learning calibration and standard grids."""
-    return load_scenario_dict({})
+    return Scenario(**_DEFAULTS)
 
 
 def _check_number(section: str, key: str, value, allow_list: bool) -> None:
+    if type(value) is float and math.isfinite(value):
+        return
     # json.loads accepts NaN, Infinity, overflowing literals such as 1e999 and
     # integers of any size
     in_list = allow_list and isinstance(value, list)
@@ -134,9 +142,11 @@ def load_scenario_dict(data: dict) -> Scenario:
     if unknown:
         raise ConfigError(f"unknown scenario section '{sorted(unknown)[0]}'")
 
-    built = {}
+    built = dict(_DEFAULTS)
     for section, cls in _SECTIONS.items():
-        overrides = data.get(section, {})
+        if section not in data:
+            continue
+        overrides = data[section]
         if not isinstance(overrides, dict):
             raise ConfigError(f"section '{section}' must be an object")
         known = _SCHEMA[section]
@@ -158,8 +168,6 @@ def load_scenario_dict(data: dict) -> Scenario:
                 raise ConfigError(f"key '{key}' in section '{section}' must be an integer")
         try:
             built[section] = cls(**overrides)
-        except ConfigError:
-            raise
         except (TypeError, ValueError, DemandTierError) as exc:
             raise ConfigError(f"invalid section '{section}': {exc}") from exc
     return Scenario(**built)
@@ -169,10 +177,14 @@ def load_scenario(path: str | Path | None) -> Scenario:
     """Load a scenario JSON file; None means the built-in defaults."""
     if path is None:
         return default_scenario()
-    text = Path(path).read_text(encoding="utf-8")
+    with open(path, "rb", buffering=0) as file:
+        raw = file.read()
     try:
+        text = raw.decode("utf-8")
+        if "\r" in text:  # the newlines of text mode, so that error positions stay put
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
         data = json.loads(text)
-    except ValueError as exc:  # also an integer literal past Python's digit limit
+    except ValueError as exc:  # also non-UTF-8 bytes, and an integer past the digit limit
         raise ConfigError(f"scenario file is not valid JSON: {exc}") from exc
     return load_scenario_dict(data)
 

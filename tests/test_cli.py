@@ -157,7 +157,12 @@ def test_repeated_in_process_calls_match_fresh_processes(tmp_path, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"solver": {"p_min": 5.0, "p_max": 1.0}}))
     others = [(("fixed-points", "--E", "nan"), 2), (("--version",), 0), (("--help",), 0),
-              (("fixed-points", "--scenario", str(bad)), 2)]
+              (("fixed-points", "--scenario", str(bad)), 2),
+              # argv that start with a command go to its own parser first
+              (("fixed-points", "--bogus"), 2), (("simulate", "--E"), 2),
+              (("statics", "extra"), 2), (("planner-foc", "--version"), 2),
+              (("bifurcation", "--help"), 0), (("bifurcation", "--workers", "x"), 2)]
+    assert len(others) <= 2 * len(GOLDEN_CASES)  # the loop below reaches each one
     expected = {}
     for args, code in others:
         cp = subprocess.run([sys.executable, "-m", "demandtier", *args], capture_output=True)
@@ -186,6 +191,64 @@ def test_parser_is_built_once_per_process(monkeypatch):
         new_parsers.append(len(built) - before)
     # the parser is built when demandtier.cli is imported, never by a call
     assert new_parsers == [0, 0, 0]
+
+
+# a valid option list of each command, for the parse-route table
+VALID_OPTIONS = {
+    "fixed-points": ("--E", "0.2"),
+    "bifurcation": ("--strict", "--workers", "2", "--thresholds-out", "t.csv"),
+    "simulate": ("--E", "0.3", "--out", "o.csv"),
+    "statics": ("--E=0.1",),
+    "planner-foc": ("--out", "o.csv"),
+}
+
+
+def argv_table():
+    """Argument lists for both parse routes: per command, valid input and each
+    way of getting it wrong, and argv that do not start with a command."""
+    table = [(), ("--version",), ("--help",), ("-h",), ("--dump-defaults",),
+             ("--dump-defaults", "--out", "d.json"), ("--out",), ("--bogus",), ("nope",),
+             ("fixed",), ("--", "fixed-points"), ("--dump-defaults", "extra")]
+    for command, valid in VALID_OPTIONS.items():
+        table += [
+            (command,), (command, *valid), (command, "--scenario", "s.json", *valid),
+            (command, "--sc", "s.json"),  # an abbreviation
+            (command, "--scenario", "a.json", "--scenario", "b.json"),
+            (command, "--scenario"), (command, *valid, "--out"),  # a missing value
+            (command, "--E", "nan"), (command, "--E", "1e999"), (command, "--workers", "x"),
+            (command, "--bogus"), (command, "--bogus=1", *valid), (command, "-x"),
+            (command, "extra"), (command, *valid, "extra", "more"), (command, "--", "extra"),
+            (command, "--help"), (command, "-h", "--bogus"), (command, "--version"),
+            (command, "--dump-defaults"), (command, command),
+            ("--out", "x.csv", command), ("--dump-defaults", command), ("--version", command),
+            ("--help", command),
+        ]
+    return table
+
+
+def parsed(parse, argv):
+    """(namespace, exit code, stdout, stderr) of one parse of argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace, code = vars(parse(list(argv))), None
+        except SystemExit as exc:
+            namespace, code = None, exc.code
+    return namespace, code, out.getvalue(), err.getvalue()
+
+
+def test_command_parser_route_matches_the_full_parser(monkeypatch):
+    # main hands an argv that starts with a command to that command's parser;
+    # it must give what _PARSER.parse_args gives, byte for byte
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap at the terminal width
+    table = argv_table()
+    assert len(table) >= 100
+    codes = set()
+    for argv in table:
+        full = parsed(cli._PARSER.parse_args, argv)
+        assert parsed(cli._parse_argv, argv) == full, argv
+        codes.add(full[1])
+    assert codes == {None, 0, 2}  # parsed, --help or --version, and rejected
 
 
 # runs each argument list of argv[1] through cli.main in one process and
@@ -272,6 +335,13 @@ def test_non_finite_education_override_rejected(command, value):
     ({"simulation": {"E": [0.1, -0.5, 0.2], "horizon": 3}}, ("simulate",),
      "education level must be >= 0, got -0.5"),
     (None, ("statics", "--E", "-3"), "education level must be >= 0, got -3.0"),
+    # a negative scalar simulation.E is named by its key; a negative --E by its value
+    ({"simulation": {"E": -1.0}}, ("simulate",),
+     "key 'E' in section 'simulation' must be >= 0, got -1.0"),
+    ({"simulation": {"E": -2}}, ("planner-foc",),
+     "key 'E' in section 'simulation' must be >= 0, got -2.0"),
+    ({"simulation": {"E": -2.0}}, ("simulate", "--E", "-1"),
+     "error: education level must be >= 0, got -1.0\n"),
 ])
 def test_negative_education_exits_2_naming_the_value(tmp_path, scenario, args, named):
     if scenario is not None:
@@ -365,6 +435,15 @@ class TestFixedPoints:
         cp = run_cli("fixed-points", "--E", "0.2", "--scenario", str(bad))
         assert cp.returncode == 2
         assert "p_max" in cp.stderr
+        assert cp.stdout == ""
+
+    def test_scenario_file_that_is_not_utf8_exits_2(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"x": "\xff"}')
+        cp = run_cli("fixed-points", "--scenario", str(bad))
+        assert cp.returncode == 2
+        assert cp.stderr == ("error: scenario file is not valid JSON: 'utf-8' codec can't "
+                             "decode byte 0xff in position 7: invalid start byte\n")
         assert cp.stdout == ""
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -35,6 +36,24 @@ class TestDefaults:
 
     def test_empty_mapping_equals_defaults(self):
         assert load_scenario_dict({}) == default_scenario()
+
+    def test_default_sections_are_built_once_per_process(self, monkeypatch, tmp_path):
+        built = []
+        for cls in {type(section) for section in vars(default_scenario()).values()}:
+            def counting_init(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        path = tmp_path / "scenario.json"
+        path.write_text('{"solver": {"p_min": 0.02}, "planner": {}}', encoding="utf-8")
+        for _ in range(3):
+            assert load_scenario(None) == default_scenario() == load_scenario_dict({})
+        # the section classes ran when demandtier.scenario was imported, never by a
+        # call; a scenario builds each section it names, and shares the others
+        assert built == []
+        named = load_scenario(path)
+        assert sorted(built) == ["PlannerConfig", "SolverConfig"]
+        assert named.learning is default_scenario().learning
 
 
 class TestRoundTrip:
@@ -111,6 +130,31 @@ class TestStrictness:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_scenario(path)
+
+    def test_file_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"x": "\xff"}')
+        with pytest.raises(ConfigError, match="^scenario file is not valid JSON: 'utf-8' codec "
+                           "can't decode byte 0xff in position 7: invalid start byte$"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("text, position", [
+        # the file is read with text mode's newlines: CRLF and a lone CR end a line
+        ('{\r\n  "solver": {\r\n    "p_min": 0.5,\r\n    "p_max": ,\r\n  }\r\n}\r\n',
+         "line 4 column 14 (char 47)"),
+        ('{\r  "solver":\r {"p_min": }}', "line 3 column 12 (char 25)"),
+    ])
+    def test_syntax_error_position_counts_text_mode_lines(self, tmp_path, text, position):
+        path = tmp_path / "crlf.json"
+        path.write_bytes(text.encode())
+        with pytest.raises(ConfigError) as info:
+            load_scenario(path)
+        assert str(info.value) == f"scenario file is not valid JSON: Expecting value: {position}"
+
+    def test_crlf_file_loads(self, tmp_path):
+        path = tmp_path / "crlf.json"
+        path.write_bytes(b'{\r\n"solver": {"p_min": 0.5}\r\n}\r\n')
+        assert load_scenario(path).solver.p_min == 0.5
 
     def test_nonpositive_productivity_rejected(self):
         with pytest.raises(ConfigError):
@@ -261,6 +305,15 @@ _VALID_SECTIONS = dict(
 )
 VALID_OVERRIDES = st.fixed_dictionaries({}, optional=_VALID_SECTIONS)
 DEFAULT_KEYS = scenario_to_dict(default_scenario())
+# (section, key, value): a finite number of the right type, out of the key's range
+OUT_OF_RANGE = [
+    ("simulation", "a_H0", 0.0), ("simulation", "a_H0", -1.0), ("simulation", "a_L0", 0),
+    ("simulation", "a_L0", -1e-300), ("simulation", "wage", 0.0), ("simulation", "wage", -2),
+    ("statics", "price_H", 0.0), ("statics", "price_H", -1.0), ("statics", "y_min", 0.0),
+    ("statics", "y_min", -4.0), ("statics", "E", -1.0), ("statics", "E", -1e-9),
+    ("simulation", "horizon", 0), ("solver", "p_min", 0.0), ("sweep", "E_min", -0.1),
+    ("planner", "beta", 1.0), ("learning", "nu", 0.0), ("preferences", "alpha_slope", -0.1),
+]
 
 
 class TestLoaderProperties:
@@ -286,3 +339,15 @@ class TestLoaderProperties:
         with pytest.raises(ConfigError) as info:
             load_scenario_dict(overrides)
         assert f"'{key}'" in str(info.value)
+        assert f"section '{section}'" in str(info.value)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(VALID_OVERRIDES, st.sampled_from(OUT_OF_RANGE))
+    def test_one_out_of_range_value_is_a_config_error_naming_key_and_section(
+            self, overrides, bad):
+        section, key, value = bad
+        overrides = {**overrides, section: {**overrides.get(section, {}), key: value}}
+        with pytest.raises(ConfigError) as info:
+            load_scenario_dict(overrides)
+        assert re.search(rf"\b{key}\b", str(info.value)), info.value
+        assert f"section '{section}'" in str(info.value)
