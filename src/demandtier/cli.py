@@ -11,14 +11,18 @@ printed with 12 significant digits (``%.12g``, the same text as
 ``format(x, '.12g')``) so identical scenarios yield byte-identical files.
 
 The long tables of simulate, statics and planner-foc are built column-wise
-(``_csv_columns``): numpy arithmetic writes the text of every value whose
-12-digit rounding it can certify, and ``%`` formats the rest, so the bytes are
-those of ``%.12g`` and ``%d`` row by row. fixed-points and the bifurcation
-thresholds, tables of a few rows, are %-formatted row by row (``_csv``).
+(``_csv_columns``), each column's format taken from its dtype: a float column
+prints as ``%.12g``, an integer or bool column as ``%d``. Numpy arithmetic
+writes the text of every value whose 12-digit rounding it can certify, and
+``%`` formats the rest, so the bytes are those of ``%`` row by row.
+fixed-points and the bifurcation thresholds, tables of a few rows, are
+%-formatted row by row (``_csv``).
 
-``main(argv)`` may be called repeatedly in one process (the benchmark and the
-tests do): the argument parser is built once, when this module is imported, and
-an argv that starts with a command name is parsed by that command's parser alone.
+Every command is a function ``cmd_*(scenario, args)`` of the loaded scenario
+and the parsed arguments. ``main(argv)`` may be called repeatedly in one
+process (the benchmark and the tests do): the argument parser is built once,
+when this module is imported, and an argv that starts with a command name is
+parsed by that command's parser alone.
 Importing it loads neither numpy nor the CSV tables, which the first array operation
 loads: fixed-points, --dump-defaults, --version, --help and loader errors need none,
 nor do the validation exits that simulate and statics take before their first array.
@@ -215,17 +219,14 @@ def _field_words(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return certified
 
 
-def _csv_columns(header: str, row_format: str, columns) -> str:
-    """``_csv(header, row_format, zip(*columns))`` for numpy columns, built column-wise.
+def _csv_columns(header: str, columns) -> str:
+    """The CSV of numpy ``columns`` under ``header``, built column-wise.
 
-    Each comma-separated field of ``row_format`` is ``%.12g`` (a float column) or
-    ``%d`` (an integer or bool column). The text is that of ``_csv`` byte for
-    byte: the values that ``_field_words`` does not certify are %-formatted one
-    by one.
+    A float column prints as ``%.12g`` and an integer or bool column as
+    ``%d``. The text is that of ``_csv`` with those formats, byte for byte:
+    the values that ``_field_words`` does not certify are %-formatted one by one.
     """
-    kinds = row_format.split(",")
-    if not set(kinds) <= {"%.12g", "%d"}:
-        raise ValueError(f"fields must be %.12g or %d, got {row_format!r}")
+    kinds = ["%d" if col.dtype.kind in "biu" else "%.12g" for col in columns]
     integers = [i for i, kind in enumerate(kinds) if kind == "%d"]
     n_fields = len(kinds)
     terminator = np.full(n_fields, ord(","), _WORD)
@@ -252,38 +253,40 @@ def _csv_columns(header: str, row_format: str, columns) -> str:
     return b"".join(parts).decode("ascii")
 
 
-def _education(scenario: Scenario, override: float | None, path_ok: bool = False):
-    """--E if given, else simulation.E, whose scalar must be >= 0; a path only if path_ok."""
+def _education(scenario: Scenario, override: float | None):
+    """--E if given, else simulation.E: a path, or a scalar that must be >= 0."""
     if override is not None:
         return override
     e = scenario.simulation.E
-    if isinstance(e, list):
-        if path_ok:
-            return e
-        raise ConfigError(
-            "scenario simulation E is a path; pass --E to pick the education level"
-        )
-    if e < 0.0:
+    if not isinstance(e, list) and e < 0.0:
         raise ConfigError(f"key 'E' in section 'simulation' must be >= 0, got {float(e)}")
     return e
 
 
-def cmd_fixed_points(scenario: Scenario, E: float | None, out: str | None) -> int:
-    e_val = float(_education(scenario, E))
+def _path(scenario: Scenario, E, horizon: int):
+    """The time path from the scenario's initial state under education E."""
+    sim = scenario.simulation
+    initial = TechnologyState(a_H=sim.a_H0, a_L=sim.a_L0, wage=sim.wage)
+    return simulate_path(scenario.preferences, scenario.learning, initial, E, sim.income,
+                         horizon)
+
+
+def cmd_fixed_points(scenario: Scenario, args: argparse.Namespace) -> int:
+    e_val = _education(scenario, args.E)
+    if isinstance(e_val, list):
+        raise ConfigError(
+            "scenario simulation E is a path; pass --E to pick the education level"
+        )
+    e_val = float(e_val)
     roots = find_fixed_points(scenario.preferences, scenario.learning, e_val, scenario.solver)
     rows = [(e_val, fp.p_star, fp.s_star, fp.t_prime, fp.stability.value) for fp in roots]
     _write_text(
-        _csv("E,p_star,s_star,t_prime,stability", "%.12g,%.12g,%.12g,%.12g,%s", rows), out
+        _csv("E,p_star,s_star,t_prime,stability", "%.12g,%.12g,%.12g,%.12g,%s", rows), args.out
     )
     return 0
 
 
-def cmd_bifurcation(
-    scenario: Scenario,
-    out: str | None,
-    thresholds_out: str | None,
-    strict: bool,
-) -> int:
+def cmd_bifurcation(scenario: Scenario, args: argparse.Namespace) -> int:
     diagram = sweep(scenario.preferences, scenario.learning, scenario.sweep, scenario.solver)
     roots = diagram.roots
     # one line per root; a level with no fixed point keeps a line with empty fields
@@ -309,45 +312,30 @@ def cmd_bifurcation(
             "transition in (%.12g, %.12g) [%d -> %d roots] not refined: %s\n"
             % (t.E_lo, t.E_hi, t.count_lo, t.count_hi, t.note)
         )
-    if strict and flagged:
+    if args.strict and flagged:
         sys.stderr.write("aborting: --strict treats unrefined transitions as failures\n")
         return EXIT_NUMERICAL
 
-    if out is None and thresholds_out is None:
+    if args.out is None and args.thresholds_out is None:
         sys.stdout.write(locus_csv + "\n" + thresholds_csv)
     else:
-        _write_text(locus_csv, out)
-        if thresholds_out is None:
-            sys.stdout.write(thresholds_csv)
-        else:
-            _write_text(thresholds_csv, thresholds_out)
+        _write_text(locus_csv, args.out)
+        _write_text(thresholds_csv, args.thresholds_out)
     return 0
 
 
-def cmd_simulate(scenario: Scenario, E: float | None, out: str | None) -> int:
-    sim = scenario.simulation
-    e_path = _education(scenario, E, path_ok=True)
-    initial = TechnologyState(a_H=sim.a_H0, a_L=sim.a_L0, wage=sim.wage)
-    path = simulate_path(
-        scenario.preferences, scenario.learning, initial,
-        e_path, sim.income, sim.horizon,
-    )
+def cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> int:
+    path = _path(scenario, _education(scenario, args.E), scenario.simulation.horizon)
     columns = (path.t, path.p, path.s_q, path.a_h, path.a_l,
                path.c_l, path.c_h, path.share_h, path.utility, path.interior)
-    _write_text(
-        _csv_columns(
-            "t,p,s_Q,a_H,a_L,c_L,c_H,share_H,utility,interior_flag",
-            "%d" + ",%.12g" * 8 + ",%d",
-            columns,
-        ),
-        out,
-    )
+    header = "t,p,s_Q,a_H,a_L,c_L,c_H,share_H,utility,interior_flag"
+    _write_text(_csv_columns(header, columns), args.out)
     return 0
 
 
-def cmd_statics(scenario: Scenario, E: float | None, out: str | None) -> int:
+def cmd_statics(scenario: Scenario, args: argparse.Namespace) -> int:
     st = scenario.statics
-    e_val = E if E is not None else st.E
+    e_val = args.E if args.E is not None else st.E
     # c_H = alpha*B/price_H rises with Y, so it overflows on some row only if
     # it does on the last one, which is solved first on floats, before numpy
     # loads; through elasticity_arrays, so that an invalid key exits 2 first
@@ -361,38 +349,19 @@ def cmd_statics(scenario: Scenario, E: float | None, out: str | None) -> int:
     incomes = np.linspace(st.y_min, st.y_max, st.y_points)
     # every column is NaN on non-interior rows
     demand, eta = elasticity_arrays(scenario.preferences, incomes, st.price_H, e_val)
-    columns = (incomes, demand.c_L, demand.c_H, demand.share_H, 1.0 - demand.share_H,
+    columns = (incomes, demand.c_L, demand.c_H, demand.share_H, demand.share_L,
                eta.eta_H, eta.eta_L, demand.interior)
-    _write_text(
-        _csv_columns(
-            "Y,c_L,c_H,share_H,share_L,eta_H,eta_L,interior_flag",
-            ",".join(["%.12g"] * 7) + ",%d",
-            columns,
-        ),
-        out,
-    )
+    header = "Y,c_L,c_H,share_H,share_L,eta_H,eta_L,interior_flag"
+    _write_text(_csv_columns(header, columns), args.out)
     return 0
 
 
-def cmd_planner_foc(scenario: Scenario, out: str | None) -> int:
-    sim = scenario.simulation
-    e_path = _education(scenario, None, path_ok=True)
-    initial = TechnologyState(a_H=sim.a_H0, a_L=sim.a_L0, wage=sim.wage)
-    path = simulate_path(
-        scenario.preferences, scenario.learning, initial,
-        e_path, sim.income, scenario.planner.horizon,
-    )
+def cmd_planner_foc(scenario: Scenario, args: argparse.Namespace) -> int:
+    path = _path(scenario, _education(scenario, None), scenario.planner.horizon)
     report = evaluate_foc(scenario.preferences, scenario.learning, scenario.planner, path)
     columns = (report.t, report.preference_term, report.spillover_term,
                report.shadow_cost, report.wedge, report.lambda_t, report.eta_t)
-    _write_text(
-        _csv_columns(
-            ",".join(("t", *FOC_COLUMNS)),
-            "%d" + ",%.12g" * 6,
-            columns,
-        ),
-        out,
-    )
+    _write_text(_csv_columns(",".join(("t", *FOC_COLUMNS)), columns), args.out)
     return 0
 
 
@@ -484,25 +453,18 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write("error: a subcommand (or --dump-defaults) is required\n")
         return EXIT_VALIDATION
 
+    # built per call, so that a cmd_* name patched on this module is the one that runs
+    run = {"fixed-points": cmd_fixed_points, "bifurcation": cmd_bifurcation,
+           "simulate": cmd_simulate, "statics": cmd_statics,
+           "planner-foc": cmd_planner_foc}[args.command]
     try:
-        scenario = load_scenario(args.scenario)
-        if args.command == "fixed-points":
-            return cmd_fixed_points(scenario, args.E, args.out)
-        if args.command == "bifurcation":
-            return cmd_bifurcation(scenario, args.out, args.thresholds_out, args.strict)
-        if args.command == "simulate":
-            return cmd_simulate(scenario, args.E, args.out)
-        if args.command == "statics":
-            return cmd_statics(scenario, args.E, args.out)
-        if args.command == "planner-foc":
-            return cmd_planner_foc(scenario, args.out)
+        return run(load_scenario(args.scenario), args)
     except (NoConvergence, NumericalOverflow) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERICAL
     except (DemandTierError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

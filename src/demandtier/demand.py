@@ -94,6 +94,7 @@ class DemandArrays(NamedTuple):
     c_H: np.ndarray
     supernumerary: np.ndarray
     share_H: np.ndarray
+    share_L: np.ndarray
     utility: np.ndarray
     interior: np.ndarray
 
@@ -173,8 +174,8 @@ def solve_demand(sched: PreferenceSchedule, budget: HouseholdBudget, E: float) -
     subsistence at current prices; the message states B in units of the
     low-tier good.
     """
-    c_L, c_H, b, share_H, utility, _ = _demand(sched, *_in_units_of_L(budget), E, True)
-    return DemandSolution(c_L, c_H, b * budget.price_L, share_H, 1.0 - share_H, utility)
+    c_L, c_H, b, share_H, share_L, utility, _ = _demand(sched, *_in_units_of_L(budget), E, True)
+    return DemandSolution(c_L, c_H, b * budget.price_L, share_H, share_L, utility)
 
 
 def elasticity_arrays(
@@ -197,10 +198,9 @@ def elasticity_arrays(
         )
     demand = DemandArrays(*_demand(sched, income, price_H, E, require_interior))
     eta_H = income / demand.supernumerary
-    share_L = 1.0 - demand.share_H
-    # where share_H rounds to 1, floats give inf as numpy's division does
-    nonzero = share_L != 0.0
-    eta_L = _select(nonzero, (1.0 - alpha_of(sched, E)) / _select(nonzero, share_L, 1.0),
+    # where share_L underflows to 0, floats give inf as numpy's division does
+    nonzero = demand.share_L != 0.0
+    eta_L = _select(nonzero, (1.0 - alpha_of(sched, E)) / _select(nonzero, demand.share_L, 1.0),
                     math.inf)
     return demand, IncomeElasticities(eta_H=eta_H, eta_L=eta_L)
 
@@ -264,8 +264,11 @@ def _demand(sched: PreferenceSchedule, y, p, e, require_interior: bool) -> tuple
     b = _select(short, math.nan, b)
     ex_L = (1.0 - a) * b
     ex_H = a * b / p
+    c_L = g_L + ex_L
     c_H = sched.gamma_H + ex_H
-    return g_L + ex_L, c_H, b, p * c_H / y, ex_L ** (1.0 - a) * ex_H ** a, xp.logical_not(short)
+    # share_L from c_L, not as 1 - share_H, which cancels where share_H is near 1
+    return (c_L, c_H, b, p * c_H / y, c_L / y, ex_L ** (1.0 - a) * ex_H ** a,
+            xp.logical_not(short))
 
 
 def dshare_H_dE(sched: PreferenceSchedule, budget: HouseholdBudget, E: float) -> ShareSlope:

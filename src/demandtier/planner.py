@@ -116,7 +116,9 @@ def evaluate_foc(
     demand = demand_arrays(sched, net[:ok], p[:ok], e[:ok], require_interior=True)
     if ok < horizon:
         raise ConfigError(
-            f"income {y[ok]} cannot cover the education cost {kappa(cfg, e[ok])} at t={ok}"
+            f"income {y[ok]} cannot cover the education cost {kappa(cfg, e[ok])} at t={ok}: "
+            "keys 'kappa_scale' and 'kappa_curv' in section 'planner' set the cost "
+            "kappa_scale*E**kappa_curv"
         )
 
     a = alpha_of(sched, e)

@@ -51,7 +51,7 @@ def integers(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def mismatches(ints: np.ndarray, floats: np.ndarray) -> list:
     """(expected, got) for each line of the table that differs from %-formatting."""
-    got = _csv_columns("i,x", "%d,%.12g", [ints, floats]).splitlines()
+    got = _csv_columns("i,x", [ints, floats]).splitlines()
     want = _csv("i,x", "%d,%.12g", zip(ints.tolist(), floats.tolist())).splitlines()
     return [(w, g) for w, g in zip(want, got) if w != g] + (
         [("%d lines" % len(want), "%d lines" % len(got))] if len(want) != len(got) else [])

@@ -44,7 +44,7 @@ class TestCsvWriter:
     def test_special_values_print_as_format_12g(self):
         values = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e308,
                   0.1, 1.0 / 3.0, 123456789012345.0, np.float64(2.0) / 3.0]
-        text = _csv_columns("i,x", "%d,%.12g", [np.arange(len(values)), np.array(values)])
+        text = _csv_columns("i,x", [np.arange(len(values)), np.array(values)])
         expected = "".join(f"{i},{format(float(v), '.12g')}\n" for i, v in enumerate(values))
         assert text == "i,x\n" + expected
 
@@ -66,7 +66,8 @@ def assert_same_as_percent(ints, floats):
 
 
 class TestColumnCsv:
-    """``_csv_columns`` writes the bytes of ``_csv``: '%d' and '%.12g' per value."""
+    """``_csv_columns`` writes the bytes of ``_csv``: '%d' per integer or bool
+    value and '%.12g' per float."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.tuples(INT64, st.floats()), max_size=40))
@@ -86,11 +87,11 @@ class TestColumnCsv:
 
     def test_zero_rows_is_header_only(self):
         empty = np.array([])
-        assert _csv_columns("t,x,flag", "%d,%.12g,%d", [empty, empty, empty]) == "t,x,flag\n"
+        assert _csv_columns("t,x,flag", [empty, empty, empty]) == "t,x,flag\n"
 
     def test_bool_and_integer_columns_print_as_d(self):
         flags = np.array([True, False, True])
-        text = _csv_columns("t,x,flag", "%d,%.12g,%d", [np.arange(3), np.ones(3), flags])
+        text = _csv_columns("t,x,flag", [np.arange(3), np.ones(3), flags])
         assert text == "t,x,flag\n0,1,1\n1,1,0\n2,1,1\n"
 
     def test_only_uncertain_values_are_left_to_percent(self):
@@ -101,10 +102,6 @@ class TestColumnCsv:
                             math.nan, -math.nan, math.inf, -math.inf])
         assert not _field_words(left, np.empty((left.size, 5), np.uint64)).any()
         assert _field_words(written, np.empty((written.size, 5), np.uint64)).all()
-
-    def test_rejects_other_fields(self):
-        with pytest.raises(ValueError, match="%s"):
-            _csv_columns("a", "%s", [np.ones(2)])
 
 
 CLI_GOLDENS = DATA_DIR / "cli"
@@ -173,6 +170,20 @@ def test_repeated_in_process_calls_match_fresh_processes(tmp_path, monkeypatch):
     for k, (_, args) in enumerate(GOLDEN_CASES * 2):
         for call in (args, others[k % len(others)][0]):
             assert main_in_process(call) == expected[call], call
+
+
+def test_main_runs_the_command_bound_on_the_module(monkeypatch):
+    # a tracer wraps a command by rebinding its cli.cmd_* name; main must run
+    # the function bound there at the time of the call
+    calls = []
+
+    def patched(scenario, args):
+        calls.append((scenario.statics, args.E))
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_statics", patched)
+    assert main_in_process(("statics", "--E", "0.3")) == (7, b"", b"")
+    assert calls == [(cli.default_scenario().statics, 0.3)]
 
 
 def test_parser_is_built_once_per_process(monkeypatch):
@@ -437,6 +448,15 @@ class TestFixedPoints:
         assert "p_max" in cp.stderr
         assert cp.stdout == ""
 
+    def test_education_path_without_override_exits_2(self, tmp_path):
+        scenario = tmp_path / "path.json"
+        scenario.write_text(json.dumps({"simulation": {"E": [0.1, 0.2]}}))
+        cp = run_cli("fixed-points", "--scenario", str(scenario))
+        assert cp.returncode == 2
+        assert cp.stderr == ("error: scenario simulation E is a path; "
+                             "pass --E to pick the education level\n")
+        assert cp.stdout == ""
+
     def test_scenario_file_that_is_not_utf8_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b'{"x": "\xff"}')
@@ -594,6 +614,21 @@ class TestStatics:
         _, rows = parse_csv(cp.stdout)
         assert all(math.isfinite(float(x)) for r in rows for x in r)
 
+    def test_share_L_near_zero_is_not_cancelled(self, tmp_path):
+        # alpha = 1 - 2**-53 and gamma_L = 0: share_L = 1 - alpha, which
+        # 1 - share_H would round to 0, and eta_L = 1, not inf
+        scenario = tmp_path / "alpha_near_one.json"
+        scenario.write_text(json.dumps({
+            "preferences": {"alpha_lo": 0.9999999999999999, "alpha_hi": 0.9999999999999999,
+                            "gammaL_base": 0.0},
+            "statics": {"y_min": 1, "y_max": 3, "y_points": 3, "price_H": 1.3},
+        }))
+        cp = run_cli("statics", "--scenario", str(scenario))
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stderr == ""
+        _, rows = parse_csv(cp.stdout)
+        assert [(r[4], r[6], r[7]) for r in rows] == [("1.11022302463e-16", "1", "1")] * 3
+
     def test_non_interior_rows_flagged(self, tmp_path):
         scenario = tmp_path / "poor.json"
         scenario.write_text(json.dumps({"statics": {"y_min": 1.0, "y_max": 40.0, "y_points": 5}}))
@@ -705,6 +740,16 @@ class TestBifurcation:
         for text in match.groups():
             assert repr(float(text)) == text
 
+    @pytest.mark.parametrize("option", ["--out", "--thresholds-out"])
+    def test_one_output_option_sends_the_other_table_to_stdout(self, tmp_path, option):
+        golden, stderr = golden_bytes("bifurcation")
+        locus, _, thresholds = golden.partition(b"\n\n")
+        locus += b"\n"
+        to_file, to_stdout = (locus, thresholds) if option == "--out" else (thresholds, locus)
+        path = tmp_path / "table.csv"
+        assert main_in_process(("bifurcation", option, str(path))) == (0, to_stdout, stderr)
+        assert path.read_bytes() == to_file
+
     def test_stdout_carries_both_csvs(self):
         cp = run_cli("bifurcation")
         assert cp.returncode == 0
@@ -748,6 +793,18 @@ class TestPlannerFoc:
         assert cp.stderr == (
             "error: planner FOC column 'spillover_term' is nan at t=0: "
             "the terms leave the float range along the path\n"
+        )
+        assert cp.stdout == ""
+
+    def test_education_cost_above_income_exits_2_naming_kappa(self, tmp_path):
+        scenario = tmp_path / "huge_kappa.json"
+        scenario.write_text(json.dumps({"planner": {"kappa_scale": 1e300}}))
+        cp = run_cli("planner-foc", "--scenario", str(scenario))
+        assert cp.returncode == 2
+        assert cp.stderr == (
+            "error: income 10.0 cannot cover the education cost 7.840000000000001e+298 at t=0: "
+            "keys 'kappa_scale' and 'kappa_curv' in section 'planner' set the cost "
+            "kappa_scale*E**kappa_curv\n"
         )
         assert cp.stdout == ""
 

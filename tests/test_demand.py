@@ -323,13 +323,27 @@ class TestHouseholdOracle:
             assert (eta.eta_H, eta.eta_L) == pytest.approx((eta_h, eta_l), rel=1e-12, abs=0.0)
 
     def test_share_H_rounded_to_one_gives_inf_on_floats_as_on_arrays(self):
-        # alpha = 1 - 2**-53 and no subsistence: share_H rounds to 1, and
-        # eta_L = (1 - alpha)/(1 - share_H) divides by zero
+        # alpha = 1 - 2**-53, no subsistence and a subnormal income: share_H
+        # rounds to 1, share_L = c_L/Y underflows to 0, and eta_L =
+        # (1 - alpha)/share_L divides by zero
         sched = PreferenceSchedule(alpha_lo=1.0 - 2.0**-53, alpha_hi=1.0 - 2.0**-53,
                                    gammaL_base=0.0)
-        _, floats = elasticity_arrays(sched, 1.0, 0.7, 0.2)
-        _, arrays = elasticity_arrays(sched, np.array([1.0]), 0.7, 0.2)
+        _, floats = elasticity_arrays(sched, 1e-310, 0.7, 0.2)
+        _, arrays = elasticity_arrays(sched, np.array([1e-310]), 0.7, 0.2)
         assert floats.eta_L == arrays.eta_L[0] == math.inf
+
+    def test_share_L_is_not_one_minus_a_share_H_rounded_to_one(self):
+        # at income 1, share_H rounds to 1 but share_L = c_L/Y keeps 1 - alpha,
+        # which 1 - share_H would cancel to 0
+        sched = PreferenceSchedule(alpha_lo=1.0 - 2.0**-53, alpha_hi=1.0 - 2.0**-53,
+                                   gammaL_base=0.0)
+        budget = HouseholdBudget(income=1.0, price_H=0.7)
+        floats, eta = elasticity_arrays(sched, 1.0, 0.7, 0.2)
+        arrays, eta_arrays = elasticity_arrays(sched, np.array([1.0]), 0.7, 0.2)
+        assert floats.share_H == 1.0
+        assert floats.share_L == arrays.share_L[0] == solve_demand(sched, budget, 0.2).share_L
+        assert floats.share_L == 2.0**-53
+        assert eta.eta_L == eta_arrays.eta_L[0] == 1.0
 
 
 def _finite(lo, hi):

@@ -175,7 +175,9 @@ class TestDiagnostics:
         net = incomes[t] - kappa(cfg, 0.2)
         if error is ConfigError:
             assert str(caught.value) == (
-                f"income {incomes[t]} cannot cover the education cost {kappa(cfg, 0.2)} at t={t}"
+                f"income {incomes[t]} cannot cover the education cost {kappa(cfg, 0.2)} at t={t}: "
+                "keys 'kappa_scale' and 'kappa_curv' in section 'planner' set the cost "
+                "kappa_scale*E**kappa_curv"
             )
         else:
             with pytest.raises(NonInteriorBudget) as scalar:
