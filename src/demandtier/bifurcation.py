@@ -1,14 +1,13 @@
 """Education sweeps, root-locus diagrams, closed-form saddle-node thresholds,
 and the education-channel decomposition of the price map.
 
-Sweeping an education grid and counting fixed points per level localizes
-parameter intervals where the root count changes. The whole grid is solved,
-re-checked and classified in one batch; the diagram keeps the roots as
-columns and builds per-level rows only when asked for them. A genuine
-saddle-node is a double root of the fixed-point cubic, so its share solves a
-quadratic and its education level follows in closed form; a transition with
-no saddle-node in its bracket comes from a root crossing the price window and
-is kept as a flagged transition instead of a threshold.
+An education grid is solved, re-checked and classified in one batch; the
+diagram keeps the roots as columns and builds per-level rows only when asked
+for them. The grid only samples the printed locus. The root count changes
+where the root locus E(s) = -q(s)/nu has a saddle-node inside the price
+window (a double root of the fixed-point cubic, in closed form), or where a
+root crosses a window edge, which is kept as a flagged transition instead of
+a threshold. Each transition carries its exact E.
 """
 
 from __future__ import annotations
@@ -18,17 +17,23 @@ from functools import cached_property
 from typing import NamedTuple
 
 from ._np import np
-from .demand import PreferenceSchedule
+from .demand import PreferenceSchedule, alpha_of
 from .dynamics import (
     LearningSpec, excess_share, excess_share_slope_E, gap_coefficients, h_ratio,
 )
 from .errors import ConfigError, DegenerateChannel, NoConvergence, _require_int
-from .solver import FixedPoint, RootColumns, SolverConfig, _critical_shares, _fixed_point_rows
+from .solver import (
+    FixedPoint, RootColumns, SolverConfig, _critical_shares, _fixed_point_rows, _real_roots,
+)
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Education grid and the residual tolerance for saddle-node thresholds."""
+    """Education grid and the residual tolerance for saddle-node thresholds.
+
+    The ``E_points`` levels only sample the printed locus: the thresholds and
+    transitions are the same for every grid over [E_min, E_max].
+    """
 
     E_min: float = 0.05
     E_max: float = 0.45
@@ -54,15 +59,14 @@ class SaddleNode:
 
 @dataclass(frozen=True)
 class Transition:
-    """A root-count change between adjacent sweep rows.
+    """A change from ``count_lo`` roots just below E to ``count_hi`` just above.
 
-    ``saddle`` holds the threshold when a saddle-node lies inside the
-    bracket; otherwise it is None and ``note`` says why (window-edge
-    transitions stay flagged rather than reported).
+    ``saddle`` holds the threshold where two roots collide; otherwise it is
+    None and ``note`` says why: a root crosses an edge of the price window, or
+    the saddle-node's residuals exceed ``refine_tol``.
     """
 
-    E_lo: float
-    E_hi: float
+    E: float
     count_lo: int
     count_hi: int
     saddle: SaddleNode | None
@@ -114,37 +118,97 @@ class ChannelCondition(NamedTuple):
     dT_dE: float
 
 
+def _saddle_nodes(spec: LearningSpec, e_lo: float, e_hi: float, refine_tol: float) -> list:
+    """(s_bar, E_bar, saddle-node or None, note) of each double root of the gap
+    cubic q(s) + nu*E with E_bar in (e_lo, e_hi): s_bar in (0, 1) is a root of
+    q'(s) = 0 and E_bar = -q(s_bar)/nu. The note tells of residuals |H - 1| and
+    |dH/ds| above ``refine_tol``, where the saddle-node is None."""
+    c3, c2, c1, c0 = gap_coefficients(spec, 0.0)
+    found = []
+    for s in _critical_shares(spec):
+        e = -(((c3 * s + c2) * s + c1) * s + c0) / spec.nu
+        if e_lo < e < e_hi:
+            h = h_ratio(spec, s, e)
+            res = (abs(h.value - 1.0), abs(h.dH_ds))
+            ok = max(res) <= refine_tol
+            note = "" if ok else f"saddle-node residuals {res} at (s={s}, E={e}) above {refine_tol}"
+            found.append((s, e, SaddleNode(e, s, res) if ok else None, note))
+    return found
+
+
 def refine_saddle_node(
     spec: LearningSpec,
     E_bracket: tuple[float, float],
     refine_tol: float = 1e-8,
 ) -> SaddleNode:
-    """The saddle-node with E_bar strictly inside E_bracket, in closed form.
-
-    A saddle-node is a double root of the gap cubic q(s) + nu*E, where q is
-    the gap g_H(s, E) - g_L(1 - s) at E = 0: s_bar is a root of q'(s) = 0 from
-    ``solver._critical_shares`` and E_bar = -q(s_bar)/nu by Horner's rule.
-    Raises NoConvergence when no such point with s_bar in (0, 1) lies in the
-    bracket, or when its residuals |H - 1| and |dH/ds| exceed ``refine_tol``.
-    """
-    e_lo, e_hi = E_bracket
-    c3, c2, c1, c0 = gap_coefficients(spec, 0.0)
-    for s_bar in _critical_shares(spec):
-        e_bar = -(((c3 * s_bar + c2) * s_bar + c1) * s_bar + c0) / spec.nu
-        if not e_lo < e_bar < e_hi:
-            continue
-        h = h_ratio(spec, s_bar, e_bar)
-        residuals = (abs(h.value - 1.0), abs(h.dH_ds))
-        if max(residuals) > refine_tol:
-            raise NoConvergence(
-                f"saddle-node residuals {residuals} at (s={s_bar}, E={e_bar}) "
-                f"above {refine_tol}"
-            )
-        return SaddleNode(E_bar=e_bar, s_bar=s_bar, residuals=residuals)
+    """The saddle-node with E_bar strictly inside E_bracket, in closed form; raises
+    NoConvergence when there is none, or when its residuals exceed ``refine_tol``."""
+    for _, _, saddle, note in _saddle_nodes(spec, *E_bracket, refine_tol):
+        if saddle is None:
+            raise NoConvergence(note)
+        return saddle
     raise NoConvergence(
-        f"no saddle-node lies in the bracket ({e_lo:.6g}, {e_hi:.6g}); a root-count "
-        "change there comes from a root crossing the price window"
+        f"no saddle-node lies in the bracket ({E_bracket[0]:.6g}, {E_bracket[1]:.6g}); a "
+        "root-count change there comes from a root crossing the price window"
     )
+
+
+def _unit_roots(g4, g3, g2, g1, g0) -> list[float]:
+    """Roots in (0, 1), in doubles, where g4*s^4 + ... + g0 changes sign: its derivative's
+    real roots cut (0, 1) into monotone pieces, and each that changes sign is bisected."""
+    critical, _ = _real_roots(4.0 * g4, 3.0 * g3, 2.0 * g2, g1, (0.0,) * 4)
+    cuts = [0.0, *sorted(s for s in critical if 0.0 < s < 1.0), 1.0]
+    signs = [(((g4 * s + g3) * s + g2) * s + g1) * s + g0 > 0.0 for s in cuts]
+    roots = []
+    for lo, hi, up_lo, up in zip(cuts, cuts[1:], signs, signs[1:]):
+        if up_lo != up:
+            while lo < (s := 0.5 * (lo + hi)) < hi:
+                if ((((g4 * s + g3) * s + g2) * s + g1) * s + g0 > 0.0) == up:
+                    hi = s
+                else:
+                    lo = s
+            roots.append(hi)
+    return roots
+
+
+def _events(sched: PreferenceSchedule, spec: LearningSpec, sweep_cfg: SweepConfig,
+            cfg: SolverConfig) -> list:
+    """(E, root-count change, saddle-node or None, note) of each event of the
+    root locus E(s) = -q(s)/nu in (E_min, E_max), ascending in E.
+
+    A saddle-node in the price window changes the count by 2, upward where
+    q''(s_bar) < 0. A root crosses the window edge P where its share is
+    alpha/(alpha + (1-alpha)*P): a constant where alpha is clipped, else a
+    root of ((alpha_base - alpha_slope*q(s)/nu)*(1 - s + P*s) - P*s)/(1 + P).
+    That changes the count by 1, up at p_max and down at p_min if the root's
+    drift -nu/q'(s) - dS/dE against the edge (times q'(s)^2 here) is positive.
+    """
+    c3, c2, c1, c0 = gap_coefficients(spec, 0.0)
+    if c3 == c2 == c1 == 0.0:  # the gap does not depend on s: no root, no event
+        return []
+    e_min, e_max, lo, hi = sweep_cfg.E_min, sweep_cfg.E_max, sched.alpha_lo, sched.alpha_hi
+    events = [
+        (e, 2 if 3.0 * c3 * s + c2 < 0.0 else -2, saddle, note)
+        for s, e, saddle, note in _saddle_nodes(spec, e_min, e_max, sweep_cfg.refine_tol)
+        if 3.0 * c3 * s + c2 != 0.0
+        and excess_share(sched, e, cfg.p_max) <= s <= excess_share(sched, e, cfg.p_min)
+    ]
+    k = sched.alpha_slope / spec.nu
+    a3, a2, a1, a0 = -k * c3, -k * c2, -k * c1, sched.alpha_base - k * c0  # alpha along E(s)
+    for name, price, side in (("p_min", cfg.p_min, -1), ("p_max", cfg.p_max, 1)):
+        u, m, w = 1.0 / (1.0 + price), (price - 1.0) / (1.0 + price), price / (1.0 + price)
+        affine = _unit_roots(m * a3, u * a3 + m * a2, u * a2 + m * a1, u * a1 + m * a0 - w, u * a0)
+        clipped = [(c / (c + (1.0 - c) * price), c) for c in {lo, hi}]
+        for s, clip in clipped + [(s, None) for s in affine]:
+            e = -(((c3 * s + c2) * s + c1) * s + c0) / spec.nu
+            a = alpha_of(sched, e)
+            if e_min < e < e_max and (a == clip if clip else lo < a < hi):
+                slope = (3.0 * c3 * s + 2.0 * c2) * s + c1
+                drift = -spec.nu * slope - excess_share_slope_E(sched, e, price) * slope * slope
+                if drift != 0.0:
+                    events.append((e, side if drift > 0.0 else -side, None,
+                                   f"a root crosses the price window's edge {name} = {price!r}"))
+    return sorted(events, key=lambda event: event[0])
 
 
 def sweep(
@@ -153,26 +217,17 @@ def sweep(
     sweep_cfg: SweepConfig | None = None,
     solver_cfg: SolverConfig | None = None,
 ) -> BifurcationDiagram:
-    """Root inventory over an education grid, solved in one batch, plus saddle-node thresholds.
-
-    The roots stay columns: counting them per level is one ``np.bincount``.
-    """
+    """Root inventory over an education grid, solved in one batch, as columns,
+    and the locus's transitions in (E_min, E_max), with counts running from the
+    grid's count at E_min, and thresholds."""
     sweep_cfg = sweep_cfg or SweepConfig()
+    solver_cfg = solver_cfg or SolverConfig()
     E = np.linspace(sweep_cfg.E_min, sweep_cfg.E_max, sweep_cfg.E_points)
-    roots = _fixed_point_rows(sched, spec, E, solver_cfg or SolverConfig())
-
-    counts = np.bincount(roots.level, minlength=len(E))
-    transitions: list[Transition] = []
-    for i in np.flatnonzero(np.diff(counts)).tolist():
-        e_lo, e_hi = E[i].item(), E[i + 1].item()
-        saddle, note = None, ""
-        try:
-            saddle = refine_saddle_node(spec, (e_lo, e_hi), sweep_cfg.refine_tol)
-        except NoConvergence as exc:
-            note = str(exc)
-        transitions.append(
-            Transition(e_lo, e_hi, counts[i].item(), counts[i + 1].item(), saddle, note)
-        )
+    roots = _fixed_point_rows(sched, spec, E, solver_cfg)
+    transitions, count = [], int(np.count_nonzero(roots.level == 0))
+    for e, change, saddle, note in _events(sched, spec, sweep_cfg, solver_cfg):
+        transitions.append(Transition(e, count, count + change, saddle, note))
+        count += change
     thresholds = [t.saddle for t in transitions if t.saddle is not None]
     return BifurcationDiagram(E, roots, thresholds, transitions)
 

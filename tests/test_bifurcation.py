@@ -24,9 +24,10 @@ from demandtier import (
 )
 from demandtier.dynamics import gap_coefficients
 from demandtier.errors import ConfigError, DegenerateChannel, InvalidPrice, NoConvergence
+from demandtier.scenario import load_scenario
 
 import oracles
-from conftest import flat_sched, random_calibration
+from conftest import DATA_DIR, flat_sched, random_calibration
 
 # closed-form thresholds of the headline cubic calibration, ascending in E
 SN_LOW, SN_HIGH = oracles.saddle_node_closed_form()
@@ -48,9 +49,9 @@ class TestSweepStructure:
         assert e_values[0] == 0.05 and e_values[-1] == 0.45
 
     def test_transitions_in_expected_intervals(self, diagram):
-        brackets = [(t.E_lo, t.E_hi) for t in diagram.transitions]
-        assert any(0.145 < lo < hi < 0.215 for lo, hi in brackets)
-        assert any(0.215 < lo < hi < 0.280 for lo, hi in brackets)
+        levels = [t.E for t in diagram.transitions]
+        assert any(0.145 < e < 0.215 for e in levels)
+        assert any(0.215 < e < 0.280 for e in levels)
 
     def test_rootless_rows_are_legal(self, diagram):
         assert len(diagram.rows[0].roots) == 0
@@ -74,12 +75,14 @@ class TestThresholds:
             assert sn.residuals[0] <= 1e-8
             assert sn.residuals[1] <= 1e-8
 
-    def test_containment_in_originating_bracket(self, diagram):
+    def test_thresholds_inside_sweep_and_price_window(self, sched, diagram):
         refined = [t for t in diagram.transitions if t.saddle is not None]
         assert len(refined) == 2
         for t in refined:
-            assert t.E_lo < t.saddle.E_bar < t.E_hi
+            assert t.E == t.saddle.E_bar and 0.05 < t.E < 0.45
             assert 0.0 < t.saddle.s_bar < 1.0
+            price = oracles.price_of_share(t.saddle.s_bar, oracles.clip_alpha(t.E))
+            assert 0.01 <= price <= 14.0
 
     def test_against_closed_form_oracle(self, diagram):
         for sn, (e_bar, s_bar) in zip(sorted(diagram.thresholds, key=lambda s: s.E_bar),
@@ -91,10 +94,19 @@ class TestThresholds:
         flagged = [t for t in diagram.transitions if t.saddle is None]
         # the high-p root enters through p_max near E ~ 0.09 and the low-p root
         # leaves through p_min near E ~ 0.33: both are window effects, not collisions
-        assert len(flagged) == 2
-        assert {(t.count_lo, t.count_hi) for t in flagged} == {(0, 1), (1, 0)}
-        for t in flagged:
-            assert "no saddle-node lies in the bracket" in t.note
+        assert [(round(t.E, 9), t.count_lo, t.count_hi, t.note) for t in flagged] == [
+            (0.093350609, 0, 1, "a root crosses the price window's edge p_max = 14.0"),
+            (0.330013989, 1, 0, "a root crosses the price window's edge p_min = 0.01"),
+        ]
+
+    def test_saddle_node_above_refine_tol_stays_a_flagged_transition(self, sched, cubic,
+                                                                     diagram):
+        strict = sweep(sched, cubic, SweepConfig(refine_tol=1e-30))
+        assert strict.thresholds == []
+        assert [(t.E, t.count_lo, t.count_hi) for t in strict.transitions] == [
+            (t.E, t.count_lo, t.count_hi) for t in diagram.transitions]
+        notes = [t.note for t in strict.transitions if abs(t.count_hi - t.count_lo) == 2]
+        assert len(notes) == 2 and all(n.startswith("saddle-node residuals") for n in notes)
 
     def test_colliding_pair_identity(self, diagram):
         # at the upper threshold the unstable middle root and the low-share
@@ -121,15 +133,14 @@ class TestThresholds:
 
 class TestDenserGrid:
     def test_thresholds_independent_of_grid_density(self, sched, cubic, diagram):
-        # a 10x denser education grid localizes the same two collisions
-        dense = sweep(sched, cubic, SweepConfig(E_points=801))
-        assert len(dense.thresholds) == len(diagram.thresholds) == 2
-        for a, b in zip(
-            sorted(dense.thresholds, key=lambda s: s.E_bar),
-            sorted(diagram.thresholds, key=lambda s: s.E_bar),
-        ):
-            assert a.E_bar == pytest.approx(b.E_bar, abs=1e-10)
-            assert a.s_bar == pytest.approx(b.s_bar, abs=1e-10)
+        # every grid over [0.15, 0.25], down to its two ends, gives the same
+        # transitions: the two collisions of the default sweep, and no other
+        grids = [sweep(sched, cubic, SweepConfig(E_min=0.15, E_max=0.25, E_points=n))
+                 for n in (2, 3, 81, 801)]
+        for other in grids[1:]:
+            assert other.transitions == grids[0].transitions
+        assert [(t.count_lo, t.count_hi) for t in grids[0].transitions] == [(1, 3), (3, 1)]
+        assert grids[0].thresholds == diagram.thresholds
 
 
 class TestRefineSaddleNode:
@@ -217,6 +228,42 @@ def calibrations(draw):
         chi2 = draw(_UNIT)
         spec = LearningSpec.cubic(nu, draw(_UNIT), -chi2, draw(_UNIT), chi2, validate=False)
     return sched, spec
+
+
+class TestEvents:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(calibrations(), st.floats(0.0, 0.2), st.floats(0.3, 3.0), st.integers(2, 2000))
+    def test_grid_counts_follow_the_running_count(self, calibration, e_min, e_max, points):
+        # at each level away from every event, the grid's root count is the
+        # count that the transitions run up to that level
+        sched, spec = calibration
+        diagram = sweep(sched, spec, SweepConfig(e_min, e_max, points))
+        if gap_coefficients(spec, 0.0)[:3] == (0.0, 0.0, 0.0):
+            assert diagram.transitions == []
+        counts = np.bincount(diagram.roots.level, minlength=points)
+        running = [counts[0]] + [t.count_hi for t in diagram.transitions]
+        assert [t.count_lo for t in diagram.transitions] == running[:-1]
+        assert min(running) >= 0
+        events = np.array([t.E for t in diagram.transitions])
+        assert (np.diff(events) >= 0.0).all() and ((e_min < events) & (events < e_max)).all()
+        after = np.searchsorted(events, diagram.E)
+        away = np.abs(diagram.E[:, None] - events[None, :]).min(axis=1, initial=np.inf) > 1e-9
+        assert (counts[away] == np.array(running)[after[away]]).all()
+
+    @pytest.mark.parametrize("name, thresholds, flagged", [
+        ("close_collisions", [(0.113163763710, 1, 3), (0.113275467619, 3, 1)],
+         [(0.0788437216183, 0, 1), (0.461128032962, 1, 0)]),
+        ("collision_below_p_min", [], [(0.129357924087, 0, 1)]),
+    ])
+    def test_events_that_one_grid_cell_hid(self, name, thresholds, flagged):
+        # two collisions inside one cell of a 1212-level grid, and a collision
+        # below p_min next to the root that crosses p_min in the same cell
+        scenario = load_scenario(DATA_DIR / "cli" / f"{name}.json")
+        diagram = sweep(scenario.preferences, scenario.learning, scenario.sweep,
+                        scenario.solver)
+        found = [[(float(f"{t.E:.12g}"), t.count_lo, t.count_hi) for t in diagram.transitions
+                  if (t.saddle is None) == edge] for edge in (False, True)]
+        assert found == [thresholds, flagged]
 
 
 class TestBatchInvariance:

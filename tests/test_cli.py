@@ -117,6 +117,11 @@ GOLDEN_CASES = [
     ("planner-foc_linear",
      ("planner-foc", "--scenario", str(CLI_GOLDENS / "linear_scenario.json"))),
     ("planner-foc", ("planner-foc",)),
+    # two collisions in one cell of the grid, and a collision below p_min
+    ("close_collisions",
+     ("bifurcation", "--scenario", str(CLI_GOLDENS / "close_collisions.json"))),
+    ("collision_below_p_min",
+     ("bifurcation", "--scenario", str(CLI_GOLDENS / "collision_below_p_min.json"))),
 ]
 
 
@@ -666,7 +671,7 @@ class TestBifurcation:
 
     def test_window_transitions_reported_on_stderr(self, outputs):
         _, _, stderr = outputs
-        assert stderr.count("not refined") == 2
+        assert stderr.count("transition at E=") == 2
 
     def test_byte_identical_across_runs_and_workers(self, outputs, tmp_path):
         locus, thresholds, _ = outputs
@@ -684,6 +689,20 @@ class TestBifurcation:
     def test_strict_mode_fails_on_window_transitions(self):
         cp = run_cli("bifurcation", "--strict")
         assert cp.returncode == 3
+        cp = run_cli("bifurcation", "--strict",
+                     "--scenario", str(CLI_GOLDENS / "collision_below_p_min.json"))
+        assert cp.returncode == 3 and cp.stdout == ""
+        assert cp.stderr.startswith("transition at E=0.129357924087 [0 -> 1 roots]")
+
+    def test_two_level_grid_finds_both_thresholds(self, tmp_path):
+        # the transitions do not depend on the grid: the grid's two ends bracket
+        # both collisions, and the thresholds are those of the default sweep
+        scenario = tmp_path / "coarse.json"
+        scenario.write_text(json.dumps({"sweep": {"E_min": 0.15, "E_max": 0.25, "E_points": 2}}))
+        cp = run_cli("bifurcation", "--scenario", str(scenario))
+        assert (cp.returncode, cp.stderr) == (0, "")
+        golden, _ = golden_bytes("bifurcation")
+        assert cp.stdout.partition("\n\n")[2] == golden.partition(b"\n\n")[2].decode()
 
     def test_linear_spec_has_empty_thresholds(self, tmp_path):
         scenario = tmp_path / "linear.json"
@@ -931,7 +950,13 @@ def test_random_scenarios_exit_0_2_or_3_with_finite_output(tmp_path_factory, com
         with warnings.catch_warnings():  # numpy's warnings go to stderr, as in a process
             warnings.simplefilter("ignore")
             code, out, err = main_in_process((command, "--scenario", str(path)))
+            if command == "bifurcation":
+                strict, _, _ = main_in_process((command, "--strict", "--scenario", str(path)))
         assert code in (0, 2, 3), err
+        if command == "bifurcation":
+            # --strict exits 3 exactly when the run without it reports a flagged
+            # transition, and otherwise as that run does
+            assert strict == (3 if b"transition at E=" in err else code), (scenario, err)
         if code == 2:
             assert any(re.search(rf"\b{key}\b", err.decode()) for key in perturbed), err
         header, rows = parse_csv(out.decode()) if out else ([], [])
