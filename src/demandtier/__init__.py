@@ -6,150 +6,51 @@ one-dimensional map for the relative price. The package finds and classifies
 the map's fixed points, sweeps education levels for saddle-node thresholds,
 simulates time paths, and evaluates the planner's education first-order
 condition.
+
+The public names are lazy (PEP 562): ``import demandtier`` runs this file only,
+and the first read of a name, such as ``demandtier.sweep``, imports the module
+that defines it. The config classes live in ``scenario``, beside ``Scenario``,
+so ``demandtier.LearningSpec`` imports no engine module.
 """
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .bifurcation import (
-    BifurcationDiagram,
-    ChannelCondition,
-    DiagramRow,
-    SaddleNode,
-    SweepConfig,
-    Transition,
-    channel_condition,
-    refine_saddle_node,
-    sweep,
-)
-from .demand import (
-    DemandArrays,
-    DemandSolution,
-    HouseholdBudget,
-    IncomeElasticities,
-    PreferenceSchedule,
-    ShareSlope,
-    alpha_of,
-    demand_arrays,
-    dshare_H_dE,
-    gammaL_of,
-    income_elasticities,
-    solve_demand,
-    stone_geary_utility,
-)
-from .dynamics import (
-    GrowthFactors,
-    HRatio,
-    LearningSpec,
-    LearningVariant,
-    TechnologyState,
-    TimePath,
-    excess_share,
-    excess_share_slope_E,
-    growth_factors,
-    h_ratio,
-    price_map,
-    simulate_path,
-)
-from .errors import (
-    ConfigError,
-    DegenerateChannel,
-    DemandTierError,
-    InvalidHorizon,
-    InvalidPrice,
-    InvalidState,
-    NoConvergence,
-    NonInteriorBudget,
-    NumericalOverflow,
-    ShareOutOfRange,
-)
-from .planner import (
-    FocReport,
-    PlannerConfig,
-    education_wedge_sign,
-    evaluate_foc,
-    kappa,
-    kappa_prime,
-)
-from .scenario import (
-    Scenario,
-    SimulationConfig,
-    StaticsConfig,
-    default_scenario,
-    dump_scenario,
-    load_scenario,
-    load_scenario_dict,
-    scenario_to_dict,
-)
-from .solver import (
-    FixedPoint,
-    SolverConfig,
-    Stability,
-    classify_stability,
-    find_fixed_points,
-)
+# module -> the public names it gives the package
+_PUBLIC = {
+    "bifurcation": ("BifurcationDiagram", "ChannelCondition", "DiagramRow", "SaddleNode",
+                    "Transition", "channel_condition", "refine_saddle_node", "sweep"),
+    "demand": ("DemandArrays", "DemandSolution", "HouseholdBudget", "IncomeElasticities",
+               "ShareSlope", "alpha_of", "demand_arrays", "dshare_H_dE", "gammaL_of",
+               "income_elasticities", "solve_demand", "stone_geary_utility"),
+    "dynamics": ("GrowthFactors", "HRatio", "TechnologyState", "TimePath", "excess_share",
+                 "excess_share_slope_E", "growth_factors", "h_ratio", "price_map",
+                 "simulate_path"),
+    "errors": ("ConfigError", "DegenerateChannel", "DemandTierError", "InvalidHorizon",
+               "InvalidPrice", "InvalidState", "NoConvergence", "NonInteriorBudget",
+               "NumericalOverflow", "ShareOutOfRange"),
+    "planner": ("FocReport", "education_wedge_sign", "evaluate_foc", "kappa", "kappa_prime"),
+    "scenario": ("LearningSpec", "LearningVariant", "PlannerConfig", "PreferenceSchedule",
+                 "Scenario", "SimulationConfig", "SolverConfig", "StaticsConfig", "SweepConfig",
+                 "default_scenario", "dump_scenario", "load_scenario", "load_scenario_dict",
+                 "scenario_to_dict"),
+    "solver": ("FixedPoint", "Stability", "classify_stability", "find_fixed_points"),
+}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
+# the submodules that an import of the package used to load, and so bind on it
+_SUBMODULES = ("_kernels", "_np", *_PUBLIC)
 
-__all__ = [
-    "BifurcationDiagram",
-    "ChannelCondition",
-    "ConfigError",
-    "DegenerateChannel",
-    "DemandArrays",
-    "DemandSolution",
-    "DemandTierError",
-    "DiagramRow",
-    "FixedPoint",
-    "FocReport",
-    "GrowthFactors",
-    "HRatio",
-    "HouseholdBudget",
-    "IncomeElasticities",
-    "InvalidHorizon",
-    "InvalidPrice",
-    "InvalidState",
-    "LearningSpec",
-    "LearningVariant",
-    "NoConvergence",
-    "NonInteriorBudget",
-    "NumericalOverflow",
-    "PlannerConfig",
-    "PreferenceSchedule",
-    "SaddleNode",
-    "Scenario",
-    "ShareOutOfRange",
-    "ShareSlope",
-    "SimulationConfig",
-    "SolverConfig",
-    "Stability",
-    "StaticsConfig",
-    "SweepConfig",
-    "TechnologyState",
-    "TimePath",
-    "Transition",
-    "alpha_of",
-    "channel_condition",
-    "classify_stability",
-    "default_scenario",
-    "demand_arrays",
-    "dshare_H_dE",
-    "dump_scenario",
-    "education_wedge_sign",
-    "evaluate_foc",
-    "excess_share",
-    "excess_share_slope_E",
-    "find_fixed_points",
-    "gammaL_of",
-    "growth_factors",
-    "h_ratio",
-    "income_elasticities",
-    "kappa",
-    "kappa_prime",
-    "load_scenario",
-    "load_scenario_dict",
-    "price_map",
-    "refine_saddle_node",
-    "scenario_to_dict",
-    "simulate_path",
-    "solve_demand",
-    "stone_geary_utility",
-    "sweep",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return _import_module(f"{__name__}.{name}")
+    if name in _MODULE_OF:
+        return getattr(_import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_MODULE_OF, *_SUBMODULES})

@@ -17,35 +17,11 @@ from functools import cached_property
 from typing import NamedTuple
 
 from ._np import np
-from .demand import PreferenceSchedule, alpha_of
-from .dynamics import (
-    LearningSpec, excess_share, excess_share_slope_E, gap_coefficients, h_ratio,
-)
-from .errors import ConfigError, DegenerateChannel, NoConvergence, _require_int
-from .solver import (
-    FixedPoint, RootColumns, SolverConfig, _critical_shares, _fixed_point_rows, _real_roots,
-)
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Education grid and the residual tolerance for saddle-node thresholds.
-
-    The ``E_points`` levels only sample the printed locus: the thresholds and
-    transitions are the same for every grid over [E_min, E_max].
-    """
-
-    E_min: float = 0.05
-    E_max: float = 0.45
-    E_points: int = 81
-    refine_tol: float = 1e-8
-
-    def __post_init__(self):
-        if not 0.0 <= self.E_min < self.E_max:
-            raise ConfigError(f"need 0 <= E_min < E_max, got E_min={self.E_min}, E_max={self.E_max}")
-        _require_int("E_points", self.E_points, 2)
-        if self.refine_tol <= 0.0:
-            raise ConfigError(f"refine_tol must be > 0, got {self.refine_tol}")
+from .demand import alpha_of
+from .dynamics import excess_share, excess_share_slope_E, gap_coefficients, h_ratio
+from .errors import DegenerateChannel, NoConvergence
+from .scenario import LearningSpec, PreferenceSchedule, SolverConfig, SweepConfig  # noqa: F401
+from .solver import FixedPoint, RootColumns, _critical_shares, _fixed_point_rows, _real_roots
 
 
 @dataclass(frozen=True)
@@ -142,7 +118,15 @@ def refine_saddle_node(
     refine_tol: float = 1e-8,
 ) -> SaddleNode:
     """The saddle-node with E_bar strictly inside E_bracket, in closed form; raises
-    NoConvergence when there is none, or when its residuals exceed ``refine_tol``."""
+    NoConvergence when there is none, or when its residuals exceed ``refine_tol``.
+
+    It applies no price window: a double root of the fixed-point cubic counts
+    whatever its price. ``sweep`` keeps only the saddle-nodes whose share lies
+    in its solver's window, so this can return one that the sweep flags as a
+    window-edge crossing instead; the calibration of
+    ``tests/data/cli/collision_below_p_min.json`` has one at E_bar = 0.129357694053,
+    whose price 0.0086 lies below p_min = 0.01.
+    """
     for _, _, saddle, note in _saddle_nodes(spec, *E_bracket, refine_tol):
         if saddle is None:
             raise NoConvergence(note)

@@ -23,9 +23,19 @@ and the parsed arguments. ``main(argv)`` may be called repeatedly in one
 process (the benchmark and the tests do): the argument parser is built once,
 when this module is imported, and an argv that starts with a command name is
 parsed by that command's parser alone.
-Importing it loads neither numpy nor the CSV tables, which the first array operation
-loads: fixed-points, --dump-defaults, --version, --help and loader errors need none,
-nor do the validation exits that simulate and statics take before their first array.
+
+Importing this module loads the package's ``scenario``, ``errors`` and ``_np``
+only, and loading a scenario loads nothing more: the config classes live in
+``scenario``. The engine names the commands call (``find_fixed_points``,
+``sweep``, ``simulate_path``, ``elasticity_arrays``, ``evaluate_foc`` and a few
+constants) are lazy attributes of this module (PEP 562): the first read imports
+their module, so each command imports only the engine modules it runs, and
+--dump-defaults, --version, --help and loader errors import none. ``main`` and
+the commands read those names, and the ``cmd_*`` functions, as attributes of
+this module at every call, so a name rebound here (a test's stand-in, a
+tracer's wrapper) is the one that runs. numpy and the CSV tables are loaded by
+the first array operation: fixed-points needs none, nor do the validation exits
+that simulate and statics take before their first array.
 """
 
 from __future__ import annotations
@@ -34,21 +44,32 @@ import argparse
 import math
 import sys
 from functools import cache
+from importlib import import_module
 from pathlib import Path
 from typing import Iterable
 
 from . import __version__
 from ._np import np
-from .bifurcation import sweep
-from .demand import elasticity_arrays
-from .dynamics import TechnologyState, simulate_path
 from .errors import ConfigError, DemandTierError, NoConvergence, NumericalOverflow
-from .planner import FOC_COLUMNS, evaluate_foc
 from .scenario import Scenario, default_scenario, dump_scenario, load_scenario
-from .solver import STABILITY_ORDER, find_fixed_points
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+
+# the engine names the commands call -> their modules, imported at the first read
+_ENGINE = {"find_fixed_points": "solver", "STABILITY_ORDER": "solver", "sweep": "bifurcation",
+           "elasticity_arrays": "demand", "TechnologyState": "dynamics",
+           "simulate_path": "dynamics", "FOC_COLUMNS": "planner", "evaluate_foc": "planner"}
+# this module: the commands read every engine name from it, so that a name bound
+# here, by a test or a tracer, is the one that runs
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name not in _ENGINE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = f"{__package__}.{_ENGINE[name]}"
+    return getattr(sys.modules.get(module) or import_module(module), name)
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -266,8 +287,8 @@ def _education(scenario: Scenario, override: float | None):
 def _path(scenario: Scenario, E, horizon: int):
     """The time path from the scenario's initial state under education E."""
     sim = scenario.simulation
-    initial = TechnologyState(a_H=sim.a_H0, a_L=sim.a_L0, wage=sim.wage)
-    return simulate_path(scenario.preferences, scenario.learning, initial, E, sim.income,
+    initial = _cli.TechnologyState(a_H=sim.a_H0, a_L=sim.a_L0, wage=sim.wage)
+    return _cli.simulate_path(scenario.preferences, scenario.learning, initial, E, sim.income,
                          horizon)
 
 
@@ -278,7 +299,7 @@ def cmd_fixed_points(scenario: Scenario, args: argparse.Namespace) -> int:
             "scenario simulation E is a path; pass --E to pick the education level"
         )
     e_val = float(e_val)
-    roots = find_fixed_points(scenario.preferences, scenario.learning, e_val, scenario.solver)
+    roots = _cli.find_fixed_points(scenario.preferences, scenario.learning, e_val, scenario.solver)
     rows = [(e_val, fp.p_star, fp.s_star, fp.t_prime, fp.stability.value) for fp in roots]
     _write_text(
         _csv("E,p_star,s_star,t_prime,stability", "%.12g,%.12g,%.12g,%.12g,%s", rows), args.out
@@ -287,11 +308,11 @@ def cmd_fixed_points(scenario: Scenario, args: argparse.Namespace) -> int:
 
 
 def cmd_bifurcation(scenario: Scenario, args: argparse.Namespace) -> int:
-    diagram = sweep(scenario.preferences, scenario.learning, scenario.sweep, scenario.solver)
+    diagram = _cli.sweep(scenario.preferences, scenario.learning, scenario.sweep, scenario.solver)
     roots = diagram.roots
     # one line per root; a level with no fixed point keeps a line with empty fields
     e_text = ["%.12g" % e for e in diagram.E.tolist()]
-    labels = [stability.value for stability in STABILITY_ORDER]
+    labels = [stability.value for stability in _cli.STABILITY_ORDER]
     rootless = np.flatnonzero(np.bincount(roots.level, minlength=len(e_text)) == 0)
     lines = [
         "%s,%.12g,%s\n" % (e_text[i], p, labels[code])
@@ -340,7 +361,7 @@ def cmd_statics(scenario: Scenario, args: argparse.Namespace) -> int:
     # it does on the last one, which is solved first on floats, before numpy
     # loads; through elasticity_arrays, so that an invalid key exits 2 first
     y_top = st.y_max if st.y_points > 1 else st.y_min  # linspace ends on y_max
-    top, _ = elasticity_arrays(scenario.preferences, y_top, st.price_H, e_val)
+    top, _ = _cli.elasticity_arrays(scenario.preferences, y_top, st.price_H, e_val)
     if math.isinf(top.c_H):  # NaN when B <= 0: no row divides by price_H
         raise NumericalOverflow(
             f"key 'price_H' in section 'statics' is too small: c_H overflows at "
@@ -348,7 +369,7 @@ def cmd_statics(scenario: Scenario, args: argparse.Namespace) -> int:
         )
     incomes = np.linspace(st.y_min, st.y_max, st.y_points)
     # every column is NaN on non-interior rows
-    demand, eta = elasticity_arrays(scenario.preferences, incomes, st.price_H, e_val)
+    demand, eta = _cli.elasticity_arrays(scenario.preferences, incomes, st.price_H, e_val)
     columns = (incomes, demand.c_L, demand.c_H, demand.share_H, demand.share_L,
                eta.eta_H, eta.eta_L, demand.interior)
     header = "Y,c_L,c_H,share_H,share_L,eta_H,eta_L,interior_flag"
@@ -358,10 +379,10 @@ def cmd_statics(scenario: Scenario, args: argparse.Namespace) -> int:
 
 def cmd_planner_foc(scenario: Scenario, args: argparse.Namespace) -> int:
     path = _path(scenario, _education(scenario, None), scenario.planner.horizon)
-    report = evaluate_foc(scenario.preferences, scenario.learning, scenario.planner, path)
+    report = _cli.evaluate_foc(scenario.preferences, scenario.learning, scenario.planner, path)
     columns = (report.t, report.preference_term, report.spillover_term,
                report.shadow_cost, report.wedge, report.lambda_t, report.eta_t)
-    _write_text(_csv_columns(",".join(("t", *FOC_COLUMNS)), columns), args.out)
+    _write_text(_csv_columns(",".join(("t", *_cli.FOC_COLUMNS)), columns), args.out)
     return 0
 
 
@@ -453,10 +474,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write("error: a subcommand (or --dump-defaults) is required\n")
         return EXIT_VALIDATION
 
-    # built per call, so that a cmd_* name patched on this module is the one that runs
-    run = {"fixed-points": cmd_fixed_points, "bifurcation": cmd_bifurcation,
-           "simulate": cmd_simulate, "statics": cmd_statics,
-           "planner-foc": cmd_planner_foc}[args.command]
+    run = getattr(_cli, "cmd_" + args.command.replace("-", "_"))
     try:
         return run(load_scenario(args.scenario), args)
     except (NoConvergence, NumericalOverflow) as exc:

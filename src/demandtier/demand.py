@@ -17,42 +17,7 @@ from typing import NamedTuple
 
 from ._np import _any, _first, _libm, _select, _xp, np
 from .errors import ConfigError, NonInteriorBudget
-
-
-@dataclass(frozen=True)
-class PreferenceSchedule:
-    """Education-dependent preference parameters.
-
-    The high-tier utility weight is the clipped affine schedule
-    ``alpha(E) = clip(alpha_base + alpha_slope*E, alpha_lo, alpha_hi)``
-    and the low-tier subsistence threshold decays exponentially,
-    ``gamma_L(E) = gammaL_base * exp(-gammaL_decay * E)``. The high-tier
-    threshold ``gamma_H`` is a constant; the baseline comparative statics
-    assume ``gamma_H = 0``.
-    """
-
-    alpha_base: float = 0.78
-    alpha_slope: float = 0.16
-    alpha_lo: float = 0.60
-    alpha_hi: float = 0.97
-    gammaL_base: float = 2.0
-    gammaL_decay: float = 0.5
-    gamma_H: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha_lo <= self.alpha_hi < 1.0):
-            raise ConfigError(
-                "alpha_lo/alpha_hi must satisfy 0 < alpha_lo <= alpha_hi < 1, got "
-                f"alpha_lo={self.alpha_lo}, alpha_hi={self.alpha_hi}"
-            )
-        if self.alpha_slope < 0.0:
-            raise ConfigError(f"alpha_slope must be >= 0, got {self.alpha_slope}")
-        if self.gammaL_base < 0.0:
-            raise ConfigError(f"gammaL_base must be >= 0, got {self.gammaL_base}")
-        if self.gammaL_decay < 0.0:
-            raise ConfigError(f"gammaL_decay must be >= 0, got {self.gammaL_decay}")
-        if self.gamma_H < 0.0:
-            raise ConfigError(f"gamma_H must be >= 0, got {self.gamma_H}")
+from .scenario import PreferenceSchedule  # noqa: F401 - re-exported
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,11 @@ arrays and work elementwise, with the same values either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from . import _kernels
 from ._np import _any, _first, _libm, _xp, np
-from .demand import PreferenceSchedule, alpha_of, alpha_slope_of, demand_arrays
+from .demand import alpha_of, alpha_slope_of, demand_arrays
 from .errors import (
     ConfigError,
     InvalidHorizon,
@@ -31,104 +29,7 @@ from .errors import (
     ShareOutOfRange,
     _require_int,
 )
-
-
-class LearningVariant(str, Enum):
-    LINEAR = "linear"
-    CUBIC = "cubic"
-
-
-def _cubic_min_on_unit(a: float, b: float) -> float:
-    """Minimum of 1 + a*x - b*x^3 over x in [0, 1]."""
-    candidates = [0.0, 1.0]
-    if b != 0.0 and a / (3.0 * b) > 0.0:
-        x = math.sqrt(a / (3.0 * b))
-        if 0.0 < x < 1.0:
-            candidates.append(x)
-    return min(1.0 + a * x - b * x**3 for x in candidates)
-
-
-@dataclass(frozen=True)
-class LearningSpec:
-    """Sectoral growth-factor functions and their coefficients.
-
-    Linear variant:  g_H = 1 + nu*E + phi*s,            g_L = 1 + chi*(1-s)
-    Cubic variant:   g_H = 1 + nu*E + phi1*s - phi2*s^3,
-                     g_L = 1 + chi1*(1-s) - chi2*(1-s)^3
-
-    Construction rejects inactive or sign-violating learning channels and, for
-    the cubic variant, any configuration whose growth factor can reach zero on
-    s in [0, 1] (checked at E = 0; education only raises g_H). ``validate``
-    exists solely for diagnostic constructions that deliberately switch
-    channels off; it does not participate in equality comparisons.
-
-    The field defaults are the headline calibration, so ``LearningSpec()`` is
-    the default scenario's spec. ``variant`` may be given as its string value
-    and is stored as the ``LearningVariant`` member; any other value raises
-    ConfigError, also with ``validate=False``. Both variants' coefficients are
-    fields: the inactive variant's are kept as given, neither checked nor used.
-    """
-
-    variant: LearningVariant = LearningVariant.CUBIC
-    nu: float = 0.6
-    phi: float = 0.8
-    chi: float = 1.2
-    phi1: float = 0.8
-    phi2: float = 1.0
-    chi1: float = 1.2
-    chi2: float = 1.5
-    validate: bool = field(default=True, repr=False, compare=False)
-
-    def __post_init__(self):
-        try:
-            object.__setattr__(self, "variant", LearningVariant(self.variant))
-        except ValueError:
-            choices = " or ".join(repr(v.value) for v in LearningVariant)
-            raise ConfigError(f"variant must be {choices}, got {self.variant!r}") from None
-        if not self.validate:
-            return
-        if self.nu <= 0.0:
-            raise ConfigError(f"nu must be > 0, got {self.nu}")
-        if self.variant is LearningVariant.LINEAR:
-            if self.phi <= 0.0:
-                raise ConfigError(f"phi must be > 0 for linear learning, got {self.phi}")
-            if self.chi <= 0.0:
-                raise ConfigError(f"chi must be > 0 for linear learning, got {self.chi}")
-        else:
-            if self.phi1 == self.phi2 == self.chi1 == self.chi2 == 0.0:
-                raise ConfigError("cubic learning with all scale coefficients zero is degenerate")
-            min_gh = _cubic_min_on_unit(self.phi1, self.phi2)
-            if min_gh <= 0.0:
-                raise ConfigError(
-                    f"phi1/phi2 let g_H reach {min_gh} on s in [0,1]; must stay > 0"
-                )
-            min_gl = _cubic_min_on_unit(self.chi1, self.chi2)
-            if min_gl <= 0.0:
-                raise ConfigError(
-                    f"chi1/chi2 let g_L reach {min_gl} on s in [0,1]; must stay > 0"
-                )
-
-    @classmethod
-    def linear(cls, nu: float, phi: float, chi: float, validate: bool = True) -> "LearningSpec":
-        return cls(variant=LearningVariant.LINEAR, nu=nu, phi=phi, chi=chi, validate=validate)
-
-    @classmethod
-    def cubic(
-        cls, nu: float, phi1: float, phi2: float, chi1: float, chi2: float,
-        validate: bool = True,
-    ) -> "LearningSpec":
-        return cls(
-            variant=LearningVariant.CUBIC,
-            nu=nu, phi1=phi1, phi2=phi2, chi1=chi1, chi2=chi2,
-            validate=validate,
-        )
-
-    @property
-    def coefficients(self) -> tuple[float, float, float, float, float]:
-        """Unified (nu, phi1, phi2, chi1, chi2); linear maps to zero cubic terms."""
-        if self.variant is LearningVariant.LINEAR:
-            return (self.nu, self.phi, 0.0, self.chi, 0.0)
-        return (self.nu, self.phi1, self.phi2, self.chi1, self.chi2)
+from .scenario import LearningSpec, LearningVariant, PreferenceSchedule  # noqa: F401 - re-exported
 
 
 @dataclass(frozen=True)
@@ -331,6 +232,8 @@ def simulate_path(
     y_arr = _broadcast(income_path, horizon, scalar_y)
     if np.any(e_arr < 0.0):
         raise ConfigError(f"education level must be >= 0, got {float(e_arr[e_arr < 0.0][0])}")
+
+    from . import _kernels  # imported by the first path: the fixed-point solve needs none
 
     nu, phi1, phi2, chi1, chi2 = spec.coefficients
     p, s, a_h, a_l = _kernels.simulate_arrays(

@@ -25,38 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._np import np
-from .demand import (
-    PreferenceSchedule,
-    alpha_of,
-    alpha_slope_of,
-    demand_arrays,
-    gammaL_slope_of,
-)
-from .dynamics import LearningSpec, TimePath, excess_share_slope_E, growth_H, growth_slope_H
-from .errors import ConfigError, InvalidHorizon, NumericalOverflow, _require_int
+from .demand import alpha_of, alpha_slope_of, demand_arrays, gammaL_slope_of
+from .dynamics import TimePath, excess_share_slope_E, growth_H, growth_slope_H
+from .errors import ConfigError, InvalidHorizon, NumericalOverflow
+from .scenario import LearningSpec, PlannerConfig, PreferenceSchedule  # noqa: F401 - re-exported
 
 
 # the CSV names of the FocReport columns after t, in order
 FOC_COLUMNS = ("preference_term", "spillover_term", "shadow_cost", "wedge", "lambda", "eta")
-
-
-@dataclass(frozen=True)
-class PlannerConfig:
-    """Discount factor, horizon, and the education cost kappa(E) = scale*E^curv."""
-
-    beta: float = 0.95
-    horizon: int = 3
-    kappa_scale: float = 0.05
-    kappa_curv: float = 2.0
-
-    def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ConfigError(f"beta must be in (0, 1), got {self.beta}")
-        _require_int("horizon", self.horizon, 1)
-        if self.kappa_scale <= 0.0:
-            raise ConfigError(f"kappa_scale must be > 0, got {self.kappa_scale}")
-        if self.kappa_curv < 1.0:
-            raise ConfigError(f"kappa_curv must be >= 1, got {self.kappa_curv}")
 
 
 @dataclass

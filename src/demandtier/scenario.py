@@ -13,23 +13,222 @@ enum key takes only its members' string values. Each section's overrides then
 go unchanged to its class, whose constructor re-validates its own invariants;
 its error is reported under the section's name. Only the sections a scenario
 names are built: the others are the default instances, built once per process.
+
+Every config class is defined here, beside ``Scenario``, and imports nothing of
+the engine: loading a scenario loads no solver, sweep, path or household code.
+The engine module each class configures re-exports it under its old name
+(``demand.PreferenceSchedule``, ``dynamics.LearningSpec`` and
+``LearningVariant``, ``solver.SolverConfig``, ``bifurcation.SweepConfig``,
+``planner.PlannerConfig``), so both paths give the same class.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import get_type_hints
 
-from .bifurcation import SweepConfig
-from .demand import PreferenceSchedule
-from .dynamics import LearningSpec
 from .errors import ConfigError, DemandTierError, _require_int
-from .planner import PlannerConfig
-from .solver import SolverConfig
+
+
+@dataclass(frozen=True)
+class PreferenceSchedule:
+    """Education-dependent preference parameters.
+
+    The high-tier utility weight is the clipped affine schedule
+    ``alpha(E) = clip(alpha_base + alpha_slope*E, alpha_lo, alpha_hi)``
+    and the low-tier subsistence threshold decays exponentially,
+    ``gamma_L(E) = gammaL_base * exp(-gammaL_decay * E)``. The high-tier
+    threshold ``gamma_H`` is a constant; the baseline comparative statics
+    assume ``gamma_H = 0``.
+    """
+
+    alpha_base: float = 0.78
+    alpha_slope: float = 0.16
+    alpha_lo: float = 0.60
+    alpha_hi: float = 0.97
+    gammaL_base: float = 2.0
+    gammaL_decay: float = 0.5
+    gamma_H: float = 0.0
+
+    def __post_init__(self):
+        if not (0.0 < self.alpha_lo <= self.alpha_hi < 1.0):
+            raise ConfigError(
+                "alpha_lo/alpha_hi must satisfy 0 < alpha_lo <= alpha_hi < 1, got "
+                f"alpha_lo={self.alpha_lo}, alpha_hi={self.alpha_hi}"
+            )
+        if self.alpha_slope < 0.0:
+            raise ConfigError(f"alpha_slope must be >= 0, got {self.alpha_slope}")
+        if self.gammaL_base < 0.0:
+            raise ConfigError(f"gammaL_base must be >= 0, got {self.gammaL_base}")
+        if self.gammaL_decay < 0.0:
+            raise ConfigError(f"gammaL_decay must be >= 0, got {self.gammaL_decay}")
+        if self.gamma_H < 0.0:
+            raise ConfigError(f"gamma_H must be >= 0, got {self.gamma_H}")
+
+
+class LearningVariant(str, Enum):
+    LINEAR = "linear"
+    CUBIC = "cubic"
+
+
+def _cubic_min_on_unit(a: float, b: float) -> float:
+    """Minimum of 1 + a*x - b*x^3 over x in [0, 1]."""
+    candidates = [0.0, 1.0]
+    if b != 0.0 and a / (3.0 * b) > 0.0:
+        x = math.sqrt(a / (3.0 * b))
+        if 0.0 < x < 1.0:
+            candidates.append(x)
+    return min(1.0 + a * x - b * x**3 for x in candidates)
+
+
+@dataclass(frozen=True)
+class LearningSpec:
+    """Sectoral growth-factor functions and their coefficients.
+
+    Linear variant:  g_H = 1 + nu*E + phi*s,            g_L = 1 + chi*(1-s)
+    Cubic variant:   g_H = 1 + nu*E + phi1*s - phi2*s^3,
+                     g_L = 1 + chi1*(1-s) - chi2*(1-s)^3
+
+    Construction rejects inactive or sign-violating learning channels and, for
+    the cubic variant, any configuration whose growth factor can reach zero on
+    s in [0, 1] (checked at E = 0; education only raises g_H). ``validate``
+    exists solely for diagnostic constructions that deliberately switch
+    channels off; it does not participate in equality comparisons.
+
+    The field defaults are the headline calibration, so ``LearningSpec()`` is
+    the default scenario's spec. ``variant`` may be given as its string value
+    and is stored as the ``LearningVariant`` member; any other value raises
+    ConfigError, also with ``validate=False``. Both variants' coefficients are
+    fields: the inactive variant's are kept as given, neither checked nor used.
+    """
+
+    variant: LearningVariant = LearningVariant.CUBIC
+    nu: float = 0.6
+    phi: float = 0.8
+    chi: float = 1.2
+    phi1: float = 0.8
+    phi2: float = 1.0
+    chi1: float = 1.2
+    chi2: float = 1.5
+    validate: bool = field(default=True, repr=False, compare=False)
+
+    def __post_init__(self):
+        try:
+            object.__setattr__(self, "variant", LearningVariant(self.variant))
+        except ValueError:
+            choices = " or ".join(repr(v.value) for v in LearningVariant)
+            raise ConfigError(f"variant must be {choices}, got {self.variant!r}") from None
+        if not self.validate:
+            return
+        if self.nu <= 0.0:
+            raise ConfigError(f"nu must be > 0, got {self.nu}")
+        if self.variant is LearningVariant.LINEAR:
+            if self.phi <= 0.0:
+                raise ConfigError(f"phi must be > 0 for linear learning, got {self.phi}")
+            if self.chi <= 0.0:
+                raise ConfigError(f"chi must be > 0 for linear learning, got {self.chi}")
+        else:
+            if self.phi1 == self.phi2 == self.chi1 == self.chi2 == 0.0:
+                raise ConfigError("cubic learning with all scale coefficients zero is degenerate")
+            min_gh = _cubic_min_on_unit(self.phi1, self.phi2)
+            if min_gh <= 0.0:
+                raise ConfigError(
+                    f"phi1/phi2 let g_H reach {min_gh} on s in [0,1]; must stay > 0"
+                )
+            min_gl = _cubic_min_on_unit(self.chi1, self.chi2)
+            if min_gl <= 0.0:
+                raise ConfigError(
+                    f"chi1/chi2 let g_L reach {min_gl} on s in [0,1]; must stay > 0"
+                )
+
+    @classmethod
+    def linear(cls, nu: float, phi: float, chi: float, validate: bool = True) -> "LearningSpec":
+        return cls(variant=LearningVariant.LINEAR, nu=nu, phi=phi, chi=chi, validate=validate)
+
+    @classmethod
+    def cubic(
+        cls, nu: float, phi1: float, phi2: float, chi1: float, chi2: float,
+        validate: bool = True,
+    ) -> "LearningSpec":
+        return cls(
+            variant=LearningVariant.CUBIC,
+            nu=nu, phi1=phi1, phi2=phi2, chi1=chi1, chi2=chi2,
+            validate=validate,
+        )
+
+    @property
+    def coefficients(self) -> tuple[float, float, float, float, float]:
+        """Unified (nu, phi1, phi2, chi1, chi2); linear maps to zero cubic terms."""
+        if self.variant is LearningVariant.LINEAR:
+            return (self.nu, self.phi, 0.0, self.chi, 0.0)
+        return (self.nu, self.phi1, self.phi2, self.chi1, self.chi2)
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Price window, residual bound and classification tolerance.
+
+    ``bisect_tol`` bounds the re-checked residual: every root satisfies
+    |T(p*) - p*| <= bisect_tol * max(1, p*).
+    """
+
+    p_min: float = 0.01
+    p_max: float = 14.0
+    bisect_tol: float = 1e-12
+    marginal_tol: float = 1e-8
+
+    def __post_init__(self):
+        if not 0.0 < self.p_min < self.p_max:
+            raise ConfigError(
+                f"need 0 < p_min < p_max, got p_min={self.p_min}, p_max={self.p_max}"
+            )
+        for name in ("bisect_tol", "marginal_tol"):
+            if getattr(self, name) <= 0.0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """Education grid and the residual tolerance for saddle-node thresholds.
+
+    The ``E_points`` levels only sample the printed locus: the thresholds and
+    transitions are the same for every grid over [E_min, E_max].
+    """
+
+    E_min: float = 0.05
+    E_max: float = 0.45
+    E_points: int = 81
+    refine_tol: float = 1e-8
+
+    def __post_init__(self):
+        if not 0.0 <= self.E_min < self.E_max:
+            raise ConfigError(f"need 0 <= E_min < E_max, got E_min={self.E_min}, E_max={self.E_max}")
+        _require_int("E_points", self.E_points, 2)
+        if self.refine_tol <= 0.0:
+            raise ConfigError(f"refine_tol must be > 0, got {self.refine_tol}")
+
+
+@dataclass(frozen=True)
+class PlannerConfig:
+    """Discount factor, horizon, and the education cost kappa(E) = scale*E^curv."""
+
+    beta: float = 0.95
+    horizon: int = 3
+    kappa_scale: float = 0.05
+    kappa_curv: float = 2.0
+
+    def __post_init__(self):
+        if not 0.0 < self.beta < 1.0:
+            raise ConfigError(f"beta must be in (0, 1), got {self.beta}")
+        _require_int("horizon", self.horizon, 1)
+        if self.kappa_scale <= 0.0:
+            raise ConfigError(f"kappa_scale must be > 0, got {self.kappa_scale}")
+        if self.kappa_curv < 1.0:
+            raise ConfigError(f"kappa_curv must be >= 1, got {self.kappa_curv}")
 
 
 @dataclass(frozen=True)

@@ -34,38 +34,16 @@ from enum import Enum
 from typing import NamedTuple
 
 from ._np import _any, _first, _select, _xp, np
-from .demand import PreferenceSchedule, alpha_of
-from .dynamics import LearningSpec, excess_share, gap_coefficients, h_ratio
+from .demand import alpha_of
+from .dynamics import excess_share, gap_coefficients, h_ratio
 from .errors import ConfigError, NoConvergence, ShareOutOfRange
+from .scenario import LearningSpec, PreferenceSchedule, SolverConfig  # noqa: F401 - re-exported
 
 
 class Stability(str, Enum):
     STABLE = "stable"
     UNSTABLE = "unstable"
     MARGINAL = "marginal"
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Price window, residual bound and classification tolerance.
-
-    ``bisect_tol`` bounds the re-checked residual: every root satisfies
-    |T(p*) - p*| <= bisect_tol * max(1, p*).
-    """
-
-    p_min: float = 0.01
-    p_max: float = 14.0
-    bisect_tol: float = 1e-12
-    marginal_tol: float = 1e-8
-
-    def __post_init__(self):
-        if not 0.0 < self.p_min < self.p_max:
-            raise ConfigError(
-                f"need 0 < p_min < p_max, got p_min={self.p_min}, p_max={self.p_max}"
-            )
-        for name in ("bisect_tol", "marginal_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

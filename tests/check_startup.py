@@ -2,22 +2,27 @@
 
     python3 tests/check_startup.py --samples 9
 
-Times ``import demandtier.cli``, each default subcommand and
-``--dump-defaults``, each as a new interpreter that calls ``cli.main`` as the
-installed ``demandtier`` script does, with its output discarded. Every case
-runs in two modes, each on its own copy of ``src/demandtier`` in a temporary
-directory, so the tree gets no ``__pycache__``: ``cached``, where the package's
-bytecode is written by a first untimed run and then read, and
+Times ``import demandtier.cli``, each default subcommand, ``--dump-defaults``,
+``--version`` and ``--help``, each as a new interpreter that calls ``cli.main``
+as the installed ``demandtier`` script does, with its output discarded. Every
+case runs in two modes, each on its own copy of ``src/demandtier`` in a
+temporary directory, so the tree gets no ``__pycache__``: ``cached``, where the
+package's bytecode is written by a first untimed run and then read, and
 ``no-bytecode``, with PYTHONDONTWRITEBYTECODE=1, where every run compiles the
 package's modules again (the standard library and numpy keep the bytecode
-they were installed with). The samples interleave the cases and modes.
+they were installed with). The samples interleave the cases and modes, and
+with them the interpreter's own floor, ``python -c pass`` and ``python -S -c
+pass`` (no ``site``, whose ``.pth`` files differ from machine to machine).
 
-Prints the median and the range of the wall times per case and mode, then one
-JSON line with every sample. The times are reported, not gated. It exits 1 if
-numpy is imported by ``import demandtier.cli``, ``fixed-points``,
-``--dump-defaults`` or ``simulate --E -1``: the first array operation imports
-numpy, and those need none; the last is a validation exit (2), whose check
-comes before any array. It is not part of the test suite.
+Prints the median and the range of the wall times per case and mode, whether
+each case imported numpy and which engine modules of the package it imported,
+then one JSON line with every sample. The times are reported, not gated. It
+exits 1 if numpy is imported by ``import demandtier.cli``, ``fixed-points``,
+``--dump-defaults``, ``--version``, ``--help`` or ``simulate --E -1``: the first
+array operation imports numpy, and those need none; the last is a validation
+exit (2), whose check comes before any array. It also exits 1 if a case
+imports an engine module that it does not run (``RUNS``). It is not part of
+the test suite.
 """
 
 import argparse
@@ -32,11 +37,13 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "demandtier"
-# the installed script's code; the prelude reports on stderr whether numpy
-# was imported by the time the interpreter exits
+# the installed script's code; the prelude reports on the last line of stderr
+# whether numpy was imported by the time the interpreter exits, and which
+# modules of the package were
 ENTRY = "import sys\nfrom demandtier.cli import main\nsys.exit(main(sys.argv[1:]))\n"
-PRELUDE = ("import atexit, sys\n"
-           "atexit.register(lambda: print('numpy' in sys.modules, file=sys.stderr))\n")
+PRELUDE = ("import atexit, json, sys\n"
+           "atexit.register(lambda: print(json.dumps(['numpy' in sys.modules, sorted(\n"
+           "    m for m in sys.modules if m.startswith('demandtier.'))]), file=sys.stderr))\n")
 CASES = {
     "import demandtier.cli": ("import demandtier.cli\n", []),
     "fixed-points": (ENTRY, ["fixed-points"]),
@@ -45,10 +52,26 @@ CASES = {
     "statics": (ENTRY, ["statics"]),
     "planner-foc": (ENTRY, ["planner-foc"]),
     "--dump-defaults": (ENTRY, ["--dump-defaults"]),
+    "--version": (ENTRY, ["--version"]),
+    "--help": (ENTRY, ["--help"]),
     "simulate --E -1": (ENTRY, ["simulate", "--E", "-1"]),
 }
-NUMPY_FREE = ("import demandtier.cli", "fixed-points", "--dump-defaults", "simulate --E -1")
+NUMPY_FREE = ("import demandtier.cli", "fixed-points", "--dump-defaults", "--version", "--help",
+              "simulate --E -1")
 EXIT_CODES = {"simulate --E -1": 2}  # every other case exits 0
+ENGINE = ("solver", "bifurcation", "dynamics", "demand", "planner", "_kernels")
+# the engine modules each case runs; importing any other one fails the check
+RUNS = {
+    "fixed-points": ("solver", "dynamics", "demand"),
+    "bifurcation": ("bifurcation", "solver", "dynamics", "demand"),
+    "simulate": ("dynamics", "demand", "_kernels"),
+    "statics": ("demand",),
+    "planner-foc": ("planner", "dynamics", "demand", "_kernels"),
+    "simulate --E -1": ("dynamics", "demand"),  # exits 2 before the recurrence
+}
+# the interpreter alone, with and without site
+FLOORS = {"python -c pass": [sys.executable, "-c", "pass"],
+          "python -S -c pass": [sys.executable, "-S", "-c", "pass"]}
 
 
 def run(code: str, args: list, env: dict, name: str) -> subprocess.CompletedProcess:
@@ -74,35 +97,54 @@ def main() -> int:
             envs[mode] = dict(base, PYTHONPATH=str(root))
         envs["no-bytecode"]["PYTHONDONTWRITEBYTECODE"] = "1"
 
-        loaded = {}
+        numpy, engine = {}, {}
         for name, (code, argv) in CASES.items():  # untimed: writes the cached bytecode
-            loaded[name] = run(PRELUDE + code, argv, envs["cached"], name).stderr.split()[-1]
+            stderr = run(PRELUDE + code, argv, envs["cached"], name).stderr
+            numpy[name], modules = json.loads(stderr.splitlines()[-1])
+            engine[name] = sorted(set(ENGINE) & {m.split(".", 1)[1] for m in modules})
         times = {mode: {name: [] for name in CASES} for mode in envs}
+        floors = {name: [] for name in FLOORS}
         for _ in range(args.samples):
+            for name, cmd in FLOORS.items():
+                start = time.perf_counter()
+                subprocess.run(cmd, env=base, check=True)
+                floors[name].append(time.perf_counter() - start)
             for mode, env in envs.items():
                 for name, (code, argv) in CASES.items():
                     start = time.perf_counter()
                     run(code, argv, env, name)
                     times[mode][name].append(time.perf_counter() - start)
 
+    def cell(t):
+        return f"{statistics.median(t) * 1e3:10.1f} [{min(t) * 1e3:5.0f}, {max(t) * 1e3:5.0f}]"
+
     print(f"fresh-process wall time, median [min, max] of {args.samples} runs, in ms")
-    print(f"{'':24s}" + "".join(f"{mode:>26s}" for mode in envs) + "  numpy imported")
+    print(f"{'':24s}" + "".join(f"{mode:>26s}" for mode in envs)
+          + "  numpy  engine modules imported")
     for name in CASES:
-        cells = [times[mode][name] for mode in envs]
-        print(f"{name:24s}" + "".join(
-            f"{statistics.median(t) * 1e3:10.1f} [{min(t) * 1e3:5.0f}, {max(t) * 1e3:5.0f}]"
-            for t in cells) + f"  {loaded[name]}")
+        print(f"{name:24s}" + "".join(cell(times[mode][name]) for mode in envs)
+              + f"  {str(numpy[name]):5s}  {' '.join(engine[name]) or '-'}")
+    for name, t in floors.items():
+        print(f"{name:24s}" + cell(t))
     print(json.dumps({"python": sys.version.split()[0], "samples": args.samples,
-                      "numpy_imported": loaded,
+                      "numpy_imported": numpy, "engine_imported": engine,
                       "median_ms": {mode: {name: statistics.median(t) * 1e3
                                            for name, t in cases.items()}
                                     for mode, cases in times.items()},
-                      "wall_s": times}))
-    wrong = [name for name in NUMPY_FREE if loaded[name] != "False"]
+                      "floor_median_ms": {name: statistics.median(t) * 1e3
+                                          for name, t in floors.items()},
+                      "wall_s": times, "floor_wall_s": floors}))
+    status = 0
+    wrong = [name for name in NUMPY_FREE if numpy[name]]
     if wrong:
         print(f"numpy is imported by {', '.join(wrong)}", file=sys.stderr)
-        return 1
-    return 0
+        status = 1
+    for name in CASES:
+        extra = sorted(set(engine[name]) - set(RUNS.get(name, ())))
+        if extra:
+            print(f"{name} imports {', '.join(extra)}, which it does not run", file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

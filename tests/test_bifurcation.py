@@ -12,6 +12,7 @@ from demandtier import (
     SolverConfig,
     Stability,
     SweepConfig,
+    alpha_of,
     channel_condition,
     classify_stability,
     excess_share,
@@ -167,6 +168,15 @@ class TestRefineSaddleNode:
     def test_residuals_above_tolerance_raise(self, cubic):
         with pytest.raises(NoConvergence, match="residuals"):
             refine_saddle_node(cubic, (0.215, 0.280), refine_tol=1e-30)
+
+    def test_applies_no_price_window(self):
+        # the collision the sweep flags as a crossing of p_min is still a
+        # saddle-node here: its price lies below the scenario's p_min
+        scenario = load_scenario(DATA_DIR / "cli" / "collision_below_p_min.json")
+        sn = refine_saddle_node(scenario.learning, (0.129, 0.1295))
+        assert f"{sn.E_bar:.12g}" == "0.129357694053"
+        alpha = alpha_of(scenario.preferences, sn.E_bar)
+        assert alpha * (1.0 - sn.s_bar) / ((1.0 - alpha) * sn.s_bar) < scenario.solver.p_min
 
 
 class TestRandomCalibrations:

@@ -17,6 +17,7 @@ from check_format import FAMILIES, integers, mismatches, samples
 from conftest import DATA_DIR, load_goldens
 from demandtier import cli
 from demandtier.cli import _csv, _csv_columns, _field_words
+from demandtier.errors import ConfigError
 
 GOLDEN = load_goldens()
 
@@ -189,6 +190,27 @@ def test_main_runs_the_command_bound_on_the_module(monkeypatch):
     monkeypatch.setattr(cli, "cmd_statics", patched)
     assert main_in_process(("statics", "--E", "0.3")) == (7, b"", b"")
     assert calls == [(cli.default_scenario().statics, 0.3)]
+    monkeypatch.undo()
+
+    # so must the engine names the commands call, which are lazy attributes of
+    # cli until something binds them there
+    for name, args in [("find_fixed_points", ("fixed-points",)), ("sweep", ("bifurcation",)),
+                       ("simulate_path", ("simulate",)), ("evaluate_foc", ("planner-foc",)),
+                       ("elasticity_arrays", ("statics",))]:
+        def planted(*_, name=name, **__):
+            raise ConfigError(f"planted {name}")
+
+        setattr(cli, name, planted)
+        try:
+            assert main_in_process(args) == (2, b"", f"error: planted {name}\n".encode())
+        finally:
+            delattr(cli, name)  # back to the lazy name
+        assert getattr(cli, name) is not planted
+
+    # read before any command, the lazy name is the solver's own function
+    probe = "from demandtier import cli; print(cli.find_fixed_points.__module__)"
+    cp = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert (cp.returncode, cp.stdout) == (0, "demandtier.solver\n"), cp.stderr
 
 
 def test_parser_is_built_once_per_process(monkeypatch):

@@ -1,0 +1,92 @@
+"""What each entry point imports: the package namespace and the CLI load an
+engine module only when a name of it is read, and the config classes live in
+``scenario`` while their old homes re-export them."""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+import demandtier
+from demandtier import bifurcation, cli, demand, dynamics, planner, scenario, solver
+
+ENGINE = {"demandtier." + name
+          for name in ("solver", "bifurcation", "dynamics", "demand", "planner", "_kernels")}
+# the submodules a bare ``import demandtier`` bound before its names became lazy
+SUBMODULES = ("bifurcation", "demand", "dynamics", "errors", "planner", "scenario", "solver",
+              "_np", "_kernels")
+MOVED = [(demand, "PreferenceSchedule"), (dynamics, "LearningVariant"),
+         (dynamics, "LearningSpec"), (solver, "SolverConfig"), (bifurcation, "SweepConfig"),
+         (planner, "PlannerConfig")]
+
+# runs the code of argv[1] with its output discarded, then prints the
+# demandtier modules loaded by then
+PROBE = """
+import contextlib, io, json, sys
+with contextlib.redirect_stdout(io.StringIO()):
+    exec(sys.argv[1])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "demandtier")))
+"""
+
+
+def loaded_by(code):
+    cp = subprocess.run([sys.executable, "-c", PROBE, code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    return set(json.loads(cp.stdout))
+
+
+def test_loading_the_default_scenario_imports_no_engine_module():
+    loaded = loaded_by("import demandtier.cli\n"
+                       "from demandtier.scenario import load_scenario\n"
+                       "load_scenario(None)")
+    assert loaded == {"demandtier", "demandtier.cli", "demandtier.scenario",
+                      "demandtier.errors", "demandtier._np"}
+
+
+def test_dump_defaults_imports_no_engine_module():
+    loaded = loaded_by("from demandtier.cli import main\nassert main(['--dump-defaults']) == 0")
+    assert "demandtier.scenario" in loaded and not loaded & ENGINE
+
+
+def test_fixed_points_imports_only_the_solver_and_what_it_calls():
+    loaded = loaded_by("from demandtier.cli import main\nassert main(['fixed-points']) == 0")
+    assert "demandtier.solver" in loaded
+    assert not loaded & {"demandtier.bifurcation", "demandtier.planner", "demandtier._kernels"}
+
+
+def test_a_bare_import_loads_the_package_alone_and_binds_each_submodule_on_first_read():
+    loaded = loaded_by("import demandtier\n"
+                       "extra = [m for m in sys.modules if m.startswith('demandtier.')]\n"
+                       "assert not extra, extra\n"
+                       f"for name in {SUBMODULES!r}:\n"
+                       "    assert getattr(demandtier, name) is sys.modules['demandtier.' + name]")
+    assert loaded == {"demandtier", *("demandtier." + name for name in SUBMODULES)}
+
+
+@pytest.mark.parametrize("name", demandtier.__all__)
+def test_every_public_name_resolves_on_the_package(name):
+    value = getattr(demandtier, name)
+    assert value is not None and name in dir(demandtier)
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_every_submodule_resolves_on_the_package(name):
+    assert getattr(demandtier, name) is sys.modules["demandtier." + name]
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        demandtier.no_such_name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name
+    with pytest.raises(ImportError):
+        from demandtier import no_such_name  # noqa: F401
+
+
+@pytest.mark.parametrize("home, name", MOVED, ids=[name for _, name in MOVED])
+def test_each_moved_config_class_is_one_object_from_every_path(home, name):
+    cls = getattr(scenario, name)
+    assert getattr(home, name) is cls
+    assert getattr(demandtier, name) is cls
+    assert cls.__module__ == "demandtier.scenario"
