@@ -20,9 +20,10 @@ fixed-points and the bifurcation thresholds, tables of a few rows, are
 
 Every command is a function ``cmd_*(scenario, args)`` of the loaded scenario
 and the parsed arguments. ``main(argv)`` may be called repeatedly in one
-process (the benchmark and the tests do): the argument parser is built once,
-when this module is imported, and an argv that starts with a command name is
-parsed by that command's parser alone.
+process (the benchmark and the tests do): the argument parsers are built by
+the first call and kept, and an argv that starts with a command name is
+parsed by that command's parser alone. ``argparse`` is imported by that first
+call, so importing this module builds no parser.
 
 Importing this module loads the package's ``scenario``, ``errors`` and ``_np``
 only, and loading a scenario loads nothing more: the config classes live in
@@ -40,13 +41,10 @@ that simulate and statics take before their first array.
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from functools import cache
 from importlib import import_module
-from pathlib import Path
-from typing import Iterable
 
 from . import __version__
 from ._np import np
@@ -66,6 +64,9 @@ _cli = sys.modules[__name__]
 
 
 def __getattr__(name):
+    if name in ("_PARSER", "_COMMANDS"):
+        parser, commands = _parsers()
+        return parser if name == "_PARSER" else commands
     if name not in _ENGINE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     module = f"{__package__}.{_ENGINE[name]}"
@@ -76,10 +77,11 @@ def _write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8", newline="")
+        with open(out, "w", encoding="utf-8", newline="") as file:
+            file.write(text)
 
 
-def _csv(header: str, row_format: str, rows: Iterable[tuple]) -> str:
+def _csv(header: str, row_format: str, rows: list[tuple]) -> str:
     """The header line, then one line per row, each row %-formatted whole.
 
     ``row_format`` holds one field per column and no newline; floats take
@@ -292,7 +294,7 @@ def _path(scenario: Scenario, E, horizon: int):
                          horizon)
 
 
-def cmd_fixed_points(scenario: Scenario, args: argparse.Namespace) -> int:
+def cmd_fixed_points(scenario: Scenario, args) -> int:
     e_val = _education(scenario, args.E)
     if isinstance(e_val, list):
         raise ConfigError(
@@ -307,7 +309,7 @@ def cmd_fixed_points(scenario: Scenario, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bifurcation(scenario: Scenario, args: argparse.Namespace) -> int:
+def cmd_bifurcation(scenario: Scenario, args) -> int:
     diagram = _cli.sweep(scenario.preferences, scenario.learning, scenario.sweep, scenario.solver)
     roots = diagram.roots
     # one line per root; a level with no fixed point keeps a line with empty fields
@@ -345,7 +347,7 @@ def cmd_bifurcation(scenario: Scenario, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> int:
+def cmd_simulate(scenario: Scenario, args) -> int:
     path = _path(scenario, _education(scenario, args.E), scenario.simulation.horizon)
     columns = (path.t, path.p, path.s_q, path.a_h, path.a_l,
                path.c_l, path.c_h, path.share_h, path.utility, path.interior)
@@ -354,7 +356,7 @@ def cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_statics(scenario: Scenario, args: argparse.Namespace) -> int:
+def cmd_statics(scenario: Scenario, args) -> int:
     st = scenario.statics
     e_val = args.E if args.E is not None else st.E
     # c_H = alpha*B/price_H rises with Y, so it overflows on some row only if
@@ -377,7 +379,7 @@ def cmd_statics(scenario: Scenario, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_planner_foc(scenario: Scenario, args: argparse.Namespace) -> int:
+def cmd_planner_foc(scenario: Scenario, args) -> int:
     path = _path(scenario, _education(scenario, None), scenario.planner.horizon)
     report = _cli.evaluate_foc(scenario.preferences, scenario.learning, scenario.planner, path)
     columns = (report.t, report.preference_term, report.spillover_term,
@@ -393,12 +395,16 @@ def _finite_float(text: str) -> float:
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
+        import argparse
+
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     return value
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def build_parser():
     """The ``demandtier`` parser, and each subcommand's own parser by name."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="demandtier",
         description="Demand-hierarchy equilibrium engine: fixed points, education sweeps, "
@@ -438,12 +444,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, commands
 
 
-# built once per process, with the module: parse_args leaves a parser as it
-# found it, and help reads the terminal width when it is formatted
-_PARSER, _COMMANDS = build_parser()
+# built by the first call and kept for the process: parse_args leaves a parser
+# as it found it, and help reads the terminal width when it is formatted
+@cache
+def _parsers():
+    """``(_PARSER, _COMMANDS)``, as ``build_parser`` returns them."""
+    return build_parser()
 
 
-def _parse_argv(argv: list[str] | None) -> argparse.Namespace:
+def _parse_argv(argv: list[str] | None):
     """``_PARSER.parse_args(argv)``: the same namespace, output and exit.
 
     An argv that starts with a command name goes straight to that command's
@@ -452,12 +461,13 @@ def _parse_argv(argv: list[str] | None) -> argparse.Namespace:
     ``parse_args`` rejects them.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _COMMANDS.get(argv[0]) if argv else None
+    full, commands = _parsers()
+    parser = commands.get(argv[0]) if argv else None
     if parser is None:
-        return _PARSER.parse_args(argv)
+        return full.parse_args(argv)
     args, extras = parser.parse_known_args(argv[1:])
     if extras:
-        _PARSER.error("unrecognized arguments: %s" % " ".join(extras))
+        full.error("unrecognized arguments: %s" % " ".join(extras))
     args.command = argv[0]
     args.dump_defaults = False
     return args
@@ -470,7 +480,7 @@ def main(argv: list[str] | None = None) -> int:
         _write_text(dump_scenario(default_scenario()), args.out)
         return 0
     if args.command is None:
-        _PARSER.print_usage(sys.stderr)
+        _parsers()[0].print_usage(sys.stderr)
         sys.stderr.write("error: a subcommand (or --dump-defaults) is required\n")
         return EXIT_VALIDATION
 

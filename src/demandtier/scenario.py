@@ -1,8 +1,8 @@
 """Scenario files: strict JSON configuration with built-in defaults.
 
 A scenario is a JSON object with one section per field of ``Scenario``. The
-config dataclasses are the schema: a section's keys and defaults are the
-compared fields of its class, read at import time. The learning section is no
+config classes are the schema: a section's keys and defaults are the compared
+fields of its class, read at import time. The learning section is no
 exception: ``LearningSpec`` holds both variants' coefficients, and the
 inactive variant's are kept as given. Omitted keys take those defaults, which
 form the headline experiment. Parsing is strict: a section accepts exactly
@@ -20,22 +20,95 @@ The engine module each class configures re-exports it under its old name
 (``demand.PreferenceSchedule``, ``dynamics.LearningSpec`` and
 ``LearningVariant``, ``solver.SolverConfig``, ``bifurcation.SweepConfig``,
 ``planner.PlannerConfig``), so both paths give the same class.
+
+The config classes are frozen records on one small base, ``_Record``, which
+reads each class's fields once and generates no code. ``json`` is imported by
+the first file read or dump.
 """
 
-from __future__ import annotations
-
-import json
 import math
-from dataclasses import dataclass, field, fields
+import os
 from enum import Enum
-from pathlib import Path
-from typing import get_type_hints
 
 from .errors import ConfigError, DemandTierError, _require_int
 
+_REQUIRED = object()  # the default of a field that has none
 
-@dataclass(frozen=True)
-class PreferenceSchedule:
+
+class _Record:
+    """A frozen record of the fields its subclass annotates, in their order.
+
+    A subclass declares each field by annotation, with its default, if any,
+    as the class-body value. Instances are built positionally or by keyword;
+    an unknown or missing argument raises TypeError, and ``__post_init__``
+    then checks the instance. The fields are the instance's ``__dict__``, and
+    assigning or deleting an attribute raises AttributeError. ``==``,
+    ``hash`` and ``repr`` use the compared fields, ``_compared``: all of
+    ``_fields`` but those the class keyword ``hidden`` names.
+    """
+
+    # set for each subclass by __init_subclass__; class attributes, not
+    # annotations, so that they are no field of it
+    _fields = _compared = ()
+    _defaults = {}  # field -> default, _REQUIRED if it has none; in field order
+    _required = frozenset()  # the fields without a default
+
+    def __init_subclass__(cls, hidden=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        body = vars(cls)
+        cls._fields = tuple(body.get("__annotations__", ()))
+        cls._compared = tuple(name for name in cls._fields if name not in hidden)
+        cls._defaults = {name: body.get(name, _REQUIRED) for name in cls._fields}
+        cls._required = frozenset(name for name in cls._fields if name not in body)
+
+    def __init__(self, *args, **kwargs):
+        if args:
+            if len(args) > len(self._fields):
+                raise TypeError(f"{type(self).__qualname__}() takes {len(self._fields)} "
+                                f"positional arguments but {len(args)} were given")
+            for name, value in zip(self._fields, args):
+                if name in kwargs:
+                    raise TypeError(f"{type(self).__qualname__}() got multiple values "
+                                    f"for argument {name!r}")
+                kwargs[name] = value
+        values = {**self._defaults, **kwargs}
+        if len(values) > len(self._fields):
+            unknown = next(name for name in kwargs if name not in self._defaults)
+            raise TypeError(f"{type(self).__qualname__}() got an unexpected keyword "
+                            f"argument {unknown!r}")
+        if self._required and not kwargs.keys() >= self._required:
+            missing = ", ".join(repr(name) for name in self._fields
+                                if name in self._required and name not in kwargs)
+            raise TypeError(f"{type(self).__qualname__}() missing required arguments: {missing}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._compared))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._compared)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class PreferenceSchedule(_Record):
     """Education-dependent preference parameters.
 
     The high-tier utility weight is the clipped affine schedule
@@ -85,8 +158,7 @@ def _cubic_min_on_unit(a: float, b: float) -> float:
     return min(1.0 + a * x - b * x**3 for x in candidates)
 
 
-@dataclass(frozen=True)
-class LearningSpec:
+class LearningSpec(_Record, hidden=("validate",)):
     """Sectoral growth-factor functions and their coefficients.
 
     Linear variant:  g_H = 1 + nu*E + phi*s,            g_L = 1 + chi*(1-s)
@@ -114,7 +186,7 @@ class LearningSpec:
     phi2: float = 1.0
     chi1: float = 1.2
     chi2: float = 1.5
-    validate: bool = field(default=True, repr=False, compare=False)
+    validate: bool = True
 
     def __post_init__(self):
         try:
@@ -168,8 +240,7 @@ class LearningSpec:
         return (self.nu, self.phi1, self.phi2, self.chi1, self.chi2)
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(_Record):
     """Price window, residual bound and classification tolerance.
 
     ``bisect_tol`` bounds the re-checked residual: every root satisfies
@@ -191,8 +262,7 @@ class SolverConfig:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(_Record):
     """Education grid and the residual tolerance for saddle-node thresholds.
 
     The ``E_points`` levels only sample the printed locus: the thresholds and
@@ -212,8 +282,7 @@ class SweepConfig:
             raise ConfigError(f"refine_tol must be > 0, got {self.refine_tol}")
 
 
-@dataclass(frozen=True)
-class PlannerConfig:
+class PlannerConfig(_Record):
     """Discount factor, horizon, and the education cost kappa(E) = scale*E^curv."""
 
     beta: float = 0.95
@@ -231,8 +300,7 @@ class PlannerConfig:
             raise ConfigError(f"kappa_curv must be >= 1, got {self.kappa_curv}")
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(_Record):
     """Initial technology, inputs, and horizon for the simulate command."""
 
     a_H0: float = 1.0
@@ -249,8 +317,7 @@ class SimulationConfig:
         _require_int("horizon", self.horizon, 1)
 
 
-@dataclass(frozen=True)
-class StaticsConfig:
+class StaticsConfig(_Record):
     """Education level, high-tier price, and income grid for the statics command."""
 
     E: float = 0.2
@@ -269,8 +336,7 @@ class StaticsConfig:
         _require_int("y_points", self.y_points, 1)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Record):
     preferences: PreferenceSchedule
     learning: LearningSpec
     solver: SolverConfig
@@ -280,17 +346,18 @@ class Scenario:
     statics: StaticsConfig
 
 
-_SECTIONS = get_type_hints(Scenario)  # section name -> config class
+_SECTIONS = dict(Scenario.__annotations__)  # section name -> config class
 
 # section -> {key: default}; a field left out of comparisons is no key
 _SCHEMA = {
-    section: {f.name: f.default for f in fields(cls) if f.compare}
+    section: {name: cls._defaults[name] for name in cls._compared}
     for section, cls in _SECTIONS.items()
 }
 # simulation paths: keys whose annotation admits a list
 _LIST_KEYS = {
-    (section, f.name)
-    for section, cls in _SECTIONS.items() for f in fields(cls) if "list" in str(f.type)
+    (section, name)
+    for section, cls in _SECTIONS.items()
+    for name, annotation in cls.__annotations__.items() if "list" in str(annotation)
 }
 # each section built from its defaults, once per process: a scenario shares
 # these frozen instances for the sections it does not name
@@ -372,10 +439,12 @@ def load_scenario_dict(data: dict) -> Scenario:
     return Scenario(**built)
 
 
-def load_scenario(path: str | Path | None) -> Scenario:
+def load_scenario(path: str | os.PathLike | None) -> Scenario:
     """Load a scenario JSON file; None means the built-in defaults."""
     if path is None:
         return default_scenario()
+    import json
+
     with open(path, "rb", buffering=0) as file:
         raw = file.read()
     try:
@@ -399,4 +468,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def dump_scenario(scenario: Scenario) -> str:
     """Deterministic JSON text for a scenario (sorted keys, two-space indent)."""
+    import json
+
     return json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n"

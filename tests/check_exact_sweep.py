@@ -11,7 +11,6 @@ is not part of the test suite.
 """
 
 import argparse
-import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -20,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import oracles  # noqa: E402
 from demandtier.bifurcation import sweep  # noqa: E402
-from demandtier.scenario import default_scenario  # noqa: E402
+from demandtier.scenario import SweepConfig, default_scenario  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -29,7 +28,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     scenario = default_scenario()
     sched, spec, cfg = scenario.preferences, scenario.learning, scenario.solver
-    sweep_cfg = dataclasses.replace(scenario.sweep, E_points=args.points)
+    sweep_cfg = SweepConfig(E_points=args.points)  # the default grid's range, finer
     start = time.perf_counter()
     diagram = sweep(sched, spec, sweep_cfg, cfg)
     solved = time.perf_counter() - start

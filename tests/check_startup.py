@@ -15,14 +15,17 @@ with them the interpreter's own floor, ``python -c pass`` and ``python -S -c
 pass`` (no ``site``, whose ``.pth`` files differ from machine to machine).
 
 Prints the median and the range of the wall times per case and mode, whether
-each case imported numpy and which engine modules of the package it imported,
-then one JSON line with every sample. The times are reported, not gated. It
-exits 1 if numpy is imported by ``import demandtier.cli``, ``fixed-points``,
-``--dump-defaults``, ``--version``, ``--help`` or ``simulate --E -1``: the first
-array operation imports numpy, and those need none; the last is a validation
-exit (2), whose check comes before any array. It also exits 1 if a case
-imports an engine module that it does not run (``RUNS``). It is not part of
-the test suite.
+each case imported numpy, which engine modules of the package it imported and
+which of ``dataclasses``, ``argparse`` and ``json``, then one JSON line with
+every sample. The times are reported, not gated. It exits 1 if numpy is
+imported by ``import demandtier.cli``, ``fixed-points``, ``--dump-defaults``,
+``--version``, ``--help`` or ``simulate --E -1``: the first array operation
+imports numpy, and those need none; the last is a validation exit (2), whose
+check comes before any array. It also exits 1 if a case imports an engine
+module that it does not run (``RUNS``), or if ``import demandtier.cli``
+imports any of ``dataclasses``, ``argparse`` and ``json``: the config classes
+are no dataclasses, and the parser and the JSON reader load at their first
+use. It is not part of the test suite.
 """
 
 import argparse
@@ -38,12 +41,19 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "demandtier"
 # the installed script's code; the prelude reports on the last line of stderr
-# whether numpy was imported by the time the interpreter exits, and which
-# modules of the package were
+# whether numpy was imported by the time the interpreter exits, which modules
+# of the package were, and which of STDLIB; it imports json only after it has
+# looked
 ENTRY = "import sys\nfrom demandtier.cli import main\nsys.exit(main(sys.argv[1:]))\n"
-PRELUDE = ("import atexit, json, sys\n"
-           "atexit.register(lambda: print(json.dumps(['numpy' in sys.modules, sorted(\n"
-           "    m for m in sys.modules if m.startswith('demandtier.'))]), file=sys.stderr))\n")
+STDLIB = ("dataclasses", "argparse", "json")
+PRELUDE = ("import atexit, sys\n"
+           "def report():\n"
+           "    loaded = ['numpy' in sys.modules,\n"
+           "              sorted(m for m in sys.modules if m.startswith('demandtier.')),\n"
+           f"              [m for m in {STDLIB!r} if m in sys.modules]]\n"
+           "    import json\n"
+           "    print(json.dumps(loaded), file=sys.stderr)\n"
+           "atexit.register(report)\n")
 CASES = {
     "import demandtier.cli": ("import demandtier.cli\n", []),
     "fixed-points": (ENTRY, ["fixed-points"]),
@@ -97,10 +107,10 @@ def main() -> int:
             envs[mode] = dict(base, PYTHONPATH=str(root))
         envs["no-bytecode"]["PYTHONDONTWRITEBYTECODE"] = "1"
 
-        numpy, engine = {}, {}
+        numpy, engine, stdlib = {}, {}, {}
         for name, (code, argv) in CASES.items():  # untimed: writes the cached bytecode
             stderr = run(PRELUDE + code, argv, envs["cached"], name).stderr
-            numpy[name], modules = json.loads(stderr.splitlines()[-1])
+            numpy[name], modules, stdlib[name] = json.loads(stderr.splitlines()[-1])
             engine[name] = sorted(set(ENGINE) & {m.split(".", 1)[1] for m in modules})
         times = {mode: {name: [] for name in CASES} for mode in envs}
         floors = {name: [] for name in FLOORS}
@@ -120,14 +130,16 @@ def main() -> int:
 
     print(f"fresh-process wall time, median [min, max] of {args.samples} runs, in ms")
     print(f"{'':24s}" + "".join(f"{mode:>26s}" for mode in envs)
-          + "  numpy  engine modules imported")
+          + "  numpy  engine modules; " + ", ".join(STDLIB) + " imported")
     for name in CASES:
         print(f"{name:24s}" + "".join(cell(times[mode][name]) for mode in envs)
-              + f"  {str(numpy[name]):5s}  {' '.join(engine[name]) or '-'}")
+              + f"  {str(numpy[name]):5s}  {' '.join(engine[name]) or '-'}; "
+              + (" ".join(stdlib[name]) or "-"))
     for name, t in floors.items():
         print(f"{name:24s}" + cell(t))
     print(json.dumps({"python": sys.version.split()[0], "samples": args.samples,
                       "numpy_imported": numpy, "engine_imported": engine,
+                      "stdlib_imported": stdlib,
                       "median_ms": {mode: {name: statistics.median(t) * 1e3
                                            for name, t in cases.items()}
                                     for mode, cases in times.items()},
@@ -144,6 +156,10 @@ def main() -> int:
         if extra:
             print(f"{name} imports {', '.join(extra)}, which it does not run", file=sys.stderr)
             status = 1
+    if stdlib["import demandtier.cli"]:
+        print(f"import demandtier.cli imports {', '.join(stdlib['import demandtier.cli'])}",
+              file=sys.stderr)
+        status = 1
     return status
 
 

@@ -1,7 +1,10 @@
 """What each entry point imports: the package namespace and the CLI load an
-engine module only when a name of it is read, and the config classes live in
-``scenario`` while their old homes re-export them."""
+engine module only when a name of it is read, the config classes live in
+``scenario`` while their old homes re-export them, and the standard-library
+modules that only parsing, dumping or reading a file needs load with the first
+such call."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -42,6 +45,34 @@ def test_loading_the_default_scenario_imports_no_engine_module():
                        "load_scenario(None)")
     assert loaded == {"demandtier", "demandtier.cli", "demandtier.scenario",
                       "demandtier.errors", "demandtier._np"}
+
+
+# loads the default scenario as the benchmark's set-up code does, then runs a
+# command; after each step prints the watched modules loaded by then
+STDLIB_PROBE = """
+import sys
+import demandtier.cli
+from demandtier.scenario import load_scenario
+load_scenario(None)
+watched = ("dataclasses", "inspect", "argparse", "json")
+print([m for m in watched if m in sys.modules])
+from contextlib import redirect_stdout
+from io import StringIO
+with redirect_stdout(StringIO()) as out:
+    code = demandtier.cli.main(["fixed-points"])
+print((code, out.getvalue().splitlines()[0], [m for m in watched if m in sys.modules]))
+"""
+
+
+def test_loading_the_default_scenario_imports_no_dataclasses_argparse_or_json():
+    cp = subprocess.run([sys.executable, "-c", STDLIB_PROBE], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    loaded, (code, header, then_loaded) = map(ast.literal_eval, cp.stdout.splitlines())
+    assert loaded == []
+    # a command still runs in that process: it imports argparse to parse its
+    # argv, and the solver's result types are dataclasses
+    assert (code, header) == (0, "E,p_star,s_star,t_prime,stability")
+    assert {"argparse", "dataclasses"} <= set(then_loaded)
 
 
 def test_dump_defaults_imports_no_engine_module():

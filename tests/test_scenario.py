@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import fields
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -10,6 +10,13 @@ from hypothesis import strategies as st
 from demandtier import (
     LearningSpec,
     LearningVariant,
+    PlannerConfig,
+    PreferenceSchedule,
+    Scenario,
+    SimulationConfig,
+    SolverConfig,
+    StaticsConfig,
+    SweepConfig,
     default_scenario,
     dump_scenario,
     load_scenario,
@@ -54,6 +61,107 @@ class TestDefaults:
         named = load_scenario(path)
         assert sorted(built) == ["PlannerConfig", "SolverConfig"]
         assert named.learning is default_scenario().learning
+
+
+# each config class: its fields in order, and the repr of its default instance
+# (for Scenario, of default_scenario()), as the frozen dataclasses printed them
+PREFERENCES_REPR = ("PreferenceSchedule(alpha_base=0.78, alpha_slope=0.16, alpha_lo=0.6, "
+                    "alpha_hi=0.97, gammaL_base=2.0, gammaL_decay=0.5, gamma_H=0.0)")
+LEARNING_REPR = ("LearningSpec(variant=<LearningVariant.CUBIC: 'cubic'>, nu=0.6, phi=0.8, "
+                 "chi=1.2, phi1=0.8, phi2=1.0, chi1=1.2, chi2=1.5)")
+SOLVER_REPR = "SolverConfig(p_min=0.01, p_max=14.0, bisect_tol=1e-12, marginal_tol=1e-08)"
+SWEEP_REPR = "SweepConfig(E_min=0.05, E_max=0.45, E_points=81, refine_tol=1e-08)"
+PLANNER_REPR = "PlannerConfig(beta=0.95, horizon=3, kappa_scale=0.05, kappa_curv=2.0)"
+SIMULATION_REPR = ("SimulationConfig(a_H0=1.0, a_L0=5.0, wage=1.0, E=0.28, income=10.0, "
+                   "horizon=500)")
+STATICS_REPR = "StaticsConfig(E=0.2, price_H=2.0, y_min=4.0, y_max=40.0, y_points=10)"
+RECORDS = {
+    PreferenceSchedule: (("alpha_base", "alpha_slope", "alpha_lo", "alpha_hi", "gammaL_base",
+                          "gammaL_decay", "gamma_H"), PREFERENCES_REPR),
+    LearningSpec: (("variant", "nu", "phi", "chi", "phi1", "phi2", "chi1", "chi2", "validate"),
+                   LEARNING_REPR),
+    SolverConfig: (("p_min", "p_max", "bisect_tol", "marginal_tol"), SOLVER_REPR),
+    SweepConfig: (("E_min", "E_max", "E_points", "refine_tol"), SWEEP_REPR),
+    PlannerConfig: (("beta", "horizon", "kappa_scale", "kappa_curv"), PLANNER_REPR),
+    SimulationConfig: (("a_H0", "a_L0", "wage", "E", "income", "horizon"), SIMULATION_REPR),
+    StaticsConfig: (("E", "price_H", "y_min", "y_max", "y_points"), STATICS_REPR),
+    Scenario: (("preferences", "learning", "solver", "sweep", "planner", "simulation",
+                "statics"),
+               f"Scenario(preferences={PREFERENCES_REPR}, learning={LEARNING_REPR}, "
+               f"solver={SOLVER_REPR}, sweep={SWEEP_REPR}, planner={PLANNER_REPR}, "
+               f"simulation={SIMULATION_REPR}, statics={STATICS_REPR})"),
+}
+
+
+def default_of(cls):
+    return default_scenario() if cls is Scenario else cls()
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+class TestConfigRecord:
+    def test_positional_and_keyword_construction(self, cls):
+        default = default_of(cls)
+        values = [getattr(default, name) for name in RECORDS[cls][0]]
+        assert cls(*values) == cls(**dict(zip(RECORDS[cls][0], values))) == default
+        # the first field given, positionally or by keyword, the rest defaulted
+        first = RECORDS[cls][0][0]
+        if cls is not Scenario:
+            assert cls(values[0]) == cls(**{first: values[0]}) == default
+        with pytest.raises(TypeError, match="multiple values for argument"):
+            cls(*values, **{first: values[0]})
+        with pytest.raises(TypeError, match="positional arguments"):
+            cls(*values, values[0])
+
+    def test_fields_are_frozen(self, cls):
+        default = default_of(cls)
+        for name in RECORDS[cls][0]:
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(default, name, getattr(default, name))
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(default, name)
+        with pytest.raises(AttributeError):
+            default.not_a_field = 1
+        assert default == default_of(cls)
+
+    def test_vars_are_exactly_the_fields(self, cls):
+        default = default_of(cls)
+        assert list(vars(default)) == list(RECORDS[cls][0])
+        assert type(default)._fields == RECORDS[cls][0]
+
+    def test_unknown_keyword_raises_type_error(self, cls):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+            cls(**vars(default_of(cls)), bogus=1)
+        if cls is Scenario:
+            with pytest.raises(TypeError, match="missing required arguments: 'statics'"):
+                cls(**{k: v for k, v in vars(default_scenario()).items() if k != "statics"})
+
+    def test_repr_of_the_defaults(self, cls):
+        assert repr(default_of(cls)) == RECORDS[cls][1]
+
+    def test_equal_values_are_equal_and_hash_alike(self, cls):
+        a, b = default_of(cls), default_of(cls)
+        assert a is not b and a == b and hash(a) == hash(b) and not a != b
+
+
+def test_config_records_of_different_classes_are_unequal():
+    defaults = [default_of(cls) for cls in RECORDS]
+    # valid values of both SolverConfig and SweepConfig: the classes alone differ
+    values = (0.1, 0.2, 3, 1e-8)
+    assert SolverConfig(*values) != SweepConfig(*values)
+    for a, b in combinations(defaults, 2):
+        assert a != b and b != a
+
+
+def test_learning_validate_is_out_of_equality_hash_repr_and_schema():
+    strict, lax = LearningSpec(), LearningSpec(validate=False)
+    assert (strict.validate, lax.validate) == (True, False)
+    assert strict == lax and hash(strict) == hash(lax) and repr(strict) == repr(lax)
+    assert LearningSpec._compared == RECORDS[LearningSpec][0][:-1]
+    # an off channel is rejected only when validated, and compares by its values
+    off = LearningSpec.linear(nu=0.6, phi=0.0, chi=1.2, validate=False)
+    assert off != LearningSpec.linear(nu=0.6, phi=0.1, chi=1.2)
+    with pytest.raises(ConfigError, match="phi must be > 0"):
+        LearningSpec.linear(nu=0.6, phi=0.0, chi=1.2)
 
 
 class TestRoundTrip:
@@ -229,7 +337,7 @@ class TestLearningSection:
         s = default_scenario()
         for section, keys in scenario_to_dict(s).items():
             config = getattr(s, section)
-            assert set(keys) == {f.name for f in fields(config) if f.compare}
+            assert list(keys) == list(type(config)._compared)
         assert "validate" not in scenario_to_dict(s)["learning"]
 
     def test_inactive_coefficients_are_kept(self):
