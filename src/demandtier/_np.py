@@ -33,7 +33,8 @@ np = _LazyNumpy()
 # numpy's functions on floats; max(lo, x) keeps lo for a NaN x, as fmax does
 _MATH = SimpleNamespace(sqrt=math.sqrt, cbrt=math.cbrt, arccos=math.acos, cos=math.cos,
                         copysign=math.copysign, nextafter=math.nextafter, fmax=max, fmin=min,
-                        logical_not=lambda x: not x, errstate=lambda **kwargs: nullcontext())
+                        isfinite=math.isfinite, logical_not=lambda x: not x,
+                        errstate=lambda **kwargs: nullcontext())
 
 
 def _xp(x):

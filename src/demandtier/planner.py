@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from ._np import np
 from .demand import alpha_of, alpha_slope_of, demand_arrays, gammaL_slope_of
 from .dynamics import TimePath, excess_share_slope_E, growth_H, growth_slope_H
-from .errors import ConfigError, InvalidHorizon, NumericalOverflow
+from .errors import ConfigError, InvalidHorizon, NonInteriorBudget, NumericalOverflow
 from .scenario import LearningSpec, PlannerConfig, PreferenceSchedule  # noqa: F401 - re-exported
 
 
@@ -70,8 +70,11 @@ def evaluate_foc(
     Bundles are re-solved at the net income Y - kappa(E) so the resource
     constraint holds as the planner writes it; the low-tier productivity path
     is taken as exogenous data. Either learning variant; requires an interior
-    optimum every period. Raises NumericalOverflow, naming the column and the
-    period, where a term is not finite.
+    optimum every period: the first period whose income cannot cover kappa(E),
+    or whose supernumerary income B at net income is <= 0, raises, naming the
+    period and the scenario keys that set the failing quantity. Raises
+    NumericalOverflow, naming the column and the period, where a term is not
+    finite.
     """
     horizon = cfg.horizon
     if len(path) < horizon:
@@ -89,12 +92,21 @@ def evaluate_foc(
     ok = int(short[0]) if short.size else horizon
     # periods before the first unaffordable one, so that the first failing
     # period raises whichever error it hits first
-    demand = demand_arrays(sched, net[:ok], p[:ok], e[:ok], require_interior=True)
+    try:
+        demand = demand_arrays(sched, net[:ok], p[:ok], e[:ok], require_interior=True)
+    except NonInteriorBudget as exc:
+        t = int(np.argmin(demand_arrays(sched, net[:ok], p[:ok], e[:ok]).interior))
+        raise NonInteriorBudget(
+            f"{exc} at t={t}, at net income {net[t]}: keys 'income' and 'E' in section "
+            "'simulation', 'gammaL_base', 'gammaL_decay' and 'gamma_H' in section "
+            "'preferences', and 'kappa_scale' and 'kappa_curv' in section 'planner' set "
+            "B = income - kappa_scale*E**kappa_curv - gamma_L(E) - price_H*gamma_H"
+        ) from None
     if ok < horizon:
         raise ConfigError(
             f"income {y[ok]} cannot cover the education cost {kappa(cfg, e[ok])} at t={ok}: "
-            "keys 'kappa_scale' and 'kappa_curv' in section 'planner' set the cost "
-            "kappa_scale*E**kappa_curv"
+            "keys 'kappa_scale' and 'kappa_curv' in section 'planner' and key 'E' in section "
+            "'simulation' set the cost kappa_scale*E**kappa_curv"
         )
 
     a = alpha_of(sched, e)

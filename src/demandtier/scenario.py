@@ -149,13 +149,14 @@ class LearningVariant(str, Enum):
 
 
 def _cubic_min_on_unit(a: float, b: float) -> float:
-    """Minimum of 1 + a*x - b*x^3 over x in [0, 1]."""
-    candidates = [0.0, 1.0]
+    """Minimum of 1 + a*x - b*x^3 over x in [0, 1]: at an end, or where the
+    slope a - 3b*x^2 vanishes inside."""
+    low = min(1.0, 1.0 + a - b)
     if b != 0.0 and a / (3.0 * b) > 0.0:
         x = math.sqrt(a / (3.0 * b))
         if 0.0 < x < 1.0:
-            candidates.append(x)
-    return min(1.0 + a * x - b * x**3 for x in candidates)
+            low = min(low, 1.0 + a * x - b * x**3)
+    return low
 
 
 class LearningSpec(_Record, hidden=("validate",)):

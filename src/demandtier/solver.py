@@ -16,13 +16,17 @@ solved in exact rational arithmetic, between the prices of the critical
 shares, where the gap's slope vanishes. The correctly rounded root is unique,
 so every path gives the same bits.
 
-The roots with p* in [p_min, p_max] are re-checked and classified by one
-function, ``_recheck``, through the analytic slope T'(p*) = 1 - s*(1-s*) *
-dH/ds, by ``excess_share``, ``h_ratio`` and the stability band of
-``classify_stability``. The polish and the re-check use arithmetic operators
-and the float-or-array helpers of ``_np`` only, so ``find_fixed_points`` runs
-them on the Python floats of one level while a sweep runs them once on the
-arrays of all its levels, whose roots it keeps as columns.
+Every rule of a level is written once, in ``_candidates``: E >= 0, the gap's
+coefficients and rounding magnitudes, no root where the gap does not depend on
+s or nu*E overflows, the closed form, the price window widened by
+``_WINDOW_SLACK``, and the flag for exact arithmetic. Like the polish and the
+re-check, it uses only arithmetic operators and the float-or-array helpers of
+``_np``, so ``find_fixed_points`` runs it on one level's Python floats and
+``_fixed_point_rows`` on a sweep's arrays, keeping the roots as columns. Each
+driver polishes the candidates, solves flagged levels exactly, keeps the roots
+in [p_min, p_max], and has ``_recheck`` re-check and classify them through
+T'(p*) = 1 - s*(1-s*) * dH/ds, by ``excess_share``, ``h_ratio`` and the
+stability band of ``classify_stability``.
 """
 
 from __future__ import annotations
@@ -284,12 +288,12 @@ def _polish(x, E, alpha, coefficients):
 
 
 def _exact_prices(E, alpha, spec: LearningSpec, cfg):
-    """The correctly rounded roots of one level in [p_min, p_max], ascending,
-    in exact rational arithmetic.
+    """The correctly rounded roots of one level in the price window widened to
+    [p_min/2, 2*p_max], ascending, in exact rational arithmetic; the caller
+    keeps those in [p_min, p_max].
 
-    The prices of the gap's critical shares cut the price window, widened to
-    [p_min/2, 2*p_max] (capped at the largest double), into pieces on which
-    the gap is monotone in p. A piece
+    The prices of the gap's critical shares cut the widened window (capped at
+    the largest double) into pieces on which the gap is monotone in p. A piece
     whose ends have opposite exact signs holds one root. Bisection over the
     doubles in the piece ends at two neighbours, and the sign at their
     midpoint picks the nearer; a root exactly halfway goes to the even one,
@@ -334,7 +338,7 @@ def _exact_prices(E, alpha, spec: LearningSpec, cfg):
     for lo, hi, side_lo, side_hi in zip(ends, ends[1:], signs, signs[1:]):
         if side_lo * side_hi < 0:
             found.add(rounded_root(lo, hi, side_lo))
-    return sorted(p for p in found if cfg.p_min <= p <= cfg.p_max)
+    return sorted(found)
 
 
 # ---------------------------------------------------------------- levels
@@ -342,42 +346,32 @@ def _exact_prices(E, alpha, spec: LearningSpec, cfg):
 _WINDOW_SLACK = 1e-6  # estimates this far (relative) outside the window are polished too
 
 
-def _gap_terms(spec: LearningSpec, E):
-    """The gap's coefficients, highest power first, and the magnitudes of the
-    terms that make up each one, which bound its rounding."""
+def _candidates(sched: PreferenceSchedule, spec: LearningSpec, E, cfg: SolverConfig):
+    """The closed form's share estimates of the roots at the levels E, a float or
+    an array: (shares, polish, alpha, exact).
+
+    ``shares`` holds three candidates, each NaN where the level has no such
+    root, and ``polish`` whether to polish each: its price lies in the window
+    widened by ``_WINDOW_SLACK`` and ``exact`` does not send the level to
+    ``_exact_prices``. A level has no root where the gap does not depend on s
+    or nu*E overflows (g_H is then infinite). E < 0 raises ConfigError.
+    """
+    xp = _xp(E)
+    negative = xp.logical_not(E >= 0.0)
+    if _any(negative):
+        raise ConfigError(f"education level must be >= 0, got {_first(E, negative)}")
     nu, phi1, phi2, chi1, chi2 = spec.coefficients
-    coefficients = gap_coefficients(spec, E)
+    c3, c2, c1, c0 = gap_coefficients(spec, E)
     sizes = (abs(phi2) + abs(chi2), 3.0 * abs(chi2), abs(phi1) + abs(chi1) + 3.0 * abs(chi2),
-             abs(nu * E) + abs(chi1) + abs(chi2))
-    return coefficients, sizes
-
-
-def _share_window(alpha, cfg: SolverConfig):
-    """Shares whose prices lie in the window widened by ``_WINDOW_SLACK``."""
-    top = cfg.p_max * (1.0 + _WINDOW_SLACK)
-    bottom = cfg.p_min * (1.0 - _WINDOW_SLACK)
-    return alpha / (alpha + (1.0 - alpha) * top), alpha / (alpha + (1.0 - alpha) * bottom)
-
-
-def _level_prices(sched: PreferenceSchedule, spec: LearningSpec, E: float,
-                  cfg: SolverConfig) -> list[float]:
-    """The correctly rounded roots of one level in [p_min, p_max], ascending, on floats."""
-    (c3, c2, c1, c0), sizes = _gap_terms(spec, E)
-    if c3 == c2 == c1 == 0.0 or not math.isfinite(c0):
-        return []  # the gap does not depend on s, or nu*E overflows: no root
-    candidates, exact = _real_roots(c3, c2, c1, c0, sizes)
+             abs(nu * E) + abs(chi1) + abs(chi2))  # the terms' magnitudes bound the rounding
+    solvable = (not c3 == c2 == c1 == 0.0) & xp.isfinite(c0)
+    shares, exact = _real_roots(c3, c2, c1, _select(solvable, c0, 0.0), sizes)
+    exact = exact & solvable
     alpha = alpha_of(sched, E)
-    s_lo, s_hi = _share_window(alpha, cfg)
-    prices = []
-    for x in candidates:
-        if exact or not s_lo <= x <= s_hi:
-            continue
-        p, certified = _polish(x, E, alpha, spec.coefficients)
-        prices.append(p)
-        exact |= not certified
-    if exact:
-        return _exact_prices(E, alpha, spec, cfg)
-    return sorted(p for p in prices if cfg.p_min <= p <= cfg.p_max)
+    s_lo = alpha / (alpha + (1.0 - alpha) * (cfg.p_max * (1.0 + _WINDOW_SLACK)))
+    s_hi = alpha / (alpha + (1.0 - alpha) * (cfg.p_min * (1.0 - _WINDOW_SLACK)))
+    polishable = solvable & xp.logical_not(exact)
+    return shares, [polishable & (s_lo <= x) & (x <= s_hi) for x in shares], alpha, exact
 
 
 def find_fixed_points(
@@ -394,10 +388,17 @@ def find_fixed_points(
     """
     cfg = cfg or SolverConfig()
     E = float(E)
-    if not E >= 0.0:
-        raise ConfigError(f"education level must be >= 0, got {E}")
+    shares, polish, alpha, exact = _candidates(sched, spec, E, cfg)
+    prices = []
+    for x, in_window in zip(shares, polish):
+        if in_window and not exact:
+            p, certified = _polish(x, E, alpha, spec.coefficients)
+            prices.append(p)
+            exact = not certified
+    if exact:
+        prices = _exact_prices(E, alpha, spec, cfg)
     roots = []
-    for p_star in _level_prices(sched, spec, E, cfg):
+    for p_star in sorted(p for p in prices if cfg.p_min <= p <= cfg.p_max):
         s_star, t_prime, code = _recheck(sched, spec, E, p_star, cfg)
         roots.append(FixedPoint(p_star, s_star, t_prime, STABILITY_ORDER[code]))
     return roots
@@ -431,28 +432,15 @@ def _fixed_point_rows(
 ) -> RootColumns:
     """``find_fixed_points`` at each level of E_array, all at once on arrays.
 
-    Only the gap's constant term depends on E, so every level shares the
-    closed form's other terms. A level whose constant term leaves float range
-    (nu*E overflows, so g_H is infinite) has no root. The re-check and
-    classification run over all roots at once; the first root that fails, in
-    column order, raises.
+    ``_candidates`` runs once on all levels; the candidates in the window are
+    gathered and polished together, and the re-check and classification run
+    over all roots at once; the first root that fails, in column order, raises.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if not (E_array >= 0.0).all():
-            raise ConfigError(f"education level must be >= 0, got {E_array.min()}")
-        (c3, c2, c1, c0), sizes = _gap_terms(spec, E_array)
-        if c3 == c2 == c1 == 0.0:  # the gap does not depend on s: no isolated root
-            empty, no_index = np.empty(0), np.empty(0, dtype=np.intp)
-            return RootColumns(no_index, empty, empty, empty, no_index)
-        solvable = np.isfinite(c0)
-        c0 = np.where(solvable, c0, 0.0)
-        candidates, exact = _real_roots(c3, c2, c1, c0, sizes)
-        exact = exact & solvable
-        x = np.stack(candidates, axis=1)
-        alpha = alpha_of(sched, E_array)
-        s_lo, s_hi = _share_window(alpha[:, None], cfg)
-        level, slot = np.nonzero((s_lo <= x) & (x <= s_hi) & (solvable & ~exact)[:, None])
-        p, certified = _polish(x[level, slot], E_array[level], alpha[level], spec.coefficients)
+        shares, polish, alpha, exact = _candidates(sched, spec, E_array, cfg)
+        level, slot = np.nonzero(np.stack(polish, axis=1))
+        x = np.stack(shares, axis=1)[level, slot]
+        p, certified = _polish(x, E_array[level], alpha[level], spec.coefficients)
         prices = np.full((len(E_array), 3), np.nan)
         prices[level, slot] = p
         exact[level[~certified]] = True

@@ -853,9 +853,41 @@ class TestPlannerFoc:
         assert cp.returncode == 2
         assert cp.stderr == (
             "error: income 10.0 cannot cover the education cost 7.840000000000001e+298 at t=0: "
-            "keys 'kappa_scale' and 'kappa_curv' in section 'planner' set the cost "
-            "kappa_scale*E**kappa_curv\n"
+            "keys 'kappa_scale' and 'kappa_curv' in section 'planner' and key 'E' in section "
+            "'simulation' set the cost kappa_scale*E**kappa_curv\n"
         )
+        assert cp.stdout == ""
+
+    def test_education_level_above_income_exits_2_naming_E(self, tmp_path):
+        scenario = tmp_path / "high_E.json"
+        scenario.write_text(json.dumps({"simulation": {"E": 280.0}}))
+        cp = run_cli("planner-foc", "--scenario", str(scenario))
+        assert cp.returncode == 2
+        assert cp.stderr == (
+            "error: income 10.0 cannot cover the education cost 3920.0 at t=0: "
+            "keys 'kappa_scale' and 'kappa_curv' in section 'planner' and key 'E' in section "
+            "'simulation' set the cost kappa_scale*E**kappa_curv\n"
+        )
+        assert cp.stdout == ""
+
+    @pytest.mark.parametrize("scenario, named", [
+        ({"preferences": {"gamma_H": 2.0}}, "got B=-1.7426364707976134 at t=0, "),
+        ({"preferences": {"gammaL_base": 100.0}}, "got B=-76.9397435398806 at t=0, "),
+        ({"simulation": {"income": [10.0, 2.0, 0.1]}}, "got B=-1.6426364707976118 at t=2, "),
+    ], ids=["gamma_H", "gammaL_base", "third_period"])
+    def test_non_interior_budget_exits_2_naming_period_and_keys(self, tmp_path, scenario,
+                                                                 named):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        cp = run_cli("planner-foc", "--scenario", str(path))
+        assert cp.returncode == 2
+        assert cp.stderr.startswith("error: supernumerary income must be > 0 for an interior "
+                                    "optimum, " + named)
+        assert cp.stderr.endswith(
+            ": keys 'income' and 'E' in section 'simulation', 'gammaL_base', 'gammaL_decay' "
+            "and 'gamma_H' in section 'preferences', and 'kappa_scale' and 'kappa_curv' in "
+            "section 'planner' set B = income - kappa_scale*E**kappa_curv - gamma_L(E) - "
+            "price_H*gamma_H\n")
         assert cp.stdout == ""
 
     def test_wedge_column_matches_oracle(self, linear_scenario):

@@ -176,13 +176,14 @@ class TestDiagnostics:
         if error is ConfigError:
             assert str(caught.value) == (
                 f"income {incomes[t]} cannot cover the education cost {kappa(cfg, 0.2)} at t={t}: "
-                "keys 'kappa_scale' and 'kappa_curv' in section 'planner' set the cost "
-                "kappa_scale*E**kappa_curv"
+                "keys 'kappa_scale' and 'kappa_curv' in section 'planner' and key 'E' in "
+                "section 'simulation' set the cost kappa_scale*E**kappa_curv"
             )
         else:
             with pytest.raises(NonInteriorBudget) as scalar:
                 solve_demand(sched, HouseholdBudget(income=net, price_H=path.p[t]), 0.2)
-            assert str(caught.value) == str(scalar.value)
+            assert str(caught.value).startswith(
+                f"{scalar.value} at t={t}, at net income {net}: keys 'income' and 'E' in ")
 
 
 class TestKappa:

@@ -1,4 +1,6 @@
 import json
+import math
+import random
 import re
 from itertools import combinations
 from pathlib import Path
@@ -351,6 +353,24 @@ class TestLearningSection:
         assert type(d["learning"]["variant"]) is str
         for section in d.values():
             assert all(type(v) in (int, float, str, list) for v in section.values())
+
+    def test_cubic_minimum_equals_the_minimum_over_its_candidates(self):
+        # the ends of [0, 1] and the interior point where the slope vanishes
+        from demandtier.scenario import _cubic_min_on_unit
+
+        def reference(a, b):
+            candidates = [0.0, 1.0]
+            if b != 0.0 and a / (3.0 * b) > 0.0 and 0.0 < math.sqrt(a / (3.0 * b)) < 1.0:
+                candidates.append(math.sqrt(a / (3.0 * b)))
+            return min(1 + a * x - b * x**3 for x in candidates)
+
+        rng = random.Random(20261019)
+        pairs = [(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)) for _ in range(2000)]
+        pairs += [(rng.uniform(-5.0, 5.0), 0.0) for _ in range(50)]
+        interior = [(a, b) for a, b in pairs if b != 0.0 and 0.0 < a / (3.0 * b) < 1.0]
+        assert len(interior) > 100 and len(pairs) - len(interior) > 1000
+        for a, b in pairs + [(0.0, 0.0), (0.0, 1.0), (1.0, -1.0), (0.8, 1.0), (-1.2, 1.5)]:
+            assert repr(_cubic_min_on_unit(a, b)) == repr(reference(a, b)), (a, b)
 
 
 def test_defaults_json_is_strict_subset_of_schema():

@@ -157,7 +157,8 @@ class TestCorrectRounding:
     def test_levels_next_to_saddle_nodes_equal_the_exact_oracle(self, monkeypatch):
         # a root pair about to collide: 1e-9 away the double-double step may
         # not certify a root, and closer in the rounded discriminant cannot
-        # tell one real root from three; both send the level to exact arithmetic
+        # tell one real root from three; both send the level to exact
+        # arithmetic, on one level's floats and on a calibration's array alike
         from demandtier import solver
 
         uncertified, exact = [], []
@@ -165,7 +166,7 @@ class TestCorrectRounding:
 
         def counted_polish(*args):
             result = polish(*args)
-            uncertified.append(not result[1])
+            uncertified.append(np.count_nonzero(np.logical_not(result[1])))
             return result
 
         def counted_exact_prices(*args):
@@ -178,16 +179,25 @@ class TestCorrectRounding:
         levels = roots = 0
         while levels < 120:
             sched, spec, _, learn = random_calibration(rng)
+            batch, wants, start = [], [], len(exact)
             for e_bar, _ in oracles.saddle_node_closed_form(learn):
                 if e_bar <= 1e-9:
                     continue
                 for e in (e_bar - 1e-9, e_bar + 1e-9, e_bar - 1e-13, e_bar + 1e-13, e_bar):
                     want = _oracle_roots(sched, spec, e)
                     assert [fp.p_star for fp in find_fixed_points(sched, spec, e)] == want, e
+                    batch.append(e)
+                    wants.append(want)
                     levels += 1
                     roots += len(want)
+            one_level = exact[start:]
+            columns = solver_rows(sched, spec, np.array(batch))
+            for i, want in enumerate(wants):
+                assert columns.p_star[columns.level == i].tolist() == want, batch[i]
+            # the array path sends the levels that the one-level path sends
+            assert exact[start + len(one_level):] == one_level
         assert roots > levels
-        assert sum(uncertified) >= 5 and len(exact) >= levels // 5
+        assert sum(uncertified) >= 5 and len(exact) >= 2 * (levels // 5)
 
     @pytest.mark.parametrize("learn", [
         (0.6, 0.8, 0.0, 1.2, 1e-300),  # two roots near +-1e150 and one in (0, 1)
