@@ -69,12 +69,9 @@ def simulate_arrays(a_h0, a_l0, alpha_arr, e_arr, nu, phi1, phi2, chi1, chi2, ho
     factors. The loop runs on Python floats, which round exactly as numpy
     float64 does but cost far less per operation, and keeps only the levels;
     ``p`` and ``s`` are formed after it, over arrays, by the same operations.
-
-    The cubes are products (``s*s*s``) where ``dynamics.growth_factors`` calls
-    libm ``pow``, so a level is within ``4 + 6*m`` ulp of ``growth_factors(s_t,
-    E_t)`` times the one before, with ``m = phi2*s**3/g_H`` (``chi2*(1-s)**3/g_L``
-    for a_L). About 7% of cubic steps differ; linear ones are bit-equal. ``pow``
-    here is slower and changes the default simulate output.
+    The growth factors are ``dynamics.growth_factors``' products, in the same
+    order, so each level is ``growth_factors(s_t, E_t)`` times the one before,
+    bit for bit.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         alpha = alpha_arr[:horizon]

@@ -3,12 +3,12 @@ formula takes a Python float or a numpy array: ``np`` stands in for numpy until
 an attribute is read from it, then imports it and binds it as ``np`` in every
 module of the package. Before that no object can be an array, so
 ``isinstance(x, np.ndarray)`` imports nothing; floats take ``_select``'s branch
-and ``_MATH``."""
+and ``_MATH``. Integer powers are products, which round alike on floats and
+float64 arrays; ``_libm`` maps libm's ``exp`` over arrays to the same end."""
 
 import math
 import sys
 from contextlib import nullcontext
-from itertools import repeat
 from types import SimpleNamespace
 
 _NoArray = type("_NoArray", (), {})  # np.ndarray while numpy is not imported
@@ -61,11 +61,10 @@ def _first(values, where):
     return np.broadcast_to(values, where.shape)[where][0].item()
 
 
-def _libm(f, x, *args):
-    """``f(x, *args)``, elementwise and keeping the shape if x is an array. ``f`` is
-    a ``math``-module or builtin function of floats, so every value comes from
-    libm as a scalar's does; numpy's ``exp`` and ``power`` can miss it by a bit."""
+def _libm(f, x):
+    """``f(x)``, elementwise and keeping the shape if x is an array. ``f`` is a
+    ``math``-module function of one float (``exp``), so every value comes from
+    libm as a scalar's does; numpy's ``exp`` can miss it by a bit."""
     if not isinstance(x, np.ndarray):
-        return f(x, *args)
-    values = map(f, x.ravel().tolist(), *map(repeat, args))
-    return np.fromiter(values, float, x.size).reshape(x.shape)
+        return f(x)
+    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)

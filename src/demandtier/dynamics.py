@@ -9,7 +9,9 @@ relative price p of the high-tier good:
 where s is the excess-quantity share of high-tier consumption and g_H, g_L
 are the sectoral growth factors. Education enters twice: directly in g_H and
 through the preference weight inside S. S, g_H, g_L and H take scalars or
-arrays and work elementwise, with the same values either way.
+arrays and work elementwise, with the same values either way: their integer
+powers are products (``phi2*s*s*s``), which round alike on floats and arrays,
+in the order of the simulation loop, ``_kernels.simulate_arrays``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from ._np import _any, _first, _libm, _xp, np
+from ._np import _any, _first, _xp, np
 from .demand import alpha_of, alpha_slope_of, demand_arrays
 from .errors import (
     ConfigError,
@@ -121,7 +123,7 @@ def growth_factors(
         raise ShareOutOfRange(f"share must be in [0, 1], got {_first(s, outside)}")
     _, _, _, chi1, chi2 = spec.coefficients
     u = 1.0 - s
-    g_l = 1.0 + chi1 * u - chi2 * _libm(pow, u, 3.0)
+    g_l = 1.0 + chi1 * u - chi2 * u * u * u
     return GrowthFactors(g_H=growth_H(spec, s, E), g_L=g_l)
 
 
@@ -129,13 +131,13 @@ def growth_H(spec: LearningSpec, s: float | np.ndarray, E: float | np.ndarray):
     """High-tier growth factor g_H(s, E) = 1 + nu*E + phi1*s - phi2*s^3, for a
     share s in [0, 1] (``growth_factors`` checks it)."""
     nu, phi1, phi2, _, _ = spec.coefficients
-    return 1.0 + nu * E + phi1 * s - phi2 * _libm(pow, s, 3.0)
+    return 1.0 + nu * E + phi1 * s - phi2 * s * s * s
 
 
 def growth_slope_H(spec: LearningSpec, s: float | np.ndarray):
     """dg_H/ds at share s: phi1 - 3*phi2*s^2 (phi under linear learning)."""
     _, phi1, phi2, _, _ = spec.coefficients
-    return phi1 - 3.0 * phi2 * _libm(pow, s, 2.0)
+    return phi1 - 3.0 * phi2 * (s * s)
 
 
 def h_ratio(spec: LearningSpec, s: float | np.ndarray, E: float | np.ndarray) -> HRatio:
@@ -144,13 +146,13 @@ def h_ratio(spec: LearningSpec, s: float | np.ndarray, E: float | np.ndarray) ->
     nu, _, _, chi1, chi2 = spec.coefficients
     u = 1.0 - s
     gh_s = growth_slope_H(spec, s)
-    gl_s = -(chi1 - 3.0 * chi2 * _libm(pow, u, 2.0))
-    try:
-        gh_sq = _libm(pow, g_h, 2.0)
-    except OverflowError:  # g_H >= 2**512, whose square leaves the float range
-        big = abs(g_h) >= 2.0**512
+    gl_s = -(chi1 - 3.0 * chi2 * (u * u))
+    # a finite g_H >= 2^512, whose square leaves the float range
+    big = (abs(g_h) >= math.ldexp(1.0, 512)) & (abs(g_h) < math.inf)
+    if _any(big):
         raise NumericalOverflow(f"g_H = {_first(g_h, big)!r} at E = {_first(E, big)!r} is too "
-                                "large: its square, in dH/ds and dH/dE, overflows") from None
+                                "large: its square, in dH/ds and dH/dE, overflows")
+    gh_sq = g_h * g_h
     value = g_l / g_h
     d_ds = (gl_s * g_h - g_l * gh_s) / gh_sq
     d_de = -nu * g_l / gh_sq

@@ -14,21 +14,30 @@ they were installed with). The samples interleave the cases and modes, and
 with them the interpreter's own floor, ``python -c pass`` and ``python -S -c
 pass`` (no ``site``, whose ``.pth`` files differ from machine to machine).
 
+    python3 tests/check_startup.py --samples 9 --no-site
+
+runs every case under ``python -S`` instead, with numpy's install directory on
+PYTHONPATH: no ``site``, so no ``.pth`` file preloads a standard-library module
+that the package would otherwise pay for, as in a plain interpreter.
+
 Prints the median and the range of the wall times per case and mode, whether
 each case imported numpy, which engine modules of the package it imported and
-which of ``dataclasses``, ``argparse`` and ``json``, then one JSON line with
-every sample. The times are reported, not gated. It exits 1 if numpy is
-imported by ``import demandtier.cli``, ``fixed-points``, ``--dump-defaults``,
-``--version``, ``--help`` or ``simulate --E -1``: the first array operation
-imports numpy, and those need none; the last is a validation exit (2), whose
-check comes before any array. It also exits 1 if a case imports an engine
-module that it does not run (``RUNS``), or if ``import demandtier.cli``
-imports any of ``dataclasses``, ``argparse`` and ``json``: the config classes
-are no dataclasses, and the parser and the JSON reader load at their first
-use. It is not part of the test suite.
+which of ``dataclasses``, ``argparse`` and ``json`` (with ``--no-site`` also
+``typing``, ``enum``, ``functools``, ``contextlib`` and ``inspect``), then one
+JSON line with every sample. The times are reported, not gated. In either mode
+it exits 1 if numpy is imported by ``import demandtier.cli``, ``fixed-points``,
+``--dump-defaults``, ``--version``, ``--help`` or ``simulate --E -1``: the
+first array operation imports numpy, and those need none; the last is a
+validation exit (2), whose check comes before any array. It also exits 1 if a
+case imports an engine module that it does not run (``RUNS``), or if ``import
+demandtier.cli`` imports any of ``dataclasses``, ``argparse`` and ``json``: the
+config classes are no dataclasses, and the parser and the JSON reader load at
+their first use. The other watched modules are reported only. It is not part
+of the test suite.
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import shutil
@@ -46,14 +55,21 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "demandtier"
 # looked
 ENTRY = "import sys\nfrom demandtier.cli import main\nsys.exit(main(sys.argv[1:]))\n"
 STDLIB = ("dataclasses", "argparse", "json")
-PRELUDE = ("import atexit, sys\n"
-           "def report():\n"
-           "    loaded = ['numpy' in sys.modules,\n"
-           "              sorted(m for m in sys.modules if m.startswith('demandtier.')),\n"
-           f"              [m for m in {STDLIB!r} if m in sys.modules]]\n"
-           "    import json\n"
-           "    print(json.dumps(loaded), file=sys.stderr)\n"
-           "atexit.register(report)\n")
+# watched too without site, which on some machines preloads them
+NO_SITE_STDLIB = STDLIB + ("typing", "enum", "functools", "contextlib", "inspect")
+
+
+def prelude(watched: tuple) -> str:
+    return ("import atexit, sys\n"
+            "def report():\n"
+            "    loaded = ['numpy' in sys.modules,\n"
+            "              sorted(m for m in sys.modules if m.startswith('demandtier.')),\n"
+            f"              [m for m in {watched!r} if m in sys.modules]]\n"
+            "    import json\n"
+            "    print(json.dumps(loaded), file=sys.stderr)\n"
+            "atexit.register(report)\n")
+
+
 CASES = {
     "import demandtier.cli": ("import demandtier.cli\n", []),
     "fixed-points": (ENTRY, ["fixed-points"]),
@@ -84,8 +100,9 @@ FLOORS = {"python -c pass": [sys.executable, "-c", "pass"],
           "python -S -c pass": [sys.executable, "-S", "-c", "pass"]}
 
 
-def run(code: str, args: list, env: dict, name: str) -> subprocess.CompletedProcess:
-    cp = subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=env["PYTHONPATH"],
+def run(code: str, args: list, env: dict, name: str, flags: list) -> subprocess.CompletedProcess:
+    cp = subprocess.run([sys.executable, *flags, "-c", code, *args], env=env,
+                        cwd=env["PYTHONPATH"].split(os.pathsep)[0],
                         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     if cp.returncode != EXIT_CODES.get(name, 0):
         raise SystemExit(f"{args or code!r} exited {cp.returncode}: {cp.stderr}")
@@ -95,7 +112,13 @@ def run(code: str, args: list, env: dict, name: str) -> subprocess.CompletedProc
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--samples", type=int, default=9, help="timed runs per case and mode")
+    parser.add_argument("--no-site", action="store_true",
+                        help="run every case under python -S, numpy's directory on PYTHONPATH")
     args = parser.parse_args()
+    flags, watched, path = [], STDLIB, []
+    if args.no_site:  # numpy's install directory, found without importing numpy
+        flags, watched = ["-S"], NO_SITE_STDLIB
+        path = [str(Path(importlib.util.find_spec("numpy").origin).parent.parent)]
     base = {k: v for k, v in os.environ.items()
             if k not in ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE")}
     with tempfile.TemporaryDirectory() as tmp:
@@ -104,12 +127,12 @@ def main() -> int:
             root = Path(tmp, mode)
             shutil.copytree(SRC, root / "demandtier",
                             ignore=shutil.ignore_patterns("__pycache__"))
-            envs[mode] = dict(base, PYTHONPATH=str(root))
+            envs[mode] = dict(base, PYTHONPATH=os.pathsep.join([str(root), *path]))
         envs["no-bytecode"]["PYTHONDONTWRITEBYTECODE"] = "1"
 
         numpy, engine, stdlib = {}, {}, {}
         for name, (code, argv) in CASES.items():  # untimed: writes the cached bytecode
-            stderr = run(PRELUDE + code, argv, envs["cached"], name).stderr
+            stderr = run(prelude(watched) + code, argv, envs["cached"], name, flags).stderr
             numpy[name], modules, stdlib[name] = json.loads(stderr.splitlines()[-1])
             engine[name] = sorted(set(ENGINE) & {m.split(".", 1)[1] for m in modules})
         times = {mode: {name: [] for name in CASES} for mode in envs}
@@ -122,15 +145,16 @@ def main() -> int:
             for mode, env in envs.items():
                 for name, (code, argv) in CASES.items():
                     start = time.perf_counter()
-                    run(code, argv, env, name)
+                    run(code, argv, env, name, flags)
                     times[mode][name].append(time.perf_counter() - start)
 
     def cell(t):
         return f"{statistics.median(t) * 1e3:10.1f} [{min(t) * 1e3:5.0f}, {max(t) * 1e3:5.0f}]"
 
-    print(f"fresh-process wall time, median [min, max] of {args.samples} runs, in ms")
+    print(f"fresh-process wall time, median [min, max] of {args.samples} runs, in ms, "
+          + ("without site (python -S)" if args.no_site else "with site"))
     print(f"{'':24s}" + "".join(f"{mode:>26s}" for mode in envs)
-          + "  numpy  engine modules; " + ", ".join(STDLIB) + " imported")
+          + "  numpy  engine modules; " + ", ".join(watched) + " imported")
     for name in CASES:
         print(f"{name:24s}" + "".join(cell(times[mode][name]) for mode in envs)
               + f"  {str(numpy[name]):5s}  {' '.join(engine[name]) or '-'}; "
@@ -138,6 +162,7 @@ def main() -> int:
     for name, t in floors.items():
         print(f"{name:24s}" + cell(t))
     print(json.dumps({"python": sys.version.split()[0], "samples": args.samples,
+                      "site": not args.no_site,
                       "numpy_imported": numpy, "engine_imported": engine,
                       "stdlib_imported": stdlib,
                       "median_ms": {mode: {name: statistics.median(t) * 1e3
@@ -156,9 +181,9 @@ def main() -> int:
         if extra:
             print(f"{name} imports {', '.join(extra)}, which it does not run", file=sys.stderr)
             status = 1
-    if stdlib["import demandtier.cli"]:
-        print(f"import demandtier.cli imports {', '.join(stdlib['import demandtier.cli'])}",
-              file=sys.stderr)
+    checked = [m for m in stdlib["import demandtier.cli"] if m in STDLIB]
+    if checked:
+        print(f"import demandtier.cli imports {', '.join(checked)}", file=sys.stderr)
         status = 1
     return status
 

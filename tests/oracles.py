@@ -37,7 +37,7 @@ def price_of_share(s, alpha):
 def growth_pair(s, E, params=CUBIC_PARAMS):
     nu, phi1, phi2, chi1, chi2 = params
     u = 1.0 - s
-    return 1.0 + nu * E + phi1 * s - phi2 * s**3, 1.0 + chi1 * u - chi2 * u**3
+    return 1.0 + nu * E + phi1 * s - phi2 * s * s * s, 1.0 + chi1 * u - chi2 * u * u * u
 
 
 def t_map(p, E, alpha_params=ALPHA_PARAMS, learn_params=CUBIC_PARAMS):

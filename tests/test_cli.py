@@ -439,8 +439,8 @@ def test_growth_factor_whose_square_overflows_exits_3(tmp_path, args, named):
     path.write_text(json.dumps({"learning": {"chi2": -1e-06, "nu": 1e+300, "chi1": 1e+300}}))
     cp = run_cli(*args, "--scenario", str(path))
     assert cp.returncode == 3
-    assert named in cp.stderr
-    assert "Traceback" not in cp.stderr
+    assert cp.stderr == (f"error: {named} is too large: its square, in dH/ds and dH/dE, "
+                         "overflows\n")
     assert cp.stdout == ""
 
 

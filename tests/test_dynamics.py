@@ -1,8 +1,13 @@
+import math
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from demandtier import (
     HouseholdBudget,
+    HRatio,
     LearningSpec,
     LearningVariant,
     TechnologyState,
@@ -19,6 +24,7 @@ from demandtier.errors import (
     InvalidHorizon,
     InvalidPrice,
     InvalidState,
+    NumericalOverflow,
     ShareOutOfRange,
 )
 
@@ -99,6 +105,26 @@ class TestGrowthFactors:
                 g = growth_factors(spec, s, 0.0)
                 assert g.g_H > 0.0 and g.g_L > 0.0
 
+    def test_product_cubes_within_three_ulp_of_the_exact_cube(self):
+        # phi2*s*s*s rounds three products, each to within a relative 2^-53, so
+        # it is within (1 + 2^-53)^3 - 1 of the exact phi2*s^3 relative, which
+        # is 3 ulp of it to first order; so is chi2*u*u*u, with u = 1 - s as
+        # rounded. The worst of these samples is about 2 ulp
+        rng = random.Random(20261019)
+        gamma3 = (1 + Fraction(1, 2**53)) ** 3 - 1
+        for _ in range(2000):
+            s, coeff = rng.random(), rng.uniform(0.0, 3.0)
+            u = 1.0 - s
+            spec = LearningSpec.cubic(nu=0.6, phi1=coeff, phi2=coeff, chi1=coeff, chi2=coeff)
+            cube_s, cube_u = coeff * s * s * s, coeff * u * u * u
+            assert growth_factors(spec, s, 0.0) == (1.0 + coeff * s - cube_s,
+                                                    1.0 + coeff * u - cube_u)
+            for product, x in ((cube_s, s), (cube_u, u)):
+                exact = Fraction(coeff) * Fraction(x) ** 3
+                error = abs(Fraction(product) - exact)
+                assert error <= gamma3 * exact
+                assert error <= 3 * Fraction(math.ulp(float(exact)))
+
 
 class TestLearningSpecValidation:
     def test_nu_must_be_positive(self):
@@ -167,6 +193,40 @@ class TestHRatio:
     def test_linear_ratio_slope_always_negative(self, linear):
         for s in np.linspace(0.0, 1.0, 21):
             assert h_ratio(linear, s, 0.3).dH_ds < 0.0
+
+    # g_H = 1 + E at s = 0; a finite g_H from 2^512 on has a square beyond the floats
+    GROWS_WITH_E = LearningSpec.cubic(nu=1.0, phi1=0.0, phi2=0.0, chi1=1.2, chi2=1.5)
+    BELOW = math.nextafter(math.ldexp(1.0, 512), 0.0)
+
+    def test_largest_g_h_with_a_finite_square_gives_finite_partials(self):
+        # under the suite's warning filter a RuntimeWarning of the square would fail
+        h = h_ratio(self.GROWS_WITH_E, 0.0, self.BELOW)
+        assert all(math.isfinite(value) for value in h)
+        assert h.dH_dE < 0.0
+        column = h_ratio(self.GROWS_WITH_E, np.zeros(2), np.array([0.5, self.BELOW]))
+        for name, values in zip(HRatio._fields, column):
+            assert isinstance(values, np.ndarray)
+            assert values[1] == getattr(h, name)
+
+    def test_g_h_of_two_to_the_512_raises_naming_g_h_and_e(self):
+        named = (r"^g_H = 1\.3407807929942597e\+154 at E = 1\.3407807929942597e\+154 is too "
+                 r"large: its square, in dH/ds and dH/dE, overflows$")
+        with pytest.raises(NumericalOverflow, match=named):
+            h_ratio(self.GROWS_WITH_E, 0.0, math.ldexp(1.0, 512))
+        with pytest.raises(NumericalOverflow, match=named):  # an array names its first
+            h_ratio(self.GROWS_WITH_E, np.zeros(3),
+                    np.array([self.BELOW, math.ldexp(1.0, 512), math.ldexp(1.0, 600)]))
+
+    @pytest.mark.parametrize("E", [math.inf, -math.inf])
+    def test_infinite_g_h_is_not_an_overflow(self, E):
+        # inf squares to inf; dH/ds is then inf/inf, NaN, which numpy flags as invalid
+        h = h_ratio(self.GROWS_WITH_E, 0.0, E)
+        assert h.value == 0.0 and math.isnan(h.dH_ds) and h.dH_dE == 0.0
+        assert list(np.signbit([h.value, h.dH_dE])) == [E < 0.0, True]
+        with np.errstate(invalid="ignore"):
+            column = h_ratio(self.GROWS_WITH_E, np.zeros(1), np.array([E]))
+        assert np.array_equal(column, [[value] for value in h], equal_nan=True)
+        assert list(np.signbit([column.value[0], column.dH_dE[0]])) == [E < 0.0, True]
 
 
 class TestPriceMap:

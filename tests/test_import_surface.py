@@ -121,3 +121,45 @@ def test_each_moved_config_class_is_one_object_from_every_path(home, name):
     assert getattr(home, name) is cls
     assert getattr(demandtier, name) is cls
     assert cls.__module__ == "demandtier.scenario"
+
+
+# imports numpy before the package has built an array, so the package's ``np``
+# is still its lazy stand-in when arrays arrive; calls the function named in
+# argv[1] first on arrays, then the others, and checks each result against
+# the scalar call on each element, bit for bit
+LAZY_NUMPY_PROBE = """
+import sys
+import numpy
+from demandtier import (_np, LearningSpec, PreferenceSchedule, alpha_of, excess_share,
+                        growth_factors, h_ratio)
+stand_in = sorted(name for name, module in sys.modules.items()
+                  if name.startswith("demandtier.") and vars(module).get("np") is _np.np)
+sched, spec = PreferenceSchedule(), LearningSpec()
+E = numpy.array([0.0, 0.145, 0.215, 0.28, 2.0])
+calls = {"alpha_of": (alpha_of, sched, E),
+         "excess_share": (excess_share, sched, E, numpy.array([0.01, 0.2, 3.5, 4.4, 80.0])),
+         "growth_factors": (growth_factors, spec, numpy.array([0.0, 0.3, 0.5, 0.9, 1.0]), E),
+         "h_ratio": (h_ratio, spec, numpy.array([0.0, 0.3, 0.5, 0.9, 1.0]), E)}
+for name in [sys.argv[1], *(n for n in calls if n != sys.argv[1])]:
+    f, head, *arrays = calls[name]
+    out = f(head, *arrays)
+    columns = out if isinstance(out, tuple) else (out,)
+    assert all(type(column) is numpy.ndarray for column in columns), name
+    for i in range(len(E)):
+        scalar = f(head, *(a[i].item() for a in arrays))
+        scalars = scalar if isinstance(scalar, tuple) else (scalar,)
+        assert all(type(v) is float for v in scalars), name
+        assert [c[i].tobytes() for c in columns] == [numpy.float64(v).tobytes()
+                                                     for v in scalars], name
+print(stand_in)
+"""
+
+
+@pytest.mark.parametrize("first", ["alpha_of", "excess_share", "growth_factors", "h_ratio"])
+def test_arrays_from_a_caller_that_imported_numpy_first_work_before_any_array_operation(first):
+    # the package binds numpy at its first attribute read; an array passed
+    # before that is still seen as an array, and its results are arrays
+    cp = subprocess.run([sys.executable, "-W", "error", "-c", LAZY_NUMPY_PROBE, first],
+                        capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert {"demandtier.demand", "demandtier.dynamics"} <= set(ast.literal_eval(cp.stdout))
