@@ -7,6 +7,7 @@ terms, so a single kernel family serves both variants.
 """
 
 import math
+from array import array
 
 from ._np import np
 
@@ -67,18 +68,20 @@ def simulate_arrays(a_h0, a_l0, alpha_arr, e_arr, nu, phi1, phi2, chi1, chi2, ho
     relative price is the productivity ratio a_L/a_H, the excess-quantity
     share follows from it, and both productivities advance by their growth
     factors. The loop runs on Python floats, which round exactly as numpy
-    float64 does but cost far less per operation, and keeps only the levels;
-    ``p`` and ``s`` are formed after it, over arrays, by the same operations.
+    float64 does but cost far less per operation: it reads its inputs through
+    memoryviews of the float64 arrays and appends only the levels to
+    ``array("d")`` buffers, which numpy then wraps without a copy; ``p`` and
+    ``s`` are formed after it, over arrays, by the same operations.
     The growth factors are ``dynamics.growth_factors``' products, in the same
     order, so each level is ``growth_factors(s_t, E_t)`` times the one before,
     bit for bit.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         alpha = alpha_arr[:horizon]
-        a_h_out, a_l_out = [], []
+        a_h_out, a_l_out = array("d"), array("d")
         a_h, a_l = float(a_h0), float(a_l0)
-        for al, rest, base in zip(alpha.tolist(), (1.0 - alpha).tolist(),
-                                  (1.0 + nu * e_arr[:horizon]).tolist()):
+        for al, rest, base in zip(memoryview(alpha), memoryview(1.0 - alpha),
+                                  memoryview(1.0 + nu * e_arr[:horizon])):
             a_h_out.append(a_h)
             a_l_out.append(a_l)
             try:
@@ -89,6 +92,6 @@ def simulate_arrays(a_h0, a_l0, alpha_arr, e_arr, nu, phi1, phi2, chi1, chi2, ho
             u = 1.0 - st
             a_h = (base + phi1 * st - phi2 * st * st * st) * a_h
             a_l = (1.0 + chi1 * u - chi2 * u * u * u) * a_l
-        a_h_arr, a_l_arr = np.array(a_h_out), np.array(a_l_out)
+        a_h_arr, a_l_arr = np.frombuffer(a_h_out), np.frombuffer(a_l_out)
         p = a_l_arr / a_h_arr
         return p, alpha / (alpha + (1.0 - alpha) * p), a_h_arr, a_l_arr

@@ -20,7 +20,7 @@ from .demand import alpha_of
 from .dynamics import excess_share, excess_share_slope_E, gap_coefficients, h_ratio
 from .errors import DegenerateChannel, NoConvergence
 from .scenario import LearningSpec, PreferenceSchedule, SolverConfig, SweepConfig  # noqa: F401
-from .scenario import _Record
+from .scenario import _DEFAULTS, _Record
 from .solver import FixedPoint, RootColumns, _critical_shares, _fixed_point_rows, _real_roots
 
 
@@ -203,8 +203,8 @@ def sweep(
     """Root inventory over an education grid, solved in one batch, as columns,
     and the locus's transitions in (E_min, E_max), with counts running from the
     grid's count at E_min, and thresholds."""
-    sweep_cfg = sweep_cfg or SweepConfig()
-    solver_cfg = solver_cfg or SolverConfig()
+    sweep_cfg = sweep_cfg or _DEFAULTS["sweep"]
+    solver_cfg = solver_cfg or _DEFAULTS["solver"]
     E = np.linspace(sweep_cfg.E_min, sweep_cfg.E_max, sweep_cfg.E_points)
     roots = _fixed_point_rows(sched, spec, E, solver_cfg)
     transitions, count = [], int(np.count_nonzero(roots.level == 0))

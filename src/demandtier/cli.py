@@ -14,7 +14,9 @@ The long tables of simulate, statics and planner-foc are built column-wise
 (``_csv_columns``), each column's format taken from its dtype: a float column
 prints as ``%.12g``, an integer or bool column as ``%d``. Numpy arithmetic
 writes the text of every value whose 12-digit rounding it can certify, and
-``%`` formats the rest, so the bytes are those of ``%`` row by row.
+``%`` formats the rest, so the bytes are those of ``%`` row by row. The text
+is written chunk by chunk as it is built (``_write_text``), so a long table
+never sits in memory whole.
 fixed-points and the bifurcation thresholds, tables of a few rows, are
 %-formatted row by row (``_csv``).
 
@@ -73,12 +75,16 @@ def __getattr__(name):
     return getattr(sys.modules.get(module) or import_module(module), name)
 
 
-def _write_text(text: str, out: str | None) -> None:
+def _write_text(text, out: str | None) -> None:
+    """Write ``text``, a str or an iterable of str pieces, piece by piece to
+    standard output or to the one file ``out``."""
+    pieces = (text,) if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
+        for piece in pieces:
+            sys.stdout.write(piece)
     else:
         with open(out, "w", encoding="utf-8", newline="") as file:
-            file.write(text)
+            file.writelines(pieces)
 
 
 def _csv(header: str, row_format: str, rows: list[tuple]) -> str:
@@ -242,12 +248,14 @@ def _field_words(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return certified
 
 
-def _csv_columns(header: str, columns) -> str:
-    """The CSV of numpy ``columns`` under ``header``, built column-wise.
+def _csv_columns(header: str, columns):
+    """The CSV of numpy ``columns`` under ``header``, built column-wise: yields
+    the header line, then the ASCII text of each chunk of rows.
 
     A float column prints as ``%.12g`` and an integer or bool column as
-    ``%d``. The text is that of ``_csv`` with those formats, byte for byte:
-    the values that ``_field_words`` does not certify are %-formatted one by one.
+    ``%d``. The joined pieces are the text of ``_csv`` with those formats, byte
+    for byte: the values that ``_field_words`` does not certify are
+    %-formatted one by one. Only one chunk's text is held at a time.
     """
     kinds = ["%d" if col.dtype.kind in "biu" else "%.12g" for col in columns]
     integers = [i for i, kind in enumerate(kinds) if kind == "%d"]
@@ -257,7 +265,7 @@ def _csv_columns(header: str, columns) -> str:
     terminator <<= np.uint64(56)
     n_rows = len(columns[0])
     step = max(1, _CHUNK_FIELDS // n_fields)
-    parts = [(header + "\n").encode("ascii")]
+    yield header + "\n"
     for start in range(0, n_rows, step):
         block = np.stack([col[start:start + step] for col in columns], axis=1, dtype=float)
         words = np.empty(block.shape + (5,), _WORD)
@@ -272,8 +280,7 @@ def _csv_columns(header: str, columns) -> str:
             words.view(np.uint8).reshape(block.shape + (40,))[row, field, :39] = \
                 np.array(exact, dtype="S39").view(np.uint8).reshape(-1, 39)
         words[:, :, 4] |= terminator
-        parts.append(words.tobytes().translate(None, b"\0"))
-    return b"".join(parts).decode("ascii")
+        yield words.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _education(scenario: Scenario, override: float | None):
@@ -340,7 +347,7 @@ def cmd_bifurcation(scenario: Scenario, args) -> int:
         return EXIT_NUMERICAL
 
     if args.out is None and args.thresholds_out is None:
-        sys.stdout.write(locus_csv + "\n" + thresholds_csv)
+        _write_text((locus_csv, "\n", thresholds_csv), None)
     else:
         _write_text(locus_csv, args.out)
         _write_text(thresholds_csv, args.thresholds_out)

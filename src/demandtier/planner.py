@@ -118,12 +118,13 @@ def evaluate_foc(
     gh_s = growth_slope_H(spec, s)
 
     # costate recursion backward from eta = 0 at the horizon, on Python floats
-    push = (lam[1:] * p[1:] * demand.c_H[1:] / a_h[1:]).tolist()
-    carry = (growth_H(spec, s, e) + gh_s * s * (1.0 - s))[1:].tolist()
-    eta_list = [0.0] * horizon
+    # read from and written to the float64 arrays through memoryviews
+    push = memoryview(lam[1:] * p[1:] * demand.c_H[1:] / a_h[1:])
+    carry = memoryview((growth_H(spec, s, e) + gh_s * s * (1.0 - s))[1:])
+    eta = np.zeros(horizon)
+    eta_view = memoryview(eta)
     for t in range(horizon - 2, -1, -1):
-        eta_list[t] = cfg.beta * (push[t] + eta_list[t + 1] * carry[t])
-    eta = np.array(eta_list)
+        eta_view[t] = cfg.beta * (push[t] + eta_view[t + 1] * carry[t])
 
     spill = eta * (gh_s * ds_de + spec.nu) * a_h
     shadow = lam * kappa_prime(cfg, e)

@@ -41,7 +41,7 @@ from .demand import alpha_of
 from .dynamics import excess_share, gap_coefficients, h_ratio
 from .errors import ConfigError, NoConvergence, ShareOutOfRange
 from .scenario import LearningSpec, PreferenceSchedule, SolverConfig  # noqa: F401 - re-exported
-from .scenario import _Record
+from .scenario import _DEFAULTS, _Record
 
 
 class Stability(str, Enum):
@@ -381,7 +381,7 @@ def find_fixed_points(
     NoConvergence. E < 0 raises ConfigError. The level is solved on Python
     floats, through the functions a sweep runs on arrays.
     """
-    cfg = cfg or SolverConfig()
+    cfg = cfg or _DEFAULTS["solver"]
     E = float(E)
     shares, polish, alpha, exact = _candidates(sched, spec, E, cfg)
     prices = []

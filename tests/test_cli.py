@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from check_format import FAMILIES, integers, mismatches, samples
+from check_memory import SLOW_LEARNING
 from conftest import DATA_DIR, load_goldens
 from demandtier import cli
 from demandtier.cli import _csv, _csv_columns, _field_words
@@ -44,7 +46,7 @@ class TestCsvWriter:
     def test_special_values_print_as_format_12g(self):
         values = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e308,
                   0.1, 1.0 / 3.0, 123456789012345.0, np.float64(2.0) / 3.0]
-        text = _csv_columns("i,x", [np.arange(len(values)), np.array(values)])
+        text = "".join(_csv_columns("i,x", [np.arange(len(values)), np.array(values)]))
         expected = "".join(f"{i},{format(float(v), '.12g')}\n" for i, v in enumerate(values))
         assert text == "i,x\n" + expected
 
@@ -87,11 +89,11 @@ class TestColumnCsv:
 
     def test_zero_rows_is_header_only(self):
         empty = np.array([])
-        assert _csv_columns("t,x,flag", [empty, empty, empty]) == "t,x,flag\n"
+        assert "".join(_csv_columns("t,x,flag", [empty, empty, empty])) == "t,x,flag\n"
 
     def test_bool_and_integer_columns_print_as_d(self):
         flags = np.array([True, False, True])
-        text = _csv_columns("t,x,flag", [np.arange(3), np.ones(3), flags])
+        text = "".join(_csv_columns("t,x,flag", [np.arange(3), np.ones(3), flags]))
         assert text == "t,x,flag\n0,1,1\n1,1,0\n2,1,1\n"
 
     def test_only_uncertain_values_are_left_to_percent(self):
@@ -102,6 +104,61 @@ class TestColumnCsv:
                             math.nan, -math.nan, math.inf, -math.inf])
         assert not _field_words(left, np.empty((left.size, 5), np.uint64)).any()
         assert _field_words(written, np.empty((written.size, 5), np.uint64)).all()
+
+    def test_chunks_join_to_the_percent_text(self):
+        # one integer and seven float columns: three full chunks and a partial
+        # one, each opening and closing on extreme integers, zeros, NaN, the
+        # infinities, ties and a value below 1e-296
+        step = cli._CHUNK_FIELDS // 8
+        n = 3 * step + step // 3
+        rng = np.random.default_rng(28)
+        ints = integers(n, rng)
+        floats = [samples("normal-scaled", n, rng) for _ in range(7)]
+        edges = [0.0, -0.0, math.nan, math.inf, -math.inf, 123456789012.5,
+                 -0.5000000000005, 1e-300]
+        for start in range(0, n, step):
+            for row in (start, min(start + step, n) - 1):
+                ints[row] = -(2**63) if row == start else 2**63 - 1
+                for k, column in enumerate(floats):
+                    column[row] = edges[(k + row) % len(edges)]
+        header = "i," + ",".join(f"x{k}" for k in range(7))
+        pieces = list(_csv_columns(header, [ints, *floats]))
+        assert [piece.count("\n") for piece in pieces] == [1, step, step, step, n - 3 * step]
+        rows = zip(ints.tolist(), *[column.tolist() for column in floats])
+        assert "".join(pieces) == _csv(header, "%d" + ",%.12g" * 7, rows)
+
+
+def test_multi_chunk_statics_writes_the_same_bytes_to_stdout_and_out(tmp_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"statics": {"y_points": 5000}}))
+    out = tmp_path / "statics.csv"
+    args = ("statics", "--scenario", str(scenario))
+    cp = subprocess.run([sys.executable, "-m", "demandtier", *args], capture_output=True)
+    assert (cp.returncode, cp.stderr) == (0, b"")
+    assert main_in_process((*args, "--out", str(out))) == (0, b"", b"")
+    assert cp.stdout.count(b"\n") == 5001 > 4 * (cli._CHUNK_FIELDS // 8)  # five chunks
+    assert out.read_bytes() == cp.stdout
+
+
+@pytest.mark.parametrize("command, scenario", [
+    ("simulate", {"learning": SLOW_LEARNING, "simulation": {"horizon": 20_000}}),
+    ("statics", {"statics": {"y_points": 20_000}}),
+])
+def test_long_table_peak_stays_below_twice_its_csv(tmp_path, command, scenario):
+    # the CSV is written chunk by chunk, so no copy of the whole text is held;
+    # the traced peak is then the table's numpy columns and one chunk
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "out.csv"
+    argv = [command, "--scenario", str(path), "--out", str(out)]
+    assert cli.main(argv) == 0  # imports, the parsers and the digit tables
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * out.stat().st_size
 
 
 CLI_GOLDENS = DATA_DIR / "cli"

@@ -15,6 +15,7 @@ from demandtier import (
     price_map,
     simulate_path,
 )
+from demandtier.bifurcation import SweepConfig, sweep
 from demandtier.errors import ConfigError, NoConvergence, ShareOutOfRange
 from demandtier.solver import STABILITY_ORDER
 
@@ -333,3 +334,19 @@ class TestSolverConfig:
             SolverConfig(p_min=2.0, p_max=1.0)
         with pytest.raises(ConfigError, match="bisect_tol"):
             SolverConfig(bisect_tol=0.0)
+
+    def test_config_less_calls_validate_no_config(self, sched, cubic, monkeypatch):
+        # a call that passes no config takes the scenario module's default
+        # instances, built and validated once per process
+        validated = []
+        for cls in (SolverConfig, SweepConfig):
+            def counted(self, check=cls.__post_init__):
+                validated.append(type(self).__name__)
+                check(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        for E in (0.145, 0.215, 0.28):
+            find_fixed_points(sched, cubic, E)
+        sweep(sched, cubic)
+        assert validated == []
+        SolverConfig(p_max=20.0)  # an explicit config is still validated
+        assert validated == ["SolverConfig"]
