@@ -18,7 +18,8 @@ writes the text of every value whose 12-digit rounding it can certify, and
 is written chunk by chunk as it is built (``_write_text``), so a long table
 never sits in memory whole.
 fixed-points and the bifurcation thresholds, tables of a few rows, are
-%-formatted row by row (``_csv``).
+%-formatted row by row (``_csv``). So is the bifurcation locus, one line per
+root, with the text of each level's E formatted once (``cmd_bifurcation``).
 
 Every command is a function ``cmd_*(scenario, args)`` of the loaded scenario
 and the parsed arguments. ``main(argv)`` may be called repeatedly in one

@@ -123,27 +123,24 @@ def evaluate_foc(
     carry = memoryview((growth_H(spec, s, e) + gh_s * s * (1.0 - s))[1:])
     eta = np.zeros(horizon)
     eta_view = memoryview(eta)
+    beta = cfg.beta
     for t in range(horizon - 2, -1, -1):
-        eta_view[t] = cfg.beta * (push[t] + eta_view[t + 1] * carry[t])
+        eta_view[t] = beta * (push[t] + eta_view[t + 1] * carry[t])
 
     spill = eta * (gh_s * ds_de + spec.nu) * a_h
     shadow = lam * kappa_prime(cfg, e)
     wedge = pref + spill - shadow
-    table = np.column_stack((pref, spill, shadow, wedge, lam, eta))
-    bad = ~np.isfinite(table)
-    if bad.any():
-        t, k = divmod(int(np.argmax(bad)), len(FOC_COLUMNS))  # the first period, then column
-        raise NumericalOverflow(f"planner FOC column '{FOC_COLUMNS[k]}' is {table[t, k].item()!r}"
+    # every term feeds the wedge, and inf*0 and inf-inf are NaN: the first period
+    # with a term that is not finite is the first whose wedge is not finite
+    finite = np.isfinite(wedge)
+    if not finite.all():
+        t = int(np.argmin(finite))
+        row = [x[t].item() for x in (pref, spill, shadow, wedge, lam, eta)]
+        k = int(np.argmin(np.isfinite(row)))  # the first such term, in FOC_COLUMNS order
+        raise NumericalOverflow(f"planner FOC column '{FOC_COLUMNS[k]}' is {row[k]!r}"
                                 f" at t={t}: the terms leave the float range along the path")
-    return FocReport(
-        t=np.arange(horizon),
-        preference_term=pref,
-        spillover_term=spill,
-        shadow_cost=shadow,
-        wedge=wedge,
-        lambda_t=lam,
-        eta_t=eta,
-    )
+    return FocReport(t=np.arange(horizon), preference_term=pref, spillover_term=spill,
+                     shadow_cost=shadow, wedge=wedge, lambda_t=lam, eta_t=eta)
 
 
 def education_wedge_sign(report: FocReport) -> np.ndarray:

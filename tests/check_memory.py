@@ -11,11 +11,12 @@ output, redirected to a file, and once with ``--out``. Prints, per command,
 the CSV size and each run's peak resident set (``ru_maxrss``) above the
 floor it read after those imports, then one JSON line with every figure.
 Exits 1 if a run fails, if standard output and ``--out`` hold different
-bytes, or if the larger peak of ``simulate`` or ``statics`` exceeds twice its
-CSV size: the CSV is written chunk by chunk, so neither holds the text of its
-whole table. ``planner-foc`` keeps about a dozen float columns of its horizon
-and is reported only. Every file it writes goes to a temporary directory; it
-is not part of the test suite.
+bytes, or if the larger peak of a command exceeds its bound times its CSV
+size: twice for ``simulate`` and ``statics``, whose CSV is written chunk by
+chunk, so neither holds the text of its whole table, and 3.5 times for
+``planner-foc``, which keeps about a dozen float columns of its horizon. Every
+file it writes goes to a temporary directory; it is not part of the test
+suite.
 """
 
 import argparse
@@ -42,7 +43,8 @@ sys.stderr.write(f"\\n{code} {floor} {peak}\\n")
 # growth factors within about 1e-5 of 1, so that no level leaves the floats
 SLOW_LEARNING = {"variant": "cubic", "nu": 1e-5, "phi1": 1e-5, "phi2": 1e-5,
                  "chi1": 1.2e-5, "chi2": 1.5e-5}
-GATED = ("simulate", "statics")
+# the largest peak above the floor allowed, in multiples of the CSV size
+BOUND = {"simulate": 2.0, "statics": 2.0, "planner-foc": 3.5}
 
 
 def scenarios(rows: int) -> dict:
@@ -94,8 +96,9 @@ def main(argv=None) -> int:
                 failed.append(f"{command} exited {code_a} and {code_b}")
             elif not filecmp.cmp(to_stdout, to_file, shallow=False):
                 failed.append(f"{command}: standard output and --out differ")
-            elif command in GATED and not ratio <= 2.0:
-                failed.append(f"{command}: peak {ratio:.2f}x its CSV size, above 2x")
+            elif not ratio <= BOUND[command]:
+                failed.append(f"{command}: peak {ratio:.2f}x its CSV size, above "
+                              f"{BOUND[command]:g}x")
     for failure in failed:
         print("FAIL: " + failure)
     print(json.dumps(report))

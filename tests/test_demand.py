@@ -410,6 +410,26 @@ class TestDemandArrays:
         sol = solve_demand(sched, HouseholdBudget(20.0, 2.0), 0.3)
         assert got.c_H[2] == sol.c_H
 
+    def test_scalar_level_and_price_give_the_full_length_bits_at_alpha_one_half(self):
+        # numpy raises to a scalar or stride-0 exponent of 0.5 with sqrt, which
+        # rounds unlike np.power on an array exponent for about 5% of values
+        # (and likewise x*x for 2 and 1/x for -1); utility ex_L**(1-a) * ex_H**a
+        # matches the full-length rows only because a has the rows' full shape
+        sched = PreferenceSchedule(alpha_base=0.5, alpha_slope=0.0, alpha_lo=0.4,
+                                   alpha_hi=0.9, gamma_H=0.0)
+        income = 3.0 + np.random.default_rng(20261019).lognormal(3.0, 1.0, 20_000)
+        full = (np.full(income.size, 2.0), np.full(income.size, 0.2))
+
+        def columns(price, e):
+            demand, elasticities = elasticity_arrays(sched, income, price, e)
+            return demand_arrays(sched, income, price, e) + demand + elasticities
+
+        for col, ref in zip(columns(2.0, 0.2), columns(*full), strict=True):
+            assert col.shape == income.shape and col.tobytes() == ref.tobytes()
+        b = demand_arrays(sched, income, 2.0, 0.2).supernumerary
+        sqrt_path = (0.5 * b) ** 0.5 * (0.5 * b / 2.0) ** 0.5
+        assert np.any(sqrt_path != demand_arrays(sched, income, *full).utility)
+
     @pytest.mark.parametrize("price", [math.nan, math.inf])
     def test_nan_supernumerary_stays_interior(self, sched, price):
         # a price of NaN or inf (productivities out of float range) makes B

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -22,6 +23,7 @@ from demandtier.errors import (
     NonInteriorBudget,
     NumericalOverflow,
 )
+from demandtier.planner import FOC_COLUMNS
 
 import oracles
 
@@ -184,6 +186,144 @@ class TestDiagnostics:
                 solve_demand(sched, HouseholdBudget(income=net, price_H=path.p[t]), 0.2)
             assert str(caught.value).startswith(
                 f"{scalar.value} at t={t}, at net income {net}: keys 'income' and 'E' in ")
+
+
+def _stacked_scan(columns):
+    """(period, column index) of the first FOC term that is not finite, scanning
+    the six columns side by side, period by period; None if every term is
+    finite. The reference for the planner's one-column scan of the wedge."""
+    bad = ~np.isfinite(np.column_stack(columns))
+    return divmod(int(np.argmax(bad)), len(FOC_COLUMNS)) if bad.any() else None
+
+
+def _foc_columns_at_raise(error):
+    """The six FOC columns, in FOC_COLUMNS order, as ``evaluate_foc`` held them
+    when it raised ``error``: its frame's locals, read by name from the
+    traceback."""
+    tb = error.__traceback__
+    while tb.tb_frame.f_code is not evaluate_foc.__code__:
+        tb = tb.tb_next
+    held = tb.tb_frame.f_locals
+    return tuple(held[name] for name in ("pref", "spill", "shadow", "wedge", "lam", "eta"))
+
+
+class TestNonFiniteTerm:
+    """The term a NumericalOverflow names when an input drives it out of the
+    float range. The overflows warn on the way, which is not what is tested."""
+
+    def _raise(self, sched, spec, cfg, path):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalOverflow) as caught:
+                evaluate_foc(sched, spec, cfg, path)
+        return caught
+
+    def test_shadow_cost(self, sched, linear):
+        # kappa' = kappa_scale = 1e308 at kappa_curv = 1, and lambda > 1.8 at
+        # the low price a_L/a_H = 0.01, while kappa = 1e308 * 5e-308 = 5 < income
+        cfg = PlannerConfig(beta=0.95, horizon=3, kappa_scale=1e308, kappa_curv=1.0)
+        path = simulate_path(sched, linear, TechnologyState(a_H=1.0, a_L=0.01), 5e-308, 10.0, 3)
+        caught = self._raise(sched, linear, cfg, path)
+        assert str(caught.value) == ("planner FOC column 'shadow_cost' is inf at t=0: "
+                                     "the terms leave the float range along the path")
+        pref, spill, shadow, wedge, lam, eta = _foc_columns_at_raise(caught.value)
+        assert np.isfinite(lam).all() and np.isfinite(pref[0]) and np.isfinite(spill[0])
+
+    def test_wedge(self, sched, cfg):
+        # at income 1.78e308 the spillover term is 1.75e308 and the preference
+        # term 7.7e306: both finite, their sum is not
+        spec = LearningSpec.linear(nu=2.0, phi=0.8, chi=1.2)
+        path = simulate_path(sched, spec, TechnologyState(a_H=1.0, a_L=2.0), 0.2, 1.78e308, 3)
+        caught = self._raise(sched, spec, cfg, path)
+        assert str(caught.value) == ("planner FOC column 'wedge' is inf at t=0: "
+                                     "the terms leave the float range along the path")
+        pref, spill, shadow, wedge, lam, eta = _foc_columns_at_raise(caught.value)
+        assert np.isfinite(pref[0]) and np.isfinite(spill[0]) and np.isfinite(shadow[0])
+
+    @pytest.mark.parametrize("t, text", [(0, "inf"), (2, "inf"), (3, "inf"), (4, "nan")])
+    def test_infinite_a_h_at_a_chosen_period(self, sched, linear, t, text):
+        # a_h feeds only the spillover term eta * (...) * a_h and, through
+        # push, the costate one period earlier, which it sets to
+        # beta * eta[t+1] * carry; at the horizon's last period eta is 0, and
+        # 0 * inf is NaN
+        cfg = PlannerConfig(beta=0.95, horizon=5, kappa_scale=0.05, kappa_curv=2.0)
+        path = simulate_path(sched, linear, TechnologyState(a_H=1.0, a_L=2.0), 0.2, 10.0, 5)
+        a_h = path.a_h.copy()
+        a_h[t] = np.inf
+        caught = self._raise(sched, linear, cfg, dataclasses.replace(path, a_h=a_h))
+        assert str(caught.value) == (f"planner FOC column 'spillover_term' is {text} at t={t}: "
+                                     "the terms leave the float range along the path")
+
+    def test_the_wedge_is_not_finite_where_the_first_term_is_not(self):
+        # the identity the planner's scan rests on: the wedge is built from
+        # every term (spill = eta*X*a_h, shadow = lam*kappa'), so the first
+        # period whose wedge is not finite is the stacked scan's first period,
+        # and the first term not finite there is the stacked scan's column.
+        # Seeded term arrays with inf, NaN, 0 and +-1e308 in every input
+        rng = np.random.default_rng(20261019)
+        special = np.array([np.inf, -np.inf, np.nan, 0.0, 1e308, -1e308])
+        named = set()
+        for _ in range(20_000):
+            n = int(rng.integers(1, 6))
+            terms = rng.lognormal(0.0, 2.0, size=(6, n)) * rng.choice([-1.0, 1.0], size=(6, n))
+            hit = rng.random((6, n)) < 0.08
+            terms[hit] = rng.choice(special, size=int(hit.sum()))
+            pref, eta, x, a_h, lam, kappa_p = terms
+            with np.errstate(over="ignore", invalid="ignore"):
+                spill = eta * x * a_h
+                shadow = lam * kappa_p
+                wedge = pref + spill - shadow
+            columns = (pref, spill, shadow, wedge, lam, eta)
+            expected = _stacked_scan(columns)
+            finite = np.isfinite(wedge)
+            assert finite.all() == (expected is None)
+            if expected is not None:
+                t = int(np.argmin(finite))
+                k = int(np.argmin(np.isfinite([c[t] for c in columns])))
+                assert (t, k) == expected
+                named.add(FOC_COLUMNS[k])
+        assert named == {"preference_term", "spillover_term", "shadow_cost", "wedge"}
+
+    def test_evaluate_foc_names_what_the_stacked_scan_names(self, sched):
+        # seeded paths with inf, 0, 1e308 and 5e-324 in the price, income,
+        # share and a_h columns, run through evaluate_foc: a raise names the
+        # stacked scan's first term of the columns it held, and a report has
+        # every term finite
+        rng = np.random.default_rng(20261020)
+        spec = LearningSpec.cubic(nu=0.6, phi1=0.8, phi2=1.0, chi1=1.2, chi2=1.5)
+        base = simulate_path(sched, spec, TechnologyState(a_H=1.0, a_L=5.0), 0.28, 10.0, 6)
+        special = np.array([np.inf, 0.0, 1e308, 5e-324])
+        outcomes = {}
+        for _ in range(400):
+            horizon = int(rng.integers(1, 7))
+            cfg = PlannerConfig(beta=0.95, horizon=horizon, kappa_scale=rng.choice([0.05, 1e308]),
+                                kappa_curv=rng.choice([1.0, 2.0]))
+            columns = {}
+            for name in ("p", "income_path", "s_q", "a_h"):
+                col = getattr(base, name).copy()
+                hit = rng.random(col.size) < 0.15
+                col[hit] = rng.choice(special, size=int(hit.sum()))
+                columns[name] = col
+            e_path = rng.choice([0.28, 1e-300, 0.0], size=6, p=[0.8, 0.1, 0.1])
+            path = dataclasses.replace(base, e_path=e_path, **columns)
+            try:
+                with np.errstate(all="ignore"):
+                    report = evaluate_foc(sched, spec, cfg, path)
+            except NumericalOverflow as error:
+                t, k = _stacked_scan(_foc_columns_at_raise(error))
+                assert str(error).startswith(f"planner FOC column '{FOC_COLUMNS[k]}' is ")
+                assert f" at t={t}: " in str(error)
+                outcome = FOC_COLUMNS[k]
+            except (ConfigError, NonInteriorBudget):
+                outcome = "invalid input"
+            else:
+                assert _stacked_scan((report.preference_term, report.spillover_term,
+                                      report.shadow_cost, report.wedge, report.lambda_t,
+                                      report.eta_t)) is None
+                outcome = "finite"
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        # these 400 draws give 74 reports, 251 invalid inputs and 75 raises: 55
+        # name the spillover term, 16 the preference term and 4 the shadow cost
+        assert {"finite", "preference_term", "spillover_term", "shadow_cost"} <= set(outcomes)
 
 
 class TestKappa:
