@@ -85,51 +85,52 @@ def evaluate_foc(
     s = path.s_q[:horizon]
     a_h = path.a_h[:horizon]
 
-    net = y - kappa(cfg, e)
-    short = np.flatnonzero(net <= 0.0)
-    ok = int(short[0]) if short.size else horizon
-    # periods before the first unaffordable one, so that the first failing
-    # period raises whichever error it hits first
-    try:
-        demand = demand_arrays(sched, net[:ok], p[:ok], e[:ok], require_interior=True)
-    except NonInteriorBudget as exc:
-        t = int(np.argmin(demand_arrays(sched, net[:ok], p[:ok], e[:ok]).interior))
-        raise NonInteriorBudget(
-            f"{exc} at t={t}, at net income {net[t]}: keys 'income' and 'E' in section "
-            "'simulation', 'gammaL_base', 'gammaL_decay' and 'gamma_H' in section "
-            "'preferences', and 'kappa_scale' and 'kappa_curv' in section 'planner' set "
-            "B = income - kappa_scale*E**kappa_curv - gamma_L(E) - price_H*gamma_H"
-        ) from None
-    if ok < horizon:
-        raise ConfigError(
-            f"income {y[ok]} cannot cover the education cost {kappa(cfg, e[ok])} at t={ok}: "
-            "keys 'kappa_scale' and 'kappa_curv' in section 'planner' and key 'E' in section "
-            "'simulation' set the cost kappa_scale*E**kappa_curv"
-        )
+    with np.errstate(all="ignore"):  # the checks below name the term, or B, that fails
+        net = y - kappa(cfg, e)
+        short = np.flatnonzero(net <= 0.0)
+        ok = int(short[0]) if short.size else horizon
+        # periods before the first unaffordable one, so that the first failing
+        # period raises whichever error it hits first
+        try:
+            demand = demand_arrays(sched, net[:ok], p[:ok], e[:ok], require_interior=True)
+        except NonInteriorBudget as exc:
+            t = int(np.argmin(demand_arrays(sched, net[:ok], p[:ok], e[:ok]).interior))
+            raise NonInteriorBudget(
+                f"{exc} at t={t}, at net income {net[t]}: keys 'income' and 'E' in section "
+                "'simulation', 'gammaL_base', 'gammaL_decay' and 'gamma_H' in section "
+                "'preferences', and 'kappa_scale' and 'kappa_curv' in section 'planner' set "
+                "B = income - kappa_scale*E**kappa_curv - gamma_L(E) - price_H*gamma_H"
+            ) from None
+        if ok < horizon:
+            raise ConfigError(
+                f"income {y[ok]} cannot cover the education cost {kappa(cfg, e[ok])} at t={ok}: "
+                "keys 'kappa_scale' and 'kappa_curv' in section 'planner' and key 'E' in section "
+                "'simulation' set the cost kappa_scale*E**kappa_curv"
+            )
 
-    a = alpha_of(sched, e)
-    a_slope = alpha_slope_of(sched, e)
-    lam = demand.utility / demand.supernumerary
-    ex_l = (1.0 - a) * demand.supernumerary  # above-subsistence quantities, price_L = 1
-    ex_h = demand.c_H - sched.gamma_H
-    gl_slope = gammaL_slope_of(sched, e)
-    pref = demand.utility * (a_slope * np.log(ex_h / ex_l) - (1.0 - a) * gl_slope / ex_l)
-    ds_de = excess_share_slope_E(sched, e, p)
-    gh_s = growth_slope_H(spec, s)
+        a = alpha_of(sched, e)
+        a_slope = alpha_slope_of(sched, e)
+        lam = demand.utility / demand.supernumerary
+        ex_l = (1.0 - a) * demand.supernumerary  # above-subsistence quantities, price_L = 1
+        ex_h = demand.c_H - sched.gamma_H
+        gl_slope = gammaL_slope_of(sched, e)
+        pref = demand.utility * (a_slope * np.log(ex_h / ex_l) - (1.0 - a) * gl_slope / ex_l)
+        ds_de = excess_share_slope_E(sched, e, p)
+        gh_s = growth_slope_H(spec, s)
 
-    # costate recursion backward from eta = 0 at the horizon, on Python floats
-    # read from and written to the float64 arrays through memoryviews
-    push = memoryview(lam[1:] * p[1:] * demand.c_H[1:] / a_h[1:])
-    carry = memoryview((growth_H(spec, s, e) + gh_s * s * (1.0 - s))[1:])
-    eta = np.zeros(horizon)
-    eta_view = memoryview(eta)
-    beta = cfg.beta
-    for t in range(horizon - 2, -1, -1):
-        eta_view[t] = beta * (push[t] + eta_view[t + 1] * carry[t])
+        # costate recursion backward from eta = 0 at the horizon, on Python floats
+        # read from and written to the float64 arrays through memoryviews
+        push = memoryview(lam[1:] * p[1:] * demand.c_H[1:] / a_h[1:])
+        carry = memoryview((growth_H(spec, s, e) + gh_s * s * (1.0 - s))[1:])
+        eta = np.zeros(horizon)
+        eta_view = memoryview(eta)
+        beta = cfg.beta
+        for t in range(horizon - 2, -1, -1):
+            eta_view[t] = beta * (push[t] + eta_view[t + 1] * carry[t])
 
-    spill = eta * (gh_s * ds_de + spec.nu) * a_h
-    shadow = lam * kappa_prime(cfg, e)
-    wedge = pref + spill - shadow
+        spill = eta * (gh_s * ds_de + spec.nu) * a_h
+        shadow = lam * kappa_prime(cfg, e)
+        wedge = pref + spill - shadow
     # every term feeds the wedge, and inf*0 and inf-inf are NaN: the first period
     # with a term that is not finite is the first whose wedge is not finite
     finite = np.isfinite(wedge)

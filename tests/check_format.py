@@ -5,7 +5,7 @@
 Draws ``--values`` floats from the families of ``samples`` (random bit
 patterns, exp(U(-745, 709)), normals times 10**U(-15, 40), short decimals and
 decimal and binary ties) and as many random 64-bit integers, writes them as a
-``%d,%.12g`` table with ``cli._csv_columns`` and compares every line with
+``%d,%.12g`` table with ``_csv._csv_columns`` and compares every line with
 ``'%d,%.12g' % (i, x)``. Prints the counts and, per family, the share of
 floats that the scaled path certified, and exits 1, listing the first
 mismatches, if any line differs. About 4 us per value, most of it the
@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from demandtier.cli import _csv, _csv_columns, _field_words
+from demandtier._csv import _csv, _csv_columns, _field_words
 
 FAMILIES = ("bits", "log-uniform", "normal-scaled", "short-decimal", "decimal-tie", "binary-tie")
 

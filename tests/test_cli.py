@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -17,7 +19,7 @@ from check_format import FAMILIES, integers, mismatches, samples
 from check_memory import SLOW_LEARNING
 from conftest import DATA_DIR, load_goldens
 from demandtier import cli
-from demandtier.cli import _csv, _csv_columns, _field_words
+from demandtier._csv import _CHUNK_FIELDS, _csv, _csv_columns, _field_words
 from demandtier.errors import ConfigError
 
 GOLDEN = load_goldens()
@@ -109,7 +111,7 @@ class TestColumnCsv:
         # one integer and seven float columns: three full chunks and a partial
         # one, each opening and closing on extreme integers, zeros, NaN, the
         # infinities, ties and a value below 1e-296
-        step = cli._CHUNK_FIELDS // 8
+        step = _CHUNK_FIELDS // 8
         n = 3 * step + step // 3
         rng = np.random.default_rng(28)
         ints = integers(n, rng)
@@ -136,7 +138,7 @@ def test_multi_chunk_statics_writes_the_same_bytes_to_stdout_and_out(tmp_path):
     cp = subprocess.run([sys.executable, "-m", "demandtier", *args], capture_output=True)
     assert (cp.returncode, cp.stderr) == (0, b"")
     assert main_in_process((*args, "--out", str(out))) == (0, b"", b"")
-    assert cp.stdout.count(b"\n") == 5001 > 4 * (cli._CHUNK_FIELDS // 8)  # five chunks
+    assert cp.stdout.count(b"\n") == 5001 > 4 * (_CHUNK_FIELDS // 8)  # five chunks
     assert out.read_bytes() == cp.stdout
 
 
@@ -241,7 +243,7 @@ def test_main_runs_the_command_bound_on_the_module(monkeypatch):
 
     def patched(scenario, args):
         calls.append((scenario.statics, args.E))
-        return 7
+        return cli.Output({}, code=7)
 
     monkeypatch.setattr(cli, "cmd_statics", patched)
     assert main_in_process(("statics", "--E", "0.3")) == (7, b"", b"")
@@ -269,6 +271,94 @@ def test_main_runs_the_command_bound_on_the_module(monkeypatch):
     assert (cp.returncode, cp.stdout) == (0, "demandtier.solver\n"), cp.stderr
 
 
+# each command's argv on the defaults; the default bifurcation has two flagged
+# transitions, so it also has notes
+SHAPE_ARGV = {"fixed-points": ("fixed-points", "--E", "0.215"), "bifurcation": ("bifurcation",),
+              "simulate": ("simulate",), "statics": ("statics",),
+              "planner-foc": ("planner-foc",)}
+
+
+def output_options(command, tmp_path):
+    """--out, and --thresholds-out for bifurcation, as argv and as paths."""
+    names = ["--out"] + (["--thresholds-out"] if command == "bifurcation" else [])
+    paths = [tmp_path / f"{name.strip('-')}.csv" for name in names]
+    return [x for pair in zip(names, map(str, paths)) for x in pair], paths
+
+
+@pytest.mark.parametrize("command, strict", [
+    *((command, ()) for command in sorted(SHAPE_ARGV)), ("bifurcation", ("--strict",))],
+    ids=[*sorted(SHAPE_ARGV), "bifurcation-strict"])
+def test_commands_return_their_tables_and_write_nothing(tmp_path, command, strict):
+    # main alone writes; a command hands it tables, notes and a code, and
+    # --strict is main's to apply, so the command returns the same either way
+    options, paths = output_options(command, tmp_path)
+    for argv in (SHAPE_ARGV[command] + strict, SHAPE_ARGV[command] + strict + tuple(options)):
+        args = cli._parse_argv(list(argv))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            output = getattr(cli, "cmd_" + command.replace("-", "_"))(
+                cli.load_scenario(None), args)
+        assert (out.getvalue(), err.getvalue()) == ("", "")
+        assert not any(path.exists() for path in paths)
+        assert isinstance(output, cli.Output) and output.code == 0
+        assert [table.out for table in output.tables.values()] == [
+            getattr(args, name) for name in ("out", "thresholds_out")[:len(output.tables)]]
+        assert len(output.notes) == (2 if command == "bifurcation" else 0)
+
+
+def test_only_main_and_its_writers_write_output():
+    # the writes to stdout, stderr and files live in main, _write_tables and
+    # _write_text; every other function of cli, each cmd_* included, writes none
+    tree = ast.parse(inspect.getsource(cli))
+    writers = {"main", "_write_tables", "_write_text"}
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef) or function.name in writers:
+            continue
+        names = {node.attr if isinstance(node, ast.Attribute) else node.id
+                 for node in ast.walk(function) if isinstance(node, (ast.Attribute, ast.Name))}
+        assert not names & {"stdout", "stderr", "_write_text", "_write_tables", "open"}, \
+            function.name
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("command", sorted(SHAPE_ARGV))
+def test_nothing_is_written_before_the_command_returns(monkeypatch, tmp_path, command, to_file):
+    # so main can time the solve apart from the formatting and the writing
+    options, paths = output_options(command, tmp_path) if to_file else ([], [])
+    name = "cmd_" + command.replace("-", "_")
+    run, seen = getattr(cli, name), []
+
+    def wrapped(scenario, args):
+        output = run(scenario, args)
+        seen.append((sys.stdout.getvalue(), sys.stderr.getvalue(),
+                     [path.exists() for path in paths]))
+        return output
+
+    monkeypatch.setattr(cli, name, wrapped)
+    code, out, err = main_in_process(SHAPE_ARGV[command] + tuple(options))
+    assert code == 0
+    assert seen == [("", "", [False] * len(paths))]
+    assert all(path.stat().st_size for path in paths) and bool(out) != to_file
+    assert bool(err) == (command == "bifurcation")  # its notes
+
+
+@pytest.mark.parametrize("missing", ["--out", "--thresholds-out"])
+def test_unwritable_output_file_exits_2_after_the_tables_before_it(tmp_path, missing):
+    # the locus is written first: an unwritable --thresholds-out leaves it
+    # written, an unwritable --out leaves both unwritten
+    golden, notes = golden_bytes("bifurcation")
+    locus = golden.partition(b"\n\n")[0] + b"\n"
+    paths = {"--out": tmp_path / "locus.csv", "--thresholds-out": tmp_path / "thresholds.csv"}
+    paths[missing] = tmp_path / "missing" / "table.csv"
+    argv = ("bifurcation", *(x for option, path in paths.items() for x in (option, str(path))))
+    error = f"error: [Errno 2] No such file or directory: '{paths[missing]}'\n".encode()
+    assert main_in_process(argv) == (2, b"", notes + error)
+    if missing == "--thresholds-out":
+        assert paths["--out"].read_bytes() == locus
+    else:
+        assert not paths["--thresholds-out"].exists()
+
+
 # counts the argparse parsers built by then: after importing cli, and after
 # each of three main calls
 PARSER_PROBE = """
@@ -285,7 +375,7 @@ for _ in range(3):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["fixed-points", "--E", "0.215"]) == 0
     counts.append(len(built))
-print(counts, len(cli._COMMANDS))
+print(counts, len(cli._parsers()[1]))
 """
 
 
@@ -343,13 +433,13 @@ def parsed(parse, argv):
 
 def test_command_parser_route_matches_the_full_parser(monkeypatch):
     # main hands an argv that starts with a command to that command's parser;
-    # it must give what _PARSER.parse_args gives, byte for byte
+    # it must give what the full parser's parse_args gives, byte for byte
     monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap at the terminal width
     table = argv_table()
     assert len(table) >= 100
     codes = set()
     for argv in table:
-        full = parsed(cli._PARSER.parse_args, argv)
+        full = parsed(cli._parsers()[0].parse_args, argv)
         assert parsed(cli._parse_argv, argv) == full, argv
         codes.add(full[1])
     assert codes == {None, 0, 2}  # parsed, --help or --version, and rejected
@@ -1012,6 +1102,26 @@ class TestPlannerFoc:
         assert len(rows) == 3
         assert all(np.isfinite(float(v)) for row in rows for v in row)
 
+    @pytest.mark.parametrize("scenario, code, message", [
+        ({"planner": {"kappa_scale": 1e308, "kappa_curv": 1.0},
+          "simulation": {"E": 5e-308, "a_L0": 0.01}}, 3,
+         "planner FOC column 'shadow_cost' is inf at t=0: the terms leave the float range "
+         "along the path"),
+        ({"preferences": {"gamma_H": 1.7e308}}, 2,
+         "supernumerary income must be > 0 for an interior optimum, got B=-inf at t=0, at net "
+         "income 9.99608: keys 'income' and 'E' in section 'simulation', 'gammaL_base', "
+         "'gammaL_decay' and 'gamma_H' in section 'preferences', and 'kappa_scale' and "
+         "'kappa_curv' in section 'planner' set B = income - kappa_scale*E**kappa_curv - "
+         "gamma_L(E) - price_H*gamma_H"),
+    ], ids=["shadow-cost-overflow", "B-overflow"])
+    def test_overflow_prints_its_error_line_alone(self, tmp_path, scenario, code, message):
+        # the message names the term or B; numpy's RuntimeWarning, with its
+        # source line, would only repeat it
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(scenario))
+        cp = run_cli("planner-foc", "--scenario", str(path))
+        assert (cp.returncode, cp.stdout, cp.stderr) == (code, "", f"error: {message}\n")
+
 
 # The guard suite over random valid and near-valid scenarios. Each example
 # moves one to three of the keys a command reads off their defaults: mostly to
@@ -1067,11 +1177,13 @@ def test_random_scenarios_exit_0_2_or_3_with_finite_output(tmp_path_factory, com
     def check(drawn):
         scenario, perturbed = drawn
         path.write_text(json.dumps(scenario))
-        with warnings.catch_warnings():  # numpy's warnings go to stderr, as in a process
-            warnings.simplefilter("ignore")
+        # a warning would reach a process's stderr beside the command's own lines
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code, out, err = main_in_process((command, "--scenario", str(path)))
             if command == "bifurcation":
                 strict, _, _ = main_in_process((command, "--strict", "--scenario", str(path)))
+        assert not caught, (scenario, [str(w.message) for w in caught])
         assert code in (0, 2, 3), err
         if command == "bifurcation":
             # --strict exits 3 exactly when the run without it reports a flagged

@@ -3,7 +3,8 @@ engine module only when a name of it is read, the config classes live in
 ``scenario`` while their old homes re-export them, the standard-library
 modules that only parsing, dumping or reading a file needs load with the first
 such call, and a command that builds no array imports none of ``dataclasses``,
-``inspect``, ``typing`` and ``contextlib``."""
+``inspect``, ``typing`` and ``contextlib``; what writes no table loads no CSV
+encoder (``_csv``)."""
 
 import ast
 import json
@@ -97,6 +98,25 @@ def test_commands_without_arrays_import_none_of_the_modules_check_startup_forbid
 def test_dump_defaults_imports_no_engine_module():
     loaded = loaded_by("from demandtier.cli import main\nassert main(['--dump-defaults']) == 0")
     assert "demandtier.scenario" in loaded and not loaded & ENGINE
+
+
+@pytest.mark.parametrize("code", [
+    "import demandtier.cli",
+    "from demandtier.cli import main\nassert main(['--dump-defaults']) == 0",
+    "from demandtier.cli import main\ntry:\n    main(['--version'])\nexcept SystemExit:\n    pass",
+    "from demandtier.cli import main\ntry:\n    main(['--help'])\nexcept SystemExit:\n    pass",
+    "import tempfile\nfrom demandtier.cli import main\n"
+    "with tempfile.NamedTemporaryFile('w', suffix='.json') as f:\n"
+    "    f.write('{\"solver\": {\"p_min\": 5.0, \"p_max\": 1.0}}'); f.flush()\n"
+    "    assert main(['fixed-points', '--scenario', f.name]) == 2",
+], ids=["import", "--dump-defaults", "--version", "--help", "loader-exit-2"])
+def test_what_writes_no_table_loads_no_csv_encoder(code):
+    assert "demandtier._csv" not in loaded_by(code)
+
+
+def test_the_first_table_loads_the_csv_encoder():
+    loaded = loaded_by("from demandtier.cli import main\nassert main(['fixed-points']) == 0")
+    assert "demandtier._csv" in loaded
 
 
 def test_fixed_points_imports_only_the_solver_and_what_it_calls():
