@@ -7,7 +7,7 @@ terms, so a single kernel family serves both variants.
 """
 
 import math
-from array import array
+from itertools import repeat
 
 from ._np import np
 
@@ -68,22 +68,29 @@ def simulate_arrays(a_h0, a_l0, alpha_arr, e_arr, nu, phi1, phi2, chi1, chi2, ho
     relative price is the productivity ratio a_L/a_H, the excess-quantity
     share follows from it, and both productivities advance by their growth
     factors. The loop runs on Python floats, which round exactly as numpy
-    float64 does but cost far less per operation: it reads its inputs through
-    memoryviews of the float64 arrays and appends only the levels to
-    ``array("d")`` buffers, which numpy then wraps without a copy; ``p`` and
-    ``s`` are formed after it, over arrays, by the same operations.
+    float64 does but cost far less per operation, and stores the levels
+    straight into the float64 arrays it returns; ``p`` and ``s`` are formed
+    after it, over arrays, by the same operations. Its per-period inputs
+    alpha, 1 - alpha and 1 + nu*E are read through memoryviews of float64
+    arrays or, where ``alpha_arr`` and ``e_arr`` each hold one value over the
+    horizon, repeated as three Python floats of the same bits.
     The growth factors are ``dynamics.growth_factors``' products, in the same
     order, so each level is ``growth_factors(s_t, E_t)`` times the one before,
     bit for bit.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        alpha = alpha_arr[:horizon]
-        a_h_out, a_l_out = array("d"), array("d")
+        alpha, e = alpha_arr[:horizon], e_arr[:horizon]
+        inputs = (alpha, 1.0 - alpha, 1.0 + nu * e)
+        if all(b.size and (b == b[0]).all() for b in (alpha.view(np.uint64), e.view(np.uint64))):
+            inputs = [repeat(x.item(0)) for x in inputs]  # one level: the same bits each period
+        else:
+            inputs = map(memoryview, inputs)
+        a_h_arr, a_l_arr = np.empty(horizon), np.empty(horizon)
+        a_h_out, a_l_out = memoryview(a_h_arr), memoryview(a_l_arr)
         a_h, a_l = float(a_h0), float(a_l0)
-        for al, rest, base in zip(memoryview(alpha), memoryview(1.0 - alpha),
-                                  memoryview(1.0 + nu * e_arr[:horizon])):
-            a_h_out.append(a_h)
-            a_l_out.append(a_l)
+        for t, al, rest, base in zip(range(horizon), *inputs):
+            a_h_out[t] = a_h
+            a_l_out[t] = a_l
             try:
                 pt = a_l / a_h
             except ZeroDivisionError:  # a_H underflowed to 0: the IEEE quotient
@@ -92,6 +99,5 @@ def simulate_arrays(a_h0, a_l0, alpha_arr, e_arr, nu, phi1, phi2, chi1, chi2, ho
             u = 1.0 - st
             a_h = (base + phi1 * st - phi2 * st * st * st) * a_h
             a_l = (1.0 + chi1 * u - chi2 * u * u * u) * a_l
-        a_h_arr, a_l_arr = np.frombuffer(a_h_out), np.frombuffer(a_l_out)
         p = a_l_arr / a_h_arr
         return p, alpha / (alpha + (1.0 - alpha) * p), a_h_arr, a_l_arr

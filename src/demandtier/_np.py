@@ -73,7 +73,17 @@ def _first(values, where):
 def _libm(f, x):
     """``f(x)``, elementwise and keeping the shape if x is an array. ``f`` is a
     ``math``-module function of one float (``exp``), so every value comes from
-    libm as a scalar's does; numpy's ``exp`` can miss it by a bit."""
+    libm as a scalar's does; numpy's ``exp`` can miss it by a bit. ``f`` runs
+    once per run of neighbours with equal bits (so +0.0 and -0.0, and NaN
+    payloads, stay apart) and its value is repeated over the run: one call
+    for a path at one education level."""
     if not isinstance(x, np.ndarray):
         return f(x)
-    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    flat = np.asarray(x, float).ravel()
+    bits = flat.view(np.uint64)
+    opens_run = np.concatenate(([True], bits[1:] != bits[:-1]))
+    if opens_run.all():  # no run (or no entry): one call per entry
+        return np.fromiter(map(f, flat.tolist()), float, flat.size).reshape(x.shape)
+    starts = np.flatnonzero(opens_run)
+    values = np.fromiter(map(f, flat[starts].tolist()), float, starts.size)
+    return np.repeat(values, np.diff(starts, append=flat.size)).reshape(x.shape)

@@ -72,7 +72,8 @@ def evaluate_foc(
     or whose supernumerary income B at net income is <= 0, raises, naming the
     period and the scenario keys that set the failing quantity. Raises
     NumericalOverflow, naming the column and the period, where a term is not
-    finite.
+    finite. The costate runs backward on Python floats, eta_{t+1} held in a
+    local, so each period reads only its two inputs and writes eta_t.
     """
     horizon = cfg.horizon
     if len(path) < horizon:
@@ -123,10 +124,9 @@ def evaluate_foc(
         push = memoryview(lam[1:] * p[1:] * demand.c_H[1:] / a_h[1:])
         carry = memoryview((growth_H(spec, s, e) + gh_s * s * (1.0 - s))[1:])
         eta = np.zeros(horizon)
-        eta_view = memoryview(eta)
-        beta = cfg.beta
+        eta_view, eta_next, beta = memoryview(eta), 0.0, cfg.beta
         for t in range(horizon - 2, -1, -1):
-            eta_view[t] = beta * (push[t] + eta_view[t + 1] * carry[t])
+            eta_next = eta_view[t] = beta * (push[t] + eta_next * carry[t])
 
         spill = eta * (gh_s * ds_de + spec.nu) * a_h
         shadow = lam * kappa_prime(cfg, e)

@@ -3,13 +3,14 @@
     PYTHONPATH=src python3 tests/check_format.py --values 10000000
 
 Draws ``--values`` floats from the families of ``samples`` (random bit
-patterns, exp(U(-745, 709)), normals times 10**U(-15, 40), short decimals and
-decimal and binary ties) and as many random 64-bit integers, writes them as a
-``%d,%.12g`` table with ``_csv._csv_columns`` and compares every line with
-``'%d,%.12g' % (i, x)``. Prints the counts and, per family, the share of
-floats that the scaled path certified, and exits 1, listing the first
-mismatches, if any line differs. About 4 us per value, most of it the
-%-formatting it compares with; it is not part of the test suite.
+patterns, exp(U(-745, 709)), normals times 10**U(-15, 40), short decimals,
+decimal and binary ties, and values a few ulp below a power of ten) and as
+many random 64-bit integers, writes them as a ``%d,%.12g`` table with
+``_csv._csv_columns`` and compares every line with ``'%d,%.12g' % (i, x)``.
+Prints the counts and, per family, the share of floats that the scaled path
+certified, and exits 1, listing the first mismatches, if any line differs.
+About 4 us per value, most of it the %-formatting it compares with; it is not
+part of the test suite.
 """
 
 import argparse
@@ -20,7 +21,8 @@ import numpy as np
 
 from demandtier._csv import _csv, _csv_columns, _field_words
 
-FAMILIES = ("bits", "log-uniform", "normal-scaled", "short-decimal", "decimal-tie", "binary-tie")
+FAMILIES = ("bits", "log-uniform", "normal-scaled", "short-decimal", "decimal-tie", "binary-tie",
+            "below-power")
 
 
 def samples(family: str, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -31,6 +33,10 @@ def samples(family: str, n: int, rng: np.random.Generator) -> np.ndarray:
         return np.exp(rng.uniform(-745.0, 709.0, n)) * rng.choice([-1.0, 1.0], n)
     if family == "normal-scaled":
         return rng.standard_normal(n) * 10.0 ** rng.uniform(-15.0, 40.0, n)
+    if family == "below-power":  # 1 to 4 ulp below 10**k, as s_Q near 1: mantissas of 10**12
+        below = 10.0 ** rng.integers(-295, 306, n)
+        below.view(np.uint64)[:] -= rng.integers(1, 5, n, dtype=np.uint64)
+        return below * rng.choice([-1.0, 1.0], n)
     # a mantissa below 2**53 over or times an exact power of ten is the double
     # nearest to the decimal it spells
     power = 10.0 ** rng.integers(0, 23, n)

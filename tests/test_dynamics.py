@@ -320,6 +320,16 @@ class TestSimulatePath:
         assert np.isnan(path.c_l).all()
         assert np.isfinite(path.p).all()
 
+    @pytest.mark.parametrize("h", [1, 2, 37, 200])
+    def test_one_level_rows_before_a_change_of_E_equal_the_one_level_path(self, sched, cubic, h):
+        # the longer path reads its inputs through memoryviews and maps libm once
+        # per run of E; the one-level path repeats three floats and maps it once
+        state = TechnologyState(a_H=1.3, a_L=4.1)
+        one = simulate_path(sched, cubic, state, 0.28, 10.0, h)
+        changed = simulate_path(sched, cubic, state, [0.28] * h + [0.145] * 60, 10.0, h + 60)
+        for field in ("p", "s_q", "a_h", "a_l", "c_l", "c_h", "share_h", "utility", "interior"):
+            assert getattr(changed, field)[:h].tobytes() == getattr(one, field).tobytes(), field
+
     def test_scalar_broadcast_and_path_inputs_agree(self, sched, cubic):
         a = simulate_path(sched, cubic, TechnologyState(a_H=1.0, a_L=4.0), 0.2, 10.0, 50)
         b = simulate_path(
