@@ -12,10 +12,10 @@ it goes to (None for standard output), its notes for standard error and an
 exit code. ``main`` alone writes: the notes, then, under --strict, an abort if
 there are any, then each table in order, as ``_csv`` formats it (that module
 loads at the first table); a table on standard output after another there
-follows a blank line. ``main(argv)`` may be called repeatedly in one process:
-the argument parsers are built (and ``argparse`` imported) by the first call
-and kept, and an argv that starts with a command name is parsed by that
-command's parser alone.
+follows a blank line. ``main(argv)`` may be called repeatedly in one process.
+An argv of a command and its options is read from the option table, with no
+import; ``argparse``, loaded and built (once) at the first other argv, reads
+the rest, and prints every help, usage and error.
 
 Importing this module loads the package's ``scenario``, ``errors`` and ``_np``
 only. The engine names the commands call are lazy attributes of this module
@@ -32,6 +32,7 @@ import sys
 from collections import namedtuple
 from functools import cache
 from importlib import import_module
+from types import SimpleNamespace
 
 from . import __version__
 from ._np import np
@@ -185,72 +186,81 @@ def _finite_float(text: str) -> float:
     return value
 
 
-# built by the first call and kept for the process: parse_args leaves a parser
-# as it found it, and help reads the terminal width when it is formatted
+# every command's summary and options, in help order: option string ->
+# (conversion, None for a flag; default; help); argparse's float is _finite_float
+_FILES = {"--scenario": (str, None, "scenario JSON file (defaults built in)"),
+          "--out": (str, None, "write the CSV here instead of standard output")}
+_WITH_E = {**_FILES, "--E": (float, None, "education level override")}
+_COMMANDS = {
+    "fixed-points": ("fixed points of the price map at one E", _WITH_E),
+    "bifurcation": ("education sweep: root locus and thresholds", {
+        **_FILES, "--thresholds-out": (str, None, "write the thresholds CSV here"),
+        "--workers": (int, 1, "accepted for compatibility; the sweep is one batched solve "
+                      "and this has no effect"),
+        "--strict": (None, False, "exit 3 if any root-count transition is not a saddle-node")}),
+    "simulate": ("forward time path", _WITH_E),
+    "statics": ("shares and income elasticities over an income grid", _WITH_E),
+    "planner-foc": ("planner education FOC terms along a path", _FILES)}
+
+
+# built at the first argv the table does not read, and kept for the process:
+# parse_args leaves a parser as it found it, and help reads the terminal width
 @cache
-def _parsers():
-    """The ``demandtier`` parser, and each subcommand's own parser by name."""
+def _parser():
+    """The ``demandtier`` parser, each command's options from ``_COMMANDS``."""
     import argparse
 
-    parser = argparse.ArgumentParser(
-        prog="demandtier",
-        description="Demand-hierarchy equilibrium engine: fixed points, education sweeps, "
-        "simulations, demand statics, and planner diagnostics as deterministic CSV.",
-    )
+    parser = argparse.ArgumentParser(prog="demandtier", description=(
+        "Demand-hierarchy equilibrium engine: fixed points, education sweeps, simulations, "
+        "demand statics, and planner diagnostics as deterministic CSV."))
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--dump-defaults", action="store_true",
                         help="print the built-in default scenario as JSON and exit")
     parser.add_argument("--out", help="output path for --dump-defaults", default=None)
     sub = parser.add_subparsers(dest="command")
-    commands = {}
+    for name, (summary, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for option, (convert, default, text) in options.items():
+            kind = {"action": "store_true"} if convert is None else {
+                "type": _finite_float if convert is float else convert}
+            command.add_argument(option, default=default, help=text, **kind)
+    return parser
 
-    def command(name, summary, with_e=False):
-        p = commands[name] = sub.add_parser(name, help=summary)
-        p.add_argument("--scenario", help="scenario JSON file (defaults built in)")
-        p.add_argument("--out", help="write the CSV here instead of standard output")
-        if with_e:
-            p.add_argument("--E", type=_finite_float, default=None, help="education level override")
-        return p
 
-    command("fixed-points", "fixed points of the price map at one E", with_e=True)
-    p_bif = command("bifurcation", "education sweep: root locus and thresholds")
-    p_bif.add_argument("--thresholds-out", help="write the thresholds CSV here")
-    p_bif.add_argument("--workers", type=int, default=1, help="accepted for compatibility; "
-                       "the sweep is one batched solve and this has no effect")
-    p_bif.add_argument("--strict", action="store_true",
-                       help="exit 3 if any root-count transition is not a saddle-node")
-    command("simulate", "forward time path", with_e=True)
-    command("statics", "shares and income elasticities over an income grid", with_e=True)
-    command("planner-foc", "planner education FOC terms along a path")
-    return parser, commands
+def _read_argv(argv: list[str]):
+    """``parse_args(argv)`` for a command and its options, each spelled in full,
+    a valued one followed by a value that does not start with "-" and converts
+    (a float to a finite one); None for any other argv. It imports nothing."""
+    try:  # an empty argv, an unknown token, a missing value and a bad one raise
+        options, tokens = _COMMANDS[argv[0]][1], iter(argv[1:])
+        args = {name[2:].replace("-", "_"): default for name, (_, default, _) in options.items()}
+        for token in tokens:
+            convert, value = options[token][0], True
+            if convert is not None:
+                if (value := next(tokens)).startswith("-"):  # argparse has a rule for these
+                    return None
+                value = convert(value)
+                if convert is float and not math.isfinite(value):
+                    return None
+            args[token[2:].replace("-", "_")] = value
+    except (IndexError, KeyError, StopIteration, ValueError):
+        return None
+    return SimpleNamespace(**args, command=argv[0], dump_defaults=False)
 
 
 def _parse_argv(argv: list[str] | None):
-    """The full parser's ``parse_args(argv)``: the same namespace, output and
-    exit. An argv that starts with a command name goes straight to that
-    command's parser, which is what the full parser hands it to, at about half
-    the cost; the full parser's error rejects what it leaves over."""
+    """The full parser's ``parse_args(argv)``, read from the table where it can be."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    full, commands = _parsers()
-    parser = commands.get(argv[0]) if argv else None
-    if parser is None:
-        return full.parse_args(argv)
-    args, extras = parser.parse_known_args(argv[1:])
-    if extras:
-        full.error("unrecognized arguments: %s" % " ".join(extras))
-    args.command = argv[0]
-    args.dump_defaults = False
-    return args
+    return _read_argv(argv) or _parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse_argv(argv)
-
     if args.dump_defaults:
         _write_text(dump_scenario(default_scenario()), args.out)
         return 0
     if args.command is None:
-        _parsers()[0].print_usage(sys.stderr)
+        _parser().print_usage(sys.stderr)
         sys.stderr.write("error: a subcommand (or --dump-defaults) is required\n")
         return EXIT_VALIDATION
 

@@ -153,7 +153,7 @@ def test_long_table_peak_stays_below_twice_its_csv(tmp_path, command, scenario):
     path.write_text(json.dumps(scenario))
     out = tmp_path / "out.csv"
     argv = [command, "--scenario", str(path), "--out", str(out)]
-    assert cli.main(argv) == 0  # imports, the parsers and the digit tables
+    assert cli.main(argv) == 0  # imports and the digit tables
     tracemalloc.start()
     try:
         assert cli.main(argv) == 0
@@ -164,6 +164,7 @@ def test_long_table_peak_stays_below_twice_its_csv(tmp_path, command, scenario):
 
 
 CLI_GOLDENS = DATA_DIR / "cli"
+COMMANDS = ("fixed-points", "bifurcation", "simulate", "statics", "planner-foc")
 
 
 GOLDEN_CASES = [
@@ -185,10 +186,10 @@ GOLDEN_CASES = [
 
 
 def golden_bytes(name):
-    """(stdout, stderr) bytes committed for a default output."""
-    stderr = CLI_GOLDENS / f"{name}.stderr"
-    return (CLI_GOLDENS / f"{name}.stdout").read_bytes(), (
-        stderr.read_bytes() if stderr.exists() else b"")
+    """(stdout, stderr) bytes committed for a default output; a stream with no
+    file is empty."""
+    paths = (CLI_GOLDENS / f"{name}.stdout", CLI_GOLDENS / f"{name}.stderr")
+    return tuple(path.read_bytes() if path.exists() else b"" for path in paths)
 
 
 @pytest.mark.parametrize("name, args", GOLDEN_CASES)
@@ -198,6 +199,38 @@ def test_default_output_bytes_match_golden(name, args):
     cp = subprocess.run([sys.executable, "-m", "demandtier", *args], capture_output=True)
     assert cp.returncode == 0, cp.stderr
     assert (cp.stdout, cp.stderr) == golden_bytes(name)
+
+
+# the help of the top level and of each command, and one rejected argv of each
+# (the first with none), as argparse printed them at 80 columns before the
+# parsers were built from the option table
+HELP_CASES = [("help", ("--help",), 0),
+              *((f"help_{command}", (command, "--help"), 0) for command in COMMANDS),
+              ("reject", (), 2), ("reject_fixed-points", ("fixed-points", "--E", "nan"), 2),
+              ("reject_bifurcation", ("bifurcation", "--workers", "x"), 2),
+              ("reject_simulate", ("simulate", "--E"), 2),
+              ("reject_statics", ("statics", "extra"), 2),
+              ("reject_planner-foc", ("planner-foc", "--E", "0.1"), 2)]
+
+
+@pytest.mark.parametrize("name, args, code", HELP_CASES, ids=[case[0] for case in HELP_CASES])
+def test_help_and_error_text_match_golden(monkeypatch, name, args, code):
+    # tests/data/cli/help*.stdout and reject*.stderr: usage, help and error
+    # text come from argparse alone, built from cli's option table
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap at the terminal width
+    assert main_in_process(args) == (code, *golden_bytes(name))
+
+
+def test_command_defaults_match_the_parsers_before_the_table():
+    # the help goldens show no default, and the table feeds both the parser
+    # and the reader, so the defaults are pinned here
+    files = {"dump_defaults": False, "scenario": None, "out": None}
+    expected = {"fixed-points": {**files, "E": None}, "simulate": {**files, "E": None},
+                "statics": {**files, "E": None}, "planner-foc": files,
+                "bifurcation": {**files, "thresholds_out": None, "workers": 1, "strict": False}}
+    for command, values in expected.items():
+        for parse in (cli._read_argv, cli._parser().parse_args):
+            assert vars(parse([command])) == dict(values, command=command), command
 
 
 def main_in_process(args):
@@ -219,7 +252,7 @@ def test_repeated_in_process_calls_match_fresh_processes(tmp_path, monkeypatch):
     bad.write_text(json.dumps({"solver": {"p_min": 5.0, "p_max": 1.0}}))
     others = [(("fixed-points", "--E", "nan"), 2), (("--version",), 0), (("--help",), 0),
               (("fixed-points", "--scenario", str(bad)), 2),
-              # argv that start with a command go to its own parser first
+              # argv that the option table hands to argparse
               (("fixed-points", "--bogus"), 2), (("simulate", "--E"), 2),
               (("statics", "extra"), 2), (("planner-foc", "--version"), 2),
               (("bifurcation", "--help"), 0), (("bifurcation", "--workers", "x"), 2)]
@@ -360,7 +393,8 @@ def test_unwritable_output_file_exits_2_after_the_tables_before_it(tmp_path, mis
 
 
 # counts the argparse parsers built by then: after importing cli, and after
-# each of three main calls
+# each main call: three that the option table reads, then --help, an error, and
+# one more of each kind
 PARSER_PROBE = """
 import argparse, contextlib, io
 built = []
@@ -371,23 +405,28 @@ def counting_init(self, *args, **kwargs):
 argparse.ArgumentParser.__init__ = counting_init
 from demandtier import cli
 counts = [len(built)]
-for _ in range(3):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["fixed-points", "--E", "0.215"]) == 0
+for argv in [["fixed-points", "--E", "0.215"]] * 3 + [["--help"], ["simulate", "--E", "x"],
+                                                       ["statics"], ["bifurcation", "-h"]]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
     counts.append(len(built))
-print(counts, len(cli._parsers()[1]))
+print(counts)
 """
 
 
 def test_parser_is_built_once_per_process():
     cp = subprocess.run([sys.executable, "-c", PARSER_PROBE], capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
-    # importing cli builds no parser; the first call builds the full one and each
-    # command's, once, and later calls reuse them
-    assert cp.stdout == "[0, 6, 6, 6] 5\n"
+    # importing cli builds no parser and neither does an argv the option table
+    # reads; the first --help builds the full parser (with its five command
+    # parsers) once, and the error and the later calls reuse it
+    assert cp.stdout == "[0, 0, 0, 0, 6, 6, 6, 6]\n"
 
 
-# a valid option list of each command, for the parse-route table
+# a valid option list of each command, for the parse table
 VALID_OPTIONS = {
     "fixed-points": ("--E", "0.2"),
     "bifurcation": ("--strict", "--workers", "2", "--thresholds-out", "t.csv"),
@@ -398,8 +437,9 @@ VALID_OPTIONS = {
 
 
 def argv_table():
-    """Argument lists for both parse routes: per command, valid input and each
-    way of getting it wrong, and argv that do not start with a command."""
+    """Argument lists for the option table and argparse: per command, valid
+    input, each way of getting it wrong and the edge cases of the table's rule,
+    and argv that do not start with a command."""
     table = [(), ("--version",), ("--help",), ("-h",), ("--dump-defaults",),
              ("--dump-defaults", "--out", "d.json"), ("--out",), ("--bogus",), ("nope",),
              ("fixed",), ("--", "fixed-points"), ("--dump-defaults", "extra")]
@@ -416,6 +456,14 @@ def argv_table():
             (command, "--dump-defaults"), (command, command),
             ("--out", "x.csv", command), ("--dump-defaults", command), ("--version", command),
             ("--help", command),
+            # values float() or int() reads, or argparse rules on: a leading
+            # "-", space or underscore, an empty string and a hex literal
+            (command, "--E", "-0"), (command, "--E", "-1"), (command, "--E", " 0.1"),
+            (command, "--E", "1_0"), (command, "--E", ""), (command, "--E", "0x10"),
+            (command, "--workers", " 2"), (command, "--workers", "1.5"), (command, "--strict"),
+            (command, "--strict", "x"), (command, "--E", "0.1", "--E", "0.3"),
+            (command, "--out", "o.csv", "--scenario"), (command, "--out", "-o.csv"),
+            (command, "--out", "-"), (command, "--out", ""), (command, "--E", "0.1"),
         ]
     return table
 
@@ -431,18 +479,40 @@ def parsed(parse, argv):
     return namespace, code, out.getvalue(), err.getvalue()
 
 
-def test_command_parser_route_matches_the_full_parser(monkeypatch):
-    # main hands an argv that starts with a command to that command's parser;
-    # it must give what the full parser's parse_args gives, byte for byte
+def test_table_read_matches_the_full_parser(monkeypatch):
+    # main reads an argv from the option table where it can, and hands any
+    # other to argparse; it must give what the full parser's parse_args gives,
+    # byte for byte
     monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap at the terminal width
     table = argv_table()
     assert len(table) >= 100
-    codes = set()
+    codes, read = set(), 0
     for argv in table:
-        full = parsed(cli._parsers()[0].parse_args, argv)
+        full = parsed(cli._parser().parse_args, argv)
         assert parsed(cli._parse_argv, argv) == full, argv
         codes.add(full[1])
+        read += cli._read_argv(list(argv)) is not None
     assert codes == {None, 0, 2}  # parsed, --help or --version, and rejected
+    assert read >= 30  # each command's valid lists and the values the table takes
+
+
+# the option strings of every command, the top level's, and values on both
+# sides of the table's rule
+READER_TOKENS = sorted({*(option for _, options in cli._COMMANDS.values() for option in options),
+                        "--dump-defaults", "--version", "-h", "--", "--sc", "--E=0.1", "-0",
+                        "-1", " 0.1", "1_0", "", "0x10", " 2", "1.5", "nan", "inf", "x", "-",
+                        "0.1", "o.csv", *COMMANDS})
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(first=st.sampled_from(COMMANDS + ("--dump-defaults", "nope")),
+       rest=st.lists(st.sampled_from(READER_TOKENS), max_size=6))
+def test_reader_gives_none_or_what_the_full_parser_gives(first, rest):
+    argv = (first, *rest)
+    full = parsed(cli._parser().parse_args, argv)
+    assert parsed(cli._parse_argv, argv) == full, argv
+    read = cli._read_argv(list(argv))
+    assert read is None or (vars(read), None, "", "") == full, argv
 
 
 # runs each argument list of argv[1] through cli.main in one process and
