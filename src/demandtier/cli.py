@@ -8,14 +8,15 @@ or a flagged transition under --strict).
 
 Every command is a function ``cmd_*(scenario, args)`` that writes nothing and
 returns an ``Output``: its tables by name, each a header, columns and the file
-it goes to (None for standard output), its notes for standard error and an
-exit code. ``main`` alone writes: the notes, then, under --strict, an abort if
-there are any, then each table in order, as ``_csv`` formats it (that module
-loads at the first table); a table on standard output after another there
-follows a blank line. ``main(argv)`` may be called repeatedly in one process.
-An argv of a command and its options is read from the option table, with no
-import; ``argparse``, loaded and built (once) at the first other argv, reads
-the rest, and prints every help, usage and error.
+it goes to (None for standard output), and its notes for standard error; a
+command that returns has succeeded. ``main`` alone writes: the notes, then,
+under --strict, an abort if there are any, then each table in order, as
+``_csv`` formats it (that module loads at the first table); a table on
+standard output after another there follows a blank line. ``main(argv)`` may
+be called repeatedly in one process. An argv of a command and its options is
+read from the option table, with no import; ``argparse``, loaded and built
+(once) at the first other argv, reads the rest, and prints every help, usage
+and error.
 
 Importing this module loads the package's ``scenario``, ``errors`` and ``_np``
 only. The engine names the commands call are lazy attributes of this module
@@ -58,7 +59,7 @@ def __getattr__(name):
 
 # a CSV table, with columns as _csv.table_text takes them and out None for stdout
 Table = namedtuple("Table", "header columns out")
-Output = namedtuple("Output", "tables notes code", defaults=((), 0))  # what a cmd_* returns
+Output = namedtuple("Output", "tables notes", defaults=((),))  # what a cmd_* returns
 
 
 def _write_text(text, out: str | None) -> None:
@@ -272,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
             sys.stderr.write("aborting: --strict treats unrefined transitions as failures\n")
             return EXIT_NUMERICAL
         _write_tables(output.tables.values())
-        return output.code
+        return 0
     except (DemandTierError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         numerical = isinstance(exc, (NoConvergence, NumericalOverflow))

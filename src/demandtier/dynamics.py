@@ -188,6 +188,15 @@ def _is_scalar(path, horizon: int, key: str) -> bool:
     return False
 
 
+def _reject_entry(rule: str, path: np.ndarray, bad: np.ndarray, key: str) -> None:
+    """Raise ConfigError at the first entry of ``path`` that ``bad`` flags, if
+    any, naming its value, scenario key and period."""
+    if bad.any():
+        t = np.argmax(bad).item()
+        raise ConfigError(f"{rule}, got {path[t].item()}: key '{key}' in section "
+                          f"'simulation', period {t}")
+
+
 def _broadcast(path, horizon: int, scalar: bool) -> np.ndarray:
     if scalar:
         return np.full(horizon, float(path))
@@ -209,16 +218,21 @@ def simulate_path(
     their growth factors, and household quantities come from the demand system
     at (price_L = 1, price_H = p). Education and income inputs may be scalars
     (broadcast) or sequences of length >= horizon; errors name them by their
-    scenario keys, ``E`` and ``income`` in section ``simulation``. Those checks,
-    on scalars and lengths, build no array. A relative price a_L/a_H that leaves
-    the positive floats at period 0, or a finite price too small for c_H to stay
-    finite, raises NumericalOverflow naming the period.
+    scenario keys, ``E`` and ``income`` in section ``simulation``, and a list's
+    first failing entry by its period, all before the recurrence runs. The
+    checks on scalars and lengths build no array; a negative scalar E, which
+    may be a ``--E`` override, is named by its value alone. A relative price
+    a_L/a_H that leaves the positive floats at period 0, or a finite price too
+    small for c_H to stay finite, raises NumericalOverflow naming the period.
     """
     _require_int("horizon", horizon, 1, InvalidHorizon)
     scalar_e = _is_scalar(e_path, horizon, "E")
     scalar_y = _is_scalar(income_path, horizon, "income")
     if scalar_e and e_path < 0.0:
         raise ConfigError(f"education level must be >= 0, got {float(e_path)}")
+    if scalar_y and income_path <= 0.0:
+        raise ConfigError(f"income must be > 0, got {float(income_path)}: key 'income' in "
+                          "section 'simulation'")
     p0 = initial.relative_price
     if not 0.0 < p0 < math.inf:
         raise NumericalOverflow(
@@ -228,8 +242,8 @@ def simulate_path(
         )
     e_arr = _broadcast(e_path, horizon, scalar_e)
     y_arr = _broadcast(income_path, horizon, scalar_y)
-    if np.any(e_arr < 0.0):
-        raise ConfigError(f"education level must be >= 0, got {float(e_arr[e_arr < 0.0][0])}")
+    _reject_entry("education level must be >= 0", e_arr, e_arr < 0.0, "E")
+    _reject_entry("income must be > 0", y_arr, y_arr <= 0.0, "income")
 
     from . import _kernels  # imported by the first path: the fixed-point solve needs none
 

@@ -1,8 +1,8 @@
 """Scenario files: strict JSON configuration with built-in defaults.
 
 A scenario is a JSON object with one section per field of ``Scenario``. The
-config classes are the schema: a section's keys and defaults are the compared
-fields of its class, read at import time. The learning section is no
+config classes are the schema: a section's keys and defaults are the fields
+of its class, read at import time. The learning section is no
 exception: ``LearningSpec`` holds both variants' coefficients, and the
 inactive variant's are kept as given. Omitted keys take those defaults, which
 form the headline experiment. Parsing is strict: a section accepts exactly
@@ -60,26 +60,24 @@ class _Record:
     A subclass declares each field by annotation, with its default, if any,
     as the class-body value. Instances are built positionally or by keyword;
     an unknown or missing argument raises TypeError, and ``__post_init__``
-    then checks the instance. The fields are the instance's ``__dict__``, and
-    assigning or deleting an attribute raises AttributeError. ``==``,
-    ``hash`` and ``repr`` use the compared fields, ``_compared``: all of
-    ``_fields`` but those the class keyword ``hidden`` names. ``dataclasses``
-    takes a record as a frozen dataclass of ``_fields`` (``_AsDataclass``).
+    then checks the instance. The fields, ``_fields``, are the instance's
+    ``__dict__``, and assigning or deleting an attribute raises AttributeError.
+    ``==``, ``hash`` and ``repr`` use them, and ``dataclasses`` takes a record
+    as a frozen dataclass of them (``_AsDataclass``).
     """
 
     # set for each subclass by __init_subclass__; class attributes, not
     # annotations, so that they are no field of it
-    _fields = _compared = ()
+    _fields = ()
     _defaults = {}  # field -> default, _REQUIRED if it has none; in field order
     _required = frozenset()  # the fields without a default
     __dataclass_fields__ = _AsDataclass()
     __dataclass_params__ = _AsDataclass()
 
-    def __init_subclass__(cls, hidden=(), **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         body = vars(cls)
         cls._fields = tuple(body.get("__annotations__", ()))
-        cls._compared = tuple(name for name in cls._fields if name not in hidden)
         cls._defaults = {name: body.get(name, _REQUIRED) for name in cls._fields}
         cls._required = frozenset(name for name in cls._fields if name not in body)
 
@@ -115,7 +113,7 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def _key(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._compared))
+        return tuple(map(self.__dict__.__getitem__, self._fields))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -126,7 +124,7 @@ class _Record:
         return hash(self._key())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._compared)
+        fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
 
@@ -181,7 +179,7 @@ def _cubic_min_on_unit(a: float, b: float) -> float:
     return low
 
 
-class LearningSpec(_Record, hidden=("validate",)):
+class LearningSpec(_Record):
     """Sectoral growth-factor functions and their coefficients.
 
     Linear variant:  g_H = 1 + nu*E + phi*s,            g_L = 1 + chi*(1-s)
@@ -190,15 +188,14 @@ class LearningSpec(_Record, hidden=("validate",)):
 
     Construction rejects inactive or sign-violating learning channels and, for
     the cubic variant, any configuration whose growth factor can reach zero on
-    s in [0, 1] (checked at E = 0; education only raises g_H). ``validate``
-    exists solely for diagnostic constructions that deliberately switch
-    channels off; it does not participate in equality comparisons.
+    s in [0, 1] (checked at E = 0; education only raises g_H), so every spec,
+    a ``dataclasses.replace`` copy included, is a model with active learning.
 
     The field defaults are the headline calibration, so ``LearningSpec()`` is
     the default scenario's spec. ``variant`` may be given as its string value
     and is stored as the ``LearningVariant`` member; any other value raises
-    ConfigError, also with ``validate=False``. Both variants' coefficients are
-    fields: the inactive variant's are kept as given, neither checked nor used.
+    ConfigError. Both variants' coefficients are fields: the inactive variant's
+    are kept as given, neither checked nor used.
     """
 
     variant: LearningVariant = LearningVariant.CUBIC
@@ -209,7 +206,6 @@ class LearningSpec(_Record, hidden=("validate",)):
     phi2: float = 1.0
     chi1: float = 1.2
     chi2: float = 1.5
-    validate: bool = True
 
     def __post_init__(self):
         try:
@@ -217,8 +213,6 @@ class LearningSpec(_Record, hidden=("validate",)):
         except ValueError:
             choices = " or ".join(repr(v.value) for v in LearningVariant)
             raise ConfigError(f"variant must be {choices}, got {self.variant!r}") from None
-        if not self.validate:
-            return
         if self.nu <= 0.0:
             raise ConfigError(f"nu must be > 0, got {self.nu}")
         if self.variant is LearningVariant.LINEAR:
@@ -237,14 +231,13 @@ class LearningSpec(_Record, hidden=("validate",)):
                 raise ConfigError(f"chi1/chi2 let g_L reach {min_gl} on s in [0,1]; must stay > 0")
 
     @classmethod
-    def linear(cls, nu: float, phi: float, chi: float, validate: bool = True) -> "LearningSpec":
-        return cls(variant=LearningVariant.LINEAR, nu=nu, phi=phi, chi=chi, validate=validate)
+    def linear(cls, nu: float, phi: float, chi: float) -> "LearningSpec":
+        return cls(variant=LearningVariant.LINEAR, nu=nu, phi=phi, chi=chi)
 
     @classmethod
-    def cubic(cls, nu: float, phi1: float, phi2: float, chi1: float, chi2: float,
-              validate: bool = True) -> "LearningSpec":
+    def cubic(cls, nu: float, phi1: float, phi2: float, chi1: float, chi2: float) -> "LearningSpec":
         return cls(variant=LearningVariant.CUBIC, nu=nu, phi1=phi1, phi2=phi2, chi1=chi1,
-                   chi2=chi2, validate=validate)
+                   chi2=chi2)
 
     @property
     def coefficients(self) -> tuple[float, float, float, float, float]:
@@ -362,11 +355,7 @@ class Scenario(_Record):
 
 _SECTIONS = dict(Scenario.__annotations__)  # section name -> config class
 
-# section -> {key: default}; a field left out of comparisons is no key
-_SCHEMA = {
-    section: {name: cls._defaults[name] for name in cls._compared}
-    for section, cls in _SECTIONS.items()
-}
+_SCHEMA = {section: cls._defaults for section, cls in _SECTIONS.items()}  # {key: default}
 # simulation paths: keys whose annotation admits a list
 _LIST_KEYS = {
     (section, name)

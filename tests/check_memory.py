@@ -3,20 +3,23 @@
     python3 tests/check_memory.py --rows 100000
 
 Runs ``simulate`` (a slow-learning calibration, whose levels stay finite over
-``--rows`` periods), ``statics`` (``--rows`` incomes) and ``planner-foc``
-(``--rows`` periods, planner horizon included) twice each, each run in a fresh
+``--rows`` periods) at one education level and income and, as
+``simulate-lists``, with ``E`` and ``income`` each a ramp of ``--rows``
+entries, ``statics`` (``--rows`` incomes) and ``planner-foc`` (``--rows``
+periods, planner horizon included) twice each, each run in a fresh
 interpreter that imports numpy and ``demandtier.cli`` and then calls
 ``cli.main`` as the installed script does: once writing the CSV to standard
-output, redirected to a file, and once with ``--out``. Prints, per command,
+output, redirected to a file, and once with ``--out``. Prints, per case,
 the CSV size and each run's peak resident set (``ru_maxrss``) above the
 floor it read after those imports, then one JSON line with every figure.
 Exits 1 if a run fails, if standard output and ``--out`` hold different
-bytes, or if the larger peak of a command exceeds its bound times its CSV
+bytes, or if the larger peak of a case exceeds its bound times its CSV
 size: twice for ``simulate`` and ``statics``, whose CSV is written chunk by
-chunk, so neither holds the text of its whole table, and 3.5 times for
-``planner-foc``, which keeps about a dozen float columns of its horizon. Every
-file it writes goes to a temporary directory; it is not part of the test
-suite.
+chunk, so neither holds the text of its whole table, 2.5 times for
+``simulate-lists``, whose two lists stay alive as Python floats through the
+command, and 3.5 times for ``planner-foc``, which keeps about a dozen float
+columns of its horizon. Every file it writes goes to a temporary directory;
+it is not part of the test suite.
 """
 
 import argparse
@@ -44,15 +47,21 @@ sys.stderr.write(f"\\n{code} {floor} {peak}\\n")
 SLOW_LEARNING = {"variant": "cubic", "nu": 1e-5, "phi1": 1e-5, "phi2": 1e-5,
                  "chi1": 1.2e-5, "chi2": 1.5e-5}
 # the largest peak above the floor allowed, in multiples of the CSV size
-BOUND = {"simulate": 2.0, "statics": 2.0, "planner-foc": 3.5}
+BOUND = {"simulate": 2.0, "simulate-lists": 2.5, "statics": 2.0, "planner-foc": 3.5}
 
 
-def scenarios(rows: int) -> dict:
+def cases(rows: int) -> dict:
+    """Case name -> (command, scenario)."""
+    ramps = {"E": [0.05 + 0.4 * t / rows for t in range(rows)],
+             "income": [8.0 + 12.0 * t / rows for t in range(rows)]}
     return {
-        "simulate": {"learning": SLOW_LEARNING, "simulation": {"horizon": rows}},
-        "statics": {"statics": {"y_points": rows}},
-        "planner-foc": {"learning": SLOW_LEARNING, "simulation": {"horizon": rows},
-                        "planner": {"horizon": rows}},
+        "simulate": ("simulate", {"learning": SLOW_LEARNING, "simulation": {"horizon": rows}}),
+        "simulate-lists": ("simulate", {"learning": SLOW_LEARNING,
+                                        "simulation": {"horizon": rows, **ramps}}),
+        "statics": ("statics", {"statics": {"y_points": rows}}),
+        "planner-foc": ("planner-foc", {"learning": SLOW_LEARNING,
+                                        "simulation": {"horizon": rows},
+                                        "planner": {"horizon": rows}}),
     }
 
 
@@ -79,7 +88,7 @@ def main(argv=None) -> int:
     report = {"rows": args.rows}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for command, scenario in scenarios(args.rows).items():
+        for case, (command, scenario) in cases(args.rows).items():
             path = tmp / "scenario.json"
             path.write_text(json.dumps(scenario), encoding="utf-8")
             base = [command, "--scenario", str(path)]
@@ -88,17 +97,17 @@ def main(argv=None) -> int:
             code_b, peak_b = run(base + ["--out", str(to_file)], tmp / "empty")
             size = to_file.stat().st_size / 2**20 if to_file.exists() else float("nan")
             ratio = max(peak_a, peak_b) / size
-            report[command] = {"csv_mb": size, "stdout_peak_mb": peak_a,
-                               "out_peak_mb": peak_b, "ratio": ratio}
-            print(f"{command:12s} csv {size:6.1f} MB; peak above the floor: stdout "
+            report[case] = {"csv_mb": size, "stdout_peak_mb": peak_a,
+                            "out_peak_mb": peak_b, "ratio": ratio}
+            print(f"{case:14s} csv {size:6.1f} MB; peak above the floor: stdout "
                   f"{peak_a:6.1f} MB, --out {peak_b:6.1f} MB ({ratio:.2f}x the CSV)")
             if code_a or code_b:
-                failed.append(f"{command} exited {code_a} and {code_b}")
+                failed.append(f"{case} exited {code_a} and {code_b}")
             elif not filecmp.cmp(to_stdout, to_file, shallow=False):
-                failed.append(f"{command}: standard output and --out differ")
-            elif not ratio <= BOUND[command]:
-                failed.append(f"{command}: peak {ratio:.2f}x its CSV size, above "
-                              f"{BOUND[command]:g}x")
+                failed.append(f"{case}: standard output and --out differ")
+            elif not ratio <= BOUND[case]:
+                failed.append(f"{case}: peak {ratio:.2f}x its CSV size, above "
+                              f"{BOUND[case]:g}x")
     for failure in failed:
         print("FAIL: " + failure)
     print(json.dumps(report))

@@ -1,9 +1,10 @@
 import csv
+import math
 from pathlib import Path
 
 import pytest
 
-from demandtier import LearningSpec, PreferenceSchedule
+from demandtier import LearningSpec, LearningVariant, PreferenceSchedule, TechnologyState
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -24,6 +25,19 @@ def cubic():
 def linear():
     """Monotone linear learning with the same channel strengths."""
     return LearningSpec.linear(nu=0.6, phi=0.8, chi=1.2)
+
+
+def inert_linear_spec():
+    """Linear learning with nu = phi = 0, both spillover channels off.
+
+    The spec lies outside the model's domain, where every learning channel is
+    active, so ``LearningSpec`` rejects it: this builds it without
+    ``__post_init__``, for the diagnostics that switch the channels off.
+    """
+    spec = object.__new__(LearningSpec)
+    vars(spec).update(LearningSpec._defaults, variant=LearningVariant.LINEAR, nu=0.0, phi=0.0,
+                      chi=1.2)
+    return spec
 
 
 def flat_sched(alpha, gamma_l=0.0, gamma_h=0.0, decay=0.0):
@@ -78,3 +92,35 @@ def random_calibration(rng):
     alpha_params = (prefs["alpha_base"], prefs["alpha_slope"],
                     prefs["alpha_lo"], prefs["alpha_hi"])
     return PreferenceSchedule(**prefs), spec, alpha_params, learn
+
+
+def level_scaling_case(rng):
+    """A seeded path set-up whose levels may be scaled by 2^k, |k| <= 60.
+
+    Returns (schedule, spec, initial state, E, income, horizon): a calibration
+    of ``random_calibration``, a horizon of 50, 200 or 400 periods, and E and
+    income each a scalar or a linear ramp over the horizon. Every learning rate
+    is shrunk by one factor until no level can move by more than e^200 over the
+    horizon, as the benchmark's path generator does, so that a level scaled by
+    2^k stays a normal float and each product rounds as the unscaled one does.
+    """
+    sched, spec, _, _ = random_calibration(rng)
+    horizon = rng.choice((50, 200, 400))
+
+    def path(lo, hi):
+        if rng.random() < 0.5:
+            return rng.uniform(lo, hi)
+        start, end = rng.uniform(lo, hi), rng.uniform(lo, hi)
+        return [start + (end - start) * t / (horizon - 1) for t in range(horizon)]
+
+    e_path, income = path(0.0, 0.45), path(6.0, 20.0)
+    nu, phi1, phi2, chi1, chi2 = spec.coefficients
+    grid = [j / 200.0 for j in range(201)]
+    worst_h = max(abs(math.log(1.0 + nu * e + phi1 * s - phi2 * s**3))
+                  for s in grid for e in (0.0, 0.45))
+    worst_l = max(abs(math.log(1.0 + chi1 * (1 - s) - chi2 * (1 - s) ** 3)) for s in grid)
+    factor = min(1.0, 200.0 / (horizon * (worst_h + worst_l)))
+    rates = ("nu", "phi", "chi", "phi1", "phi2", "chi1", "chi2")
+    spec = LearningSpec(variant=spec.variant, **{k: getattr(spec, k) * factor for k in rates})
+    initial = TechnologyState(a_H=rng.uniform(0.5, 2.0), a_L=rng.uniform(0.5, 10.0))
+    return sched, spec, initial, e_path, income, horizon

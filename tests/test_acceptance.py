@@ -35,7 +35,7 @@ from demandtier import (
 )
 
 import oracles
-from conftest import load_goldens
+from conftest import inert_linear_spec, load_goldens
 
 SCHED = PreferenceSchedule()
 CUBIC = LearningSpec.cubic(nu=0.6, phi1=0.8, phi2=1.0, chi1=1.2, chi2=1.5)
@@ -236,7 +236,7 @@ def test_criterion_09_planner_foc_oracle():
         for analytic, numeric in zip(report.wedge, fd)
     )
     terminal_ok = report.spillover_term[-1] == 0.0
-    inert = LearningSpec.linear(nu=0.0, phi=0.0, chi=1.2, validate=False)
+    inert = inert_linear_spec()
     inert_path = simulate_path(SCHED, inert, TechnologyState(a_H=1.0, a_L=2.0), 0.2, 10.0, 3)
     inert_report = evaluate_foc(SCHED, inert, cfg, inert_path)
     diagnostic_ok = bool(np.all(inert_report.spillover_term == 0.0))

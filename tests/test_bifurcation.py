@@ -212,8 +212,9 @@ _UNIT = st.floats(0.1, 2.0)
 def calibrations(draw):
     """A schedule and a learning spec whose gap cubic has degree 0, 1, 2 or 3.
 
-    The linear and cubic specs are valid; the ``validate=False`` specs cancel
-    the gap's leading coefficients -(phi2 + chi2), 3*chi2 and phi1 + chi1 - 3*chi2.
+    The degenerate specs cancel the gap's leading coefficients -(phi2 + chi2),
+    3*chi2 and phi1 + chi1 - 3*chi2, and stay valid: both growth factors are
+    positive on the whole share range.
     """
     sched = PreferenceSchedule(
         alpha_base=draw(st.floats(0.5, 0.9)), alpha_slope=draw(st.floats(0.0, 0.3)),
@@ -229,14 +230,15 @@ def calibrations(draw):
             nu, phi1, draw(st.floats(0.5, 0.9 * (1.0 + phi1))),
             chi1, draw(st.floats(0.8, 0.9 * (1.0 + chi1))),
         )
-    elif kind == "degree 0":
-        phi1 = draw(_UNIT)
-        spec = LearningSpec.cubic(nu, phi1, 0.0, -phi1, 0.0, validate=False)
+    elif kind == "degree 0":  # g_L = 1 - phi1*(1 - s) stays positive for phi1 < 1
+        phi1 = draw(st.floats(0.1, 0.9))
+        spec = LearningSpec.cubic(nu, phi1, 0.0, -phi1, 0.0)
     elif kind == "degree 1":
-        spec = LearningSpec.cubic(nu, draw(_UNIT), 0.0, draw(_UNIT), 0.0, validate=False)
-    else:
-        chi2 = draw(_UNIT)
-        spec = LearningSpec.cubic(nu, draw(_UNIT), -chi2, draw(_UNIT), chi2, validate=False)
+        spec = LearningSpec.cubic(nu, draw(_UNIT), 0.0, draw(_UNIT), 0.0)
+    else:  # g_L(0) = 1 + chi1 - chi2 > 0, with the cubic draws' margin
+        phi1, chi1 = draw(_UNIT), draw(_UNIT)
+        chi2 = draw(st.floats(0.1, 0.9 * (1.0 + chi1)))
+        spec = LearningSpec.cubic(nu, phi1, -chi2, chi1, chi2)
     return sched, spec
 
 

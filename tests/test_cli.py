@@ -276,10 +276,10 @@ def test_main_runs_the_command_bound_on_the_module(monkeypatch):
 
     def patched(scenario, args):
         calls.append((scenario.statics, args.E))
-        return cli.Output({}, code=7)
+        return cli.Output({}, ("planted cmd_statics",))
 
     monkeypatch.setattr(cli, "cmd_statics", patched)
-    assert main_in_process(("statics", "--E", "0.3")) == (7, b"", b"")
+    assert main_in_process(("statics", "--E", "0.3")) == (0, b"", b"planted cmd_statics\n")
     assert calls == [(cli.default_scenario().statics, 0.3)]
     monkeypatch.undo()
 
@@ -322,7 +322,7 @@ def output_options(command, tmp_path):
     *((command, ()) for command in sorted(SHAPE_ARGV)), ("bifurcation", ("--strict",))],
     ids=[*sorted(SHAPE_ARGV), "bifurcation-strict"])
 def test_commands_return_their_tables_and_write_nothing(tmp_path, command, strict):
-    # main alone writes; a command hands it tables, notes and a code, and
+    # main alone writes; a command hands it tables and notes, and
     # --strict is main's to apply, so the command returns the same either way
     options, paths = output_options(command, tmp_path)
     for argv in (SHAPE_ARGV[command] + strict, SHAPE_ARGV[command] + strict + tuple(options)):
@@ -333,7 +333,7 @@ def test_commands_return_their_tables_and_write_nothing(tmp_path, command, stric
                 cli.load_scenario(None), args)
         assert (out.getvalue(), err.getvalue()) == ("", "")
         assert not any(path.exists() for path in paths)
-        assert isinstance(output, cli.Output) and output.code == 0
+        assert isinstance(output, cli.Output)
         assert [table.out for table in output.tables.values()] == [
             getattr(args, name) for name in ("out", "thresholds_out")[:len(output.tables)]]
         assert len(output.notes) == (2 if command == "bifurcation" else 0)
@@ -537,14 +537,15 @@ print(json.dumps(seen))
 
 def test_commands_without_arrays_never_import_numpy(tmp_path):
     # fixed-points solves its one level on Python floats, and the loader's
-    # checks, --dump-defaults, --version and --help compute nothing; simulate
-    # and statics check their scalar inputs and list lengths, and statics
-    # probes its top income, on floats before they build an array; numpy
-    # loads with the first array, and simulate then still writes its golden
+    # checks, --dump-defaults, --version and --help compute nothing; simulate,
+    # planner-foc and statics check their scalar inputs and list lengths, and
+    # statics probes its top income, on floats before they build an array;
+    # numpy loads with the first array, and simulate then still writes its golden
     scenarios = {
         "unknown": {"solver": {"no_such_key": 1}},
         "short_E": {"simulation": {"E": [0.2, 0.3], "horizon": 3}},
         "short_income": {"simulation": {"income": [10.0], "horizon": 2}},
+        "negative_income": {"simulation": {"income": -5}},
         "gamma_H": {"preferences": {"gamma_H": 1.0}},
     }
     paths = {}
@@ -556,13 +557,15 @@ def test_commands_without_arrays_never_import_numpy(tmp_path):
              ["simulate", "--E", "-1"],
              ["simulate", "--scenario", str(paths["short_E"])],
              ["simulate", "--scenario", str(paths["short_income"])],
+             ["simulate", "--scenario", str(paths["negative_income"])],
+             ["planner-foc", "--scenario", str(paths["negative_income"])],
              ["statics", "--E", "-1"],
              ["statics", "--scenario", str(paths["gamma_H"])]]
     cp = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(calls)],
                         capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
     seen = json.loads(cp.stdout)
-    assert seen[:-1] == [[0, False]] * 4 + [[2, False]] * 6
+    assert seen[:-1] == [[0, False]] * 4 + [[2, False]] * 8
     assert seen[-1] == [0, golden_bytes("simulate")[0].decode()]
 
 
@@ -597,7 +600,9 @@ def test_non_finite_education_override_rejected(command, value):
     ({"sweep": {"E_min": -2.0}}, ("bifurcation",), "E_min=-2.0"),
     (None, ("simulate", "--E", "-1"), "education level must be >= 0, got -1.0"),
     ({"simulation": {"E": [0.1, -0.5, 0.2], "horizon": 3}}, ("simulate",),
-     "education level must be >= 0, got -0.5"),
+     "education level must be >= 0, got -0.5: key 'E' in section 'simulation', period 1\n"),
+    ({"learning": {"variant": "linear"}, "simulation": {"E": [0.2, 0.2, -1]}}, ("planner-foc",),
+     "education level must be >= 0, got -1.0: key 'E' in section 'simulation', period 2\n"),
     (None, ("statics", "--E", "-3"), "education level must be >= 0, got -3.0"),
     # a negative scalar simulation.E is named by its key; a negative --E by its value
     ({"simulation": {"E": -1.0}}, ("simulate",),
@@ -616,6 +621,22 @@ def test_negative_education_exits_2_naming_the_value(tmp_path, scenario, args, n
     assert cp.returncode == 2
     assert named in cp.stderr
     assert cp.stdout == ""
+
+
+@pytest.mark.parametrize("scenario, command, named", [
+    ({"simulation": {"income": -5}}, "simulate",
+     "error: income must be > 0, got -5.0: key 'income' in section 'simulation'\n"),
+    ({"simulation": {"income": 0}}, "planner-foc",
+     "error: income must be > 0, got 0.0: key 'income' in section 'simulation'\n"),
+    ({"simulation": {"income": [10, 11, -2, 0], "horizon": 4}}, "simulate",
+     "error: income must be > 0, got -2.0: key 'income' in section 'simulation', period 2\n"),
+])
+def test_nonpositive_income_exits_2_naming_its_key_and_period(tmp_path, scenario, command,
+                                                              named):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    cp = run_cli(command, "--scenario", str(path))
+    assert (cp.returncode, cp.stdout, cp.stderr) == (2, "", named)
 
 
 @pytest.mark.parametrize("scenario, command, named", [

@@ -29,7 +29,7 @@ from demandtier.errors import (
 )
 
 import oracles
-from conftest import flat_sched, load_goldens
+from conftest import flat_sched, level_scaling_case, load_goldens
 
 
 class TestExcessShare:
@@ -148,18 +148,13 @@ class TestLearningSpecValidation:
         with pytest.raises(ConfigError, match="degenerate"):
             LearningSpec.cubic(nu=0.6, phi1=0.0, phi2=0.0, chi1=0.0, chi2=0.0)
 
-    def test_diagnostic_escape_hatch(self):
-        spec = LearningSpec.linear(nu=0.0, phi=0.0, chi=1.2, validate=False)
-        assert spec.nu == 0.0
-
     def test_string_variant_is_the_enum_member(self):
         spec = LearningSpec(variant="linear", phi=0.5)
         assert spec.variant is LearningVariant.LINEAR
         assert spec.coefficients == (0.6, 0.5, 0.0, 1.2, 0.0)
-        # converted before the validate early return, and checked there too
+        # converted before the channels are checked, and checked as the member
         with pytest.raises(ConfigError, match="phi must be > 0 for linear"):
             LearningSpec(variant="linear", phi=0.0)
-        assert LearningSpec(variant="linear", validate=False).variant is LearningVariant.LINEAR
 
     def test_unknown_string_variant_rejected(self):
         with pytest.raises(ConfigError, match="'linear' or 'cubic', got 'quadratic'"):
@@ -338,9 +333,51 @@ class TestSimulatePath:
         )
         assert np.array_equal(a.p, b.p)
 
+    @pytest.mark.parametrize("e_path, income, message", [
+        ([0.1, -0.5, 0.2, -1.0], 10.0,
+         "education level must be >= 0, got -0.5: key 'E' in section 'simulation', period 1"),
+        (0.2, -5, "income must be > 0, got -5.0: key 'income' in section 'simulation'"),
+        (0.2, np.array([10.0, 11.0, 0.0]),
+         "income must be > 0, got 0.0: key 'income' in section 'simulation', period 2"),
+        # a negative scalar E may be a --E override: named by its value alone
+        (-1, 10.0, "education level must be >= 0, got -1.0"),
+    ])
+    def test_bad_input_raises_before_the_recurrence(self, sched, cubic, monkeypatch, e_path,
+                                                    income, message):
+        from demandtier import _kernels
+
+        def recurrence(*_):
+            raise AssertionError("the recurrence ran")
+
+        monkeypatch.setattr(_kernels, "simulate_arrays", recurrence)
+        with pytest.raises(ConfigError) as info:
+            simulate_path(sched, cubic, TechnologyState(a_H=1.0, a_L=4.0), e_path, income, 3)
+        assert str(info.value) == message
+
     def test_invalid_horizon(self, sched, cubic):
         state = TechnologyState(a_H=1.0, a_L=4.0)
         with pytest.raises(InvalidHorizon):
             simulate_path(sched, cubic, state, 0.2, 10.0, 0)
         with pytest.raises(InvalidHorizon):
             simulate_path(sched, cubic, state, np.array([0.2, 0.2]), 10.0, 5)
+
+
+class TestLevelScaling:
+    @pytest.mark.parametrize("k", [-40, -7, 3, 60])
+    def test_levels_scale_by_a_power_of_two_and_nothing_else_moves(self, k):
+        # the dynamics read the levels only through a_L/a_H, so scaling both
+        # initial levels by 2^k scales every level by 2^k exactly and leaves
+        # the bits of each other column as they were
+        rng = random.Random(2024)
+        for case in range(40):
+            sched, spec, state, e_path, income, horizon = level_scaling_case(rng)
+            scaled_state = TechnologyState(a_H=math.ldexp(state.a_H, k),
+                                           a_L=math.ldexp(state.a_L, k))
+            base = simulate_path(sched, spec, state, e_path, income, horizon)
+            scaled = simulate_path(sched, spec, scaled_state, e_path, income, horizon)
+            for field in ("p", "s_q", "c_l", "c_h", "share_h", "utility", "interior"):
+                assert getattr(scaled, field).tobytes() == getattr(base, field).tobytes(), (
+                    case, field)
+            for field in ("a_h", "a_l"):
+                assert getattr(scaled, field).tobytes() == np.ldexp(
+                    getattr(base, field), k).tobytes(), (case, field)

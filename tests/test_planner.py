@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import numpy as np
@@ -26,6 +27,7 @@ from demandtier.errors import (
 from demandtier.planner import FOC_COLUMNS
 
 import oracles
+from conftest import inert_linear_spec, level_scaling_case
 
 
 @pytest.fixture
@@ -120,7 +122,7 @@ class TestDiagnostics:
     def test_spillover_channels_off(self, sched, cfg, small_path):
         # nu = phi = 0 switches both spillover channels off; the FOC
         # degenerates to preference term vs shadow cost
-        inert = LearningSpec.linear(nu=0.0, phi=0.0, chi=1.2, validate=False)
+        inert = inert_linear_spec()
         path = simulate_path(sched, inert, TechnologyState(a_H=1.0, a_L=2.0), 0.2, 10.0, 3)
         report = evaluate_foc(sched, inert, cfg, path)
         assert np.all(report.spillover_term == 0.0)
@@ -409,3 +411,31 @@ class TestRandomCalibrations:
             checked += 1
             with_gamma_h += sched.gamma_H > 0.0
         assert with_gamma_h >= 40
+
+
+class TestLevelScaling:
+    @pytest.mark.parametrize("k", [-40, -7, 3, 60])
+    def test_levels_scaled_by_a_power_of_two_scale_eta_alone(self, k):
+        # eta prices a unit of A_H, so scaling the levels by 2^k scales eta by
+        # 2^-k exactly; the spillover term eta*(...)*A_H and every other term
+        # keep their bits
+        rng = random.Random(2025)
+        checked = 0
+        while checked < 40:
+            sched, spec, state, e_path, income, horizon = level_scaling_case(rng)
+            cfg = PlannerConfig(horizon=horizon)
+            scaled_state = TechnologyState(a_H=math.ldexp(state.a_H, k),
+                                           a_L=math.ldexp(state.a_L, k))
+            try:
+                base = evaluate_foc(sched, spec, cfg,
+                                    simulate_path(sched, spec, state, e_path, income, horizon))
+            except NonInteriorBudget:  # no FOC where a period is not interior
+                continue
+            scaled = evaluate_foc(sched, spec, cfg, simulate_path(sched, spec, scaled_state,
+                                                                  e_path, income, horizon))
+            for field in ("t", "preference_term", "spillover_term", "shadow_cost", "wedge",
+                          "lambda_t"):
+                assert getattr(scaled, field).tobytes() == getattr(base, field).tobytes(), (
+                    checked, field)
+            assert scaled.eta_t.tobytes() == np.ldexp(base.eta_t, -k).tobytes(), checked
+            checked += 1

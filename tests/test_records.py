@@ -185,10 +185,9 @@ def test_dataclasses_replace_changes_a_field_and_keeps_the_others():
         0.2, *FIXED_POINT[1:])
     assert dataclasses.replace(SaddleNode(*SADDLE), E_bar=0.3) == SaddleNode(0.3, *SADDLE[1:])
     assert dataclasses.replace(SweepConfig(), E_points=801) == SweepConfig(E_points=801)
-    # a field left out of comparisons is still a field, and the copy re-validates
-    assert dataclasses.replace(LearningSpec(nu=0.0, validate=False), phi1=0.5).validate is False
+    # the copy re-validates
     with pytest.raises(ConfigError, match="nu must be > 0"):
-        dataclasses.replace(LearningSpec(nu=0.0, validate=False), validate=True)
+        dataclasses.replace(LearningSpec(), nu=0.0)
 
 
 @pytest.mark.parametrize("cls", TUPLES, ids=lambda cls: cls.__name__)

@@ -80,7 +80,7 @@ STATICS_REPR = "StaticsConfig(E=0.2, price_H=2.0, y_min=4.0, y_max=40.0, y_point
 RECORDS = {
     PreferenceSchedule: (("alpha_base", "alpha_slope", "alpha_lo", "alpha_hi", "gammaL_base",
                           "gammaL_decay", "gamma_H"), PREFERENCES_REPR),
-    LearningSpec: (("variant", "nu", "phi", "chi", "phi1", "phi2", "chi1", "chi2", "validate"),
+    LearningSpec: (("variant", "nu", "phi", "chi", "phi1", "phi2", "chi1", "chi2"),
                    LEARNING_REPR),
     SolverConfig: (("p_min", "p_max", "bisect_tol", "marginal_tol"), SOLVER_REPR),
     SweepConfig: (("E_min", "E_max", "E_points", "refine_tol"), SWEEP_REPR),
@@ -152,18 +152,6 @@ def test_config_records_of_different_classes_are_unequal():
     assert SolverConfig(*values) != SweepConfig(*values)
     for a, b in combinations(defaults, 2):
         assert a != b and b != a
-
-
-def test_learning_validate_is_out_of_equality_hash_repr_and_schema():
-    strict, lax = LearningSpec(), LearningSpec(validate=False)
-    assert (strict.validate, lax.validate) == (True, False)
-    assert strict == lax and hash(strict) == hash(lax) and repr(strict) == repr(lax)
-    assert LearningSpec._compared == RECORDS[LearningSpec][0][:-1]
-    # an off channel is rejected only when validated, and compares by its values
-    off = LearningSpec.linear(nu=0.6, phi=0.0, chi=1.2, validate=False)
-    assert off != LearningSpec.linear(nu=0.6, phi=0.1, chi=1.2)
-    with pytest.raises(ConfigError, match="phi must be > 0"):
-        LearningSpec.linear(nu=0.6, phi=0.0, chi=1.2)
 
 
 class TestRoundTrip:
@@ -339,8 +327,7 @@ class TestLearningSection:
         s = default_scenario()
         for section, keys in scenario_to_dict(s).items():
             config = getattr(s, section)
-            assert list(keys) == list(type(config)._compared)
-        assert "validate" not in scenario_to_dict(s)["learning"]
+            assert list(keys) == list(type(config)._fields)
 
     def test_inactive_coefficients_are_kept(self):
         s = load_scenario_dict({"learning": {"variant": "linear", "phi1": 5}})
