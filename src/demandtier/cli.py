@@ -257,16 +257,16 @@ def _parse_argv(argv: list[str] | None):
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse_argv(argv)
-    if args.dump_defaults:
-        _write_text(dump_scenario(default_scenario()), args.out)
-        return 0
-    if args.command is None:
+    if args.command is None and not args.dump_defaults:
         _parser().print_usage(sys.stderr)
         sys.stderr.write("error: a subcommand (or --dump-defaults) is required\n")
         return EXIT_VALIDATION
 
-    run = getattr(_cli, "cmd_" + args.command.replace("-", "_"))
     try:
+        if args.dump_defaults:
+            _write_text(dump_scenario(default_scenario()), args.out)
+            return 0
+        run = getattr(_cli, "cmd_" + args.command.replace("-", "_"))
         output = run(load_scenario(args.scenario), args)
         sys.stderr.writelines(note + "\n" for note in output.notes)
         if output.notes and getattr(args, "strict", False):

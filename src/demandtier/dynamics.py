@@ -11,13 +11,15 @@ are the sectoral growth factors. Education enters twice: directly in g_H and
 through the preference weight inside S. S, g_H, g_L and H take scalars or
 arrays and work elementwise, with the same values either way: their integer
 powers are products (``phi2*s*s*s``), which round alike on floats and arrays,
-in the order of the simulation loop, ``_kernels.simulate_arrays``.
+in the order of the simulation loop, ``_simulate_arrays``, so each simulated
+level is ``growth_factors`` times the one before, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import repeat
 
 from ._np import _any, _first, _xp, np
 from .demand import alpha_of, alpha_slope_of, demand_arrays
@@ -203,6 +205,47 @@ def _broadcast(path, horizon: int, scalar: bool) -> np.ndarray:
     return np.asarray(path, dtype=float)[:horizon].copy()
 
 
+def _simulate_arrays(spec: LearningSpec, a_H0: float, a_L0: float, alpha: np.ndarray,
+                     E: np.ndarray):
+    """Iterate the sectoral productivity pair forward, one period per entry of E.
+
+    Returns per-period arrays (p, s, a_H, a_L): the relative price is the
+    productivity ratio a_L/a_H, the excess-quantity share follows from it, and
+    both productivities advance by their growth factors. ``alpha`` is
+    ``alpha_of(E)``. The loop runs on Python floats, which round exactly as
+    numpy float64 does but cost far less per operation, and stores the levels
+    straight into the float64 arrays it returns; ``p`` and ``s`` are formed
+    after it, over arrays, by the same operations. Its per-period inputs alpha,
+    1 - alpha and 1 + nu*E are read through memoryviews or, where E holds one
+    value (and so alpha does), repeated as three Python floats of the same bits.
+    """
+    nu, phi1, phi2, chi1, chi2 = spec.coefficients
+    horizon = len(E)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        inputs = (alpha, 1.0 - alpha, 1.0 + nu * E)
+        bits = E.view(np.uint64)
+        if (bits == bits[0]).all():  # one level: the same bits each period
+            inputs = [repeat(x.item(0)) for x in inputs]
+        else:
+            inputs = map(memoryview, inputs)
+        a_h_arr, a_l_arr = np.empty(horizon), np.empty(horizon)
+        a_h_out, a_l_out = memoryview(a_h_arr), memoryview(a_l_arr)
+        a_h, a_l = float(a_H0), float(a_L0)
+        for t, al, rest, base in zip(range(horizon), *inputs):
+            a_h_out[t] = a_h
+            a_l_out[t] = a_l
+            try:
+                pt = a_l / a_h
+            except ZeroDivisionError:  # a_H underflowed to 0: the IEEE quotient
+                pt = math.inf if a_l > 0.0 else math.nan
+            st = al / (al + rest * pt)
+            u = 1.0 - st
+            a_h = (base + phi1 * st - phi2 * st * st * st) * a_h
+            a_l = (1.0 + chi1 * u - chi2 * u * u * u) * a_l
+        p = a_l_arr / a_h_arr
+        return p, alpha / (alpha + (1.0 - alpha) * p), a_h_arr, a_l_arr
+
+
 def simulate_path(
     sched: PreferenceSchedule,
     spec: LearningSpec,
@@ -245,13 +288,8 @@ def simulate_path(
     _reject_entry("education level must be >= 0", e_arr, e_arr < 0.0, "E")
     _reject_entry("income must be > 0", y_arr, y_arr <= 0.0, "income")
 
-    from . import _kernels  # imported by the first path: the fixed-point solve needs none
-
-    nu, phi1, phi2, chi1, chi2 = spec.coefficients
-    p, s, a_h, a_l = _kernels.simulate_arrays(
-        initial.a_H, initial.a_L, alpha_of(sched, e_arr), e_arr,
-        nu, phi1, phi2, chi1, chi2, horizon,
-    )
+    p, s, a_h, a_l = _simulate_arrays(spec, initial.a_H, initial.a_L, alpha_of(sched, e_arr),
+                                      e_arr)
     with np.errstate(over="ignore"):  # an overflowing c_H raises below
         demand = demand_arrays(sched, y_arr, p, e_arr)
     # c_H = alpha*B/p: a finite, positive p too small for the income

@@ -455,6 +455,8 @@ def load_scenario(path: str | os.PathLike | None) -> Scenario:
         if "\r" in text:  # the newlines of text mode, so that error positions stay put
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         data = json.loads(text)
+    except RecursionError as exc:
+        raise ConfigError("scenario file is nested too deeply to read") from exc
     except ValueError as exc:  # also non-UTF-8 bytes, and an integer past the digit limit
         raise ConfigError(f"scenario file is not valid JSON: {exc}") from exc
     return load_scenario_dict(data)

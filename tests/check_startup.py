@@ -101,9 +101,9 @@ ENGINE = ("solver", "bifurcation", "dynamics", "demand", "planner", "_kernels")
 RUNS = {
     "fixed-points": ("solver", "dynamics", "demand"),
     "bifurcation": ("bifurcation", "solver", "dynamics", "demand"),
-    "simulate": ("dynamics", "demand", "_kernels"),
+    "simulate": ("dynamics", "demand"),
     "statics": ("demand",),
-    "planner-foc": ("planner", "dynamics", "demand", "_kernels"),
+    "planner-foc": ("planner", "dynamics", "demand"),
     "simulate --E -1": ("dynamics", "demand"),  # exits 2 before the recurrence
 }
 # the interpreter alone, with and without site

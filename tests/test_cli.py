@@ -696,6 +696,16 @@ class TestDumpDefaults:
             "preferences", "learning", "solver", "sweep", "planner", "simulation", "statics",
         }
 
+    @pytest.mark.parametrize("target, reason", [
+        ("missing/defaults.json", "[Errno 2] No such file or directory"),
+        (".", "[Errno 21] Is a directory"),
+    ], ids=["missing-directory", "a-directory"])
+    def test_unwritable_out_exits_2_with_an_error_line(self, tmp_path, target, reason):
+        out = str(tmp_path / target)
+        cp = run_cli("--dump-defaults", "--out", out)
+        assert (cp.returncode, cp.stdout) == (2, "")
+        assert cp.stderr == f"error: {reason}: {out!r}\n"
+
 
 class TestFixedPoints:
     def test_three_rows_at_middle_education(self):
@@ -812,6 +822,13 @@ class TestSimulate:
         assert cp.returncode == 2
         assert "'a_L0'" in cp.stderr
         assert cp.stdout == ""
+
+    def test_path_nested_too_deeply_exits_2(self, tmp_path):
+        scenario = tmp_path / "deep.json"
+        scenario.write_text('{"simulation": {"E": %s0.1%s}}' % ("[" * 1100, "]" * 1100))
+        cp = run_cli("simulate", "--scenario", str(scenario))
+        assert (cp.returncode, cp.stdout) == (2, "")
+        assert cp.stderr == "error: scenario file is nested too deeply to read\n"
 
 
 class TestStatics:

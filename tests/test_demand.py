@@ -1,4 +1,5 @@
 import math
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from demandtier import (
     solve_demand,
     stone_geary_utility,
 )
+from demandtier._np import _libm
 from demandtier.demand import (
     alpha_is_clipped, alpha_slope_of, elasticity_arrays, gammaL_slope_of,
 )
@@ -99,6 +101,36 @@ class TestGammaL:
             gammaL_of(sched, -0.1)
         with pytest.raises(ConfigError, match="got -0.5$"):
             gammaL_of(sched, np.array([0.1, -0.5, -2.0]))
+
+
+PAYLOAD_NAN = np.array([0x7FF8_0000_0000_0001], np.uint64).view(np.float64)[0]
+
+
+@pytest.mark.parametrize("x", [
+    np.full(50, -0.3),
+    np.repeat([0.1, -2.0, 0.1, 7.5], [3, 1, 40, 6]),
+    np.tile([0.25, -0.25], 20),
+    np.linspace(-5.0, 5.0, 101),
+    np.array([0.0, 0.0, -0.0, -0.0, 0.0, 1.0]),
+    np.array([math.nan, math.nan, -math.nan, PAYLOAD_NAN, PAYLOAD_NAN, 1.0, math.nan]),
+    np.array([]),
+    np.array([-1.5]),
+    np.repeat([[0.5], [-0.5], [0.5]], 4, axis=1),
+    np.repeat([[0.5], [-0.5], [0.5]], 4, axis=1).T,
+], ids=["constant", "piecewise", "alternating", "distinct", "signed-zeros", "nan", "empty",
+        "one", "2-d", "2-d-transposed"])
+def test_libm_equals_the_map_calling_f_once_per_run_of_equal_bits(x):
+    calls = []
+
+    def exp(v):
+        calls.append(v)
+        return math.exp(v)
+
+    got = _libm(exp, x)
+    want = np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    assert got.shape == x.shape
+    assert got.tobytes() == want.tobytes()
+    assert len(calls) == len(list(groupby(x.ravel().view(np.uint64).tolist())))
 
 
 class TestSolveDemand:

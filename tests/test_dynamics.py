@@ -10,7 +10,10 @@ from demandtier import (
     HRatio,
     LearningSpec,
     LearningVariant,
+    PreferenceSchedule,
     TechnologyState,
+    alpha_of,
+    dynamics,
     excess_share,
     excess_share_slope_E,
     growth_factors,
@@ -19,6 +22,7 @@ from demandtier import (
     simulate_path,
     solve_demand,
 )
+from demandtier.dynamics import _simulate_arrays
 from demandtier.errors import (
     ConfigError,
     InvalidHorizon,
@@ -269,6 +273,45 @@ class TestTechnologyState:
         assert TechnologyState(a_H=2.0, a_L=5.0).relative_price == 2.5
 
 
+class TestSimulateArrays:
+    def test_price_is_productivity_ratio(self, sched, cubic):
+        e = np.full(32, 0.215)
+        p, s, a_h, a_l = _simulate_arrays(cubic, 1.0, 4.0, alpha_of(sched, e), e)
+        assert np.array_equal(p, a_l / a_h)
+        assert np.all((s > 0.0) & (s < 1.0))
+
+    @pytest.mark.parametrize("a_l0", [5e-324, 0.0])
+    def test_price_after_a_h_underflows(self, a_l0):
+        # g_H falls to about 0.01 near s = 1 and drives a_H to 0 in one step; the
+        # price is then the IEEE quotient a_L/0 (inf, or NaN for 0/0), not an error
+        spec = LearningSpec.cubic(nu=0.6, phi1=0.0, phi2=0.99, chi1=1.2, chi2=1.5)
+        p, _, a_h, a_l = _simulate_arrays(spec, 1e-322, a_l0, np.full(8, 0.97), np.zeros(8))
+        assert np.any(a_h == 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert np.array_equal(p, a_l / a_h, equal_nan=True)
+
+    def test_levels_equal_growth_factors_times_the_level_before(self):
+        # the loop and growth_factors take the same products in the same order, on
+        # memoryviews of a list of levels and on the repeated floats of one level
+        rng = np.random.default_rng(20261018)
+        for i in range(200):
+            sched = PreferenceSchedule(alpha_base=rng.uniform(0.3, 0.9),
+                                       alpha_slope=rng.uniform(0.0, 0.3))
+            if i % 2:
+                spec = LearningSpec.linear(*rng.uniform(0.1, 1.5, 3))
+            else:  # 1 + c1*x - c2*x^3 is least on [0, 1] at x = 1, so c2 < 1 + c1
+                nu, phi1, chi1 = rng.uniform(0.1, 1.5, 3)
+                spec = LearningSpec.cubic(nu, phi1, rng.uniform(0.0, 1.0) * (1.0 + phi1),
+                                          chi1, rng.uniform(0.0, 1.0) * (1.0 + chi1))
+            e = rng.uniform(0.0, 0.5, 60) if i % 4 < 2 else np.full(60, rng.uniform(0.0, 0.5))
+            p, s, a_h, a_l = _simulate_arrays(spec, rng.uniform(0.5, 2.0), rng.uniform(0.5, 8.0),
+                                              alpha_of(sched, e), e)
+            assert np.array_equal(p, a_l / a_h)
+            g = growth_factors(spec, s[:-1], e[:-1])
+            assert a_h[1:].tobytes() == (g.g_H * a_h[:-1]).tobytes()
+            assert a_l[1:].tobytes() == (g.g_L * a_l[:-1]).tobytes()
+
+
 class TestSimulatePath:
     def test_constant_at_fixed_point(self, sched, cubic):
         p_star = load_goldens()[0.28][0][0]
@@ -344,12 +387,10 @@ class TestSimulatePath:
     ])
     def test_bad_input_raises_before_the_recurrence(self, sched, cubic, monkeypatch, e_path,
                                                     income, message):
-        from demandtier import _kernels
-
         def recurrence(*_):
             raise AssertionError("the recurrence ran")
 
-        monkeypatch.setattr(_kernels, "simulate_arrays", recurrence)
+        monkeypatch.setattr(dynamics, "_simulate_arrays", recurrence)
         with pytest.raises(ConfigError) as info:
             simulate_path(sched, cubic, TechnologyState(a_H=1.0, a_L=4.0), e_path, income, 3)
         assert str(info.value) == message

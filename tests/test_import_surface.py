@@ -126,6 +126,13 @@ def test_fixed_points_imports_only_the_solver_and_what_it_calls():
     assert not loaded & {"demandtier.bifurcation", "demandtier.planner", "demandtier._kernels"}
 
 
+@pytest.mark.parametrize("command", ["simulate", "planner-foc"])
+def test_a_path_command_runs_the_recurrence_of_dynamics_and_loads_no_kernels(command):
+    loaded = loaded_by(f"from demandtier.cli import main\nassert main([{command!r}]) == 0")
+    assert "demandtier.dynamics" in loaded
+    assert "demandtier._kernels" not in loaded
+
+
 def test_a_bare_import_loads_the_package_alone_and_binds_each_submodule_on_first_read():
     loaded = loaded_by("import demandtier\n"
                        "extra = [m for m in sys.modules if m.startswith('demandtier.')]\n"

@@ -229,6 +229,17 @@ class TestStrictness:
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("text", [
+        '{"simulation": {"E": %s0.1%s}}' % ("[" * 1100, "]" * 1100),
+        "[" * 1100 + "]" * 1100,
+    ], ids=["nested-path", "bare-lists"])
+    def test_file_nested_too_deeply_rejected(self, tmp_path, text):
+        # json.loads raises RecursionError past the interpreter's recursion limit
+        path = tmp_path / "deep.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match="^scenario file is nested too deeply to read$"):
+            load_scenario(path)
+
     def test_file_that_is_not_utf8_rejected(self, tmp_path):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"x": "\xff"}')
