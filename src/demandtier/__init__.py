@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 # module -> the public names it gives the package
 _PUBLIC = {
     "bifurcation": ("BifurcationDiagram", "ChannelCondition", "DiagramRow", "SaddleNode",
-                    "Transition", "channel_condition", "refine_saddle_node", "sweep"),
+                    "Transition", "channel_condition", "sweep"),
     "demand": ("DemandArrays", "DemandSolution", "HouseholdBudget", "IncomeElasticities",
                "ShareSlope", "alpha_of", "demand_arrays", "dshare_H_dE", "gammaL_of",
                "income_elasticities", "solve_demand", "stone_geary_utility"),

@@ -18,7 +18,7 @@ from functools import cached_property
 from ._np import np
 from .demand import alpha_of
 from .dynamics import excess_share, excess_share_slope_E, gap_coefficients, h_ratio
-from .errors import DegenerateChannel, NoConvergence
+from .errors import DegenerateChannel
 from .scenario import LearningSpec, PreferenceSchedule, SolverConfig, SweepConfig  # noqa: F401
 from .scenario import _DEFAULTS, _Record
 from .solver import FixedPoint, RootColumns, _critical_shares, _fixed_point_rows, _real_roots
@@ -93,47 +93,9 @@ class ChannelCondition(namedtuple("ChannelCondition",
     __slots__ = ()
 
 
-def _saddle_nodes(spec: LearningSpec, e_lo: float, e_hi: float, refine_tol: float) -> list:
-    """(s_bar, E_bar, saddle-node or None, note) of each double root of the gap
-    cubic q(s) + nu*E with E_bar in (e_lo, e_hi): s_bar in (0, 1) is a root of
-    q'(s) = 0 and E_bar = -q(s_bar)/nu. The note tells of residuals |H - 1| and
-    |dH/ds| above ``refine_tol``, where the saddle-node is None."""
-    c3, c2, c1, c0 = gap_coefficients(spec, 0.0)
-    found = []
-    for s in _critical_shares(spec):
-        e = -(((c3 * s + c2) * s + c1) * s + c0) / spec.nu
-        if e_lo < e < e_hi:
-            h = h_ratio(spec, s, e)
-            res = (abs(h.value - 1.0), abs(h.dH_ds))
-            ok = max(res) <= refine_tol
-            note = "" if ok else f"saddle-node residuals {res} at (s={s}, E={e}) above {refine_tol}"
-            found.append((s, e, SaddleNode(e, s, res) if ok else None, note))
-    return found
-
-
-def refine_saddle_node(
-    spec: LearningSpec,
-    E_bracket: tuple[float, float],
-    refine_tol: float = 1e-8,
-) -> SaddleNode:
-    """The saddle-node with E_bar strictly inside E_bracket, in closed form; raises
-    NoConvergence when there is none, or when its residuals exceed ``refine_tol``.
-
-    It applies no price window: a double root of the fixed-point cubic counts
-    whatever its price. ``sweep`` keeps only the saddle-nodes whose share lies
-    in its solver's window, so this can return one that the sweep flags as a
-    window-edge crossing instead; the calibration of
-    ``tests/data/cli/collision_below_p_min.json`` has one at E_bar = 0.129357694053,
-    whose price 0.0086 lies below p_min = 0.01.
-    """
-    for _, _, saddle, note in _saddle_nodes(spec, *E_bracket, refine_tol):
-        if saddle is None:
-            raise NoConvergence(note)
-        return saddle
-    raise NoConvergence(
-        f"no saddle-node lies in the bracket ({E_bracket[0]:.6g}, {E_bracket[1]:.6g}); a "
-        "root-count change there comes from a root crossing the price window"
-    )
+def refine_saddle_node(*args, **kwargs):
+    """Removed; the benchmark's tracer still binds the name."""
+    raise NotImplementedError("refine_saddle_node is removed: read sweep(...).thresholds")
 
 
 def _unit_roots(g4, g3, g2, g1, g0) -> list[float]:
@@ -159,23 +121,33 @@ def _events(sched: PreferenceSchedule, spec: LearningSpec, sweep_cfg: SweepConfi
     """(E, root-count change, saddle-node or None, note) of each event of the
     root locus E(s) = -q(s)/nu in (E_min, E_max), ascending in E.
 
-    A saddle-node in the price window changes the count by 2, upward where
-    q''(s_bar) < 0. A root crosses the window edge P where its share is
-    alpha/(alpha + (1-alpha)*P): a constant where alpha is clipped, else a
-    root of ((alpha_base - alpha_slope*q(s)/nu)*(1 - s + P*s) - P*s)/(1 + P).
-    That changes the count by 1, up at p_max and down at p_min if the root's
-    drift -nu/q'(s) - dS/dE against the edge (times q'(s)^2 here) is positive.
+    A saddle-node is a double root of the gap cubic q(s) + nu*E: s_bar in
+    (0, 1) solves q'(s) = 0 and E_bar = -q(s_bar)/nu. In the price window it
+    changes the count by 2, upward where q''(s_bar) < 0; residuals |H - 1|
+    and |dH/ds| above ``refine_tol`` leave it None, with a note. A root
+    crosses the window edge P where its share is alpha/(alpha + (1-alpha)*P):
+    a constant where alpha is clipped, else a root of
+    ((alpha_base - alpha_slope*q(s)/nu)*(1 - s + P*s) - P*s)/(1 + P). That
+    changes the count by 1, up at p_max and down at p_min if the root's drift
+    -nu/q'(s) - dS/dE against the edge (times q'(s)^2 here) is positive.
     """
     c3, c2, c1, c0 = gap_coefficients(spec, 0.0)
     if c3 == c2 == c1 == 0.0:  # the gap does not depend on s: no root, no event
         return []
     e_min, e_max, lo, hi = sweep_cfg.E_min, sweep_cfg.E_max, sched.alpha_lo, sched.alpha_hi
-    events = [
-        (e, 2 if 3.0 * c3 * s + c2 < 0.0 else -2, saddle, note)
-        for s, e, saddle, note in _saddle_nodes(spec, e_min, e_max, sweep_cfg.refine_tol)
-        if 3.0 * c3 * s + c2 != 0.0
-        and excess_share(sched, e, cfg.p_max) <= s <= excess_share(sched, e, cfg.p_min)
-    ]
+    events, tol = [], sweep_cfg.refine_tol
+    for s in _critical_shares(spec):
+        e = -(((c3 * s + c2) * s + c1) * s + c0) / spec.nu
+        if not e_min < e < e_max:
+            continue
+        h = h_ratio(spec, s, e)  # before the window test, as an overflow raises here
+        res = (abs(h.value - 1.0), abs(h.dH_ds))
+        bend = 3.0 * c3 * s + c2
+        s_lo, s_hi = excess_share(sched, e, cfg.p_max), excess_share(sched, e, cfg.p_min)
+        if bend != 0.0 and s_lo <= s <= s_hi:
+            saddle = SaddleNode(e, s, res) if max(res) <= tol else None
+            note = "" if saddle else f"saddle-node residuals {res} at (s={s}, E={e}) above {tol}"
+            events.append((e, 2 if bend < 0.0 else -2, saddle, note))
     k = sched.alpha_slope / spec.nu
     a3, a2, a1, a0 = -k * c3, -k * c2, -k * c1, sched.alpha_base - k * c0  # alpha along E(s)
     for name, price, side in (("p_min", cfg.p_min, -1), ("p_max", cfg.p_max, 1)):

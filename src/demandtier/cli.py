@@ -2,9 +2,9 @@
 
 Subcommands: fixed-points, bifurcation, simulate, statics, planner-foc.
 Standard output carries CSV; diagnostics go to standard error. Exit codes:
-0 success, 2 validation error (``DemandTierError``, or an unreadable or
-unwritable file), 3 numerical failure (``NoConvergence``, ``NumericalOverflow``,
-or a flagged transition under --strict).
+0 success, 2 validation error (``DemandTierError``, ``MemoryError``, or an
+unreadable or unwritable file), 3 numerical failure (``NoConvergence``,
+``NumericalOverflow``, or a flagged transition under --strict).
 
 Every command is a function ``cmd_*(scenario, args)`` that writes nothing and
 returns an ``Output``: its tables by name, each a header, columns and the file
@@ -29,6 +29,7 @@ the one that runs.
 from __future__ import annotations
 
 import math
+import reprlib
 import sys
 from collections import namedtuple
 from functools import cache
@@ -183,7 +184,7 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         import argparse
 
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {reprlib.repr(text)}")
     return value
 
 
@@ -274,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_NUMERICAL
         _write_tables(output.tables.values())
         return 0
-    except (DemandTierError, OSError) as exc:
+    except (DemandTierError, OSError, MemoryError) as exc:  # numpy's MemoryError names the shape
         sys.stderr.write(f"error: {exc}\n")
         numerical = isinstance(exc, (NoConvergence, NumericalOverflow))
         return EXIT_NUMERICAL if numerical else EXIT_VALIDATION

@@ -29,6 +29,7 @@ code, so no command imports ``dataclasses``, whose ``replace``, ``fields`` and
 
 import math
 import os
+import reprlib  # messages echo a rejected value or name as its repr, cut to a bounded size
 import sys
 from enum import Enum
 
@@ -212,7 +213,8 @@ class LearningSpec(_Record):
             object.__setattr__(self, "variant", LearningVariant(self.variant))
         except ValueError:
             choices = " or ".join(repr(v.value) for v in LearningVariant)
-            raise ConfigError(f"variant must be {choices}, got {self.variant!r}") from None
+            got = reprlib.repr(self.variant)
+            raise ConfigError(f"variant must be {choices}, got {got}") from None
         if self.nu <= 0.0:
             raise ConfigError(f"nu must be > 0, got {self.nu}")
         if self.variant is LearningVariant.LINEAR:
@@ -393,7 +395,7 @@ def _check_number(section: str, key: str, value, allow_list: bool) -> None:
     )
     for item in value if in_list else [value]:
         if isinstance(item, bool) or not isinstance(item, (int, float)):
-            got = "a boolean" if isinstance(item, bool) else repr(item)
+            got = "a boolean" if isinstance(item, bool) else reprlib.repr(item)
             raise ConfigError(f"{where} must {be_number}, got {got}")
         try:
             finite = math.isfinite(item)
@@ -409,7 +411,7 @@ def load_scenario_dict(data: dict) -> Scenario:
         raise ConfigError(f"scenario root must be an object, got {type(data).__name__}")
     unknown = set(data) - set(_SECTIONS)
     if unknown:
-        raise ConfigError(f"unknown scenario section '{sorted(unknown)[0]}'")
+        raise ConfigError(f"unknown scenario section {reprlib.repr(sorted(unknown)[0])}")
 
     built = dict(_DEFAULTS)
     for section, cls in _SECTIONS.items():
@@ -421,7 +423,7 @@ def load_scenario_dict(data: dict) -> Scenario:
         known = _SCHEMA[section]
         bad = set(overrides) - set(known)
         if bad:
-            raise ConfigError(f"unknown key '{sorted(bad)[0]}' in section '{section}'")
+            raise ConfigError(f"unknown key {reprlib.repr(sorted(bad)[0])} in section '{section}'")
         for key, value in overrides.items():
             default = known[key]
             if isinstance(default, Enum):
@@ -429,7 +431,7 @@ def load_scenario_dict(data: dict) -> Scenario:
                 if value not in choices:
                     raise ConfigError(
                         f"key '{key}' in section '{section}' must be "
-                        f"{' or '.join(map(repr, choices))}, got {value!r}"
+                        f"{' or '.join(map(repr, choices))}, got {reprlib.repr(value)}"
                     )
                 continue
             _check_number(section, key, value, allow_list=(section, key) in _LIST_KEYS)

@@ -19,14 +19,15 @@ so every path gives the same bits.
 Every rule of a level is written once, in ``_candidates``: E >= 0, the gap's
 coefficients and rounding magnitudes, no root where the gap does not depend on
 s or nu*E overflows, the closed form, the price window widened by
-``_WINDOW_SLACK``, and the flag for exact arithmetic. Like the polish and the
-re-check, it uses only arithmetic operators and the float-or-array helpers of
-``_np``, so ``find_fixed_points`` runs it on one level's Python floats and
-``_fixed_point_rows`` on a sweep's arrays, keeping the roots as columns. Each
-driver polishes the candidates, solves flagged levels exactly, keeps the roots
-in [p_min, p_max], and has ``_recheck`` re-check and classify them through
-T'(p*) = 1 - s*(1-s*) * dH/ds, by ``excess_share``, ``h_ratio`` and the
-stability band of ``classify_stability``.
+``_WINDOW_SLACK`` in price and ``_SHARE_ERROR`` in share, and the flag for
+exact arithmetic. Like the polish and the re-check, it uses only arithmetic
+operators and the float-or-array helpers of ``_np``, so ``find_fixed_points``
+runs it on one level's Python floats and ``_fixed_point_rows`` on a sweep's
+arrays, keeping the roots as columns. Both polish the candidates, solve
+flagged levels exactly, keep the roots in [p_min, p_max], and have
+``_recheck`` re-check and classify them through T'(p*) = 1 - s*(1-s*) * dH/ds,
+by ``excess_share``, ``h_ratio`` and the stability band of
+``classify_stability``.
 """
 
 from __future__ import annotations
@@ -339,6 +340,7 @@ def _exact_prices(E, alpha, spec: LearningSpec, cfg):
 # ---------------------------------------------------------------- levels
 
 _WINDOW_SLACK = 1e-6  # estimates this far (relative) outside the window are polished too
+_SHARE_ERROR = 2.0 ** -36  # and this far (absolute) in the share: the closed form's error
 
 
 def _candidates(sched: PreferenceSchedule, spec: LearningSpec, E, cfg: SolverConfig):
@@ -346,10 +348,12 @@ def _candidates(sched: PreferenceSchedule, spec: LearningSpec, E, cfg: SolverCon
     an array: (shares, polish, alpha, exact).
 
     ``shares`` holds three candidates, each NaN where the level has no such
-    root, and ``polish`` whether to polish each: its price lies in the window
-    widened by ``_WINDOW_SLACK`` and ``exact`` does not send the level to
-    ``_exact_prices``. A level has no root where the gap does not depend on s
-    or nu*E overflows (g_H is then infinite). E < 0 raises ConfigError.
+    root, and ``polish`` whether to polish each: its share lies in the window
+    widened by ``_WINDOW_SLACK`` in price and then by the closed form's error
+    ``_SHARE_ERROR`` in share, past 0 and 1 too, and ``exact`` does not send
+    the level to ``_exact_prices``. A level has no root where the gap does not
+    depend on s or nu*E overflows (g_H is then infinite). E < 0 raises
+    ConfigError.
     """
     xp = _xp(E)
     negative = xp.logical_not(E >= 0.0)
@@ -363,8 +367,8 @@ def _candidates(sched: PreferenceSchedule, spec: LearningSpec, E, cfg: SolverCon
     shares, exact = _real_roots(c3, c2, c1, _select(solvable, c0, 0.0), sizes)
     exact = exact & solvable
     alpha = alpha_of(sched, E)
-    s_lo = alpha / (alpha + (1.0 - alpha) * (cfg.p_max * (1.0 + _WINDOW_SLACK)))
-    s_hi = alpha / (alpha + (1.0 - alpha) * (cfg.p_min * (1.0 - _WINDOW_SLACK)))
+    s_lo = alpha / (alpha + (1.0 - alpha) * (cfg.p_max * (1.0 + _WINDOW_SLACK))) - _SHARE_ERROR
+    s_hi = alpha / (alpha + (1.0 - alpha) * (cfg.p_min * (1.0 - _WINDOW_SLACK))) + _SHARE_ERROR
     polishable = solvable & xp.logical_not(exact)
     return shares, [polishable & (s_lo <= x) & (x <= s_hi) for x in shares], alpha, exact
 
@@ -403,9 +407,9 @@ def _recheck(sched: PreferenceSchedule, spec: LearningSpec, E, p_star, cfg: Solv
     """(s*, T', class index) of the roots p_star at the levels E, floats or arrays.
 
     Each root must satisfy |T(p*) - p*| <= bisect_tol * max(1, p*), as
-    ``excess_share`` and ``h_ratio`` compute it, and have its share in (0, 1).
-    The first root that fails, in column order, raises: NoConvergence for the
-    residual, else the share check of ``classify_stability``.
+    ``excess_share`` and ``h_ratio`` compute it, and have a share that does not
+    round to 0 or 1, where T' cannot be formed. The first root that fails, in
+    column order, raises NoConvergence.
     """
     s_star = excess_share(sched, E, p_star)
     h = h_ratio(spec, s_star, E)
@@ -413,12 +417,13 @@ def _recheck(sched: PreferenceSchedule, spec: LearningSpec, E, p_star, cfg: Solv
     bound = cfg.bisect_tol * _select(p_star > 1.0, p_star, 1.0)
     failed = (abs(residual) > bound) | _xp(s_star).logical_not((0.0 < s_star) & (s_star < 1.0))
     if _any(failed):
-        p, e, r, b = (_first(v, failed) for v in (p_star, E, residual, bound))
+        p, e, r, b, s = (_first(v, failed) for v in (p_star, E, residual, bound, s_star))
         if abs(r) > b:
             raise NoConvergence(f"fixed point p*={p} at E={e} has residual {r}, above the "
                                 f"bound bisect_tol * max(1, p*) = {b}")
-        # the share check of classify_stability raises
-        classify_stability(_first(s_star, failed), _first(h.dH_ds, failed))
+        edge = "raise solver.p_min above" if s >= 1.0 else "lower solver.p_max below"
+        raise NoConvergence(f"fixed point p*={p} at E={e} has a share that rounds to {s}, "
+                            f"where its stability cannot be classified; {edge} it")
     return (s_star, *_slope_and_class(s_star, h.dH_ds, cfg.marginal_tol))
 
 

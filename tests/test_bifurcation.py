@@ -12,7 +12,6 @@ from demandtier import (
     SolverConfig,
     Stability,
     SweepConfig,
-    alpha_of,
     channel_condition,
     classify_stability,
     excess_share,
@@ -20,9 +19,9 @@ from demandtier import (
     find_fixed_points,
     growth_factors,
     h_ratio,
-    refine_saddle_node,
     sweep,
 )
+from demandtier import bifurcation
 from demandtier.dynamics import gap_coefficients
 from demandtier.errors import ConfigError, DegenerateChannel, InvalidPrice, NoConvergence
 from demandtier.scenario import load_scenario
@@ -144,39 +143,42 @@ class TestDenserGrid:
         assert grids[0].thresholds == diagram.thresholds
 
 
-class TestRefineSaddleNode:
-    def test_residuals_by_definition(self, cubic):
-        sn = refine_saddle_node(cubic, (0.215, 0.280))
+def _bracket(sched, spec, e_lo, e_hi, **cfg):
+    """The sweep of the two levels e_lo and e_hi: its transitions are those in between."""
+    return sweep(sched, spec, SweepConfig(E_min=e_lo, E_max=e_hi, E_points=2, **cfg))
+
+
+class TestBracketThresholds:
+    def test_residuals_by_definition(self, sched, cubic):
+        [sn] = _bracket(sched, cubic, 0.215, 0.280).thresholds
         assert sn.residuals[0] <= 1e-8
         assert sn.residuals[1] <= 1e-8
         assert 0.215 < sn.E_bar < 0.280
 
-    def test_matches_closed_form(self, cubic):
-        sn = refine_saddle_node(cubic, (0.215, 0.280))
+    def test_matches_closed_form(self, sched, cubic):
+        [sn] = _bracket(sched, cubic, 0.215, 0.280).thresholds
         assert sn.E_bar == pytest.approx(SN_HIGH[0], abs=1e-8)
         assert sn.s_bar == pytest.approx(SN_HIGH[1], abs=1e-8)
 
-    def test_linear_learning_never_converges(self, linear):
-        # dH/ds has constant sign under monotone learning: no saddle-node exists
-        with pytest.raises(NoConvergence, match="no saddle-node"):
-            refine_saddle_node(linear, (0.1, 0.4))
+    def test_linear_learning_has_no_saddle_node(self, sched, linear):
+        # dH/ds has constant sign under monotone learning: every transition is
+        # a root crossing the price window
+        diagram = _bracket(sched, linear, 0.1, 0.4)
+        assert diagram.thresholds == []
+        assert all(t.note.startswith("a root crosses") for t in diagram.transitions)
 
-    def test_bracket_without_saddle_node(self, cubic):
-        with pytest.raises(NoConvergence, match="no saddle-node"):
-            refine_saddle_node(cubic, (0.09, 0.095))
+    def test_bracket_without_saddle_node(self, sched, cubic):
+        assert _bracket(sched, cubic, 0.09, 0.095).thresholds == []
 
-    def test_residuals_above_tolerance_raise(self, cubic):
-        with pytest.raises(NoConvergence, match="residuals"):
-            refine_saddle_node(cubic, (0.215, 0.280), refine_tol=1e-30)
+    def test_residuals_above_tolerance_leave_a_flagged_transition(self, sched, cubic):
+        diagram = _bracket(sched, cubic, 0.215, 0.280, refine_tol=1e-30)
+        assert diagram.thresholds == []
+        [t] = diagram.transitions
+        assert (t.count_lo, t.count_hi) == (3, 1) and "residuals" in t.note
 
-    def test_applies_no_price_window(self):
-        # the collision the sweep flags as a crossing of p_min is still a
-        # saddle-node here: its price lies below the scenario's p_min
-        scenario = load_scenario(DATA_DIR / "cli" / "collision_below_p_min.json")
-        sn = refine_saddle_node(scenario.learning, (0.129, 0.1295))
-        assert f"{sn.E_bar:.12g}" == "0.129357694053"
-        alpha = alpha_of(scenario.preferences, sn.E_bar)
-        assert alpha * (1.0 - sn.s_bar) / ((1.0 - alpha) * sn.s_bar) < scenario.solver.p_min
+    def test_the_removed_api_points_to_the_sweep(self, cubic):
+        with pytest.raises(NotImplementedError, match=r"sweep\(\.\.\.\)\.thresholds"):
+            bifurcation.refine_saddle_node(cubic, (0.215, 0.280))
 
 
 class TestRandomCalibrations:

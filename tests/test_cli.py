@@ -586,11 +586,12 @@ class TestEntryPoints:
 
 @pytest.mark.parametrize("command, value", [
     ("statics", "nan"), ("fixed-points", "nan"), ("simulate", "inf"),
+    ("fixed-points", "x" * 100_000),  # echoed in part
 ])
 def test_non_finite_education_override_rejected(command, value):
     cp = run_cli(command, "--E", value)
     assert cp.returncode == 2
-    assert "--E" in cp.stderr
+    assert "--E" in cp.stderr and len(cp.stderr) < 400
     assert cp.stdout == ""
 
 
@@ -680,6 +681,33 @@ def test_growth_factor_whose_square_overflows_exits_3(tmp_path, args, named):
     assert cp.stderr == (f"error: {named} is too large: its square, in dH/ds and dH/dE, "
                          "overflows\n")
     assert cp.stdout == ""
+
+
+def test_root_whose_share_rounds_to_1_exits_3_naming_p_min(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"solver": {"p_min": 1e-300}}))
+    code, out, err = main_in_process(("fixed-points", "--E", "0.33333333333333326",
+                                      "--scenario", str(path)))
+    assert (code, out) == (3, b"")
+    assert err.startswith(b"error: fixed point p*=3.700743415417189e-17 at E=0.33333333333333326")
+    assert err.endswith(b"; raise solver.p_min above it\n")
+
+
+@pytest.mark.parametrize("scenario, command", [
+    ({"sweep": {"E_points": 10**15}}, "bifurcation"),
+    ({"statics": {"y_points": 10**15}}, "statics"),
+    ({"simulation": {"horizon": 10**15}}, "simulate"),
+    ({"planner": {"horizon": 10**15}}, "planner-foc"),
+])
+def test_size_too_large_for_memory_exits_2_naming_the_shape(tmp_path, scenario, command):
+    # 10**15 doubles, 8 PB, exceed the x86-64 user address space: numpy's
+    # allocation fails at once, whatever the machine's memory
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = main_in_process((command, "--scenario", str(path)))
+    assert (code, out) == (2, b"")
+    assert re.fullmatch(rb"error: Unable to allocate [^\n]* shape \(1000000000000000,\)[^\n]*\n",
+                        err), err
 
 
 class TestDumpDefaults:

@@ -25,7 +25,9 @@ from demandtier import (
     load_scenario_dict,
     scenario_to_dict,
 )
-from demandtier.errors import ConfigError
+from demandtier.demand import HouseholdBudget
+from demandtier.dynamics import TechnologyState
+from demandtier.errors import ConfigError, InvalidState
 
 DEFAULTS_JSON = Path(__file__).parent / "data" / "default_scenario.json"
 # a JSON integer beyond float range: json.loads keeps it as a Python int
@@ -301,6 +303,50 @@ class TestStrictness:
         path.write_text('{"learning": {"nu": %s}}' % literal, encoding="utf-8")
         with pytest.raises(ConfigError, match="key 'nu' in section 'learning' must be finite"):
             load_scenario(path)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: PreferenceSchedule(gammaL_base=-1.0), ConfigError,
+     "gammaL_base must be >= 0, got -1.0"),
+    (lambda: PlannerConfig(kappa_scale=0.0), ConfigError, "kappa_scale must be > 0, got 0.0"),
+    (lambda: StaticsConfig(E=-0.5), ConfigError, "E must be >= 0, got -0.5"),
+    (lambda: HouseholdBudget(10.0, 2.0, price_L=0.0), ConfigError,
+     "price_L must be > 0, got 0.0"),
+    (lambda: TechnologyState(a_H=1.0, a_L=4.0, wage=-1.0), InvalidState,
+     "wage must be > 0, got -1.0"),
+    (lambda: load_scenario_dict([]), ConfigError, "scenario root must be an object, got list"),
+    (lambda: load_scenario_dict({"solver": 3}), ConfigError,
+     "section 'solver' must be an object"),
+], ids=["gammaL_base", "kappa_scale", "statics_E", "price_L", "wage", "root", "section"])
+def test_each_rule_raises_its_message(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("data, head", [
+    ({"simulation": {"E": [[0.1] * 10_000]}},
+     "key 'E' in section 'simulation' must contain numbers only, got [0.1, 0.1,"),
+    ({"simulation": {"E": "x" * 100_000}},
+     "key 'E' in section 'simulation' must be a number, got 'xxx"),
+    ({"solver": {"p_min": "x" * 100_000}},
+     "key 'p_min' in section 'solver' must be a number, got 'xxx"),
+    ({"learning": {"variant": "x" * 100_000}},
+     "key 'variant' in section 'learning' must be 'linear' or 'cubic', got 'xxx"),
+    ({"solver": {"x" * 100_000: 1.0}}, "unknown key 'xxx"),
+    ({"x" * 100_000: {}}, "unknown scenario section 'xxx"),
+], ids=["E_nested_list", "E_string", "p_min_string", "variant", "key", "section"])
+def test_an_oversized_value_or_name_is_echoed_in_part(data, head):
+    with pytest.raises(ConfigError) as info:
+        load_scenario_dict(data)
+    message = str(info.value)
+    assert message.startswith(head) and "..." in message and len(message) < 120, message
+
+
+def test_learning_spec_echoes_an_oversized_variant_in_part():
+    message = r"^variant must be 'linear' or 'cubic', got 'x+\.\.\.x+'$"
+    with pytest.raises(ConfigError, match=message):
+        LearningSpec(variant="x" * 100_000)
 
 
 class TestPathLists:

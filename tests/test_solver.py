@@ -16,6 +16,7 @@ from demandtier import (
     simulate_path,
 )
 from demandtier.bifurcation import SweepConfig, sweep
+from demandtier.dynamics import gap_coefficients
 from demandtier.errors import ConfigError, NoConvergence, ShareOutOfRange
 from demandtier.solver import STABILITY_ORDER
 
@@ -200,6 +201,31 @@ class TestCorrectRounding:
         assert roots > levels
         assert sum(uncertified) >= 5 and len(exact) >= 2 * (levels // 5)
 
+    def test_root_whose_share_is_near_0_equals_the_exact_oracle(self, sched):
+        # the closed form puts the share of the root at p ~ 7e17 at -3.3e-16:
+        # below the share window by more than the price slack, within the
+        # closed form's absolute error
+        spec = LearningSpec.cubic(0.6, 0.8, 1.0, 1.5, 1.2)
+        cfg = SolverConfig(p_max=1e300)
+        e = 0.5000000000000001
+        want = _oracle_roots(sched, spec, e, cfg)
+        assert want == [5.275492331073259, 7.192891976286028e+17]
+        assert [fp.p_star for fp in find_fixed_points(sched, spec, e, cfg)] == want
+        diagram = sweep(sched, spec, SweepConfig(E_min=e, E_max=0.6, E_points=2), cfg)
+        assert diagram.roots.p_star[diagram.roots.level == 0].tolist() == want
+
+    def test_root_whose_share_rounds_to_1_raises_naming_p_min(self, sched, cubic):
+        # the closed form puts the share at 1 + 2.2e-16; the root's share rounds
+        # to 1, where T' = 1 - s(1-s)dH/ds cannot be formed: no level drops it
+        cfg = SolverConfig(p_min=1e-300)
+        e = 0.33333333333333326
+        assert _oracle_roots(sched, cubic, e, cfg) == [3.700743415417189e-17]
+        message = r"^fixed point p\*=3.700743415417189e-17 .* rounds to 1.0, .* raise solver.p_min"
+        with pytest.raises(NoConvergence, match=message):
+            find_fixed_points(sched, cubic, e, cfg)
+        with pytest.raises(NoConvergence, match=message):
+            sweep(sched, cubic, SweepConfig(E_min=e, E_max=0.4, E_points=2), cfg)
+
     @pytest.mark.parametrize("learn", [
         (0.6, 0.8, 0.0, 1.2, 1e-300),  # two roots near +-1e150 and one in (0, 1)
         (0.6, 0.8, 1.0, 1.2, -1.0 + 1e-12),
@@ -280,6 +306,23 @@ class TestStability:
             classify_stability(0.0, 1.0)
         with pytest.raises(ShareOutOfRange):
             classify_stability(1.0, 1.0)
+
+    def test_stable_exactly_where_the_locus_rises(self):
+        # at a root g_L = g_H, so T' = 1 - nu*s(1-s)*E'(s)/g_H on the locus
+        # E(s) = -q(s)/nu: outside the marginal band a root is stable exactly
+        # where E'(s*) > 0, that is, where q'(s*) < 0
+        rng = random.Random(20261019)
+        agreed = 0
+        for _ in range(2000):
+            sched, spec, _, _ = random_calibration(rng)
+            c3, c2, c1, _ = gap_coefficients(spec, 0.0)
+            for e in [rng.uniform(0.0, 0.6) for _ in range(3)]:
+                for fp in find_fixed_points(sched, spec, e):
+                    if fp.stability is not Stability.MARGINAL:
+                        slope = (3.0 * c3 * fp.s_star + 2.0 * c2) * fp.s_star + c1
+                        assert (fp.stability is Stability.STABLE) == (slope < 0.0), (e, fp)
+                        agreed += 1
+        assert agreed >= 3000
 
     def test_linear_learning_interior_roots_unstable(self, sched, linear):
         # monotone learning: the ratio falls in the share, so any interior
