@@ -2,9 +2,11 @@
 
 Subcommands: fixed-points, bifurcation, simulate, statics, planner-foc.
 Standard output carries CSV; diagnostics go to standard error. Exit codes:
-0 success, 2 validation error (``DemandTierError``, ``MemoryError``, or an
-unreadable or unwritable file), 3 numerical failure (``NoConvergence``,
-``NumericalOverflow``, or a flagged transition under --strict).
+0 success, 2 validation error (``DemandTierError``, ``MemoryError``, an
+unreadable or unwritable file, or two tables named to one file), 3 numerical
+failure (``NoConvergence``, ``NumericalOverflow``, or a flagged transition
+under --strict). An error message echoes at most 255 characters of an argv
+token or a path.
 
 Every command is a function ``cmd_*(scenario, args)`` that writes nothing and
 returns an ``Output``: its tables by name, each a header, columns and the file
@@ -72,6 +74,20 @@ def _write_text(text, out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8", newline="") as file:
             file.writelines(pieces)
+
+
+def _distinct_files(tables) -> None:
+    """Raise ``ConfigError`` if two tables name one file, where the second would
+    overwrite the first."""
+    outs = [out for _, _, out in tables if out is not None]
+    if len(outs) > 1:
+        import os
+
+        real = [os.path.realpath(out) for out in outs]
+        for k, path in enumerate(real):
+            if path in real[:k]:
+                raise ConfigError(f"two tables name the same file {_echo(outs[k])!r}; "
+                                  "give each its own")
 
 
 def _write_tables(tables) -> None:
@@ -175,6 +191,14 @@ def cmd_planner_foc(scenario: Scenario, args) -> Output:
     return Output({"foc": Table(",".join(("t", *_cli.FOC_COLUMNS)), columns, args.out)})
 
 
+_ECHO = 255  # the longest argv token or path that an error message echoes whole
+
+
+def _echo(text: str) -> str:
+    """``text``, cut to its first ``_ECHO`` characters and "..." if it is longer."""
+    return text if len(text) <= _ECHO else text[:_ECHO] + "..."
+
+
 def _finite_float(text: str) -> float:
     """argparse type for --E: a float that is neither nan nor inf, which float() accepts."""
     try:
@@ -212,7 +236,19 @@ def _parser():
     """The ``demandtier`` parser, each command's options from ``_COMMANDS``."""
     import argparse
 
-    parser = argparse.ArgumentParser(prog="demandtier", description=(
+    class Parser(argparse.ArgumentParser):  # its subparsers inherit the class
+        def parse_known_args(self, args=None, namespace=None):
+            self.tokens = sys.argv[1:] if args is None else list(args)  # what error echoes
+            return super().parse_known_args(self.tokens, namespace)
+
+        def error(self, message):
+            # argparse echoes a token whole, as it is or as its repr: cut the long ones
+            for token in sorted(self.tokens, key=len, reverse=True):
+                for text in {token, repr(token)[1:-1]}:
+                    message = message.replace(text, _echo(text))
+            super().error(message)
+
+    parser = Parser(prog="demandtier", description=(
         "Demand-hierarchy equilibrium engine: fixed points, education sweeps, simulations, "
         "demand statics, and planner diagnostics as deterministic CSV."))
     parser.add_argument("--version", action="version", version=__version__)
@@ -269,6 +305,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         run = getattr(_cli, "cmd_" + args.command.replace("-", "_"))
         output = run(load_scenario(args.scenario), args)
+        _distinct_files(output.tables.values())
         sys.stderr.writelines(note + "\n" for note in output.notes)
         if output.notes and getattr(args, "strict", False):
             sys.stderr.write("aborting: --strict treats unrefined transitions as failures\n")
@@ -276,6 +313,8 @@ def main(argv: list[str] | None = None) -> int:
         _write_tables(output.tables.values())
         return 0
     except (DemandTierError, OSError, MemoryError) as exc:  # numpy's MemoryError names the shape
+        if isinstance(exc, OSError) and isinstance(exc.filename, str):
+            exc.filename = _echo(exc.filename)
         sys.stderr.write(f"error: {exc}\n")
         numerical = isinstance(exc, (NoConvergence, NumericalOverflow))
         return EXIT_NUMERICAL if numerical else EXIT_VALIDATION

@@ -1,13 +1,25 @@
-"""Fresh-process start-up of the demandtier CLI, with and without cached bytecode.
+"""The import contract of the demandtier CLI, and its fresh-process start-up time.
 
     python3 tests/check_startup.py --samples 9
 
-Times ``import demandtier.cli``, each default subcommand, ``--dump-defaults``,
-``--version`` and ``--help``, each as a new interpreter that calls ``cli.main``
-as the installed ``demandtier`` script does, with its output discarded. Every
-case runs in two modes, each on its own copy of ``src/demandtier`` in a
-temporary directory, so the tree gets no ``__pycache__``: ``cached``, where the
-package's bytecode is written by a first untimed run and then read, and
+``CASES`` is the one statement of the import contract: for each case, its code
+or argv and its exit code, whether it may import numpy, the engine modules of
+the package it imports (exactly), whether it loads the CSV encoder ``_csv``
+(exactly when it writes a table), and the standard-library modules it must not
+import. The cases are ``import demandtier.cli``, the benchmark's set-up code,
+each default subcommand, ``--dump-defaults``, ``--version``, ``--help`` and
+the validation exits that ``simulate``, ``planner-foc``, ``statics`` and the
+scenario loader take before any array. Each runs as a new interpreter that
+calls ``cli.main`` as the installed ``demandtier`` script does, with its
+output discarded, in a directory that holds the scenario files of
+``SCENARIOS``. ``violations`` is the one check of a case's run against its
+row: this script applies it to a first, untimed run of every case and exits 1
+on any breach, and ``tests/test_import_surface.py`` applies it to one run of
+every case under ``python -S`` in tier-1.
+
+Every case then runs in two modes, each on its own copy of ``src/demandtier``
+in a temporary directory, so the tree gets no ``__pycache__``: ``cached``,
+where the package's bytecode is written by the first run and then read, and
 ``no-bytecode``, with PYTHONDONTWRITEBYTECODE=1, where every run compiles the
 package's modules again (the standard library and numpy keep the bytecode
 they were installed with). The samples interleave the cases and modes, and
@@ -18,30 +30,16 @@ pass`` (no ``site``, whose ``.pth`` files differ from machine to machine).
 
 runs every case under ``python -S`` instead, with numpy's install directory on
 PYTHONPATH: no ``site``, so no ``.pth`` file preloads a standard-library module
-that the package would otherwise pay for, as in a plain interpreter.
+that the package would otherwise pay for, as in a plain interpreter. The
+watched standard-library modules are ``dataclasses``, ``inspect``,
+``argparse`` and ``json``, and with ``--no-site`` also ``typing``, ``enum``,
+``functools`` and ``contextlib``: ``site`` preloads ``typing`` and
+``contextlib`` on some machines, so only a run without it checks them.
 
 Prints the median and the range of the wall times per case and mode, whether
-each case imported numpy, which engine modules of the package it imported and
-which of ``dataclasses``, ``inspect``, ``argparse`` and ``json`` (with
-``--no-site`` also ``typing``, ``enum``, ``functools`` and ``contextlib``),
-then one JSON line with every sample. The times are reported, not gated. In
-either mode it exits 1 if numpy is imported by ``import demandtier.cli``,
-``fixed-points``, ``--dump-defaults``, ``--version``, ``--help`` or ``simulate
---E -1``: the first array operation imports numpy, and those need none; the
-last is a validation exit (2), whose check comes before any array. It also
-exits 1 if a case imports an engine module that it does not run (``RUNS``), if
-``import demandtier.cli`` imports any of ``dataclasses``, ``argparse`` and
-``json``, if ``fixed-points`` imports ``argparse``, or if one of those
-numpy-free cases imports ``dataclasses`` or ``inspect``, and with ``--no-site``
-also ``typing`` or ``contextlib``: the config classes and the result types are
-records, not dataclasses, the option table reads a command's argv and argparse
-loads only for help, a usage line or an error, the JSON reader loads at its
-first use, and nothing of the package needs ``typing`` or ``contextlib``
-(``site`` preloads both on some machines, so only a run without it can check
-them). The other watched modules are reported only; ``--help``, ``--version``
-and ``simulate --E -1`` import ``argparse``.
-It is not itself a test; ``tests/test_import_surface.py`` runs the numpy-free
-cases under -S and applies the same check.
+each case imported numpy, its engine modules, whether it loaded ``_csv`` and
+which watched modules it imported, then one JSON line with every sample. The
+times are reported, not gated.
 """
 
 import argparse
@@ -54,80 +52,129 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import namedtuple
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "demandtier"
-# the installed script's code; the prelude reports on the last line of stderr
-# whether numpy was imported by the time the interpreter exits, which modules
-# of the package were, and which of STDLIB; it imports json only after it has
-# looked
-ENTRY = "import sys\nfrom demandtier.cli import main\nsys.exit(main(sys.argv[1:]))\n"
 STDLIB = ("dataclasses", "inspect", "argparse", "json")
 # watched too without site, which on some machines preloads them
 NO_SITE_STDLIB = STDLIB + ("typing", "enum", "functools", "contextlib")
-# imported by none of the NUMPY_FREE cases; the last two checked only without site
-NOT_IMPORTED = ("dataclasses", "inspect")
-NOT_IMPORTED_NO_SITE = NOT_IMPORTED + ("typing", "contextlib")
+SITE_PRELOADS = ("typing", "contextlib")  # forbidden only where site cannot preload them
+# the package modules that ``import demandtier.cli`` loads; the others, but
+# _csv, are the engine
+CLI = {"cli", "scenario", "errors", "_np"}
 
 
 def prelude(watched: tuple) -> str:
+    """Code that reports, on the last line of stderr at the interpreter's exit,
+    whether numpy was imported, which modules of the package were (named
+    without ``demandtier.``) and which of ``watched``; it imports json only
+    after it has looked."""
     return ("import atexit, sys\n"
             "def report():\n"
-            "    loaded = ['numpy' in sys.modules,\n"
-            "              sorted(m for m in sys.modules if m.startswith('demandtier.')),\n"
-            f"              [m for m in {watched!r} if m in sys.modules]]\n"
+            "    loaded = {'numpy': 'numpy' in sys.modules,\n"
+            "              'package': sorted(m[11:] for m in sys.modules\n"
+            "                                if m.startswith('demandtier.')),\n"
+            f"              'stdlib': [m for m in {watched!r} if m in sys.modules]}}\n"
             "    import json\n"
             "    print(json.dumps(loaded), file=sys.stderr)\n"
             "atexit.register(report)\n")
 
 
-CASES = {
-    "import demandtier.cli": ("import demandtier.cli\n", []),
-    "fixed-points": (ENTRY, ["fixed-points"]),
-    "bifurcation": (ENTRY, ["bifurcation"]),
-    "simulate": (ENTRY, ["simulate"]),
-    "statics": (ENTRY, ["statics"]),
-    "planner-foc": (ENTRY, ["planner-foc"]),
-    "--dump-defaults": (ENTRY, ["--dump-defaults"]),
-    "--version": (ENTRY, ["--version"]),
-    "--help": (ENTRY, ["--help"]),
-    "simulate --E -1": (ENTRY, ["simulate", "--E", "-1"]),
-}
-NUMPY_FREE = ("import demandtier.cli", "fixed-points", "--dump-defaults", "--version", "--help",
-              "simulate --E -1")
-EXIT_CODES = {"simulate --E -1": 2}  # every other case exits 0
-ENGINE = ("solver", "bifurcation", "dynamics", "demand", "planner", "_kernels")
-# the engine modules each case runs; importing any other one fails the check
-RUNS = {
-    "fixed-points": ("solver", "dynamics", "demand"),
-    "bifurcation": ("bifurcation", "solver", "dynamics", "demand"),
-    "simulate": ("dynamics", "demand"),
-    "statics": ("demand",),
-    "planner-foc": ("planner", "dynamics", "demand"),
-    "simulate --E -1": ("dynamics", "demand"),  # exits 2 before the recurrence
-}
+# the installed script's code
+ENTRY = "import sys\nfrom demandtier.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+# the benchmark's set-up code, which its setup_s times
+SETUP = "import demandtier.cli\nfrom demandtier.scenario import load_scenario\nload_scenario(None)\n"
+# the scenario files of the validation exits
+SCENARIOS = {"unknown_key.json": {"solver": {"no_such_key": 1}},
+             "short_E.json": {"simulation": {"E": [0.2, 0.3], "horizon": 3}},
+             "short_income.json": {"simulation": {"income": [10.0], "horizon": 2}},
+             "negative_income.json": {"simulation": {"income": -5}},
+             "gamma_H.json": {"preferences": {"gamma_H": 1.0}}}
+# a case that builds no array imports none of these: the config classes and
+# the result types are records, not dataclasses, and nothing of the package
+# needs typing or contextlib
+NO_ARRAY = ("dataclasses", "inspect", "typing", "contextlib")
+# nor, where it parses no argv with argparse, argparse or json: the option
+# table reads a command's argv, and the JSON reader loads at its first use
+NO_PARSER = NO_ARRAY + ("argparse", "json")
+Case = namedtuple("Case", "code argv exit numpy engine csv forbidden")
+CASES = {name: Case(*row) for name, row in {
+    # name: code, argv, exit code, may import numpy, engine modules, loads _csv, forbidden
+    "import demandtier.cli": ("import demandtier.cli\n", [], 0, False, "", False, NO_PARSER),
+    "load_scenario(None)": (SETUP, [], 0, False, "", False, NO_PARSER),
+    "fixed-points": (ENTRY, ["fixed-points"], 0, False, "solver dynamics demand", True,
+                     NO_PARSER),
+    "bifurcation": (ENTRY, ["bifurcation"], 0, True, "bifurcation solver dynamics demand", True,
+                    ()),
+    "simulate": (ENTRY, ["simulate"], 0, True, "dynamics demand", True, ()),
+    "statics": (ENTRY, ["statics"], 0, True, "demand", True, ()),
+    "planner-foc": (ENTRY, ["planner-foc"], 0, True, "planner dynamics demand", True, ()),
+    "--dump-defaults": (ENTRY, ["--dump-defaults"], 0, False, "", False, NO_ARRAY),
+    "--version": (ENTRY, ["--version"], 0, False, "", False, NO_ARRAY),
+    "--help": (ENTRY, ["--help"], 0, False, "", False, NO_ARRAY),
+    # validation exits: each check comes before the first array
+    "simulate --E -1": (ENTRY, ["simulate", "--E", "-1"], 2, False, "dynamics demand", False,
+                        NO_ARRAY),
+    "statics --E -1": (ENTRY, ["statics", "--E", "-1"], 2, False, "demand", False, NO_ARRAY),
+    "fixed-points unknown key": (ENTRY, ["fixed-points", "--scenario", "unknown_key.json"], 2,
+                                 False, "", False, NO_ARRAY),
+    "simulate short E": (ENTRY, ["simulate", "--scenario", "short_E.json"], 2, False,
+                         "dynamics demand", False, NO_ARRAY),
+    "simulate short income": (ENTRY, ["simulate", "--scenario", "short_income.json"], 2, False,
+                              "dynamics demand", False, NO_ARRAY),
+    "simulate income < 0": (ENTRY, ["simulate", "--scenario", "negative_income.json"], 2, False,
+                            "dynamics demand", False, NO_ARRAY),
+    "planner-foc income < 0": (ENTRY, ["planner-foc", "--scenario", "negative_income.json"], 2,
+                               False, "dynamics demand", False, NO_ARRAY),
+    "statics gamma_H 1": (ENTRY, ["statics", "--scenario", "gamma_H.json"], 2, False, "demand",
+                          False, NO_ARRAY),
+}.items()}
 # the interpreter alone, with and without site
 FLOORS = {"python -c pass": [sys.executable, "-c", "pass"],
           "python -S -c pass": [sys.executable, "-S", "-c", "pass"]}
 
 
-def not_allowed(name: str, loaded: list, no_site: bool) -> list:
-    """The modules of ``loaded`` that ``name``, a NUMPY_FREE case, must not import."""
-    modules = NOT_IMPORTED_NO_SITE if no_site else NOT_IMPORTED
-    if name == "import demandtier.cli":
-        modules += ("argparse", "json")
-    elif name == "fixed-points":  # its argv is read from the option table
-        modules += ("argparse",)
-    return [m for m in loaded if m in modules]
+def engine(report: dict) -> list:
+    """The engine modules of the package that a case's run imported."""
+    return sorted(set(report["package"]) - CLI - {"_csv"})
 
 
-def run(code: str, args: list, env: dict, name: str, flags: list) -> subprocess.CompletedProcess:
-    cp = subprocess.run([sys.executable, *flags, "-c", code, *args], env=env,
-                        cwd=env["PYTHONPATH"].split(os.pathsep)[0],
-                        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-    if cp.returncode != EXIT_CODES.get(name, 0):
-        raise SystemExit(f"{args or code!r} exited {cp.returncode}: {cp.stderr}")
-    return cp
+def violations(name: str, report: dict, no_site: bool) -> list:
+    """Each way in which ``report``, of a run of case ``name``, breaks its row of ``CASES``."""
+    case, found = CASES[name], []
+    if report["exit"] != case.exit:
+        found.append(f"exits {report['exit']}, not {case.exit}: {report['stderr']}")
+    if report["numpy"] and not case.numpy:
+        found.append("imports numpy")
+    if engine(report) != sorted(case.engine.split()):
+        found.append(f"imports the engine modules {engine(report)}, not {case.engine.split()}")
+    if ("_csv" in report["package"]) != case.csv:
+        found.append("loads _csv" if not case.csv else "does not load _csv")
+    forbidden = [m for m in report["stdlib"]
+                 if m in case.forbidden and (no_site or m not in SITE_PRELOADS)]
+    if forbidden:
+        found.append(f"imports {', '.join(forbidden)}")
+    return [f"{name} {v}" for v in found]
+
+
+def write_scenarios(directory: Path) -> None:
+    for file, scenario in SCENARIOS.items():
+        Path(directory, file).write_text(json.dumps(scenario), encoding="utf-8")
+
+
+def run(name: str, env: dict, cwd, flags: list, code: str = "") -> subprocess.CompletedProcess:
+    """Run case ``name`` in ``cwd`` once, ``code`` before its own."""
+    case = CASES[name]
+    return subprocess.run([sys.executable, *flags, "-c", code + case.code, *case.argv], env=env,
+                          cwd=cwd, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+
+
+def report(name: str, env: dict, cwd, flags: list, watched: tuple) -> dict:
+    """What a run of case ``name`` imported (see ``prelude``), its exit code and its stderr."""
+    cp = run(name, env, cwd, flags, prelude(watched))
+    *stderr, loaded = cp.stderr.splitlines()
+    return dict(json.loads(loaded), exit=cp.returncode, stderr="\n".join(stderr))
 
 
 def main() -> int:
@@ -143,19 +190,18 @@ def main() -> int:
     base = {k: v for k, v in os.environ.items()
             if k not in ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE")}
     with tempfile.TemporaryDirectory() as tmp:
-        envs = {}
+        envs, roots = {}, {}
         for mode in ("cached", "no-bytecode"):
-            root = Path(tmp, mode)
-            shutil.copytree(SRC, root / "demandtier",
+            roots[mode] = Path(tmp, mode)
+            shutil.copytree(SRC, roots[mode] / "demandtier",
                             ignore=shutil.ignore_patterns("__pycache__"))
-            envs[mode] = dict(base, PYTHONPATH=os.pathsep.join([str(root), *path]))
+            write_scenarios(roots[mode])
+            envs[mode] = dict(base, PYTHONPATH=os.pathsep.join([str(roots[mode]), *path]))
         envs["no-bytecode"]["PYTHONDONTWRITEBYTECODE"] = "1"
 
-        numpy, engine, stdlib = {}, {}, {}
-        for name, (code, argv) in CASES.items():  # untimed: writes the cached bytecode
-            stderr = run(prelude(watched) + code, argv, envs["cached"], name, flags).stderr
-            numpy[name], modules, stdlib[name] = json.loads(stderr.splitlines()[-1])
-            engine[name] = sorted(set(ENGINE) & {m.split(".", 1)[1] for m in modules})
+        # untimed: writes the cached bytecode
+        reports = {name: report(name, envs["cached"], roots["cached"], flags, watched)
+                   for name in CASES}
         times = {mode: {name: [] for name in CASES} for mode in envs}
         floors = {name: [] for name in FLOORS}
         for _ in range(args.samples):
@@ -164,50 +210,43 @@ def main() -> int:
                 subprocess.run(cmd, env=base, check=True)
                 floors[name].append(time.perf_counter() - start)
             for mode, env in envs.items():
-                for name, (code, argv) in CASES.items():
+                for name in CASES:
                     start = time.perf_counter()
-                    run(code, argv, env, name, flags)
+                    cp = run(name, env, roots[mode], flags)
                     times[mode][name].append(time.perf_counter() - start)
+                    if cp.returncode != CASES[name].exit:
+                        raise SystemExit(f"{name} exited {cp.returncode}: {cp.stderr}")
 
     def cell(t):
         return f"{statistics.median(t) * 1e3:10.1f} [{min(t) * 1e3:5.0f}, {max(t) * 1e3:5.0f}]"
 
     print(f"fresh-process wall time, median [min, max] of {args.samples} runs, in ms, "
           + ("without site (python -S)" if args.no_site else "with site"))
-    print(f"{'':24s}" + "".join(f"{mode:>26s}" for mode in envs)
-          + "  numpy  engine modules; " + ", ".join(watched) + " imported")
-    for name in CASES:
-        print(f"{name:24s}" + "".join(cell(times[mode][name]) for mode in envs)
-              + f"  {str(numpy[name]):5s}  {' '.join(engine[name]) or '-'}; "
-              + (" ".join(stdlib[name]) or "-"))
+    print(f"{'':26s}" + "".join(f"{mode:>26s}" for mode in envs)
+          + "  numpy  engine modules; _csv; " + ", ".join(watched) + " imported")
+    for name, r in reports.items():
+        print(f"{name:26s}" + "".join(cell(times[mode][name]) for mode in envs)
+              + f"  {str(r['numpy']):5s}  {' '.join(engine(r)) or '-'}; "
+              + f"{'_csv' in r['package']}; " + (" ".join(r["stdlib"]) or "-"))
     for name, t in floors.items():
-        print(f"{name:24s}" + cell(t))
+        print(f"{name:26s}" + cell(t))
     print(json.dumps({"python": sys.version.split()[0], "samples": args.samples,
                       "site": not args.no_site,
-                      "numpy_imported": numpy, "engine_imported": engine,
-                      "stdlib_imported": stdlib,
+                      "numpy_imported": {name: r["numpy"] for name, r in reports.items()},
+                      "engine_imported": {name: engine(r) for name, r in reports.items()},
+                      "csv_imported": {name: "_csv" in r["package"]
+                                       for name, r in reports.items()},
+                      "stdlib_imported": {name: r["stdlib"] for name, r in reports.items()},
                       "median_ms": {mode: {name: statistics.median(t) * 1e3
                                            for name, t in cases.items()}
                                     for mode, cases in times.items()},
                       "floor_median_ms": {name: statistics.median(t) * 1e3
                                           for name, t in floors.items()},
                       "wall_s": times, "floor_wall_s": floors}))
-    status = 0
-    wrong = [name for name in NUMPY_FREE if numpy[name]]
-    if wrong:
-        print(f"numpy is imported by {', '.join(wrong)}", file=sys.stderr)
-        status = 1
-    for name in CASES:
-        extra = sorted(set(engine[name]) - set(RUNS.get(name, ())))
-        if extra:
-            print(f"{name} imports {', '.join(extra)}, which it does not run", file=sys.stderr)
-            status = 1
-    for name in NUMPY_FREE:
-        checked = not_allowed(name, stdlib[name], args.no_site)
-        if checked:
-            print(f"{name} imports {', '.join(checked)}", file=sys.stderr)
-            status = 1
-    return status
+    found = [v for name, r in reports.items() for v in violations(name, r, args.no_site)]
+    for violation in found:
+        print(violation, file=sys.stderr)
+    return 1 if found else 0
 
 
 if __name__ == "__main__":

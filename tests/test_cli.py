@@ -255,7 +255,9 @@ def test_repeated_in_process_calls_match_fresh_processes(tmp_path, monkeypatch):
               # argv that the option table hands to argparse
               (("fixed-points", "--bogus"), 2), (("simulate", "--E"), 2),
               (("statics", "extra"), 2), (("planner-foc", "--version"), 2),
-              (("bifurcation", "--help"), 0), (("bifurcation", "--workers", "x"), 2)]
+              (("bifurcation", "--help"), 0), (("bifurcation", "--workers", "x"), 2),
+              # validation exits that import no numpy, before a command that does
+              (("simulate", "--E", "-1"), 2), (("statics", "--E", "-1"), 2)]
     assert len(others) <= 2 * len(GOLDEN_CASES)  # the loop below reaches each one
     expected = {}
     for args, code in others:
@@ -392,6 +394,35 @@ def test_unwritable_output_file_exits_2_after_the_tables_before_it(tmp_path, mis
         assert not paths["--thresholds-out"].exists()
 
 
+@pytest.mark.parametrize("same", ["F", "./F", "sub/../F"])
+def test_two_tables_in_one_file_exit_2_before_anything_is_written(tmp_path, monkeypatch, same):
+    # the thresholds would overwrite the locus
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert main_in_process(("bifurcation", "--out", "F", "--thresholds-out", same)) == (
+        2, b"", f"error: two tables name the same file {same!r}; give each its own\n".encode())
+    assert not (tmp_path / "F").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("{}",), ("fixed-points", "--bogus", "{}"), ("bifurcation", "--workers", "{}"),
+    ("fixed-points", "--scenario", "{}"), ("fixed-points", "--out", "missing/{}"),
+], ids=["command", "unknown option", "bad value", "scenario path", "out path"])
+@pytest.mark.parametrize("fill", ["y", "y "], ids=["word", "words"])
+def test_a_long_argv_token_or_path_is_echoed_in_part(tmp_path, monkeypatch, argv, fill):
+    # an error message echoes a token or path of up to 255 characters whole,
+    # and the first 255 of a longer one, with or without spaces in it
+    monkeypatch.chdir(tmp_path)
+
+    def token(n):  # argv, its last token n characters long
+        return [*argv[:-1], argv[-1].format((fill * n)[:n - len(argv[-1]) + 2])]
+
+    code, out, err = main_in_process(token(100_000))
+    assert (code, out) == (2, b"") and len(err) < 1024 and b"y..." in err
+    code, _, err = main_in_process(token(255))
+    assert code == 2 and token(255)[-1].encode() in err and b"y..." not in err
+
+
 # counts the argparse parsers built by then: after importing cli, and after
 # each main call: three that the option table reads, then --help, an error, and
 # one more of each kind
@@ -513,60 +544,6 @@ def test_reader_gives_none_or_what_the_full_parser_gives(first, rest):
     assert parsed(cli._parse_argv, argv) == full, argv
     read = cli._read_argv(list(argv))
     assert read is None or (vars(read), None, "", "") == full, argv
-
-
-# runs each argument list of argv[1] through cli.main in one process and
-# records the exit code and whether numpy is imported after it; then simulate
-NUMPY_PROBE = """
-import contextlib, io, json, sys
-from demandtier import cli
-seen = []
-for args in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = cli.main(args)
-        except SystemExit as exc:
-            code = exc.code
-    seen.append([code, "numpy" in sys.modules])
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    seen.append([cli.main(["simulate"]), out.getvalue()])
-print(json.dumps(seen))
-"""
-
-
-def test_commands_without_arrays_never_import_numpy(tmp_path):
-    # fixed-points solves its one level on Python floats, and the loader's
-    # checks, --dump-defaults, --version and --help compute nothing; simulate,
-    # planner-foc and statics check their scalar inputs and list lengths, and
-    # statics probes its top income, on floats before they build an array;
-    # numpy loads with the first array, and simulate then still writes its golden
-    scenarios = {
-        "unknown": {"solver": {"no_such_key": 1}},
-        "short_E": {"simulation": {"E": [0.2, 0.3], "horizon": 3}},
-        "short_income": {"simulation": {"income": [10.0], "horizon": 2}},
-        "negative_income": {"simulation": {"income": -5}},
-        "gamma_H": {"preferences": {"gamma_H": 1.0}},
-    }
-    paths = {}
-    for name, scenario in scenarios.items():
-        paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(json.dumps(scenario))
-    calls = [["fixed-points", "--E", "0.215"], ["--dump-defaults"], ["--version"], ["--help"],
-             ["fixed-points", "--scenario", str(paths["unknown"])],
-             ["simulate", "--E", "-1"],
-             ["simulate", "--scenario", str(paths["short_E"])],
-             ["simulate", "--scenario", str(paths["short_income"])],
-             ["simulate", "--scenario", str(paths["negative_income"])],
-             ["planner-foc", "--scenario", str(paths["negative_income"])],
-             ["statics", "--E", "-1"],
-             ["statics", "--scenario", str(paths["gamma_H"])]]
-    cp = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(calls)],
-                        capture_output=True, text=True)
-    assert cp.returncode == 0, cp.stderr
-    seen = json.loads(cp.stdout)
-    assert seen[:-1] == [[0, False]] * 4 + [[2, False]] * 8
-    assert seen[-1] == [0, golden_bytes("simulate")[0].decode()]
 
 
 class TestEntryPoints:

@@ -1,10 +1,8 @@
-"""What each entry point imports: the package namespace and the CLI load an
-engine module only when a name of it is read, the config classes live in
-``scenario`` while their old homes re-export them, the standard-library
-modules that only parsing, dumping or reading a file needs load with the first
-such call, and a command that builds no array imports none of ``dataclasses``,
-``inspect``, ``typing`` and ``contextlib``; what writes no table loads no CSV
-encoder (``_csv``)."""
+"""What each entry point imports: every case of ``check_startup.CASES``, the
+one statement of the import contract, keeps its row under ``python -S``; the
+package namespace loads a submodule only when a name of it is read, the config
+classes live in ``scenario`` while their old homes re-export them, and numpy
+arrays passed before the package's first array operation are arrays."""
 
 import ast
 import json
@@ -20,8 +18,6 @@ import check_startup
 import demandtier
 from demandtier import bifurcation, cli, demand, dynamics, planner, scenario, solver
 
-ENGINE = {"demandtier." + name
-          for name in ("solver", "bifurcation", "dynamics", "demand", "planner", "_kernels")}
 # the submodules a bare ``import demandtier`` bound before its names became lazy
 SUBMODULES = ("bifurcation", "demand", "dynamics", "errors", "planner", "scenario", "solver",
               "_np", "_kernels")
@@ -45,92 +41,24 @@ def loaded_by(code):
     return set(json.loads(cp.stdout))
 
 
-def test_loading_the_default_scenario_imports_no_engine_module():
-    loaded = loaded_by("import demandtier.cli\n"
-                       "from demandtier.scenario import load_scenario\n"
-                       "load_scenario(None)")
-    assert loaded == {"demandtier", "demandtier.cli", "demandtier.scenario",
-                      "demandtier.errors", "demandtier._np"}
-
-
-# loads the default scenario as the benchmark's set-up code does, then runs a
-# command; after each step prints the watched modules loaded by then
-STDLIB_PROBE = """
-import sys
-import demandtier.cli
-from demandtier.scenario import load_scenario
-load_scenario(None)
-watched = ("dataclasses", "inspect", "argparse", "json")
-print([m for m in watched if m in sys.modules])
-from contextlib import redirect_stdout
-from io import StringIO
-with redirect_stdout(StringIO()) as out:
-    code = demandtier.cli.main(["fixed-points"])
-print((code, out.getvalue().splitlines()[0], [m for m in watched if m in sys.modules]))
-"""
-
-
-def test_loading_the_default_scenario_imports_no_dataclasses_argparse_or_json():
-    cp = subprocess.run([sys.executable, "-c", STDLIB_PROBE], capture_output=True, text=True)
-    assert cp.returncode == 0, cp.stderr
-    loaded, (code, header, then_loaded) = map(ast.literal_eval, cp.stdout.splitlines())
-    assert loaded == []
-    # a command still runs in that process: the option table reads its argv,
-    # with no argparse, and the solver's result types are records, not
-    # dataclasses
-    assert (code, header) == (0, "E,p_star,s_star,t_prime,stability")
-    assert then_loaded == []
-
-
-@pytest.mark.parametrize("name", check_startup.NUMPY_FREE)
-def test_commands_without_arrays_import_none_of_the_modules_check_startup_forbids(name):
+@pytest.mark.parametrize("name", check_startup.CASES)
+def test_each_case_keeps_its_row_of_the_import_contract(name, tmp_path):
     # run as check_startup.py --no-site runs it: python -S, with the package's
     # and numpy's directories on the path. site only adds modules (on some
     # machines typing and contextlib), so this also covers a run with it.
     path = os.pathsep.join(str(Path(module.__file__).parent.parent)
                            for module in (demandtier, np))
-    code, argv = check_startup.CASES[name]
-    cp = check_startup.run(check_startup.prelude(check_startup.NO_SITE_STDLIB) + code, argv,
-                           dict(os.environ, PYTHONPATH=path), name, ["-S"])
-    _, _, loaded = json.loads(cp.stderr.splitlines()[-1])
-    assert check_startup.not_allowed(name, loaded, no_site=True) == []
+    check_startup.write_scenarios(tmp_path)
+    report = check_startup.report(name, dict(os.environ, PYTHONPATH=path), tmp_path, ["-S"],
+                                  check_startup.NO_SITE_STDLIB)
+    assert check_startup.violations(name, report, no_site=True) == []
 
 
-def test_dump_defaults_imports_no_engine_module():
-    loaded = loaded_by("from demandtier.cli import main\nassert main(['--dump-defaults']) == 0")
-    assert "demandtier.scenario" in loaded and not loaded & ENGINE
-
-
-@pytest.mark.parametrize("code", [
-    "import demandtier.cli",
-    "from demandtier.cli import main\nassert main(['--dump-defaults']) == 0",
-    "from demandtier.cli import main\ntry:\n    main(['--version'])\nexcept SystemExit:\n    pass",
-    "from demandtier.cli import main\ntry:\n    main(['--help'])\nexcept SystemExit:\n    pass",
-    "import tempfile\nfrom demandtier.cli import main\n"
-    "with tempfile.NamedTemporaryFile('w', suffix='.json') as f:\n"
-    "    f.write('{\"solver\": {\"p_min\": 5.0, \"p_max\": 1.0}}'); f.flush()\n"
-    "    assert main(['fixed-points', '--scenario', f.name]) == 2",
-], ids=["import", "--dump-defaults", "--version", "--help", "loader-exit-2"])
-def test_what_writes_no_table_loads_no_csv_encoder(code):
-    assert "demandtier._csv" not in loaded_by(code)
-
-
-def test_the_first_table_loads_the_csv_encoder():
-    loaded = loaded_by("from demandtier.cli import main\nassert main(['fixed-points']) == 0")
-    assert "demandtier._csv" in loaded
-
-
-def test_fixed_points_imports_only_the_solver_and_what_it_calls():
-    loaded = loaded_by("from demandtier.cli import main\nassert main(['fixed-points']) == 0")
-    assert "demandtier.solver" in loaded
-    assert not loaded & {"demandtier.bifurcation", "demandtier.planner", "demandtier._kernels"}
-
-
-@pytest.mark.parametrize("command", ["simulate", "planner-foc"])
-def test_a_path_command_runs_the_recurrence_of_dynamics_and_loads_no_kernels(command):
-    loaded = loaded_by(f"from demandtier.cli import main\nassert main([{command!r}]) == 0")
-    assert "demandtier.dynamics" in loaded
-    assert "demandtier._kernels" not in loaded
+def test_the_contract_has_a_case_for_every_command_and_top_level_option():
+    argvs = [case.argv for case in check_startup.CASES.values()]
+    for argv in [*([command] for command in cli._COMMANDS), ["--dump-defaults"], ["--version"],
+                 ["--help"]]:
+        assert argv in argvs
 
 
 def test_a_bare_import_loads_the_package_alone_and_binds_each_submodule_on_first_read():
