@@ -17,13 +17,13 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# module -> the public names it gives the package
+# module -> the public names it gives the package: the one such map, cli reads it too
 _PUBLIC = {
     "bifurcation": ("BifurcationDiagram", "ChannelCondition", "DiagramRow", "SaddleNode",
                     "Transition", "channel_condition", "sweep"),
     "demand": ("DemandArrays", "DemandSolution", "HouseholdBudget", "IncomeElasticities",
-               "ShareSlope", "alpha_of", "demand_arrays", "dshare_H_dE", "gammaL_of",
-               "income_elasticities", "solve_demand", "stone_geary_utility"),
+               "ShareSlope", "alpha_of", "demand_arrays", "dshare_H_dE", "elasticity_arrays",
+               "gammaL_of", "income_elasticities", "solve_demand", "stone_geary_utility"),
     "dynamics": ("GrowthFactors", "HRatio", "TechnologyState", "TimePath", "excess_share",
                  "excess_share_slope_E", "growth_factors", "h_ratio", "price_map",
                  "simulate_path"),
@@ -37,7 +37,7 @@ _PUBLIC = {
                  "scenario_to_dict"),
     "solver": ("FixedPoint", "Stability", "classify_stability", "find_fixed_points"),
 }
-_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
+_MODULE_OF = {name: f"{__name__}.{module}" for module, names in _PUBLIC.items() for name in names}
 # the submodules that an import of the package used to load, and so bind on it
 _SUBMODULES = ("_kernels", "_np", *_PUBLIC)
 
@@ -48,7 +48,7 @@ def __getattr__(name):
     if name in _SUBMODULES:
         return _import_module(f"{__name__}.{name}")
     if name in _MODULE_OF:
-        return getattr(_import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+        return getattr(_import_module(_MODULE_OF[name]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

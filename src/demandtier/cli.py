@@ -1,12 +1,11 @@
 """Command-line interface: argument parsing, dispatch and the output's writing.
 
-Subcommands: fixed-points, bifurcation, simulate, statics, planner-foc.
-Standard output carries CSV; diagnostics go to standard error. Exit codes:
-0 success, 2 validation error (``DemandTierError``, ``MemoryError``, an
-unreadable or unwritable file, or two tables named to one file), 3 numerical
-failure (``NoConvergence``, ``NumericalOverflow``, or a flagged transition
-under --strict). An error message echoes at most 255 characters of an argv
-token or a path.
+Standard output carries CSV; diagnostics go to standard error. Exit codes: 0
+success, 2 validation error (``DemandTierError``, ``MemoryError``, an
+unreadable or unwritable file, or a table that would overwrite the scenario or
+another table), 3 numerical failure (``NoConvergence``, ``NumericalOverflow``,
+or a flagged transition under --strict). An error message echoes at most 255
+characters of an argv token or a path.
 
 Every command is a function ``cmd_*(scenario, args)`` that writes nothing and
 returns an ``Output``: its tables by name, each a header, columns and the file
@@ -21,24 +20,24 @@ read from the option table, with no import; ``argparse``, loaded and built
 and error.
 
 Importing this module loads the package's ``scenario``, ``errors`` and ``_np``
-only. The engine names the commands call are lazy attributes of this module
-(PEP 562), so each command imports only the engine modules it runs. ``main``
-and the commands read them, and the ``cmd_*`` functions, from this module at
-every call, so a name rebound here (a test's stand-in, a tracer's wrapper) is
-the one that runs.
+only. The engine names the commands call are the package's lazy public names,
+passed through this module (PEP 562), so each command imports only the engine
+modules it runs. ``main`` and the commands read them, and the ``cmd_*``
+functions, from this module at every call, so a name rebound here (a test's
+stand-in, a tracer's wrapper) runs; an unbound one is read from its module.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import reprlib
 import sys
 from collections import namedtuple
 from functools import cache
-from importlib import import_module
 from types import SimpleNamespace
 
-from . import __version__
+from . import _MODULE_OF, __version__
 from ._np import np
 from .errors import ConfigError, DemandTierError, NoConvergence, NumericalOverflow
 from .scenario import Scenario, default_scenario, dump_scenario, load_scenario
@@ -46,18 +45,13 @@ from .scenario import Scenario, default_scenario, dump_scenario, load_scenario
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-# the engine names the commands call -> their modules, imported at the first read
-_ENGINE = {"find_fixed_points": "solver", "STABILITY_ORDER": "solver", "sweep": "bifurcation",
-           "elasticity_arrays": "demand", "TechnologyState": "dynamics",
-           "simulate_path": "dynamics", "FOC_COLUMNS": "planner", "evaluate_foc": "planner"}
 _cli = sys.modules[__name__]  # the commands read every engine name from it
 
 
 def __getattr__(name):
-    if name not in _ENGINE:
+    if (module := _MODULE_OF.get(name)) is None:  # the package's public names only
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = f"{__package__}.{_ENGINE[name]}"
-    return getattr(sys.modules.get(module) or import_module(module), name)
+    return getattr(sys.modules.get(module) or sys.modules[__package__], name)  # one hop
 
 
 # a CSV table, with columns as _csv.table_text takes them and out None for stdout
@@ -76,18 +70,22 @@ def _write_text(text, out: str | None) -> None:
             file.writelines(pieces)
 
 
-def _distinct_files(tables) -> None:
-    """Raise ``ConfigError`` if two tables name one file, where the second would
-    overwrite the first."""
-    outs = [out for _, _, out in tables if out is not None]
-    if len(outs) > 1:
-        import os
+def _same_file(a: str, b: str) -> bool:
+    """Whether ``a`` and ``b`` name one file: by identity if both exist, else by real path."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # a path that names no file yet
+        return os.path.realpath(a) == os.path.realpath(b)
 
-        real = [os.path.realpath(out) for out in outs]
-        for k, path in enumerate(real):
-            if path in real[:k]:
-                raise ConfigError(f"two tables name the same file {_echo(outs[k])!r}; "
-                                  "give each its own")
+
+def _distinct_files(scenario: str | None, tables) -> None:
+    """Raise ``ConfigError`` if a table would overwrite the scenario or an earlier table."""
+    outs = [out for _, _, out in tables if out is not None]
+    for k, out in enumerate(outs):
+        if scenario is not None and _same_file(out, scenario):
+            raise ConfigError(f"a table names the scenario file {_echo(out)!r}; give it its own")
+        if any(_same_file(out, before) for before in outs[:k]):
+            raise ConfigError(f"two tables name the same file {_echo(out)!r}; give each its own")
 
 
 def _write_tables(tables) -> None:
@@ -142,7 +140,7 @@ def cmd_bifurcation(scenario: Scenario, args) -> Output:
     empty = order >= len(roots.level)
     fill = np.zeros(len(rootless), int)  # under empty fields
     p_star = np.concatenate([roots.p_star, fill])[order]
-    labels = np.array([stability.value for stability in _cli.STABILITY_ORDER])
+    labels = np.array([stability.value for stability in _cli.Stability])
     stability = labels[np.concatenate([roots.stability, fill])[order]]
     locus = (diagram.E[level[order]], (p_star, empty), (stability, empty))
     rows = [(sn.E_bar, sn.s_bar, *sn.residuals) for sn in diagram.thresholds]
@@ -188,7 +186,8 @@ def cmd_planner_foc(scenario: Scenario, args) -> Output:
     report = _cli.evaluate_foc(scenario.preferences, scenario.learning, scenario.planner, path)
     columns = (report.t, report.preference_term, report.spillover_term,
                report.shadow_cost, report.wedge, report.lambda_t, report.eta_t)
-    return Output({"foc": Table(",".join(("t", *_cli.FOC_COLUMNS)), columns, args.out)})
+    header = "t,preference_term,spillover_term,shadow_cost,wedge,lambda,eta"
+    return Output({"foc": Table(header, columns, args.out)})
 
 
 _ECHO = 255  # the longest argv token or path that an error message echoes whole
@@ -305,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         run = getattr(_cli, "cmd_" + args.command.replace("-", "_"))
         output = run(load_scenario(args.scenario), args)
-        _distinct_files(output.tables.values())
+        _distinct_files(args.scenario, output.tables.values())
         sys.stderr.writelines(note + "\n" for note in output.notes)
         if output.notes and getattr(args, "strict", False):
             sys.stderr.write("aborting: --strict treats unrefined transitions as failures\n")

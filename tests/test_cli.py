@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from check_format import FAMILIES, integers, mismatches, samples
 from check_memory import SLOW_LEARNING
 from conftest import DATA_DIR, load_goldens
-from demandtier import cli
+from demandtier import cli, solver
 from demandtier._csv import _CHUNK_FIELDS, _csv, _csv_columns, _field_words
 from demandtier.errors import ConfigError
 
@@ -300,6 +301,15 @@ def test_main_runs_the_command_bound_on_the_module(monkeypatch):
             delattr(cli, name)  # back to the lazy name
         assert getattr(cli, name) is not planted
 
+    # unbound on cli, an engine name is read from its module at every call, so
+    # a function bound there (as the benchmark's tracer binds its wrappers) runs
+    def planted_in_solver(*_, **__):
+        raise ConfigError("planted in solver")
+
+    monkeypatch.setattr(solver, "find_fixed_points", planted_in_solver)
+    assert main_in_process(("fixed-points",)) == (2, b"", b"error: planted in solver\n")
+    monkeypatch.undo()
+
     # read before any command, the lazy name is the solver's own function
     probe = "from demandtier import cli; print(cli.find_fixed_points.__module__)"
     cp = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
@@ -394,14 +404,38 @@ def test_unwritable_output_file_exits_2_after_the_tables_before_it(tmp_path, mis
         assert not paths["--thresholds-out"].exists()
 
 
-@pytest.mark.parametrize("same", ["F", "./F", "sub/../F"])
-def test_two_tables_in_one_file_exit_2_before_anything_is_written(tmp_path, monkeypatch, same):
+TWO_TABLES = "two tables name the same file {!r}; give each its own"
+OVER_SCENARIO = "a table names the scenario file {!r}; give it its own"
+
+
+@pytest.mark.parametrize("argv, message", [
     # the thresholds would overwrite the locus
+    *((("bifurcation", "--out", "F", "--thresholds-out", same), TWO_TABLES.format(same))
+      for same in ["F", "./F", "sub/../F"]),
+    (("bifurcation", "--out", "s.json", "--thresholds-out", "hard.json"),
+     TWO_TABLES.format("hard.json")),
+    # a table would overwrite the scenario it was computed from
+    (("fixed-points", "--scenario", "s.json", "--out", "s.json"), OVER_SCENARIO.format("s.json")),
+    (("bifurcation", "--scenario", "s.json", "--thresholds-out", "s.json"),
+     OVER_SCENARIO.format("s.json")),
+    (("bifurcation", "--scenario", "s.json", "--out", "sub/../hard.json"),
+     OVER_SCENARIO.format("sub/../hard.json")),
+    (("simulate", "--scenario", "./s.json", "--out", "{cwd}/s.json"),
+     OVER_SCENARIO.format("{cwd}/s.json")),
+], ids=["F", "./F", "sub/../F", "hard link", "fixed-points scenario", "thresholds scenario",
+        "scenario hard link", "scenario absolute"])
+def test_two_tables_in_one_file_exit_2_before_anything_is_written(tmp_path, monkeypatch, argv,
+                                                                   message):
+    # a file that exists is matched by identity, so a hard link to it too
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sub").mkdir()
-    assert main_in_process(("bifurcation", "--out", "F", "--thresholds-out", same)) == (
-        2, b"", f"error: two tables name the same file {same!r}; give each its own\n".encode())
-    assert not (tmp_path / "F").exists()
+    (tmp_path / "s.json").write_text(cli.dump_scenario(cli.default_scenario()), encoding="utf-8")
+    os.link(tmp_path / "s.json", tmp_path / "hard.json")
+    files = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    argv = [token.format(cwd=tmp_path) for token in argv]
+    assert main_in_process(argv) == (
+        2, b"", f"error: {message.format(cwd=tmp_path)}\n".encode())
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == files
 
 
 @pytest.mark.parametrize("argv", [

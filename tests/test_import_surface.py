@@ -5,6 +5,7 @@ classes live in ``scenario`` while their old homes re-export them, and numpy
 arrays passed before the package's first array operation are arrays."""
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -88,6 +89,22 @@ def test_unknown_names_raise_attribute_error():
         cli.no_such_name
     with pytest.raises(ImportError):
         from demandtier import no_such_name  # noqa: F401
+    # cli passes through the package's public names only: not its __path__, so
+    # cli is no package, nor its __all__, which a star import of cli would take
+    assert not hasattr(cli, "__path__") and not hasattr(cli, "__all__")
+    with pytest.raises(ModuleNotFoundError):
+        importlib.util.find_spec("demandtier.cli.solver")
+
+
+def test_the_command_line_reads_only_its_commands_and_public_names_from_itself():
+    # the package's table is the one map from a name to its module: every name
+    # the commands read as _cli.<name> is a cmd_* of cli or a public name
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "_cli"}
+    commands = {name for name in vars(cli) if name.startswith("cmd_")}
+    assert sorted(read - commands - set(demandtier.__all__)) == []
+    assert {"find_fixed_points", "sweep", "Stability"} <= read
 
 
 @pytest.mark.parametrize("home, name", MOVED, ids=[name for _, name in MOVED])
