@@ -3,11 +3,9 @@ and the education-channel decomposition of the price map.
 
 An education grid is solved, re-checked and classified in one batch; the
 diagram keeps the roots as columns and builds per-level rows only when asked
-for them. The grid only samples the printed locus. The root count changes
-where the root locus E(s) = -q(s)/nu has a saddle-node inside the price
-window (a double root of the fixed-point cubic, in closed form), or where a
-root crosses a window edge, which is kept as a flagged transition instead of
-a threshold. Each transition carries its exact E.
+for them. The grid only samples the printed locus: each transition, at its
+exact E, is read off the monotone pieces of the root locus E(s) = -q(s)/nu,
+a saddle-node where two roots collide or a flagged crossing of a window edge.
 """
 
 from __future__ import annotations
@@ -121,48 +119,51 @@ def _events(sched: PreferenceSchedule, spec: LearningSpec, sweep_cfg: SweepConfi
     """(E, root-count change, saddle-node or None, note) of each event of the
     root locus E(s) = -q(s)/nu in (E_min, E_max), ascending in E.
 
-    A saddle-node is a double root of the gap cubic q(s) + nu*E: s_bar in
-    (0, 1) solves q'(s) = 0 and E_bar = -q(s_bar)/nu. In the price window it
-    changes the count by 2, upward where q''(s_bar) < 0; residuals |H - 1|
-    and |dH/ds| above ``refine_tol`` leave it None, with a note. A root
-    crosses the window edge P where its share is alpha/(alpha + (1-alpha)*P):
-    a constant where alpha is clipped, else a root of
-    ((alpha_base - alpha_slope*q(s)/nu)*(1 - s + P*s) - P*s)/(1 + P). That
-    changes the count by 1, up at p_max and down at p_min if the root's drift
-    -nu/q'(s) - dS/dE against the edge (times q'(s)^2 here) is positive.
+    The shares where q'(s) = 0 or where a root's price meets a window edge
+    cut (0, 1) into pieces, each monotone in E and inside the window or out.
+    An inside piece holds one root at each level strictly between its ends'
+    levels, so each end changes the count by 1, up if the piece lies above it.
+    The changes at one share add up: 2 at a critical share is a saddle-node,
+    None with a note if |H - 1| or |dH/ds| there exceeds ``refine_tol``; any
+    other is a root crossing the window edge nearer its price in ratio.
     """
     c3, c2, c1, c0 = gap_coefficients(spec, 0.0)
-    if c3 == c2 == c1 == 0.0:  # the gap does not depend on s: no root, no event
-        return []
-    e_min, e_max, lo, hi = sweep_cfg.E_min, sweep_cfg.E_max, sched.alpha_lo, sched.alpha_hi
-    events, tol = [], sweep_cfg.refine_tol
-    for s in _critical_shares(spec):
-        e = -(((c3 * s + c2) * s + c1) * s + c0) / spec.nu
-        if not e_min < e < e_max:
-            continue
-        h = h_ratio(spec, s, e)  # before the window test, as an overflow raises here
-        res = (abs(h.value - 1.0), abs(h.dH_ds))
-        bend = 3.0 * c3 * s + c2
-        s_lo, s_hi = excess_share(sched, e, cfg.p_max), excess_share(sched, e, cfg.p_min)
-        if bend != 0.0 and s_lo <= s <= s_hi:
-            saddle = SaddleNode(e, s, res) if max(res) <= tol else None
-            note = "" if saddle else f"saddle-node residuals {res} at (s={s}, E={e}) above {tol}"
-            events.append((e, 2 if bend < 0.0 else -2, saddle, note))
+    e_min, e_max, p_min, p_max = sweep_cfg.E_min, sweep_cfg.E_max, cfg.p_min, cfg.p_max
+
+    def locus(s):
+        return -(((c3 * s + c2) * s + c1) * s + c0) / spec.nu
+
+    def price(s):  # of the root at share s
+        a = alpha_of(sched, locus(s))
+        return a * (1.0 - s) / ((1.0 - a) * s)
+
+    critical = _critical_shares(spec)  # h_ratio first, as an overflow raises there
+    ratios = {s: h_ratio(spec, s, locus(s)) for s in critical if e_min < locus(s) < e_max}
     k = sched.alpha_slope / spec.nu
     a3, a2, a1, a0 = -k * c3, -k * c2, -k * c1, sched.alpha_base - k * c0  # alpha along E(s)
-    for name, price, side in (("p_min", cfg.p_min, -1), ("p_max", cfg.p_max, 1)):
-        u, m, w = 1.0 / (1.0 + price), (price - 1.0) / (1.0 + price), price / (1.0 + price)
-        affine = _unit_roots(m * a3, u * a3 + m * a2, u * a2 + m * a1, u * a1 + m * a0 - w, u * a0)
-        clipped = [(c / (c + (1.0 - c) * price), c) for c in {lo, hi}]
-        for s, clip in clipped + [(s, None) for s in affine]:
-            e = -(((c3 * s + c2) * s + c1) * s + c0) / spec.nu
-            a = alpha_of(sched, e)
-            if e_min < e < e_max and (a == clip if clip else lo < a < hi):
-                slope = (3.0 * c3 * s + 2.0 * c2) * s + c1
-                drift = -spec.nu * slope - excess_share_slope_E(sched, e, price) * slope * slope
-                if drift != 0.0:
-                    events.append((e, side if drift > 0.0 else -side, None,
-                                   f"a root crosses the price window's edge {name} = {price!r}"))
+    cuts = set(critical)
+    for edge in (p_min, p_max):  # the share at P solves alpha*(1 - s + P*s) = P*s
+        cuts.update(c / (c + (1.0 - c) * edge) for c in (sched.alpha_lo, sched.alpha_hi))
+        u, m, w = 1.0 / (1.0 + edge), (edge - 1.0) / (1.0 + edge), edge / (1.0 + edge)
+        cuts.update(_unit_roots(m * a3, u * a3 + m * a2, u * a2 + m * a1, u * a1 + m * a0 - w,
+                                u * a0))
+    shares = sorted(cuts)
+    levels = [locus(s) for s in shares]
+    ups = [(f > e) - (f < e) if p_min <= price(0.5 * (s + t)) <= p_max else 0
+           for s, t, e, f in zip(shares, shares[1:], levels, levels[1:])]  # E's rise if inside
+    changes = [a - b for a, b in zip([*ups, 0], [0, *ups])]  # piece after less piece before
+    events, tol = [], sweep_cfg.refine_tol
+    for s, e, change in zip(shares, levels, changes):
+        if change == 0 or not e_min < e < e_max:
+            continue
+        if abs(change) == 2 and s in ratios:
+            res = (abs(ratios[s].value - 1.0), abs(ratios[s].dH_ds))
+            saddle = SaddleNode(e, s, res) if max(res) <= tol else None
+            note = "" if saddle else f"saddle-node residuals {res} at (s={s}, E={e}) above {tol}"
+        else:
+            edge = ("p_min", p_min) if price(s) < p_min**0.5 * p_max**0.5 else ("p_max", p_max)
+            saddle, note = None, "a root crosses the price window's edge %s = %r" % edge
+        events.append((e, change, saddle, note))
     return sorted(events, key=lambda event: event[0])
 
 

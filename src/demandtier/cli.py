@@ -134,15 +134,13 @@ def cmd_bifurcation(scenario: Scenario, args) -> Output:
     roots = diagram.roots
     # one row per root, by level; a level with no fixed point keeps a row whose
     # p_star and stability are empty
-    rootless = np.flatnonzero(np.bincount(roots.level, minlength=len(diagram.E)) == 0)
-    level = np.concatenate([roots.level, rootless])
-    order = np.argsort(level, kind="stable")
-    empty = order >= len(roots.level)
-    fill = np.zeros(len(rootless), int)  # under empty fields
-    p_star = np.concatenate([roots.p_star, fill])[order]
+    counts = np.bincount(roots.level, minlength=len(diagram.E))
+    per_level = np.maximum(counts, 1)
+    empty = np.repeat(counts == 0, per_level)
+    p_star, code = np.zeros(len(empty)), np.zeros(len(empty), int)  # 0 under empty fields
+    p_star[~empty], code[~empty] = roots.p_star, roots.stability
     labels = np.array([stability.value for stability in _cli.Stability])
-    stability = labels[np.concatenate([roots.stability, fill])[order]]
-    locus = (diagram.E[level[order]], (p_star, empty), (stability, empty))
+    locus = (np.repeat(diagram.E, per_level), (p_star, empty), (labels[code], empty))
     rows = [(sn.E_bar, sn.s_bar, *sn.residuals) for sn in diagram.thresholds]
     threshold_columns = [[row[k] for row in rows] for k in range(4)]
     notes = tuple("transition at E=%.12g [%d -> %d roots] not a saddle-node: %s"

@@ -6,17 +6,17 @@
 or argv and its exit code, whether it may import numpy, the engine modules of
 the package it imports (exactly), whether it loads the CSV encoder ``_csv``
 (exactly when it writes a table), and the standard-library modules it must not
-import. The cases are ``import demandtier.cli``, ``from demandtier.cli import
-*``, the benchmark's set-up code, each default subcommand,
-``--dump-defaults``, ``--version``, ``--help`` and the validation exits that
-``simulate``, ``planner-foc``, ``statics`` and the scenario loader take before
-any array. Each runs as a new interpreter that calls ``cli.main`` as the
-installed ``demandtier`` script does, with its output discarded, in a
+import. The cases are ``import demandtier.cli``, the star import
+``from demandtier.cli import *``, the benchmark's set-up code, each default
+subcommand, ``--dump-defaults``, ``--version``, ``--help`` and the validation
+exits that ``simulate``, ``planner-foc``, ``statics`` and the scenario loader
+take before any array. Each runs as a new interpreter that calls ``cli.main``
+as the installed ``demandtier`` script does, with its output discarded, in a
 directory that holds the scenario files of ``SCENARIOS``. ``violations`` is
 the one check of a case's run against its row: this script applies it to a
-first, untimed run of every case and exits 1 on any breach, and
+first, untimed run of every case and exits 1 on any breach, and tier-1's
 ``tests/test_import_surface.py`` applies it to one run of every case under
-``python -S`` in tier-1.
+``python -S``.
 
 Every case then runs in two modes, each on its own copy of ``src/demandtier``
 in a temporary directory, so the tree gets no ``__pycache__``: ``cached``,

@@ -181,39 +181,22 @@ def _round_root(poly, lo, hi):
             hi = mid
 
 
-def exact_roots(E, p_min=0.01, p_max=14.0,
-                alpha_params=ALPHA_PARAMS, learn_params=CUBIC_PARAMS):
-    """The fixed points in [p_min, p_max], each the double nearest the exact root.
+def _rounded_roots(poly, lo, hi):
+    """Each distinct root of the polynomial ``poly`` (Fractions, lowest power
+    first) in (lo, hi], lo and hi dyadic, as the double nearest it, ascending.
 
-    Exact for the model as floats specify it: the parameters, E and
-    alpha = clip_alpha(E) are taken as the rationals they hold. With
-    D = alpha + (1-alpha)*p, s = alpha/D and 1 - s = (1-alpha)*p/D, the gap
-    g_H(s, E) - g_L(1-s) times D^3 > 0 is a polynomial in p; Sturm's theorem
-    isolates its distinct roots in (p_min/2, 2*p_max] (capped at the largest
-    double), exact bisection rounds
-    each one, and the rounded roots inside the window are returned ascending.
+    Sturm's theorem isolates the roots of the square-free part, and exact
+    bisection rounds each one.
     """
-    a = Fraction(clip_alpha(E, alpha_params))
-    b = 1 - a
-    nu, phi1, phi2, chi1, chi2 = map(Fraction, learn_params)
-    d1 = [a, b]  # D, lowest power of p first
-    d2 = _poly_mul(d1, d1)
-    d3 = _poly_mul(d2, d1)
-    gap = [nu * Fraction(E) * c for c in d3]
-    for k, c in enumerate(d2):
-        gap[k] += phi1 * a * c
-        gap[k + 1] -= chi1 * b * c
-    gap[0] -= phi2 * a ** 3
-    gap[3] += chi2 * b ** 3
-    gap = _poly_trim(gap)
-    if len(gap) < 2:  # constant in p: no isolated root
+    poly = _poly_trim(poly)
+    if len(poly) < 2:  # constant: no isolated root
         return []
-    derivative = _poly_trim([k * c for k, c in enumerate(gap)][1:])
-    common = gap
+    derivative = _poly_trim([k * c for k, c in enumerate(poly)][1:])
+    common = poly
     rest = derivative
     while rest:
         common, rest = rest, _poly_sub_rem(common, rest)
-    simple = _poly_div(gap, common)  # the square-free part: every root simple
+    simple = _poly_div(poly, common)  # the square-free part: every root simple
     chain = [simple, _poly_trim([k * c for k, c in enumerate(simple)][1:])]
     while len(chain[-1]) > 1:
         chain.append([-c for c in _poly_sub_rem(chain[-2], chain[-1])])
@@ -224,7 +207,7 @@ def exact_roots(E, p_min=0.01, p_max=14.0,
         return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
     found = []
-    stack = [(Fraction(p_min) / 2, min(2 * Fraction(p_max), Fraction(sys.float_info.max)))]
+    stack = [(lo, hi)]
     while stack:
         lo, hi = stack.pop()
         count = variations(lo) - variations(hi)
@@ -237,7 +220,69 @@ def exact_roots(E, p_min=0.01, p_max=14.0,
             found.append(float(hi))
         else:
             found.append(_round_root(chain[0], lo, hi))
-    return sorted(p for p in found if p_min <= p <= p_max)
+    return sorted(found)
+
+
+def _polynomial(*terms):
+    """The sum of the terms, each a tuple (c, f1, f2, ...) standing for the
+    product c*f1*f2*... of a number and polynomials (lowest power first)."""
+    out = []
+    for c, *factors in terms:
+        product = [Fraction(c)]
+        for factor in factors:
+            product = _poly_mul(product, factor)
+        out += [Fraction(0)] * (len(product) - len(out))
+        for k, x in enumerate(product):
+            out[k] += x
+    return out
+
+
+def exact_roots(E, p_min=0.01, p_max=14.0,
+                alpha_params=ALPHA_PARAMS, learn_params=CUBIC_PARAMS):
+    """The fixed points in [p_min, p_max], each the double nearest the exact root.
+
+    Exact for the model as floats specify it: the parameters, E and
+    alpha = clip_alpha(E) are taken as the rationals they hold. With
+    D = alpha + (1-alpha)*p, s = alpha/D and 1 - s = (1-alpha)*p/D, the gap
+    g_H(s, E) - g_L(1-s) times D^3 > 0 is a polynomial in p; its distinct
+    roots in (p_min/2, 2*p_max] (capped at the largest double) are rounded,
+    and those inside the window are returned ascending.
+    """
+    a = Fraction(clip_alpha(E, alpha_params))
+    b = 1 - a
+    nu, phi1, phi2, chi1, chi2 = map(Fraction, learn_params)
+    d, p = [a, b], [0, 1]  # D and p, lowest power of p first
+    gap = _polynomial((nu * Fraction(E), d, d, d), (phi1 * a, d, d), (-chi1 * b, p, d, d),
+                      (-phi2 * a ** 3,), (chi2 * b ** 3, p, p, p))
+    hi = min(2 * Fraction(p_max), Fraction(sys.float_info.max))
+    return [root for root in _rounded_roots(gap, Fraction(p_min) / 2, hi)
+            if p_min <= root <= p_max]
+
+
+def edge_levels(price, E_min, E_max, alpha_params=ALPHA_PARAMS, learn_params=CUBIC_PARAMS):
+    """The levels in (E_min, E_max) at which a root's price can be ``price``,
+    ascending, each the double nearest the exact level.
+
+    Where alpha is clipped at c, the share at ``price`` is the constant
+    S = c/(c + (1-c)*price), and the level is -q(S)/nu. Where alpha is affine
+    in E, the gap times D^3 of ``exact_roots`` at p = price is a quartic in
+    E, nu*E*D^3 plus a cubic, and the levels are its real roots. A level at
+    which alpha lies on another of its pieces is no crossing; as a sample
+    level it does no harm.
+    """
+    base, slope, lo, hi = map(Fraction, alpha_params)
+    nu, phi1, phi2, chi1, chi2 = map(Fraction, learn_params)
+    p = Fraction(price)
+    a, b = [base, slope], [1 - base, -slope]  # alpha and 1 - alpha, lowest power of E first
+    d = [base + (1 - base) * p, slope * (1 - p)]  # D = alpha + (1-alpha)*price
+    quartic = _polynomial((nu, [0, 1], d, d, d), (phi1, a, d, d), (-chi1 * p, b, d, d),
+                          (-phi2, a, a, a), (chi2 * p ** 3, b, b, b))
+    levels = _rounded_roots(quartic, Fraction(E_min), Fraction(E_max))
+    for c in (lo, hi):
+        s = c / (c + (1 - c) * p)
+        q = phi1 * s - phi2 * s ** 3 - chi1 * (1 - s) + chi2 * (1 - s) ** 3
+        levels.append(float(-q / nu))
+    return sorted(e for e in levels if E_min < e < E_max)
 
 
 def count_changes(E_min, E_max, p_min=0.01, p_max=14.0,
@@ -247,17 +292,19 @@ def count_changes(E_min, E_max, p_min=0.01, p_max=14.0,
     as (E, count below, count above), ascending in E.
 
     The counts are sampled on ``points`` even levels, to which the midpoints
-    between consecutive closed-form saddle-node levels are added, so that two
-    collisions in one cell do not cancel; a cell whose ends differ is halved
-    until it is narrower than ``tol``, and E is its midpoint. Two changes that
-    cancel within one cell are missed.
+    between consecutive event levels are added: the closed-form saddle-node
+    levels and the ``edge_levels`` of both window edges. So two changes in
+    one cell, even two that cancel, are told apart; a cell whose ends differ
+    is halved until it is narrower than ``tol``, and E is its midpoint.
     """
     def count(E):
         return len(exact_roots(E, p_min, p_max, alpha_params, learn_params))
 
-    e_bars = [e for e, _ in saddle_node_closed_form(learn_params) if E_min < e < E_max]
+    events = sorted([e for e, _ in saddle_node_closed_form(learn_params) if E_min < e < E_max]
+                    + edge_levels(p_min, E_min, E_max, alpha_params, learn_params)
+                    + edge_levels(p_max, E_min, E_max, alpha_params, learn_params))
     levels = set(np.linspace(E_min, E_max, points).tolist())
-    levels.update(0.5 * (a + b) for a, b in zip(e_bars, e_bars[1:]))
+    levels.update(0.5 * (a + b) for a, b in zip(events, events[1:]))
     levels = sorted(levels)
     changes = []
 

@@ -279,6 +279,41 @@ class TestEvents:
                   if (t.saddle is None) == edge] for edge in (False, True)]
         assert found == [thresholds, flagged]
 
+    def test_a_root_that_enters_and_one_that_leaves_in_one_oracle_cell(self):
+        # calibration 366 of ``check_events.py --seed 7``: a root enters
+        # through p_max and another leaves through p_min 6.1e-5 later in E,
+        # inside one cell of the oracle's even grid, which reads 2 roots at
+        # both of its ends
+        alpha_params = (0.7599268916027772, 0.2717711015903151, 0.6298971921147491,
+                        0.9629931125153351)
+        learn = (0.6806973370618175, 0.5877535490243019, 0.782365083032722,
+                 1.3869350402236655, 2.0167614873655566)
+        sched = PreferenceSchedule(*alpha_params, gammaL_base=1.8609060266610127,
+                                   gammaL_decay=0.7296535948765308)
+        e_min, e_max, p_min, p_max = (0.004512845504991969, 0.3868550038642018,
+                                      0.03498087674846102, 8.695183120739484)
+        diagram = sweep(sched, LearningSpec.cubic(*learn), SweepConfig(e_min, e_max, 32),
+                        SolverConfig(p_min=p_min, p_max=p_max))
+        want = oracles.count_changes(e_min, e_max, p_min, p_max, alpha_params, learn)
+        got = [(t.E, t.count_lo, t.count_hi) for t in diagram.transitions]
+        assert [change[1:] for change in want] == [(0, 2), (2, 3), (3, 2), (2, 0)]
+        assert [change[1:] for change in got] == [change[1:] for change in want]
+        assert all(abs(a[0] - b[0]) <= 1e-9 for a, b in zip(got, want))
+        assert [round(e, 7) for e, _, _ in got] == [0.2615182, 0.2822859, 0.2823467, 0.3636132]
+        edge = "a root crosses the price window's edge %s = %r"
+        assert [t.note for t in diagram.transitions] == [
+            "", edge % ("p_max", p_max), edge % ("p_min", p_min), ""]
+        assert [t.saddle is None for t in diagram.transitions] == [False, True, True, False]
+
+    def test_crossings_name_their_edges_where_the_window_product_overflows(self, sched, linear):
+        # a root enters through p_min = 1e9 and leaves through p_max = 1e300,
+        # whose product is not a finite double
+        diagram = sweep(sched, linear, SweepConfig(1.9, 2.1, 5),
+                        SolverConfig(p_min=1e9, p_max=1e300))
+        edge = "a root crosses the price window's edge %s"
+        assert [(t.count_lo, t.count_hi, t.note) for t in diagram.transitions] == [
+            (0, 1, edge % "p_min = 1000000000.0"), (1, 0, edge % "p_max = 1e+300")]
+
 
 class TestBatchInvariance:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
