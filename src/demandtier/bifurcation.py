@@ -15,7 +15,7 @@ from functools import cached_property
 
 from ._np import np
 from .demand import alpha_of
-from .dynamics import excess_share, excess_share_slope_E, gap_coefficients, h_ratio
+from .dynamics import _horner, excess_share, excess_share_slope_E, gap_coefficients, h_ratio
 from .errors import DegenerateChannel
 from .scenario import LearningSpec, PreferenceSchedule, SolverConfig, SweepConfig  # noqa: F401
 from .scenario import _DEFAULTS, _Record
@@ -96,17 +96,18 @@ def refine_saddle_node(*args, **kwargs):
     raise NotImplementedError("refine_saddle_node is removed: read sweep(...).thresholds")
 
 
-def _unit_roots(g4, g3, g2, g1, g0) -> list[float]:
+def _unit_roots(*g) -> list[float]:
     """Roots in (0, 1), in doubles, where g4*s^4 + ... + g0 changes sign: its derivative's
     real roots cut (0, 1) into monotone pieces, and each that changes sign is bisected."""
+    g4, g3, g2, g1, _ = g
     critical, _ = _real_roots(4.0 * g4, 3.0 * g3, 2.0 * g2, g1, (0.0,) * 4)
     cuts = [0.0, *sorted(s for s in critical if 0.0 < s < 1.0), 1.0]
-    signs = [(((g4 * s + g3) * s + g2) * s + g1) * s + g0 > 0.0 for s in cuts]
+    signs = [_horner(g, s) > 0.0 for s in cuts]
     roots = []
     for lo, hi, up_lo, up in zip(cuts, cuts[1:], signs, signs[1:]):
         if up_lo != up:
             while lo < (s := 0.5 * (lo + hi)) < hi:
-                if ((((g4 * s + g3) * s + g2) * s + g1) * s + g0 > 0.0) == up:
+                if (_horner(g, s) > 0.0) == up:
                     hi = s
                 else:
                     lo = s
@@ -127,11 +128,11 @@ def _events(sched: PreferenceSchedule, spec: LearningSpec, sweep_cfg: SweepConfi
     None with a note if |H - 1| or |dH/ds| there exceeds ``refine_tol``; any
     other is a root crossing the window edge nearer its price in ratio.
     """
-    c3, c2, c1, c0 = gap_coefficients(spec, 0.0)
+    gap = c3, c2, c1, c0 = gap_coefficients(spec.coefficients, 0.0)
     e_min, e_max, p_min, p_max = sweep_cfg.E_min, sweep_cfg.E_max, cfg.p_min, cfg.p_max
 
     def locus(s):
-        return -(((c3 * s + c2) * s + c1) * s + c0) / spec.nu
+        return -_horner(gap, s) / spec.nu
 
     def price(s):  # of the root at share s
         a = alpha_of(sched, locus(s))

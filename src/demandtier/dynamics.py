@@ -157,15 +157,25 @@ def h_ratio(spec: LearningSpec, s: float | np.ndarray, E: float | np.ndarray) ->
     return HRatio(value=value, dH_ds=d_ds, dH_dE=d_de)
 
 
-def gap_coefficients(spec: LearningSpec, E: float | np.ndarray) -> tuple:
+def gap_coefficients(coefficients: tuple, E) -> tuple:
     """Coefficients, highest power first, of g_H(s, E) - g_L(1 - s) in s.
 
-    The fixed points of the price map are this cubic's roots in (0, 1); only
-    the constant term nu*E - chi1 + chi2 depends on E, and it is a float or an
-    array as E is. Linear learning gives leading zeros.
+    The fixed points of the price map are this cubic's roots in (0, 1); only the
+    constant term nu*E - chi1 + chi2 depends on E. The learning coefficients and
+    E are floats (E may be an array) or ``Fraction`` values; linear learning
+    gives leading zeros.
     """
-    nu, phi1, phi2, chi1, chi2 = spec.coefficients
-    return -(phi2 + chi2), 3.0 * chi2, phi1 + chi1 - 3.0 * chi2, nu * E - chi1 + chi2
+    nu, phi1, phi2, chi1, chi2 = coefficients
+    return -(phi2 + chi2), 3 * chi2, phi1 + chi1 - 3 * chi2, nu * E - chi1 + chi2
+
+
+def _horner(coefficients, x):
+    """c[0]*x^n + ... + c[n] for the coefficients c by Horner's rule: floats, arrays or
+    ``Fraction`` values."""
+    value, *rest = coefficients
+    for c in rest:
+        value = value * x + c
+    return value
 
 
 def price_map(sched: PreferenceSchedule, spec: LearningSpec, p: float, E: float) -> float:

@@ -5,11 +5,11 @@ With s = S(p; E), the fixed-point condition T(p; E) = p reads
 g_H(s, E) = g_L(1 - s), a cubic in s whose constant term alone depends on E.
 Its real roots come in closed form: the trigonometric form for three real
 roots, Cardano's for one, the quadratic or linear formula for lower degrees.
-One Newton step from them on the exact gap nu*E + phi1*s - phi2*s^3 -
-chi1*(1-s) + chi2*(1-s)^3, evaluated in double-double arithmetic (Dekker
-1971), then p = alpha(1-s)/((1-alpha)s) formed in double-double, make each p*
-the correctly rounded double of the exact root of the model as the package
-specifies it: float parameters and the float alpha_of(E). An error bound
+One Newton step from them on the exact gap, its coefficients evaluated by
+Horner's rule in double-double arithmetic (Dekker 1971), to within 32 u^2 M(|s|)
+(``_gap_dd``), then p = alpha(1-s)/((1-alpha)s) formed in double-double, make
+each p* the correctly rounded double of the exact root of the model as the
+package specifies it: float parameters and the float alpha_of(E). An error bound
 certifies each rounding. A level that holds a root it cannot certify (next to
 a saddle-node), or whose root count the rounded discriminant cannot decide, is
 solved in exact rational arithmetic, between the prices of the critical
@@ -39,7 +39,7 @@ from enum import Enum
 
 from ._np import _any, _first, _select, _xp, np
 from .demand import alpha_of
-from .dynamics import excess_share, gap_coefficients, h_ratio
+from .dynamics import _horner, excess_share, gap_coefficients, h_ratio
 from .errors import ConfigError, NoConvergence, ShareOutOfRange
 from .scenario import LearningSpec, PreferenceSchedule, SolverConfig  # noqa: F401 - re-exported
 from .scenario import _DEFAULTS, _Record
@@ -107,6 +107,14 @@ _U = 2.0 ** -53  # unit roundoff
 _SCALE_LIMIT = 2.0 ** 16  # closed-form errors stay below 2**-36 in the share
 
 
+def _gap_sizes(coefficients, E):
+    """The sizes m_k of the gap's coefficients, the sums of their terms'
+    magnitudes, which bound their rounding; M(s) is their polynomial."""
+    nu, phi1, phi2, chi1, chi2 = coefficients
+    return (abs(phi2) + abs(chi2), 3.0 * abs(chi2), abs(phi1) + abs(chi1) + 3.0 * abs(chi2),
+            abs(nu * E) + abs(chi1) + abs(chi2))
+
+
 def _real_roots(c3, c2, c1, c0, sizes):
     """Real roots of c3*s^3 + c2*s^2 + c1*s + c0 in doubles, in closed form.
 
@@ -166,9 +174,22 @@ def _real_roots(c3, c2, c1, c0, sizes):
 
 def _critical_shares(spec: LearningSpec) -> list[float]:
     """The shares in (0, 1) where the gap's slope q'(s) vanishes, ascending: the
-    same for every level, since only the gap's constant term depends on E."""
-    c3, c2, c1, _ = gap_coefficients(spec, 0.0)
-    critical, _ = _real_roots(0.0, 3.0 * c3, 2.0 * c2, c1, (0.0,) * 4)
+    same for every level, since only the gap's constant term depends on E.
+
+    There are none unless the discriminant of q', c2^2 - 3*c3*c1 in the gap's
+    exact coefficients, is positive: at a double root q' keeps its sign, so
+    the gap bends but stays monotone. The sign is read in doubles where it
+    clears their rounding error, and in ``fractions`` where it does not.
+    """
+    c3, c2, c1, _ = gap_coefficients(spec.coefficients, 0.0)
+    s3, s2, s1, _ = _gap_sizes(spec.coefficients, 0.0)
+    critical, unsure = _real_roots(0.0, 3.0 * c3, 2.0 * c2, c1, (0.0, 3.0 * s3, 2.0 * s2, s1))
+    if unsure:
+        from fractions import Fraction
+
+        c3, c2, c1, _ = gap_coefficients(tuple(map(Fraction, spec.coefficients)), 0)
+        if c2 * c2 <= 3 * c3 * c1:
+            return []
     return sorted(s for s in critical if 0.0 < s < 1.0)  # also drops a missing root, NaN
 
 
@@ -217,27 +238,42 @@ def _dd_scale(x, b):
     return _fast_two_sum(p, e + x[1] * b)
 
 
+def _gap_dd(x, E, coefficients):
+    """The gap at the doubles x in double-double by Horner's rule on its
+    coefficients: (gap, error bound, the coefficients' leading doubles, sizes).
+
+    c3 and c2 are exact, c1 and c0 take one ``_dd_add``. To first order and
+    barring underflow, ``_dd_scale`` errs by 3 u^2 |product| and ``_dd_add`` by
+    3 u^2 (|x| + |y|). So c_k errs by 3 u^2 m_k and the step v*x + c_k by
+    3 u^2 (2 |v*x| + m_k), both carried times |x|^k, and |v*x| |x|^k <= M(|x|):
+    24 u^2 M in all. The bound, 32 u^2 M in doubles, covers the higher orders
+    and the rounding of M.
+    """
+    nu, phi1, phi2, chi1, chi2 = coefficients
+    c3, c2 = _two_sum(-phi2, -chi2), _two_prod(3.0, chi2)
+    c1 = _dd_add(_two_sum(phi1, chi1), _two_prod(-3.0, chi2))
+    c0 = _dd_add(_two_prod(nu, E), _two_sum(-chi1, chi2))
+    gap = c3
+    for c in (c2, c1, c0):
+        gap = _dd_add(_dd_scale(gap, x), c)
+    sizes = _gap_sizes(coefficients, E)
+    return gap, 32.0 * _U * _U * _horner(sizes, abs(x)), (c3[0], c2[0], c1[0]), sizes
+
+
 def _newton_dd(x, E, coefficients):
     """One Newton step on the exact gap from the doubles x, in double-double.
 
     Returns the step's result y as (hi, lo) and a bound on its distance to
     the root next to x, or NaN where the step cannot vouch for one: the slope
     is too uncertain or the start too far out for Kantorovich's condition.
-    The gap is evaluated to within 64 u^2 times the sum of its terms'
-    magnitudes; the slope, in doubles, to within 16 u times its own.
+    The gap is ``_gap_dd``'s, by Horner's rule on its coefficients in
+    double-double, to within 32 u^2 M(|x|); the slope is evaluated by Horner's
+    rule in doubles on the derivative's coefficients, to within 16 u M'(|x|).
     """
-    nu, phi1, phi2, chi1, chi2 = coefficients
-    t = _two_sum(1.0, -x)  # 1 - x
-    gap = _dd_add(_two_prod(nu, E), _two_prod(phi1, x))
-    gap = _dd_add(gap, _dd_scale(_dd_scale(_two_prod(x, x), x), -phi2))
-    gap = _dd_add(gap, _dd_scale(t, -chi1))
-    gap = _dd_add(gap, _dd_scale(_dd_mul(_dd_mul(t, t), t), chi2))
-    ax, at = abs(x), abs(t[0])
-    size = (abs(nu * E) + abs(phi1) * ax + abs(phi2) * ax * ax * ax + abs(chi1) * at
-            + abs(chi2) * at * at * at)
-    slope = (phi1 + chi1) - 3.0 * (phi2 * x * x + chi2 * t[0] * t[0])
-    slope_err = 16.0 * _U * (abs(phi1) + abs(chi1)
-                             + 3.0 * (abs(phi2) * ax * ax + abs(chi2) * at * at))
+    gap, gap_err, (c3, c2, c1), (m3, m2, m1, _) = _gap_dd(x, E, coefficients)
+    ax = abs(x)
+    slope = _horner((3.0 * c3, 2.0 * c2, c1), x)
+    slope_err = 16.0 * _U * _horner((3.0 * m3, 2.0 * m2, m1), ax)
     d = _select(slope != 0.0, slope, math.inf)
     q1 = gap[0] / d
     p = _two_prod(q1, d)
@@ -245,11 +281,11 @@ def _newton_dd(x, E, coefficients):
     y = _two_sum(x, -q1)
     y = _fast_two_sum(y[0], y[1] - q2)
     step = abs(q1)
-    m2 = 6.0 * (abs(phi2) * (ax + 2.0 * step) + abs(chi2) * (at + 2.0 * step))  # |gap''|
+    bend = 6.0 * m3 * (ax + 2.0 * step) + 2.0 * m2  # |gap''| within two steps of x
     ad = abs(d)
-    bound = (2.0 * (64.0 * _U * _U * size + step * slope_err + 3.0 * m2 * step * step) / ad
+    bound = (2.0 * (gap_err + step * slope_err + 3.0 * bend * step * step) / ad
              + 8.0 * _U * _U * (step + abs(y[0])))
-    valid = (slope_err < 0.25 * abs(slope)) & (m2 * step < 0.25 * ad)
+    valid = (slope_err < 0.25 * abs(slope)) & (bend * step < 0.25 * ad)
     return _select(valid, y[0], math.nan), y[1], _select(valid, bound, math.nan)
 
 
@@ -297,14 +333,11 @@ def _exact_prices(E, alpha, spec: LearningSpec, cfg):
     """
     from fractions import Fraction
 
-    nu, phi1, phi2, chi1, chi2 = map(Fraction, spec.coefficients)
     a = Fraction(alpha)
-    nu_e = nu * Fraction(E)
+    coefficients = gap_coefficients(tuple(map(Fraction, spec.coefficients)), Fraction(E))
 
     def sign(p):
-        s = a / (a + (1 - a) * p)
-        t = 1 - s
-        gap = nu_e + phi1 * s - phi2 * s ** 3 - chi1 * t + chi2 * t ** 3
+        gap = _horner(coefficients, a / (a + (1 - a) * p))
         return (gap > 0) - (gap < 0)
 
     def rounded_root(lo, hi, side_lo):
@@ -359,10 +392,8 @@ def _candidates(sched: PreferenceSchedule, spec: LearningSpec, E, cfg: SolverCon
     negative = xp.logical_not(E >= 0.0)
     if _any(negative):
         raise ConfigError(f"education level must be >= 0, got {_first(E, negative)}")
-    nu, phi1, phi2, chi1, chi2 = spec.coefficients
-    c3, c2, c1, c0 = gap_coefficients(spec, E)
-    sizes = (abs(phi2) + abs(chi2), 3.0 * abs(chi2), abs(phi1) + abs(chi1) + 3.0 * abs(chi2),
-             abs(nu * E) + abs(chi1) + abs(chi2))  # the terms' magnitudes bound the rounding
+    c3, c2, c1, c0 = gap_coefficients(spec.coefficients, E)
+    sizes = _gap_sizes(spec.coefficients, E)
     solvable = (not c3 == c2 == c1 == 0.0) & xp.isfinite(c0)
     shares, exact = _real_roots(c3, c2, c1, _select(solvable, c0, 0.0), sizes)
     exact = exact & solvable

@@ -341,7 +341,9 @@ def saddle_node_closed_form(learn_params=CUBIC_PARAMS):
 
     At a collision both growth factors agree and the share derivative of
     their gap vanishes, so s_bar solves the quadratic stationarity condition
-    of q(s) = g_H(s, 0) - g_L(1-s) and E_bar = -q(s_bar)/nu.
+    of q(s) = g_H(s, 0) - g_L(1-s) and E_bar = -q(s_bar)/nu. There is none
+    unless the discriminant of q', taken exactly on the float parameters, is
+    positive; the roots are then formed in doubles.
     """
     nu, phi1, phi2, chi1, chi2 = learn_params
 
@@ -353,11 +355,13 @@ def saddle_node_closed_form(learn_params=CUBIC_PARAMS):
     a = -3.0 * phi2 - 3.0 * chi2
     b = 6.0 * chi2
     c = phi1 + chi1 - 3.0 * chi2
-    disc = b * b - 4.0 * a * c
+    _, f1, f2, g1, g2 = map(Fraction, learn_params)
+    positive = (6 * g2) ** 2 > 4 * (-3 * f2 - 3 * g2) * (f1 + g1 - 3 * g2)
+    disc = max(b * b - 4.0 * a * c, 0.0)
     out = []
     if a == 0.0:  # phi2 = -chi2: q' is linear, or constant under linear learning
         roots = (-c / b,) if b != 0.0 else ()
-    elif disc < 0.0:  # q is monotone on the reals: no collision anywhere
+    elif not positive:  # q is monotone on the reals (a double root of q' is an inflection)
         return out
     else:
         roots = ((-b + math.sqrt(disc)) / (2.0 * a), (-b - math.sqrt(disc)) / (2.0 * a))

@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from demandtier import (
     h_ratio,
     sweep,
 )
-from demandtier import bifurcation
+from demandtier import bifurcation, solver
 from demandtier.dynamics import gap_coefficients
 from demandtier.errors import ConfigError, DegenerateChannel, InvalidPrice, NoConvergence
 from demandtier.scenario import load_scenario
@@ -252,7 +254,7 @@ class TestEvents:
         # count that the transitions run up to that level
         sched, spec = calibration
         diagram = sweep(sched, spec, SweepConfig(e_min, e_max, points))
-        if gap_coefficients(spec, 0.0)[:3] == (0.0, 0.0, 0.0):
+        if gap_coefficients(spec.coefficients, 0.0)[:3] == (0.0, 0.0, 0.0):
             assert diagram.transitions == []
         counts = np.bincount(diagram.roots.level, minlength=points)
         running = [counts[0]] + [t.count_hi for t in diagram.transitions]
@@ -313,6 +315,49 @@ class TestEvents:
         edge = "a root crosses the price window's edge %s"
         assert [(t.count_lo, t.count_hi, t.note) for t in diagram.transitions] == [
             (0, 1, edge % "p_min = 1000000000.0"), (1, 0, edge % "p_max = 1e+300")]
+
+
+class TestGapBound:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(calibrations(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           st.floats(0.0, 0.6))
+    def test_double_double_gap_within_its_bound(self, calibration, x, E):
+        # the gap the Newton step polishes on, by Horner's rule in double-double,
+        # against the exact gap of the float parameters, written term by term
+        _, spec = calibration
+        gap, bound, _, _ = solver._gap_dd(x, E, spec.coefficients)
+        nu, phi1, phi2, chi1, chi2 = map(Fraction, spec.coefficients)
+        s, t = Fraction(x), 1 - Fraction(x)
+        exact = nu * Fraction(E) + phi1 * s - phi2 * s**3 - chi1 * t + chi2 * t**3
+        assert abs(Fraction(gap[0]) + Fraction(gap[1]) - exact) <= Fraction(bound)
+
+
+class TestCusp:
+    # the headline calibration with phi1 = 0.6: the discriminant of q' on the
+    # float parameters is -2.0e-15 exactly, so q' has no root and the locus no
+    # saddle-node, though q''s discriminant rounds to about zero in doubles
+    ALPHA = (0.78, 0.16, 0.6, 0.97)
+
+    @staticmethod
+    def _sweep(phi1):
+        spec = LearningSpec.cubic(nu=0.6, phi1=phi1, phi2=1.0, chi1=1.2, chi2=1.5)
+        return sweep(PreferenceSchedule(), spec, SweepConfig(E_min=0.3, E_max=0.5),
+                     SolverConfig(p_min=1e-6, p_max=1e6))
+
+    def test_no_saddle_node_at_the_cusp(self):
+        diagram = self._sweep(0.6)
+        assert diagram.transitions == [] and diagram.thresholds == []
+        learn = (0.6, 0.6, 1.0, 1.2, 1.5)
+        assert oracles.saddle_node_closed_form(learn) == []
+        levels = [0.4, math.nextafter(0.4, 1.0), math.nextafter(math.nextafter(0.4, 1.0), 1.0)]
+        for e in levels:
+            assert len(oracles.exact_roots(e, 1e-6, 1e6, self.ALPHA, learn)) == 1
+
+    def test_two_saddle_nodes_just_past_the_cusp(self):
+        diagram = self._sweep(0.601)
+        assert [(t.count_lo, t.count_hi) for t in diagram.transitions] == [(1, 3), (3, 1)]
+        assert [("%.12g" % sn.E_bar, "%.12g" % sn.s_bar) for sn in diagram.thresholds] == [
+            ("0.398987169994", "0.611547005384"), ("0.399012830006", "0.588452994616")]
 
 
 class TestBatchInvariance:
@@ -427,7 +472,7 @@ class TestZeroConstantTerm:
         # is a root of the gap, and the closed form must still find it
         learn = (0.5, 0.8, 1.0, 1.5, 1.0)
         spec = LearningSpec.cubic(*learn)
-        assert gap_coefficients(spec, 1.0)[-1] == 0.0
+        assert gap_coefficients(spec.coefficients, 1.0)[-1] == 0.0
         diagram = sweep(flat_sched(0.5), spec, SweepConfig(E_min=0.0, E_max=2.0, E_points=5))
         row = diagram.rows[2]
         assert row.E == 1.0 and row.roots

@@ -315,7 +315,7 @@ class TestStability:
         agreed = 0
         for _ in range(2000):
             sched, spec, _, _ = random_calibration(rng)
-            c3, c2, c1, _ = gap_coefficients(spec, 0.0)
+            c3, c2, c1, _ = gap_coefficients(spec.coefficients, 0.0)
             for e in [rng.uniform(0.0, 0.6) for _ in range(3)]:
                 for fp in find_fixed_points(sched, spec, e):
                     if fp.stability is not Stability.MARGINAL:
