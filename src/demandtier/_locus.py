@@ -1,0 +1,334 @@
+"""The polynomial root machinery of the solver and the sweep: each root a
+correctly rounded double of the exact root on the float parameters.
+
+A polynomial is a pair: its coefficients, highest power first, each a
+double-double (hi, lo) within 3 u^2 of its size, and those sizes m_k, the sums
+of the magnitudes of the terms that make up each coefficient. ``_gap`` gives
+the gap g_H(s, E) - g_L(1 - s), a cubic in the share whose roots are the
+fixed points; at E = 0 it is q(s), whose root locus E(s) = -q(s)/nu the
+sweep reads. ``_horner_dd`` evaluates a polynomial by Horner's rule in
+double-double arithmetic (Dekker 1971) with an error bound, and ``_newton_dd``
+takes one Newton step on it, with a Kantorovich-style bound on its distance to
+the root. ``_root`` rounds that step's result where the bound certifies the
+rounding, and otherwise calls ``_bisect``, the package's one exact rational
+bisection over the doubles of a bracket, which the solver's exact fallback
+shares. ``_critical_shares`` (the roots of q') and ``_saddle_level`` (the
+level -q(s_bar)/nu) use them, so every printed s_bar and E_bar is correctly
+rounded, as every p* is. The module imports no numpy, and ``fractions`` only
+in an exact fallback.
+"""
+
+import math
+
+from ._np import _select, _xp
+from .dynamics import _horner, gap_coefficients
+
+_U = 2.0 ** -53  # unit roundoff
+_SCALE_LIMIT = 2.0 ** 16  # closed-form errors stay below 2**-36 in the share
+
+
+def _gap_sizes(coefficients, E):
+    """The sizes m_k of the gap's coefficients, the sums of their terms'
+    magnitudes, which bound their rounding; M(s) is their polynomial."""
+    nu, phi1, phi2, chi1, chi2 = coefficients
+    return (abs(phi2) + abs(chi2), 3.0 * abs(chi2), abs(phi1) + abs(chi1) + 3.0 * abs(chi2),
+            abs(nu * E) + abs(chi1) + abs(chi2))
+
+
+def _real_roots(c3, c2, c1, c0, sizes):
+    """Real roots of c3*s^3 + c2*s^2 + c1*s + c0 in doubles, in closed form.
+
+    c3, c2 and c1 are floats; c0 is a float or an array of levels. Returns
+    three candidates, each NaN where the level has no such root, and whether
+    the closed form cannot be trusted at the level: its discriminant lies
+    within the error that ``sizes``, the magnitudes of the terms that make up
+    each coefficient, allow (so the count of real roots is too close to
+    call), or is not finite, or the cubic's roots and intermediate values
+    reach ``_SCALE_LIMIT``, where the trigonometric form's absolute error
+    could carry a root in (0, 1) out of the price window unseen.
+    """
+    xp = _xp(c0)
+    s3, s2, s1, s0 = sizes
+    nan = c0 * math.nan
+    if c3 != 0.0:  # the trigonometric form for three real roots, else Cardano's
+        disc = _discriminant(c3, c2, c1, c0)
+        bound = 256.0 * _U * (18.0 * s3 * s2 * s1 * s0 + 4.0 * s2 * s2 * s2 * s0
+                              + s2 * s2 * s1 * s1 + 4.0 * s3 * s1 * s1 * s1
+                              + 27.0 * s3 * s3 * s0 * s0)
+        a, b, c = c2 / c3, c1 / c3, c0 / c3
+        p3 = (b - a * a / 3.0) / 3.0  # s = t - a/3 gives t^3 + 3*p3*t + 2*half_q = 0
+        half_q = 0.5 * ((2.0 * a * a * a / 27.0 - a * b / 3.0) + c)
+        shift = a / 3.0
+        three = disc > 0.0
+        denominator = p3 * math.sqrt(max(-p3, 0.0))
+        if denominator < 0.0:
+            root = math.sqrt(-p3)
+            arg = half_q / denominator
+            arg = _select(arg > 1.0, 1.0, _select(arg < -1.0, -1.0, arg))
+            theta = xp.arccos(arg) / 3.0
+            trig = [2.0 * root * xp.cos(theta - k * (2.0 * math.pi / 3.0)) - shift
+                    for k in range(3)]
+        else:
+            three, trig = False & three, [nan, nan, nan]
+        rest = half_q * half_q + p3 * p3 * p3
+        w = -(half_q + xp.copysign(xp.sqrt(_select(rest > 0.0, rest, 0.0)), half_q))
+        u = xp.cbrt(w)
+        one = u - p3 / _select(u != 0.0, u, math.inf) - shift
+        roots = [_select(three, trig[0], one), _select(three, trig[1], nan),
+                 _select(three, trig[2], nan)]
+        scale = abs(shift) + 2.0 * math.sqrt(abs(p3)) + 2.0 * xp.cbrt(abs(half_q))
+        return roots, xp.logical_not((abs(disc) > bound) & (scale < _SCALE_LIMIT))
+    elif c2 != 0.0:
+        disc = c1 * c1 - 4.0 * c2 * c0
+        bound = 256.0 * _U * (s1 * s1 + 4.0 * s2 * s0)
+        two = disc >= 0.0
+        q = -0.5 * (c1 + xp.copysign(xp.sqrt(_select(two, disc, 0.0)), c1))
+        roots = [_select(two, q / c2, nan),
+                 _select(two & (q != 0.0), c0 / _select(q != 0.0, q, 1.0), nan), nan]
+    else:
+        disc, bound = 1.0, 0.0
+        roots = [-c0 / c1 if c1 != 0.0 else nan, nan, nan]
+    return roots, xp.logical_not(abs(disc) > bound)
+
+
+# ---------------------------------------------------------------- double-double
+
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a double into two halves
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _fast_two_sum(a, b):
+    """``_two_sum`` for |a| >= |b|."""
+    s = a + b
+    return s, b - (s - a)
+
+
+def _two_prod(a, b):
+    """(p, e) with p = fl(a * b) and p + e = a * b exactly, by Dekker's split."""
+    p = a * b
+    t = _SPLIT * a
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    t = _SPLIT * b
+    b_hi = t - (t - b)
+    b_lo = b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _dd_add(x, y):
+    s, e = _two_sum(x[0], y[0])
+    return _fast_two_sum(s, e + (x[1] + y[1]))
+
+
+def _dd_mul(x, y):
+    p, e = _two_prod(x[0], y[0])
+    return _fast_two_sum(p, e + (x[0] * y[1] + x[1] * y[0]))
+
+
+def _dd_scale(x, b):
+    p, e = _two_prod(x[0], b)
+    return _fast_two_sum(p, e + x[1] * b)
+
+
+def _dd_div(num, den):
+    """num/den for double-double num and den, in double-double; NaN where den is 0."""
+    d = _select(den[0] != 0.0, den[0], math.nan)
+    q1 = num[0] / d
+    r = _dd_add(num, _dd_scale(den, -q1))
+    return _fast_two_sum(q1, r[0] / d)
+
+
+def _rounds(hi, lo, err):
+    """Whether every value within err of hi + lo rounds to the double hi."""
+    return abs(lo) + err < 0.5 * abs(hi - _xp(hi).nextafter(hi, 0.0))  # the smaller half-spacing
+
+
+# ---------------------------------------------------------------- polynomials
+
+
+def _gap(coefficients, E):
+    """The gap at the levels E as a polynomial: c3 and c2 exact, c1 and c0 one
+    ``_dd_add`` each, within 3 u^2 of their sizes (``_gap_sizes``)."""
+    nu, phi1, phi2, chi1, chi2 = coefficients
+    return ((_two_sum(-phi2, -chi2), _two_prod(3.0, chi2),
+             _dd_add(_two_sum(phi1, chi1), _two_prod(-3.0, chi2)),
+             _dd_add(_two_prod(nu, E), _two_sum(-chi1, chi2))), _gap_sizes(coefficients, E))
+
+
+def _derivative(c):
+    """The derivative's coefficients of the coefficients c, highest power first."""
+    return [k * x for k, x in zip(range(len(c) - 1, 0, -1), c)]
+
+
+def _horner_dd(poly, x):
+    """The polynomial at the doubles x in double-double by Horner's rule: (value,
+    error bound), for degree at most 3.
+
+    To first order and barring underflow, ``_dd_scale`` errs by 3 u^2 |product|
+    and ``_dd_add`` by 3 u^2 (|x| + |y|). So the step v*x + c_k errs by
+    3 u^2 (2 |v*x| + m_k) and c_k by 3 u^2 m_k, both carried times |x|^k, and
+    |v*x| |x|^k <= M(|x|), the polynomial of the sizes: 24 u^2 M in all. The
+    bound, 32 u^2 M in doubles, covers the higher orders and the rounding of M.
+    """
+    coefficients, sizes = poly
+    value = coefficients[0]
+    for c in coefficients[1:]:
+        value = _dd_add(_dd_scale(value, x), c)
+    return value, 32.0 * _U * _U * _horner(sizes, abs(x))
+
+
+def _newton_dd(x, poly):
+    """One Newton step on the polynomial from the doubles x, in double-double.
+
+    Returns the step's result y as (hi, lo) and a bound on its distance to
+    the root next to x, or NaN where the step cannot vouch for one: the slope
+    is too uncertain or the start too far out for Kantorovich's condition.
+    The value is ``_horner_dd``'s; the slope is evaluated by Horner's rule in
+    doubles on the derivative's leading doubles, to within 16 u M'(|x|).
+    """
+    (value, value_err), sizes = _horner_dd(poly, x), _derivative(poly[1])
+    ax = abs(x)
+    slope = _horner(_derivative([c[0] for c in poly[0]]), x)
+    slope_err = 16.0 * _U * _horner(sizes, ax)
+    d = _select(slope != 0.0, slope, math.inf)
+    q1 = value[0] / d
+    p = _two_prod(q1, d)
+    q2 = (((value[0] - p[0]) - p[1]) + value[1]) / d  # the step is q1 + q2
+    y = _two_sum(x, -q1)
+    y = _fast_two_sum(y[0], y[1] - q2)
+    step = abs(q1)
+    bend = _horner(_derivative(sizes), ax + 2.0 * step)  # |p''| within two steps of x
+    ad = abs(d)
+    bound = (2.0 * (value_err + step * slope_err + 3.0 * bend * step * step) / ad
+             + 8.0 * _U * _U * (step + abs(y[0])))
+    valid = (slope_err < 0.25 * abs(slope)) & (bend * step < 0.25 * ad)
+    return _select(valid, y[0], math.nan), y[1], _select(valid, bound, math.nan)
+
+
+# ---------------------------------------------------------------- exact arithmetic
+
+
+def _exact_gap(coefficients, E):
+    """The gap's coefficients at the level E as ``Fraction`` values, exactly."""
+    from fractions import Fraction
+
+    return gap_coefficients(tuple(map(Fraction, coefficients)), Fraction(E))
+
+
+def _sign(value):
+    return (value > 0) - (value < 0)
+
+
+def _bisect(sign, lo, hi):
+    """The double nearest the one zero in (lo, hi) of the exact function whose
+    sign ``sign`` gives at a ``Fraction``, where the sign changes.
+
+    Bisection over the doubles of the bracket ends at two neighbours, and the
+    sign at their midpoint picks the nearer; a zero exactly halfway goes to
+    the even one, as ``float(Fraction)`` rounds. lo and hi are floats or
+    ``Fraction`` values.
+    """
+    from fractions import Fraction
+
+    lo, hi = Fraction(lo), Fraction(hi)
+    side_lo = sign(lo)
+    while True:
+        x, y = float(lo), float(hi)
+        if x == y:
+            return x
+        adjacent = math.nextafter(x, math.inf) == y
+        mid = (Fraction(x) + Fraction(y)) / 2 if adjacent else Fraction(0.5 * x + 0.5 * y)
+        side = sign(mid)
+        if side == 0:
+            return float(mid)
+        if adjacent:
+            return y if side == side_lo else x
+        if side == side_lo:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _root(poly, lo, hi, x, sign):
+    """The correctly rounded root in (lo, hi) of the polynomial, which changes
+    sign there and has no other root in it, from the estimate x.
+
+    One ``_newton_dd`` step, kept where its bound certifies the rounding and
+    keeps the root inside the bracket; else ``_bisect`` on ``sign``, the exact
+    sign of the polynomial at a ``Fraction``.
+    """
+    y, y_lo, err = _newton_dd(x, poly)
+    if _rounds(y, y_lo, err) and lo < y - err and y + err < hi:
+        return y
+    return _bisect(sign, lo, hi)
+
+
+# ---------------------------------------------------------------- the locus
+
+
+def _critical_shares(spec) -> list[float]:
+    """The shares in (0, 1) where the gap's slope q'(s) vanishes, ascending, each
+    correctly rounded: the same for every level, since only the gap's constant
+    term depends on E.
+
+    There are none unless the discriminant of q', c2^2 - 3*c3*c1 in the gap's
+    exact coefficients, is positive: at a double root q' keeps its sign, so
+    the gap bends but stays monotone. The sign is read in doubles where it
+    clears their rounding error, and in ``fractions`` where it does not. The
+    quadratic formula gives the estimates, and the vertex of q' cuts (0, 1)
+    into the brackets of ``_root``.
+    """
+    (c3, c2, c1, _), (m3, m2, m1, _) = _gap(spec.coefficients, 0.0)
+    slope = (_dd_scale(c3, 3.0), _dd_scale(c2, 2.0), c1), (3.0 * m3, 2.0 * m2, m1)
+    estimates, unsure = _real_roots(0.0, *(c[0] for c in slope[0]), (0.0, *slope[1]))
+    if unsure:
+        e3, e2, e1, _ = _exact_gap(spec.coefficients, 0)
+        if e2 * e2 <= 3 * e3 * e1:
+            return []
+    vertex = -c2[0] / (3.0 * c3[0]) if c3[0] != 0.0 else 1.0
+    vertex = min(max(vertex, 0.0), 1.0)
+
+    def sign(s):
+        return _sign(_horner(_derivative(_exact_gap(spec.coefficients, 0)), s))
+
+    roots = (_root(slope, *((0.0, vertex) if x < vertex else (vertex, 1.0)), x, sign)
+             for x in estimates if 0.0 < x < 1.0)  # also drops a missing root, NaN
+    return sorted(s for s in roots if 0.0 < s < 1.0)
+
+
+def _discriminant(c3, c2, c1, c0):
+    """The discriminant of c3*s^3 + c2*s^2 + c1*s + c0."""
+    return (18 * c3 * c2 * c1 * c0 - 4 * c2 * c2 * c2 * c0 + c2 * c2 * c1 * c1
+            - 4 * c3 * c1 * c1 * c1 - 27 * c3 * c3 * c0 * c0)
+
+
+def _saddle_level(spec, s) -> float:
+    """The correctly rounded level E_bar = -q(s*)/nu of the critical share s*, of
+    which s is the correctly rounded double.
+
+    q(s) is evaluated in double-double and divided by -nu. As q'(s*) = 0, q(s)
+    differs from q(s*) by at most |q''| d^2/2, d = ulp(s) >= 2 |s - s*|, so the
+    error bound adds that to ``_horner_dd``'s and to 16 u^2 |E| for the
+    division. Where the bound does not separate two neighbouring doubles,
+    ``_bisect`` rounds E in exact arithmetic on the sign of the gap's
+    discriminant, a polynomial in E that vanishes at each saddle-node level.
+    """
+    q = _gap(spec.coefficients, 0.0)
+    value, err = _horner_dd(q, s)
+    d = math.ulp(s)
+    err += 0.5 * _horner(_derivative(_derivative(q[1])), abs(s) + d) * d * d
+    e, e_lo = _dd_div(value, (-spec.nu, 0.0))
+    err = err / spec.nu + 16.0 * _U * _U * abs(e)
+    if _rounds(e, e_lo, err) or not err < math.inf:
+        return e
+    from fractions import Fraction
+
+    mid, width = Fraction(e) + Fraction(e_lo), 2 * Fraction(err)
+    return _bisect(lambda E: _sign(_discriminant(*_exact_gap(spec.coefficients, E))),
+                   mid - width, mid + width)

@@ -6,6 +6,9 @@ diagram keeps the roots as columns and builds per-level rows only when asked
 for them. The grid only samples the printed locus: each transition, at its
 exact E, is read off the monotone pieces of the root locus E(s) = -q(s)/nu,
 a saddle-node where two roots collide or a flagged crossing of a window edge.
+Each saddle-node's s_bar and E_bar is the correctly rounded double of the
+exact value on the float parameters (``_locus``); a window edge's share is
+still found in doubles (``_unit_roots``), and its level formed in doubles.
 """
 
 from __future__ import annotations
@@ -13,13 +16,14 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 
+from ._locus import _critical_shares, _real_roots, _saddle_level
 from ._np import np
 from .demand import alpha_of
 from .dynamics import _horner, excess_share, excess_share_slope_E, gap_coefficients, h_ratio
 from .errors import DegenerateChannel
 from .scenario import LearningSpec, PreferenceSchedule, SolverConfig, SweepConfig  # noqa: F401
 from .scenario import _DEFAULTS, _Record
-from .solver import FixedPoint, RootColumns, _critical_shares, _fixed_point_rows, _real_roots
+from .solver import FixedPoint, RootColumns, _fixed_point_rows
 
 
 class SaddleNode(_Record):
@@ -98,20 +102,25 @@ def refine_saddle_node(*args, **kwargs):
 
 def _unit_roots(*g) -> list[float]:
     """Roots in (0, 1), in doubles, where g4*s^4 + ... + g0 changes sign: its derivative's
-    real roots cut (0, 1) into monotone pieces, and each that changes sign is bisected."""
+    real roots cut (0, 1) into monotone pieces, and on each that changes sign Newton's
+    method runs from the midpoint, kept inside a bracket that shrinks about the root."""
     g4, g3, g2, g1, _ = g
-    critical, _ = _real_roots(4.0 * g4, 3.0 * g3, 2.0 * g2, g1, (0.0,) * 4)
+    slope = (4.0 * g4, 3.0 * g3, 2.0 * g2, g1)
+    critical, _ = _real_roots(*slope, (0.0,) * 4)
     cuts = [0.0, *sorted(s for s in critical if 0.0 < s < 1.0), 1.0]
     signs = [_horner(g, s) > 0.0 for s in cuts]
     roots = []
     for lo, hi, up_lo, up in zip(cuts, cuts[1:], signs, signs[1:]):
         if up_lo != up:
-            while lo < (s := 0.5 * (lo + hi)) < hi:
-                if (_horner(g, s) > 0.0) == up:
-                    hi = s
-                else:
-                    lo = s
-            roots.append(hi)
+            s = 0.5 * (lo + hi)
+            for _ in range(64):  # a bisection step where Newton's leaves the bracket
+                value, d = _horner(g, s), _horner(slope, s)
+                lo, hi = (lo, s) if (value > 0.0) == up else (s, hi)
+                t = s - value / d if d != 0.0 else s
+                if abs(t - s) <= 2.0 ** -50 * abs(s):  # within a few ulps
+                    break
+                s = t if lo < t < hi else 0.5 * (lo + hi)
+            roots.append(s)
     return roots
 
 
@@ -138,20 +147,24 @@ def _events(sched: PreferenceSchedule, spec: LearningSpec, sweep_cfg: SweepConfi
         a = alpha_of(sched, locus(s))
         return a * (1.0 - s) / ((1.0 - a) * s)
 
-    critical = _critical_shares(spec)  # h_ratio first, as an overflow raises there
-    ratios = {s: h_ratio(spec, s, locus(s)) for s in critical if e_min < locus(s) < e_max}
+    saddles = {s: _saddle_level(spec, s) for s in _critical_shares(spec)}
+    # h_ratio first, as an overflow raises there
+    ratios = {s: h_ratio(spec, s, e) for s, e in saddles.items() if e_min < e < e_max}
     k = sched.alpha_slope / spec.nu
     a3, a2, a1, a0 = -k * c3, -k * c2, -k * c1, sched.alpha_base - k * c0  # alpha along E(s)
-    cuts = set(critical)
+    cuts = set(saddles)
     for edge in (p_min, p_max):  # the share at P solves alpha*(1 - s + P*s) = P*s
         cuts.update(c / (c + (1.0 - c) * edge) for c in (sched.alpha_lo, sched.alpha_hi))
         u, m, w = 1.0 / (1.0 + edge), (edge - 1.0) / (1.0 + edge), edge / (1.0 + edge)
         cuts.update(_unit_roots(m * a3, u * a3 + m * a2, u * a2 + m * a1, u * a1 + m * a0 - w,
                                 u * a0))
     shares = sorted(cuts)
-    levels = [locus(s) for s in shares]
-    ups = [(f > e) - (f < e) if p_min <= price(0.5 * (s + t)) <= p_max else 0
-           for s, t, e, f in zip(shares, shares[1:], levels, levels[1:])]  # E's rise if inside
+    levels = [saddles[s] if s in saddles else locus(s) for s in shares]
+    # E's rise along each piece inside the window: between the two critical
+    # shares, that of -q', whose sign is c3's there, however close their levels
+    ups = [(((c3 > 0) - (c3 < 0)) if s in saddles and t in saddles else (f > e) - (f < e))
+           if p_min <= price(0.5 * (s + t)) <= p_max else 0
+           for s, t, e, f in zip(shares, shares[1:], levels, levels[1:])]
     changes = [a - b for a, b in zip([*ups, 0], [0, *ups])]  # piece after less piece before
     events, tol = [], sweep_cfg.refine_tol
     for s, e, change in zip(shares, levels, changes):
@@ -165,7 +178,8 @@ def _events(sched: PreferenceSchedule, spec: LearningSpec, sweep_cfg: SweepConfi
             edge = ("p_min", p_min) if price(s) < p_min**0.5 * p_max**0.5 else ("p_max", p_max)
             saddle, note = None, "a root crosses the price window's edge %s = %r" % edge
         events.append((e, change, saddle, note))
-    return sorted(events, key=lambda event: event[0])
+    # at one level, a rise first: the two folds of a pair can round to one level
+    return sorted(events, key=lambda event: (event[0], -event[1]))
 
 
 def sweep(

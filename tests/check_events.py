@@ -8,8 +8,12 @@ a random education range, grid size and price window, and compares
 the number of correctly rounded roots changes, found by bisection in E in
 exact rational arithmetic, without the package. Each transition must lie
 within 1e-9 of its change and carry the same counts below and above it.
-Prints the totals and exits 1, listing the first mismatches, if any
-calibration differs. About 0.25 s per calibration; it is not part of the test
+Each threshold (E_bar, s_bar) must also equal ``oracles.saddle_node_exact``
+bit for bit. The count of window-edge transitions whose E is not one of
+``oracles.edge_levels`` is printed too, but not gated: those levels are still
+formed in doubles. Prints the totals and exits 1, listing the first
+mismatches, if any calibration differs or any threshold is not correctly
+rounded. About 0.25 s per calibration; it is not part of the test
 suite.
 """
 
@@ -33,7 +37,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     rng = random.Random(args.seed)
     start = time.perf_counter()
-    mismatches, changes = [], 0
+    mismatches, changes, thresholds, rounding, edges, edge_rounding = [], 0, 0, [], 0, 0
     for _ in range(args.calibrations):
         sched, spec, alpha_params, learn = random_calibration(rng)
         e_min, e_max = rng.uniform(0.0, 0.1), rng.uniform(0.3, 0.6)
@@ -47,11 +51,24 @@ def main(argv=None) -> int:
             abs(a[0] - b[0]) > 1e-9 or a[1:] != b[1:] for a, b in zip(got, want)
         ):
             mismatches.append((sched, spec, sweep_cfg, p_min, p_max, got, want))
+        exact = dict((s, e) for e, s in oracles.saddle_node_exact(learn))
+        thresholds += len(diagram.thresholds)
+        rounding += [(learn, sn) for sn in diagram.thresholds
+                     if exact.get(sn.s_bar) != sn.E_bar]
+        levels = set(oracles.edge_levels(p_min, e_min, e_max, alpha_params, learn)
+                     + oracles.edge_levels(p_max, e_min, e_max, alpha_params, learn))
+        crossings = [t.E for t in diagram.transitions if t.note.startswith("a root crosses")]
+        edges += len(crossings)
+        edge_rounding += sum(e not in levels for e in crossings)
     print(f"{args.calibrations} calibrations, {changes} exact count changes, "
           f"{len(mismatches)} calibrations differ; {time.perf_counter() - start:.1f} s")
+    print(f"{thresholds} thresholds, {len(rounding)} not correctly rounded; {edges} edge "
+          f"crossings, {edge_rounding} not at an exact edge level (not gated)")
     for *calibration, got, want in mismatches[:10]:
         print(f"{calibration!r}:\n  sweep  {got!r}\n  oracle {want!r}")
-    return 1 if mismatches else 0
+    for learn, sn in rounding[:10]:
+        print(f"{learn!r}: {sn!r} is not the exact oracle's")
+    return 1 if mismatches or rounding else 0
 
 
 if __name__ == "__main__":

@@ -107,10 +107,10 @@ CASES = {name: Case(*row) for name, row in {
     # cli has no __all__: a star import takes its module globals, no engine name
     "from demandtier.cli import *": ("from demandtier.cli import *\n", [], 0, False, "", False,
                                      NO_PARSER),
-    "fixed-points": (ENTRY, ["fixed-points"], 0, False, "solver dynamics demand", True,
+    "fixed-points": (ENTRY, ["fixed-points"], 0, False, "solver _locus dynamics demand", True,
                      NO_PARSER),
-    "bifurcation": (ENTRY, ["bifurcation"], 0, True, "bifurcation solver dynamics demand", True,
-                    ()),
+    "bifurcation": (ENTRY, ["bifurcation"], 0, True, "bifurcation solver _locus dynamics demand",
+                    True, ()),
     "simulate": (ENTRY, ["simulate"], 0, True, "dynamics demand", True, ()),
     "statics": (ENTRY, ["statics"], 0, True, "demand", True, ()),
     "planner-foc": (ENTRY, ["planner-foc"], 0, True, "planner dynamics demand", True, ()),

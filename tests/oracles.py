@@ -371,6 +371,36 @@ def saddle_node_closed_form(learn_params=CUBIC_PARAMS):
     return sorted(out)
 
 
+def saddle_node_exact(learn_params=CUBIC_PARAMS):
+    """Threshold pairs (E_bar, s_bar), ascending, each the double nearest the
+    exact value on the float parameters.
+
+    s_bar is a root in (0, 1) of q'(s), a quadratic with rational
+    coefficients, rounded by ``_rounded_roots``. E_bar = -q(s_bar)/nu is a
+    root of the gap cubic's discriminant, a polynomial in E that vanishes at
+    each saddle-node level; the root next to -q(s_bar)/nu in doubles is
+    rounded the same way. There is none unless the discriminant of q' is
+    positive.
+    """
+    nu, phi1, phi2, chi1, chi2 = map(Fraction, learn_params)
+    c3, c2, c1 = -(phi2 + chi2), 3 * chi2, phi1 + chi1 - 3 * chi2
+    if c2 * c2 <= 3 * c3 * c1:
+        return []
+    c0 = [chi2 - chi1, nu]  # the gap's constant term, lowest power of E first
+    disc = _polynomial((18 * c3 * c2 * c1 - 4 * c2 ** 3, c0),
+                       (c2 ** 2 * c1 ** 2 - 4 * c3 * c1 ** 3,), (-27 * c3 ** 2, c0, c0))
+    out = []
+    for s_bar in _rounded_roots([c1, 2 * c2, 3 * c3], Fraction(0), Fraction(1)):
+        if not 0.0 < s_bar < 1.0:
+            continue
+        s = Fraction(s_bar)
+        guess = float(-(c3 * s ** 3 + c2 * s ** 2 + c1 * s + c0[0]) / nu)
+        width = 1e-6 * (1.0 + abs(guess))
+        levels = _rounded_roots(disc, Fraction(guess - width), Fraction(guess + width))
+        out.append((min(levels, key=lambda e: abs(e - guess)), s_bar))
+    return sorted(out)
+
+
 def planner_objective(e_vec, a_h0, a_l_path, y_vec, beta, nu, phi,
                       kappa_scale, kappa_curv,
                       alpha_params=ALPHA_PARAMS, gl_base=2.0, gl_decay=0.5, gamma_h=0.0,

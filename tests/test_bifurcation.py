@@ -23,7 +23,7 @@ from demandtier import (
     h_ratio,
     sweep,
 )
-from demandtier import bifurcation, solver
+from demandtier import _locus, bifurcation, solver
 from demandtier.dynamics import gap_coefficients
 from demandtier.errors import ConfigError, DegenerateChannel, InvalidPrice, NoConvergence
 from demandtier.scenario import load_scenario
@@ -103,12 +103,16 @@ class TestThresholds:
 
     def test_saddle_node_above_refine_tol_stays_a_flagged_transition(self, sched, cubic,
                                                                      diagram):
+        # at its correctly rounded (s_bar, E_bar) the upper threshold's residuals
+        # are both 0, so it stays one at any refine_tol; the lower one is flagged
         strict = sweep(sched, cubic, SweepConfig(refine_tol=1e-30))
-        assert strict.thresholds == []
+        assert strict.thresholds == [sn for sn in diagram.thresholds if sn.residuals == (0, 0)]
+        assert len(strict.thresholds) == 1
         assert [(t.E, t.count_lo, t.count_hi) for t in strict.transitions] == [
             (t.E, t.count_lo, t.count_hi) for t in diagram.transitions]
-        notes = [t.note for t in strict.transitions if abs(t.count_hi - t.count_lo) == 2]
-        assert len(notes) == 2 and all(n.startswith("saddle-node residuals") for n in notes)
+        notes = [t.note for t in strict.transitions
+                 if abs(t.count_hi - t.count_lo) == 2 and t.saddle is None]
+        assert len(notes) == 1 and notes[0].startswith("saddle-node residuals")
 
     def test_colliding_pair_identity(self, diagram):
         # at the upper threshold the unstable middle root and the low-share
@@ -173,10 +177,12 @@ class TestBracketThresholds:
         assert _bracket(sched, cubic, 0.09, 0.095).thresholds == []
 
     def test_residuals_above_tolerance_leave_a_flagged_transition(self, sched, cubic):
-        diagram = _bracket(sched, cubic, 0.215, 0.280, refine_tol=1e-30)
+        # the lower threshold: its |dH/ds| at the correctly rounded (s_bar, E_bar)
+        # is 1.4e-16, where the upper one's residuals are both 0
+        diagram = _bracket(sched, cubic, 0.145, 0.215, refine_tol=1e-30)
         assert diagram.thresholds == []
         [t] = diagram.transitions
-        assert (t.count_lo, t.count_hi) == (3, 1) and "residuals" in t.note
+        assert (t.count_lo, t.count_hi) == (1, 3) and "residuals" in t.note
 
     def test_the_removed_api_points_to_the_sweep(self, cubic):
         with pytest.raises(NotImplementedError, match=r"sweep\(\.\.\.\)\.thresholds"):
@@ -325,7 +331,7 @@ class TestGapBound:
         # the gap the Newton step polishes on, by Horner's rule in double-double,
         # against the exact gap of the float parameters, written term by term
         _, spec = calibration
-        gap, bound, _, _ = solver._gap_dd(x, E, spec.coefficients)
+        gap, bound = _locus._horner_dd(_locus._gap(spec.coefficients, E), x)
         nu, phi1, phi2, chi1, chi2 = map(Fraction, spec.coefficients)
         s, t = Fraction(x), 1 - Fraction(x)
         exact = nu * Fraction(E) + phi1 * s - phi2 * s**3 - chi1 * t + chi2 * t**3
@@ -358,6 +364,45 @@ class TestCusp:
         assert [(t.count_lo, t.count_hi) for t in diagram.transitions] == [(1, 3), (3, 1)]
         assert [("%.12g" % sn.E_bar, "%.12g" % sn.s_bar) for sn in diagram.thresholds] == [
             ("0.398987169994", "0.611547005384"), ("0.399012830006", "0.588452994616")]
+
+
+    def test_correctly_rounded_shares_next_to_the_cusp(self):
+        # q''s discriminant is positive but rounds badly in doubles: the quadratic
+        # formula put the shares at 0.600000007947 and 0.599999992053
+        diagram = self._sweep(0.6000000000000002)
+        assert [(t.count_lo, t.count_hi) for t in diagram.transitions] == [(1, 3), (3, 1)]
+        assert ["%.12g" % sn.s_bar for sn in diagram.thresholds] == [
+            "0.600000004552", "0.599999995448"]
+        exact = oracles.saddle_node_exact((0.6, 0.6000000000000002, 1.0, 1.2, 1.5))
+        assert sorted((sn.E_bar, sn.s_bar) for sn in diagram.thresholds) == exact
+
+
+class TestCorrectlyRoundedThresholds:
+    def test_every_threshold_equals_the_exact_oracle(self):
+        # every (E_bar, s_bar) is the double nearest the exact saddle-node of the
+        # float parameters, over seeded random calibrations
+        rng = random.Random(20261019)
+        checked = 0
+        for _ in range(2500):
+            _, spec, _, learn = random_calibration(rng)
+            exact = oracles.saddle_node_exact(learn)
+            got = sorted((_locus._saddle_level(spec, s), s)
+                         for s in _locus._critical_shares(spec))
+            assert got == exact, learn
+            checked += len(exact)
+        assert checked >= 2000
+
+    def test_exact_fallbacks_give_the_same_doubles(self, monkeypatch):
+        # with no rounding certified, every share and level is bisected exactly
+        rng = random.Random(7)
+        cases = [random_calibration(rng)[1::2] for _ in range(20)]
+        want = [sorted((_locus._saddle_level(spec, s), s) for s in _locus._critical_shares(spec))
+                for spec, _ in cases]
+        assert sum(map(len, want)) >= 10
+        monkeypatch.setattr(_locus, "_rounds", lambda hi, lo, err: False)
+        for (spec, learn), expected in zip(cases, want):
+            got = sorted((_locus._saddle_level(spec, s), s) for s in _locus._critical_shares(spec))
+            assert got == expected == oracles.saddle_node_exact(learn)
 
 
 class TestBatchInvariance:

@@ -21,7 +21,7 @@ from demandtier import bifurcation, cli, demand, dynamics, planner, scenario, so
 
 # the submodules a bare ``import demandtier`` bound before its names became lazy
 SUBMODULES = ("bifurcation", "demand", "dynamics", "errors", "planner", "scenario", "solver",
-              "_np", "_kernels")
+              "_locus", "_np", "_kernels")
 MOVED = [(demand, "PreferenceSchedule"), (dynamics, "LearningVariant"),
          (dynamics, "LearningSpec"), (solver, "SolverConfig"), (bifurcation, "SweepConfig"),
          (planner, "PlannerConfig")]
