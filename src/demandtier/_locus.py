@@ -1,21 +1,21 @@
-"""The polynomial root machinery of the solver and the sweep: each root a
-correctly rounded double of the exact root on the float parameters.
+"""The polynomial root machinery of the solver and the sweep: every root, and
+every event level of the sweep's root locus, the correctly rounded double of
+the exact value on the float parameters.
 
-A polynomial is a pair: its coefficients, highest power first, each a
-double-double (hi, lo) within 3 u^2 of its size, and those sizes m_k, the sums
-of the magnitudes of the terms that make up each coefficient. ``_gap`` gives
-the gap g_H(s, E) - g_L(1 - s), a cubic in the share whose roots are the
-fixed points; at E = 0 it is q(s), whose root locus E(s) = -q(s)/nu the
-sweep reads. ``_horner_dd`` evaluates a polynomial by Horner's rule in
-double-double arithmetic (Dekker 1971) with an error bound, and ``_newton_dd``
-takes one Newton step on it, with a Kantorovich-style bound on its distance to
-the root. ``_root`` rounds that step's result where the bound certifies the
-rounding, and otherwise calls ``_bisect``, the package's one exact rational
-bisection over the doubles of a bracket, which the solver's exact fallback
-shares. ``_critical_shares`` (the roots of q') and ``_saddle_level`` (the
-level -q(s_bar)/nu) use them, so every printed s_bar and E_bar is correctly
-rounded, as every p* is. The module imports no numpy, and ``fractions`` only
-in an exact fallback.
+A polynomial (``_poly``) holds its coefficients, highest power first, each a
+double-double (hi, lo) within 3 u^2 of its size, those sizes m_k, the sums of
+the magnitudes of the terms that make up each coefficient, and its slope's
+leading doubles and sizes. ``_gap`` gives the gap g_H(s, E) - g_L(1 - s), a
+cubic in the share whose roots are the fixed points; at E = 0 it is q(s), whose
+root locus E(s) = -q(s)/nu the sweep reads. ``_horner_dd`` evaluates a
+polynomial in double-double arithmetic (Dekker 1971) with an error bound,
+``_newton_dd`` takes one Newton step with a Kantorovich-style bound, and
+``_bisect`` is the package's one exact rational bisection, which the solver's
+exact fallback shares. ``_roots`` gives the correctly rounded roots in (0, 1)
+of a polynomial of degree at most 4, and ``_level`` the level -q(s)/nu of
+one. Every sweep event comes from these two: the critical shares with their
+saddle-node levels, and the window-edge crossings. The module imports no
+numpy, and ``fractions`` only in an exact fallback.
 """
 
 import math
@@ -152,13 +152,24 @@ def _rounds(hi, lo, err):
 # ---------------------------------------------------------------- polynomials
 
 
+def _poly(coefficients, sizes):
+    """The polynomial of the coefficients and sizes, with its slope's leading
+    doubles and the sizes of its slope and of the slope's slope, built once."""
+    slope_sizes = _derivative(sizes)
+    return (coefficients, sizes, _derivative([c[0] for c in coefficients]), slope_sizes,
+            _derivative(slope_sizes) or [0.0])
+
+
 def _gap(coefficients, E):
-    """The gap at the levels E as a polynomial: c3 and c2 exact, c1 and c0 one
-    ``_dd_add`` each, within 3 u^2 of their sizes (``_gap_sizes``)."""
+    """The gap at the levels E as a polynomial (``_poly``, its slope written out):
+    c3 and c2 exact, c1 and c0 one ``_dd_add`` each, within 3 u^2 of their
+    sizes (``_gap_sizes``)."""
     nu, phi1, phi2, chi1, chi2 = coefficients
-    return ((_two_sum(-phi2, -chi2), _two_prod(3.0, chi2),
-             _dd_add(_two_sum(phi1, chi1), _two_prod(-3.0, chi2)),
-             _dd_add(_two_prod(nu, E), _two_sum(-chi1, chi2))), _gap_sizes(coefficients, E))
+    c3, c2 = _two_sum(-phi2, -chi2), _two_prod(3.0, chi2)
+    c1 = _dd_add(_two_sum(phi1, chi1), _two_prod(-3.0, chi2))
+    m3, m2, m1, m0 = _gap_sizes(coefficients, E)
+    return ((c3, c2, c1, _dd_add(_two_prod(nu, E), _two_sum(-chi1, chi2))), (m3, m2, m1, m0),
+            (3.0 * c3[0], 2.0 * c2[0], c1[0]), (3.0 * m3, 2.0 * m2, m1), (6.0 * m3, 2.0 * m2))
 
 
 def _derivative(c):
@@ -168,15 +179,16 @@ def _derivative(c):
 
 def _horner_dd(poly, x):
     """The polynomial at the doubles x in double-double by Horner's rule: (value,
-    error bound), for degree at most 3.
+    error bound), for degree n at most 4.
 
     To first order and barring underflow, ``_dd_scale`` errs by 3 u^2 |product|
     and ``_dd_add`` by 3 u^2 (|x| + |y|). So the step v*x + c_k errs by
     3 u^2 (2 |v*x| + m_k) and c_k by 3 u^2 m_k, both carried times |x|^k, and
-    |v*x| |x|^k <= M(|x|), the polynomial of the sizes: 24 u^2 M in all. The
-    bound, 32 u^2 M in doubles, covers the higher orders and the rounding of M.
+    |v*x| |x|^k <= M(|x|), the polynomial of the sizes: (6n + 6) u^2 M in all.
+    The bound, 32 u^2 M in doubles, covers the higher orders and the rounding
+    of M.
     """
-    coefficients, sizes = poly
+    coefficients, sizes = poly[0], poly[1]
     value = coefficients[0]
     for c in coefficients[1:]:
         value = _dd_add(_dd_scale(value, x), c)
@@ -192,10 +204,9 @@ def _newton_dd(x, poly):
     The value is ``_horner_dd``'s; the slope is evaluated by Horner's rule in
     doubles on the derivative's leading doubles, to within 16 u M'(|x|).
     """
-    (value, value_err), sizes = _horner_dd(poly, x), _derivative(poly[1])
-    ax = abs(x)
-    slope = _horner(_derivative([c[0] for c in poly[0]]), x)
-    slope_err = 16.0 * _U * _horner(sizes, ax)
+    (value, value_err), ax = _horner_dd(poly, x), abs(x)
+    slope = _horner(poly[2], x)
+    slope_err = 16.0 * _U * _horner(poly[3], ax)
     d = _select(slope != 0.0, slope, math.inf)
     q1 = value[0] / d
     p = _two_prod(q1, d)
@@ -203,7 +214,7 @@ def _newton_dd(x, poly):
     y = _two_sum(x, -q1)
     y = _fast_two_sum(y[0], y[1] - q2)
     step = abs(q1)
-    bend = _horner(_derivative(sizes), ax + 2.0 * step)  # |p''| within two steps of x
+    bend = _horner(poly[4], ax + 2.0 * step)  # |p''| within two steps of x
     ad = abs(d)
     bound = (2.0 * (value_err + step * slope_err + 3.0 * bend * step * step) / ad
              + 8.0 * _U * _U * (step + abs(y[0])))
@@ -255,51 +266,110 @@ def _bisect(sign, lo, hi):
             hi = mid
 
 
-def _root(poly, lo, hi, x, sign):
-    """The correctly rounded root in (lo, hi) of the polynomial, which changes
-    sign there and has no other root in it, from the estimate x.
+def _roots(poly, sign, keep=lambda s: True) -> list:
+    """The correctly rounded roots in (0, 1) of the polynomial, of degree at most 4,
+    ascending, each as a share (s, s_lo, err): the root lies within err of
+    s + s_lo. ``sign`` is the polynomial's exact sign at a ``Fraction``; a root
+    whose estimate ``keep`` rejects is left out.
 
-    One ``_newton_dd`` step, kept where its bound certifies the rounding and
-    keeps the root inside the bracket; else ``_bisect`` on ``sign``, the exact
-    sign of the polynomial at a ``Fraction``.
+    The real roots of its slope cut (0, 1) into monotone pieces. The sign at each
+    cut is read in doubles where it clears their rounding error, 16 u M(1),
+    else exactly; a cut where it is 0 is a root. On each piece whose ends
+    differ in sign, Newton's method in doubles from the secant's root, kept
+    inside a bracket that shrinks about the root, gives an estimate; one
+    ``_newton_dd`` step from it is kept where its bound certifies the rounding
+    and keeps the root inside the piece, else ``_bisect`` rounds the root.
     """
-    y, y_lo, err = _newton_dd(x, poly)
-    if _rounds(y, y_lo, err) and lo < y - err and y + err < hi:
-        return y
-    return _bisect(sign, lo, hi)
+    c, slope = [c[0] for c in poly[0]], poly[2]
+    top = max(map(abs, slope)) or 1.0  # scaled, so that the discriminant stays finite
+    critical, _ = _real_roots(*[0.0] * (4 - len(slope)), *(d / top for d in slope), (0.0,) * 4)
+    cuts = [0.0, *sorted(s for s in critical if 0.0 < s < 1.0), 1.0]
+    values, bound = [], 16.0 * _U * sum(poly[1])  # M(s) <= M(1) in [0, 1]
+    for s in cuts:
+        value = _horner(c, s)
+        if not abs(value) > bound:
+            from fractions import Fraction
+
+            value = sign(Fraction(s))
+        values.append(value)
+    found = [(s, 0.0, 0.0) for s, value in zip(cuts[1:-1], values[1:-1]) if value == 0]
+    for lo, hi, v_lo, v_hi in zip(cuts, cuts[1:], values, values[1:]):
+        if _sign(v_lo) * _sign(v_hi) < 0:
+            a, b, s = lo, hi, min(max(lo + (hi - lo) * float(v_lo / (v_lo - v_hi)), lo), hi)
+            for _ in range(64):  # a bisection step where Newton's leaves the bracket
+                value, d = _horner(c, s), _horner(slope, s)
+                a, b = (a, s) if (value > 0.0) == (v_hi > 0) else (s, b)
+                t = s - value / d if d != 0.0 else s
+                if abs(t - s) <= 2.0 ** -26 * abs(s):  # t is then within a few ulps
+                    break
+                s = t if a < t < b else 0.5 * (a + b)
+            s = t if a < t < b else s
+            if keep(s):
+                y, y_lo, err = _newton_dd(s, poly)
+                if not (_rounds(y, y_lo, err) and lo < y - err and y + err < hi):
+                    y = _bisect(sign, lo, hi)
+                    y_lo, err = 0.0, 0.5 * math.ulp(y)
+                found.append((y, y_lo, err))
+    return sorted(found)
+
+
+def _level(q, nu, share, sign) -> float:
+    """The correctly rounded level -q(s*)/nu of the exact share s*, given as a
+    share (s, s_lo, err) of ``_roots``.
+
+    q is evaluated at s in double-double and moved to s + s_lo along its slope;
+    the error bound adds to ``_horner_dd``'s the slope times err and the
+    second-order terms, and 16 u^2 |E| for the division. Where the bound does
+    not separate two neighbouring doubles, ``_bisect`` rounds E in exact
+    arithmetic on ``sign``, the exact sign at a ``Fraction`` E of a function
+    whose one zero near E is the level.
+    """
+    s, s_lo, s_err = share
+    (value, err), ax = _horner_dd(q, s), abs(s)
+    slope, reach = _horner(q[2], s), abs(s_lo) + s_err
+    value = _dd_add(value, _two_prod(slope, s_lo))
+    err = (2.0 * err + abs(slope) * s_err
+           + (32.0 * _U * _horner(q[3], ax) + _horner(q[4], ax + reach) * reach) * reach)
+    e, e_lo = _dd_div(value, (-nu, 0.0))
+    err = err / nu + 16.0 * _U * _U * abs(e)
+    if _rounds(e, e_lo, err) or not err < math.inf:
+        return e
+    from fractions import Fraction
+
+    mid, width = Fraction(e) + Fraction(e_lo), 2 * Fraction(err)
+    return _bisect(sign, mid - width, mid + width)
 
 
 # ---------------------------------------------------------------- the locus
 
 
-def _critical_shares(spec) -> list[float]:
-    """The shares in (0, 1) where the gap's slope q'(s) vanishes, ascending, each
-    correctly rounded: the same for every level, since only the gap's constant
+def _critical_shares(spec, q) -> dict:
+    """{s: E} for each share s in (0, 1) where the slope of q, the gap at E = 0,
+    vanishes, and its saddle-node level E = -q(s)/nu, both correctly rounded:
+    the shares are the same at every level, since only the gap's constant
     term depends on E.
 
     There are none unless the discriminant of q', c2^2 - 3*c3*c1 in the gap's
     exact coefficients, is positive: at a double root q' keeps its sign, so
     the gap bends but stays monotone. The sign is read in doubles where it
-    clears their rounding error, and in ``fractions`` where it does not. The
-    quadratic formula gives the estimates, and the vertex of q' cuts (0, 1)
-    into the brackets of ``_root``.
+    clears their rounding error, and in ``fractions`` where it does not.
     """
-    (c3, c2, c1, _), (m3, m2, m1, _) = _gap(spec.coefficients, 0.0)
-    slope = (_dd_scale(c3, 3.0), _dd_scale(c2, 2.0), c1), (3.0 * m3, 2.0 * m2, m1)
-    estimates, unsure = _real_roots(0.0, *(c[0] for c in slope[0]), (0.0, *slope[1]))
+    (c3, c2, c1, _), (m3, m2, m1, _) = q[0], q[1]
+    _, unsure = _real_roots(0.0, *q[2], (0.0, *q[3]))
     if unsure:
         e3, e2, e1, _ = _exact_gap(spec.coefficients, 0)
         if e2 * e2 <= 3 * e3 * e1:
-            return []
-    vertex = -c2[0] / (3.0 * c3[0]) if c3[0] != 0.0 else 1.0
-    vertex = min(max(vertex, 0.0), 1.0)
+            return {}
 
-    def sign(s):
+    def sign(s):  # of q'
         return _sign(_horner(_derivative(_exact_gap(spec.coefficients, 0)), s))
 
-    roots = (_root(slope, *((0.0, vertex) if x < vertex else (vertex, 1.0)), x, sign)
-             for x in estimates if 0.0 < x < 1.0)  # also drops a missing root, NaN
-    return sorted(s for s in roots if 0.0 < s < 1.0)
+    def sign_level(E):  # of the gap's discriminant, which vanishes at each saddle-node
+        return _sign(_discriminant(*_exact_gap(spec.coefficients, E)))
+
+    slope = _poly((_dd_scale(c3, 3.0), _dd_scale(c2, 2.0), c1), (3.0 * m3, 2.0 * m2, m1))
+    return {share[0]: _level(q, spec.nu, share, sign_level)
+            for share in _roots(slope, sign) if 0.0 < share[0] < 1.0}
 
 
 def _discriminant(c3, c2, c1, c0):
@@ -308,27 +378,63 @@ def _discriminant(c3, c2, c1, c0):
             - 4 * c3 * c1 * c1 * c1 - 27 * c3 * c3 * c0 * c0)
 
 
-def _saddle_level(spec, s) -> float:
-    """The correctly rounded level E_bar = -q(s*)/nu of the critical share s*, of
-    which s is the correctly rounded double.
+def _edge_crossings(spec, q, sched, prices) -> dict:
+    """{s: E} for each share s where the locus holds a root whose price is one of
+    the prices, and its level E, both correctly rounded.
 
-    q(s) is evaluated in double-double and divided by -nu. As q'(s*) = 0, q(s)
-    differs from q(s*) by at most |q''| d^2/2, d = ulp(s) >= 2 |s - s*|, so the
-    error bound adds that to ``_horner_dd``'s and to 16 u^2 |E| for the
-    division. Where the bound does not separate two neighbouring doubles,
-    ``_bisect`` rounds E in exact arithmetic on the sign of the gap's
-    discriminant, a polynomial in E that vanishes at each saddle-node level.
+    With r = price - 1, the share solves nu*alpha*(1 + r*s) = nu*price*s, and
+    nu*alpha along the locus is nu*base - slope*q(s) on each piece of the
+    weight: base + slope*E where it is affine, a quartic, and (c, 0.0) where it
+    is clipped at c, linear. The coefficients come in double-double from q's;
+    each errs by at most 20 u^2 times the magnitudes of its terms, eight times
+    which are its sizes. A share whose level in doubles puts alpha clearly off
+    the piece is no crossing. E's exact fallback reads the sign of the gap at
+    the share of the price, with the piece's alpha.
     """
-    q = _gap(spec.coefficients, 0.0)
-    value, err = _horner_dd(q, s)
-    d = math.ulp(s)
-    err += 0.5 * _horner(_derivative(_derivative(q[1])), abs(s) + d) * d * d
-    e, e_lo = _dd_div(value, (-spec.nu, 0.0))
-    err = err / spec.nu + 16.0 * _U * _U * abs(e)
-    if _rounds(e, e_lo, err) or not err < math.inf:
-        return e
-    from fractions import Fraction
+    nu, (c, m), lo, hi = spec.nu, q[:2], sched.alpha_lo, sched.alpha_hi
+    gap = [x[0] for x in c]
 
-    mid, width = Fraction(e) + Fraction(e_lo), 2 * Fraction(err)
-    return _bisect(lambda E: _sign(_discriminant(*_exact_gap(spec.coefficients, E))),
-                   mid - width, mid + width)
+    # each reads the piece and the price of the loops below, as they call it
+    def on_piece(s):
+        raw = sched.alpha_base + sched.alpha_slope * (-_horner(gap, s) / nu)
+        return a_lo - 1e-9 <= raw <= a_hi + 1e-9
+
+    def sign_share(s):  # of alpha*(1 + r*s) - price*s along the locus
+        from fractions import Fraction
+
+        level = -_horner(_exact_gap(spec.coefficients, 0), s) / Fraction(nu)
+        a, p = Fraction(base) + Fraction(slope) * level, Fraction(price)
+        return _sign(a * (1 + (p - 1) * s) - p * s)
+
+    def sign_level(E):  # of the gap at the share of the price
+        from fractions import Fraction
+
+        a, p = Fraction(base) + Fraction(slope) * E, Fraction(price)
+        return _sign(_horner(_exact_gap(spec.coefficients, E), a / (a + (1 - a) * p)))
+
+    cuts = {}
+    if math.inf in prices:  # the locus's end at s = 0, where prices grow without bound
+        cuts[0.0] = _level(q, nu, (0.0, 0.0, 0.0),
+                           lambda E: _sign(_exact_gap(spec.coefficients, E)[3]))
+    for (base, slope), a_lo, a_hi in (((lo, 0.0), -math.inf, lo), ((hi, 0.0), hi, math.inf),
+                                      ((sched.alpha_base, sched.alpha_slope), lo, hi)):
+        a, a_sizes = [_dd_scale(x, -slope) for x in c], [slope * x for x in m]
+        a[-1], a_sizes[-1] = _dd_add(_two_prod(nu, base), a[-1]), a_sizes[-1] + abs(nu * base)
+        while len(a) > 1 and a[0] == (0.0, 0.0):  # a clipped piece: nu*c alone
+            del a[0], a_sizes[0]
+        for price in prices:
+            if not price < math.inf or slope == 0.0 and not on_piece(
+                    base / (base + (1.0 - base) * price)):
+                continue
+            r, nu_price = _two_sum(price, -1.0), _two_prod(nu, price)
+            ar = abs(r[0])  # times (1 + r*s), and less nu*price*s
+            coefficients = [_dd_mul(a[0], r),
+                            *(_dd_add(x, _dd_mul(y, r)) for x, y in zip(a, a[1:])), a[-1]]
+            sizes = [8.0 * ar * a_sizes[0],
+                     *(8.0 * (x + ar * y) for x, y in zip(a_sizes, a_sizes[1:])),
+                     8.0 * a_sizes[-1]]
+            coefficients[-2] = _dd_add(coefficients[-2], (-nu_price[0], -nu_price[1]))
+            sizes[-2] += 8.0 * nu_price[0]
+            for share in _roots(_poly(coefficients, sizes), sign_share, on_piece):
+                cuts[share[0]] = _level(q, nu, share, sign_level)
+    return cuts

@@ -6,9 +6,8 @@ diagram keeps the roots as columns and builds per-level rows only when asked
 for them. The grid only samples the printed locus: each transition, at its
 exact E, is read off the monotone pieces of the root locus E(s) = -q(s)/nu,
 a saddle-node where two roots collide or a flagged crossing of a window edge.
-Each saddle-node's s_bar and E_bar is the correctly rounded double of the
-exact value on the float parameters (``_locus``); a window edge's share is
-still found in doubles (``_unit_roots``), and its level formed in doubles.
+``_locus`` finds every event's share and level, each the correctly rounded
+double of the exact value on the float parameters.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 
-from ._locus import _critical_shares, _real_roots, _saddle_level
+from ._locus import _critical_shares, _edge_crossings, _gap
 from ._np import np
 from .demand import alpha_of
 from .dynamics import _horner, excess_share, excess_share_slope_E, gap_coefficients, h_ratio
@@ -100,30 +99,6 @@ def refine_saddle_node(*args, **kwargs):
     raise NotImplementedError("refine_saddle_node is removed: read sweep(...).thresholds")
 
 
-def _unit_roots(*g) -> list[float]:
-    """Roots in (0, 1), in doubles, where g4*s^4 + ... + g0 changes sign: its derivative's
-    real roots cut (0, 1) into monotone pieces, and on each that changes sign Newton's
-    method runs from the midpoint, kept inside a bracket that shrinks about the root."""
-    g4, g3, g2, g1, _ = g
-    slope = (4.0 * g4, 3.0 * g3, 2.0 * g2, g1)
-    critical, _ = _real_roots(*slope, (0.0,) * 4)
-    cuts = [0.0, *sorted(s for s in critical if 0.0 < s < 1.0), 1.0]
-    signs = [_horner(g, s) > 0.0 for s in cuts]
-    roots = []
-    for lo, hi, up_lo, up in zip(cuts, cuts[1:], signs, signs[1:]):
-        if up_lo != up:
-            s = 0.5 * (lo + hi)
-            for _ in range(64):  # a bisection step where Newton's leaves the bracket
-                value, d = _horner(g, s), _horner(slope, s)
-                lo, hi = (lo, s) if (value > 0.0) == up else (s, hi)
-                t = s - value / d if d != 0.0 else s
-                if abs(t - s) <= 2.0 ** -50 * abs(s):  # within a few ulps
-                    break
-                s = t if lo < t < hi else 0.5 * (lo + hi)
-            roots.append(s)
-    return roots
-
-
 def _events(sched: PreferenceSchedule, spec: LearningSpec, sweep_cfg: SweepConfig,
             cfg: SolverConfig) -> list:
     """(E, root-count change, saddle-node or None, note) of each event of the
@@ -137,32 +112,23 @@ def _events(sched: PreferenceSchedule, spec: LearningSpec, sweep_cfg: SweepConfi
     None with a note if |H - 1| or |dH/ds| there exceeds ``refine_tol``; any
     other is a root crossing the window edge nearer its price in ratio.
     """
-    gap = c3, c2, c1, c0 = gap_coefficients(spec.coefficients, 0.0)
+    gap, q = gap_coefficients(spec.coefficients, 0.0), _gap(spec.coefficients, 0.0)
     e_min, e_max, p_min, p_max = sweep_cfg.E_min, sweep_cfg.E_max, cfg.p_min, cfg.p_max
 
-    def locus(s):
-        return -_horner(gap, s) / spec.nu
-
     def price(s):  # of the root at share s
-        a = alpha_of(sched, locus(s))
+        a = alpha_of(sched, -_horner(gap, s) / spec.nu)
         return a * (1.0 - s) / ((1.0 - a) * s)
 
-    saddles = {s: _saddle_level(spec, s) for s in _critical_shares(spec)}
+    saddles = _critical_shares(spec, q)
     # h_ratio first, as an overflow raises there
     ratios = {s: h_ratio(spec, s, e) for s, e in saddles.items() if e_min < e < e_max}
-    k = sched.alpha_slope / spec.nu
-    a3, a2, a1, a0 = -k * c3, -k * c2, -k * c1, sched.alpha_base - k * c0  # alpha along E(s)
-    cuts = set(saddles)
-    for edge in (p_min, p_max):  # the share at P solves alpha*(1 - s + P*s) = P*s
-        cuts.update(c / (c + (1.0 - c) * edge) for c in (sched.alpha_lo, sched.alpha_hi))
-        u, m, w = 1.0 / (1.0 + edge), (edge - 1.0) / (1.0 + edge), edge / (1.0 + edge)
-        cuts.update(_unit_roots(m * a3, u * a3 + m * a2, u * a2 + m * a1, u * a1 + m * a0 - w,
-                                u * a0))
+    cuts = _edge_crossings(spec, q, sched, (p_min, p_max))
+    cuts.update(saddles)
     shares = sorted(cuts)
-    levels = [saddles[s] if s in saddles else locus(s) for s in shares]
-    # E's rise along each piece inside the window: between the two critical
-    # shares, that of -q', whose sign is c3's there, however close their levels
-    ups = [(((c3 > 0) - (c3 < 0)) if s in saddles and t in saddles else (f > e) - (f < e))
+    levels = [cuts[s] for s in shares]
+    # E's rise along each piece inside the window: between the two critical shares,
+    # that of -q', whose sign is gap[0]'s there, however close their levels
+    ups = [(((gap[0] > 0) - (gap[0] < 0)) if s in saddles and t in saddles else (f > e) - (f < e))
            if p_min <= price(0.5 * (s + t)) <= p_max else 0
            for s, t, e, f in zip(shares, shares[1:], levels, levels[1:])]
     changes = [a - b for a, b in zip([*ups, 0], [0, *ups])]  # piece after less piece before
@@ -175,7 +141,8 @@ def _events(sched: PreferenceSchedule, spec: LearningSpec, sweep_cfg: SweepConfi
             saddle = SaddleNode(e, s, res) if max(res) <= tol else None
             note = "" if saddle else f"saddle-node residuals {res} at (s={s}, E={e}) above {tol}"
         else:
-            edge = ("p_min", p_min) if price(s) < p_min**0.5 * p_max**0.5 else ("p_max", p_max)
+            low = s and price(s) < p_min**0.5 * p_max**0.5  # s = 0: an infinite price
+            edge = ("p_min", p_min) if low else ("p_max", p_max)
             saddle, note = None, "a root crosses the price window's edge %s = %r" % edge
         events.append((e, change, saddle, note))
     # at one level, a rise first: the two folds of a pair can round to one level

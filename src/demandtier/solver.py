@@ -135,10 +135,8 @@ def _exact_prices(E, alpha, spec: LearningSpec, cfg):
 
     The prices of the gap's critical shares cut the widened window (capped at
     the largest double) into pieces on which the gap is monotone in p. A piece
-    whose ends have opposite exact signs holds one root. Bisection over the
-    doubles in the piece ends at two neighbours, and the sign at their
-    midpoint picks the nearer; a root exactly halfway goes to the even one,
-    as ``float(Fraction)`` rounds.
+    whose ends have opposite exact signs holds one root, which ``_bisect``
+    rounds.
     """
     from fractions import Fraction
 
@@ -149,7 +147,7 @@ def _exact_prices(E, alpha, spec: LearningSpec, cfg):
         return _sign(_horner(gap, a / (a + (1 - a) * p)))
 
     cuts = sorted(a * (1 - Fraction(s)) / ((1 - a) * Fraction(s))
-                  for s in _critical_shares(spec))
+                  for s in _critical_shares(spec, _gap(spec.coefficients, 0.0)))
     lo_end = Fraction(cfg.p_min) / 2
     hi_end = min(2 * Fraction(cfg.p_max), Fraction(sys.float_info.max))
     ends = [lo_end, *(c for c in cuts if lo_end < c < hi_end), hi_end]

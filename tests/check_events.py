@@ -9,11 +9,10 @@ the number of correctly rounded roots changes, found by bisection in E in
 exact rational arithmetic, without the package. Each transition must lie
 within 1e-9 of its change and carry the same counts below and above it.
 Each threshold (E_bar, s_bar) must also equal ``oracles.saddle_node_exact``
-bit for bit. The count of window-edge transitions whose E is not one of
-``oracles.edge_levels`` is printed too, but not gated: those levels are still
-formed in doubles. Prints the totals and exits 1, listing the first
-mismatches, if any calibration differs or any threshold is not correctly
-rounded. About 0.25 s per calibration; it is not part of the test
+bit for bit, and each window-edge transition's E must be one of
+``oracles.edge_levels``. Prints the totals and exits 1, listing the first
+mismatches, if any calibration differs or any threshold or edge level is not
+correctly rounded. About 0.25 s per calibration; it is not part of the test
 suite.
 """
 
@@ -37,7 +36,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     rng = random.Random(args.seed)
     start = time.perf_counter()
-    mismatches, changes, thresholds, rounding, edges, edge_rounding = [], 0, 0, [], 0, 0
+    mismatches, changes, thresholds, rounding, edges, edge_rounding = [], 0, 0, [], 0, []
     for _ in range(args.calibrations):
         sched, spec, alpha_params, learn = random_calibration(rng)
         e_min, e_max = rng.uniform(0.0, 0.1), rng.uniform(0.3, 0.6)
@@ -59,16 +58,18 @@ def main(argv=None) -> int:
                      + oracles.edge_levels(p_max, e_min, e_max, alpha_params, learn))
         crossings = [t.E for t in diagram.transitions if t.note.startswith("a root crosses")]
         edges += len(crossings)
-        edge_rounding += sum(e not in levels for e in crossings)
+        edge_rounding += [(learn, alpha_params, e) for e in crossings if e not in levels]
     print(f"{args.calibrations} calibrations, {changes} exact count changes, "
           f"{len(mismatches)} calibrations differ; {time.perf_counter() - start:.1f} s")
     print(f"{thresholds} thresholds, {len(rounding)} not correctly rounded; {edges} edge "
-          f"crossings, {edge_rounding} not at an exact edge level (not gated)")
+          f"crossings, {len(edge_rounding)} not at an exact edge level")
     for *calibration, got, want in mismatches[:10]:
         print(f"{calibration!r}:\n  sweep  {got!r}\n  oracle {want!r}")
     for learn, sn in rounding[:10]:
         print(f"{learn!r}: {sn!r} is not the exact oracle's")
-    return 1 if mismatches or rounding else 0
+    for learn, alpha_params, e in edge_rounding[:10]:
+        print(f"{learn!r}, {alpha_params!r}: edge level {e!r} is not the exact oracle's")
+    return 1 if mismatches or rounding or edge_rounding else 0
 
 
 if __name__ == "__main__":

@@ -101,6 +101,13 @@ class TestThresholds:
             (0.330013989, 1, 0, "a root crosses the price window's edge p_min = 0.01"),
         ]
 
+    def test_window_edge_levels_are_correctly_rounded(self, diagram):
+        # the doubles nearest the exact levels where a root's price is 14 and 0.01
+        flagged = [t.E for t in diagram.transitions if t.saddle is None]
+        assert flagged == [0.09335060924204287, 0.3300139890631851]
+        exact = oracles.edge_levels(14.0, 0.05, 0.45) + oracles.edge_levels(0.01, 0.05, 0.45)
+        assert set(flagged) <= set(exact)
+
     def test_saddle_node_above_refine_tol_stays_a_flagged_transition(self, sched, cubic,
                                                                      diagram):
         # at its correctly rounded (s_bar, E_bar) the upper threshold's residuals
@@ -377,6 +384,20 @@ class TestCusp:
         assert sorted((sn.E_bar, sn.s_bar) for sn in diagram.thresholds) == exact
 
 
+def _saddles(spec):
+    """Each (E_bar, s_bar) of the calibration, ascending, from the locus module."""
+    saddles = _locus._critical_shares(spec, _locus._gap(spec.coefficients, 0.0))
+    return sorted((e, s) for s, e in saddles.items())
+
+
+def _edge_levels(spec, alpha_params, prices):
+    """The levels of every window-edge crossing the locus module finds, on each
+    piece of alpha, at each of the prices, ascending."""
+    crossings = _locus._edge_crossings(spec, _locus._gap(spec.coefficients, 0.0),
+                                       PreferenceSchedule(*alpha_params), prices)
+    return sorted(crossings.values())
+
+
 class TestCorrectlyRoundedThresholds:
     def test_every_threshold_equals_the_exact_oracle(self):
         # every (E_bar, s_bar) is the double nearest the exact saddle-node of the
@@ -386,23 +407,48 @@ class TestCorrectlyRoundedThresholds:
         for _ in range(2500):
             _, spec, _, learn = random_calibration(rng)
             exact = oracles.saddle_node_exact(learn)
-            got = sorted((_locus._saddle_level(spec, s), s)
-                         for s in _locus._critical_shares(spec))
-            assert got == exact, learn
+            assert _saddles(spec) == exact, learn
             checked += len(exact)
         assert checked >= 2000
 
     def test_exact_fallbacks_give_the_same_doubles(self, monkeypatch):
         # with no rounding certified, every share and level is bisected exactly
         rng = random.Random(7)
-        cases = [random_calibration(rng)[1::2] for _ in range(20)]
-        want = [sorted((_locus._saddle_level(spec, s), s) for s in _locus._critical_shares(spec))
-                for spec, _ in cases]
-        assert sum(map(len, want)) >= 10
+        cases = [random_calibration(rng)[1:] for _ in range(20)]
+        prices = (0.01, 14.0)
+        want = [(_saddles(spec), _edge_levels(spec, alpha_params, prices))
+                for spec, alpha_params, _ in cases]
+        assert sum(len(saddles) for saddles, _ in want) >= 10
         monkeypatch.setattr(_locus, "_rounds", lambda hi, lo, err: False)
-        for (spec, learn), expected in zip(cases, want):
-            got = sorted((_locus._saddle_level(spec, s), s) for s in _locus._critical_shares(spec))
-            assert got == expected == oracles.saddle_node_exact(learn)
+        for (spec, alpha_params, learn), expected in zip(cases, want):
+            got = (_saddles(spec), _edge_levels(spec, alpha_params, prices))
+            assert got == expected
+            assert got[0] == oracles.saddle_node_exact(learn)
+            exact = {e for price in prices
+                     for e in oracles.edge_levels(price, -10.0, 10.0, alpha_params, learn)}
+            assert set(got[1]) <= exact
+
+
+class TestCorrectlyRoundedEdges:
+    def test_every_edge_crossing_is_at_an_exact_edge_level(self):
+        # each window-edge transition's E is the double nearest the exact level
+        # where a root's price equals the edge, over seeded random calibrations
+        # and windows drawn as ``check_events.py`` draws them
+        rng = random.Random(20261020)
+        checked = 0
+        for _ in range(400):
+            sched, spec, alpha_params, learn = random_calibration(rng)
+            e_min, e_max = rng.uniform(0.0, 0.1), rng.uniform(0.3, 0.6)
+            p_min, p_max = rng.uniform(0.005, 0.05), rng.uniform(5.0, 30.0)
+            diagram = sweep(sched, spec, SweepConfig(e_min, e_max, rng.randint(2, 300)),
+                            SolverConfig(p_min=p_min, p_max=p_max))
+            exact = {e for price in (p_min, p_max)
+                     for e in oracles.edge_levels(price, e_min, e_max, alpha_params, learn)}
+            crossings = [t.E for t in diagram.transitions if t.saddle is None
+                         and t.note.startswith("a root crosses")]
+            assert all(e in exact for e in crossings), (learn, alpha_params, crossings)
+            checked += len(crossings)
+        assert checked >= 150
 
 
 class TestBatchInvariance:
