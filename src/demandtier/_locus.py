@@ -10,12 +10,12 @@ cubic in the share whose roots are the fixed points; at E = 0 it is q(s), whose
 root locus E(s) = -q(s)/nu the sweep reads. ``_horner_dd`` evaluates a
 polynomial in double-double arithmetic (Dekker 1971) with an error bound,
 ``_newton_dd`` takes one Newton step with a Kantorovich-style bound, and
-``_bisect`` is the package's one exact rational bisection, which the solver's
-exact fallback shares. ``_roots`` gives the correctly rounded roots in (0, 1)
-of a polynomial of degree at most 4, and ``_level`` the level -q(s)/nu of
-one. Every sweep event comes from these two: the critical shares with their
-saddle-node levels, and the window-edge crossings. The module imports no
-numpy, and ``fractions`` only in an exact fallback.
+``_bisect`` is the package's one exact rational bisection. ``_roots`` gives the
+correctly rounded roots in (0, 1) of a polynomial of degree at most 4, and
+``_level`` the level -q(s)/nu of a share. The sweep's events come from these
+two, the critical shares with their saddle-node levels and the window-edge
+crossings, and the solver's exact fallback takes its shares from ``_roots``.
+The module imports no numpy, and ``fractions`` only in an exact fallback.
 """
 
 import math
@@ -199,8 +199,9 @@ def _newton_dd(x, poly):
     """One Newton step on the polynomial from the doubles x, in double-double.
 
     Returns the step's result y as (hi, lo) and a bound on its distance to
-    the root next to x, or NaN where the step cannot vouch for one: the slope
-    is too uncertain or the start too far out for Kantorovich's condition.
+    the root next to x, 2^-1070 for underflow included, or NaN where the step
+    cannot vouch for one: the slope is too uncertain or the start too far out
+    for Kantorovich's condition.
     The value is ``_horner_dd``'s; the slope is evaluated by Horner's rule in
     doubles on the derivative's leading doubles, to within 16 u M'(|x|).
     """
@@ -217,7 +218,7 @@ def _newton_dd(x, poly):
     bend = _horner(poly[4], ax + 2.0 * step)  # |p''| within two steps of x
     ad = abs(d)
     bound = (2.0 * (value_err + step * slope_err + 3.0 * bend * step * step) / ad
-             + 8.0 * _U * _U * (step + abs(y[0])))
+             + 8.0 * _U * _U * (step + abs(y[0])) + 2.0 ** -1070)
     valid = (slope_err < 0.25 * abs(slope)) & (bend * step < 0.25 * ad)
     return _select(valid, y[0], math.nan), y[1], _select(valid, bound, math.nan)
 
@@ -382,14 +383,16 @@ def _edge_crossings(spec, q, sched, prices) -> dict:
     """{s: E} for each share s where the locus holds a root whose price is one of
     the prices, and its level E, both correctly rounded.
 
-    With r = price - 1, the share solves nu*alpha*(1 + r*s) = nu*price*s, and
-    nu*alpha along the locus is nu*base - slope*q(s) on each piece of the
-    weight: base + slope*E where it is affine, a quartic, and (c, 0.0) where it
-    is clipped at c, linear. The coefficients come in double-double from q's;
-    each errs by at most 20 u^2 times the magnitudes of its terms, eight times
-    which are its sizes. A share whose level in doubles puts alpha clearly off
-    the piece is no crossing. E's exact fallback reads the sign of the gap at
-    the share of the price, with the piece's alpha.
+    Where alpha is a constant c, the share is c/(c + (1 - c)*price) in
+    double-double: the denominator's terms are positive, so it errs by 6 u^2
+    of itself, and the quotient by 12 u^2 more, within 32 u^2 s, and 2^-1070
+    for underflow. Where alpha is base + slope*E, with r = price - 1 the
+    share is a root of the quartic nu*alpha*(1 + r*s) - nu*price*s, with
+    nu*alpha = nu*base - slope*q(s) along the locus, whose coefficients come in
+    double-double from q's, each within 20 u^2 of the magnitudes of its terms,
+    eight times which are its sizes. A share whose level in doubles puts alpha
+    clearly off the piece is no crossing. E's exact fallback reads the sign of
+    the gap at the share of the price, with the piece's alpha.
     """
     nu, (c, m), lo, hi = spec.nu, q[:2], sched.alpha_lo, sched.alpha_hi
     gap = [x[0] for x in c]
@@ -412,20 +415,24 @@ def _edge_crossings(spec, q, sched, prices) -> dict:
         a, p = Fraction(base) + Fraction(slope) * E, Fraction(price)
         return _sign(_horner(_exact_gap(spec.coefficients, E), a / (a + (1 - a) * p)))
 
-    cuts = {}
+    cuts, finite = {}, [price for price in prices if price < math.inf]
     if math.inf in prices:  # the locus's end at s = 0, where prices grow without bound
         cuts[0.0] = _level(q, nu, (0.0, 0.0, 0.0),
                            lambda E: _sign(_exact_gap(spec.coefficients, E)[3]))
     for (base, slope), a_lo, a_hi in (((lo, 0.0), -math.inf, lo), ((hi, 0.0), hi, math.inf),
                                       ((sched.alpha_base, sched.alpha_slope), lo, hi)):
+        if slope == 0.0:
+            for price in finite:
+                if on_piece(base / (base + (1.0 - base) * price)):
+                    k = 2.0 ** -128 if price > 2.0 ** 900 else 1.0  # so that no split overflows
+                    t = _dd_scale(_two_sum(1.0, -base), k * price)
+                    s = _dd_div((k * base, 0.0), _dd_add((k * base, 0.0), t))
+                    share = (*s, 32.0 * _U * _U * s[0] + 2.0 ** -1070)
+                    cuts[s[0]] = _level(q, nu, share, sign_level)
+            continue
         a, a_sizes = [_dd_scale(x, -slope) for x in c], [slope * x for x in m]
         a[-1], a_sizes[-1] = _dd_add(_two_prod(nu, base), a[-1]), a_sizes[-1] + abs(nu * base)
-        while len(a) > 1 and a[0] == (0.0, 0.0):  # a clipped piece: nu*c alone
-            del a[0], a_sizes[0]
-        for price in prices:
-            if not price < math.inf or slope == 0.0 and not on_piece(
-                    base / (base + (1.0 - base) * price)):
-                continue
+        for price in finite:
             r, nu_price = _two_sum(price, -1.0), _two_prod(nu, price)
             ar = abs(r[0])  # times (1 + r*s), and less nu*price*s
             coefficients = [_dd_mul(a[0], r),

@@ -6,38 +6,33 @@ g_H(s, E) = g_L(1 - s), a cubic in s whose constant term alone depends on E.
 Its real roots come in closed form: the trigonometric form for three real
 roots, Cardano's for one, the quadratic or linear formula for lower degrees.
 One Newton step from them on the exact gap in double-double arithmetic
-(``_locus._newton_dd``), then p = alpha(1-s)/((1-alpha)s) formed in double-double, make
-each p* the correctly rounded double of the exact root of the model as the
-package specifies it: float parameters and the float alpha_of(E). An error bound
-certifies each rounding. A level that holds a root it cannot certify (next to
-a saddle-node), or whose root count the rounded discriminant cannot decide, is
-solved in exact rational arithmetic, between the prices of the critical
-shares, where the gap's slope vanishes, by ``_locus._bisect``. The correctly rounded root is unique,
-so every path gives the same bits.
+(``_locus._newton_dd``), then p = alpha(1-s)/((1-alpha)s) in double-double
+(``_price``), make each p* the correctly rounded double of the exact root of
+the model as the package specifies it: float parameters and the float
+alpha_of(E). An error bound certifies each rounding. A level that holds a root
+it cannot certify (next to a saddle-node), or whose root count the rounded
+discriminant cannot decide, takes its shares from the locus's one roots
+routine, ``_locus._roots``, and rounds a price ``_price`` cannot certify by
+exact bisection; any p_max up to inf is accepted. The correctly rounded root
+is unique, so every path gives the same bits.
 
-Every rule of a level is written once, in ``_candidates``: E >= 0, the gap's
-coefficients and rounding magnitudes, no root where the gap does not depend on
-s or nu*E overflows, the closed form, the price window widened by
-``_WINDOW_SLACK`` in price and ``_SHARE_ERROR`` in share, and the flag for
-exact arithmetic. Like the polish and the re-check, it uses only arithmetic
-operators and the float-or-array helpers of ``_np``, so ``find_fixed_points``
-runs it on one level's Python floats and ``_fixed_point_rows`` on a sweep's
-arrays, keeping the roots as columns. Both polish the candidates, solve
-flagged levels exactly, keep the roots in [p_min, p_max], and have
-``_recheck`` re-check and classify them through T'(p*) = 1 - s*(1-s*) * dH/ds,
-by ``excess_share``, ``h_ratio`` and the stability band of
-``classify_stability``.
+Every rule of a level is written once, in ``_candidates``. Like the polish
+and the re-check, it uses only arithmetic operators and the float-or-array
+helpers of ``_np``, so ``find_fixed_points`` runs it on one level's Python
+floats and ``_fixed_point_rows`` on a sweep's arrays, keeping the roots as
+columns. Both polish the candidates, solve flagged levels exactly, keep the
+roots in [p_min, p_max], and have ``_recheck`` re-check and classify them
+through T'(p*) = 1 - s*(1-s*) * dH/ds.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 from enum import Enum
 
-from ._locus import (_U, _bisect, _critical_shares, _dd_div, _dd_mul, _dd_scale, _exact_gap,
-                     _gap, _gap_sizes, _newton_dd, _real_roots, _rounds, _sign, _two_sum)
+from ._locus import (_U, _bisect, _dd_div, _dd_mul, _dd_scale, _exact_gap, _gap, _gap_sizes,
+                     _newton_dd, _real_roots, _roots, _rounds, _sign, _two_sum)
 from ._np import _any, _first, _select, _xp, np
 from .demand import alpha_of
 from .dynamics import _horner, excess_share, gap_coefficients, h_ratio
@@ -105,14 +100,10 @@ class RootColumns(namedtuple("RootColumns", "level p_star s_star t_prime stabili
 # ---------------------------------------------------------------- polish
 
 
-def _polish(x, E, alpha, coefficients):
-    """Correctly rounded p* from the share estimates x: (p*, certified).
-
-    One ``_newton_dd`` step, then p = alpha(1-s)/((1-alpha)s) in double-double;
-    the rounding of p to a double is certified when every value within the
-    propagated error bound rounds to the same double.
-    """
-    y_hi, y_lo, s_err = _newton_dd(x, _gap(coefficients, E))
+def _price(y_hi, y_lo, s_err, alpha):
+    """p = alpha(1-s)/((1-alpha)s) in double-double for the share s within s_err
+    of y_hi + y_lo: (p, certified), certified where every value within the
+    propagated error bound rounds to the same double."""
     t = _two_sum(1.0, -y_hi)  # 1 - s
     t = (t[0], t[1] - y_lo)
     p_hi, p_lo = _dd_div(_dd_scale(t, alpha), _dd_mul((y_hi, y_lo), _two_sum(1.0, -alpha)))
@@ -125,38 +116,49 @@ def _polish(x, E, alpha, coefficients):
     return p_hi, (rel < 0.25) & _rounds(p_hi, p_lo, 2.0 * p_err)
 
 
+def _polish(x, E, alpha, coefficients):
+    """Correctly rounded p* from the share estimates x: (p*, certified), one
+    ``_newton_dd`` step on the gap and then ``_price``."""
+    return _price(*_newton_dd(x, _gap(coefficients, E)), alpha)
+
+
 # ---------------------------------------------------------------- exact fallback
 
 
 def _exact_prices(E, alpha, spec: LearningSpec, cfg):
     """The correctly rounded roots of one level in the price window widened to
-    [p_min/2, 2*p_max], ascending, in exact rational arithmetic; the caller
-    keeps those in [p_min, p_max].
+    [p_min/2, 2*p_max], ascending; the caller keeps those in [p_min, p_max].
 
-    The prices of the gap's critical shares cut the widened window (capped at
-    the largest double) into pieces on which the gap is monotone in p. A piece
-    whose ends have opposite exact signs holds one root, which ``_bisect``
-    rounds.
+    ``_roots`` gives the gap's roots in share, on its exact sign where doubles
+    cannot decide it, and ``_price`` their prices. Where ``_price`` cannot
+    certify a rounding, ``_bisect`` rounds the price between the prices of the
+    share's bounds, capped at the largest double; a root past it is left out.
     """
     from fractions import Fraction
 
-    a = Fraction(alpha)
+    a, largest = Fraction(alpha), Fraction(math.nextafter(math.inf, 0.0))
     gap = _exact_gap(spec.coefficients, E)
+    s_min, s_max = (alpha / (alpha + (1.0 - alpha) * p)  # the shares of the widened window
+                    for p in (2.0 * cfg.p_max, 0.5 * cfg.p_min))
 
-    def sign(p):
-        return _sign(_horner(gap, a / (a + (1 - a) * p)))
+    def sign(s):  # of the gap at the share s
+        return _sign(_horner(gap, s))
 
-    cuts = sorted(a * (1 - Fraction(s)) / ((1 - a) * Fraction(s))
-                  for s in _critical_shares(spec, _gap(spec.coefficients, 0.0)))
-    lo_end = Fraction(cfg.p_min) / 2
-    hi_end = min(2 * Fraction(cfg.p_max), Fraction(sys.float_info.max))
-    ends = [lo_end, *(c for c in cuts if lo_end < c < hi_end), hi_end]
-    signs = [sign(p) for p in ends]
-    found = {float(p) for p, side in zip(ends, signs) if side == 0}
-    for lo, hi, side_lo, side_hi in zip(ends, ends[1:], signs, signs[1:]):
-        if side_lo * side_hi < 0:
-            found.add(_bisect(sign, lo, hi))
-    return sorted(found)
+    def sign_price(p):
+        return sign(a / (a + (1 - a) * p))
+
+    prices = []
+    for s, s_lo, err in _roots(_gap(spec.coefficients, E), sign, lambda s: s_min <= s <= s_max):
+        p, certified = _price(s, s_lo, err, alpha)
+        if not certified:
+            mid, err = Fraction(s) + Fraction(s_lo), Fraction(err)
+            lo, hi = (min(a * (1 - x) / ((1 - a) * x), largest) if x > 0 else largest
+                      for x in (min(mid + err, 1), mid - err))
+            if sign_price(lo) * sign_price(hi) > 0:  # the price passes the largest double
+                continue
+            p = _bisect(sign_price, lo, hi)
+        prices.append(p)
+    return sorted(prices)
 
 
 # ---------------------------------------------------------------- levels

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demandtier import (
@@ -25,7 +25,8 @@ from demandtier import (
 )
 from demandtier import _locus, bifurcation, solver
 from demandtier.dynamics import gap_coefficients
-from demandtier.errors import ConfigError, DegenerateChannel, InvalidPrice, NoConvergence
+from demandtier.errors import (ConfigError, DegenerateChannel, DemandTierError, InvalidPrice,
+                               NoConvergence)
 from demandtier.scenario import load_scenario
 
 import oracles
@@ -345,6 +346,20 @@ class TestGapBound:
         assert abs(Fraction(gap[0]) + Fraction(gap[1]) - exact) <= Fraction(bound)
 
 
+class TestBisect:
+    @pytest.mark.parametrize("x, even", [(1.0, 1.0), (1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51)])
+    def test_a_zero_halfway_between_two_doubles_goes_to_the_even_one(self, x, even):
+        y = math.nextafter(x, 2.0)
+        zero = (Fraction(x) + Fraction(y)) / 2
+        assert _locus._bisect(lambda t: _locus._sign(t - zero), x, y) == even
+        assert _locus._bisect(lambda t: _locus._sign(zero - t), x, y) == even
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (1.0, 3.0), (-4.0, 5.0)])
+    def test_a_zero_at_the_computed_midpoint_is_that_double(self, lo, hi):
+        mid = 0.5 * lo + 0.5 * hi
+        assert _locus._bisect(lambda t: _locus._sign(t - Fraction(mid)), lo, hi) == mid
+
+
 class TestCusp:
     # the headline calibration with phi1 = 0.6: the discriminant of q' on the
     # float parameters is -2.0e-15 exactly, so q' has no root and the locus no
@@ -382,6 +397,13 @@ class TestCusp:
             "0.600000004552", "0.599999995448"]
         exact = oracles.saddle_node_exact((0.6, 0.6000000000000002, 1.0, 1.2, 1.5))
         assert sorted((sn.E_bar, sn.s_bar) for sn in diagram.thresholds) == exact
+
+    def test_no_saddle_node_at_an_exact_cusp_whose_share_is_a_double(self):
+        # q'(s) = -6 (s - 1/2)^2 on the float parameters: the cut of ``_roots``
+        # on q' lands on the double root and reads the exact sign 0 there, so
+        # only ``_critical_shares``' exact discriminant check leaves it out
+        learn = (0.6, 0.5, 1.0, 1.0, 1.0)
+        assert _saddles(LearningSpec.cubic(*learn)) == oracles.saddle_node_exact(learn) == []
 
 
 def _saddles(spec):
@@ -449,6 +471,20 @@ class TestCorrectlyRoundedEdges:
             assert all(e in exact for e in crossings), (learn, alpha_params, crossings)
             checked += len(crossings)
         assert checked >= 150
+
+    @pytest.mark.parametrize("price", [1e270, 1e305, 1.7e308, 1.7976931348623157e308])
+    def test_clipped_crossing_at_a_price_past_the_split_range(self, price):
+        # alpha is clipped at 0.97 at the locus's end, E(0) = 1.3/0.6; past
+        # 2^996 Dekker's split of the price overflows, so the quotient share
+        # c/(c + (1 - c)*price) is formed with both terms scaled by 2^-128
+        learn = (0.6, 0.8, 1.0, 1.5, 0.2)
+        got = _edge_levels(LearningSpec.cubic(*learn), oracles.ALPHA_PARAMS, (price,))
+        # the exact share and level, as ``oracles.edge_levels`` forms them
+        nu, phi1, phi2, chi1, chi2 = map(Fraction, learn)
+        c = Fraction(oracles.ALPHA_PARAMS[3])
+        s = c / (c + (1 - c) * Fraction(price))
+        exact = -(phi1 * s - phi2 * s**3 - chi1 * (1 - s) + chi2 * (1 - s) ** 3) / nu
+        assert got == [float(exact)] == [2.1666666666666665]
 
 
 class TestBatchInvariance:
@@ -589,6 +625,29 @@ class TestEducationDomain:
         assert len(diagram.rows[0].roots) == 3
         assert diagram.rows[1].roots == diagram.rows[2].roots == []
         assert find_fixed_points(sched, spec, 5e307) == find_fixed_points(sched, spec, 1e308) == []
+
+
+class TestExtremeWindows:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(calibrations(), st.sampled_from([5e-324, 1e-300, 1e-12, 1e-6, 0.01]),
+           st.sampled_from([math.inf, 1e300, 1.7e308, 14.0, 1e6]),
+           st.floats(0.0, 0.5), st.floats(0.1, 1e300), st.integers(2, 50), st.floats(0.0, 1.0))
+    @example((PreferenceSchedule(), LearningSpec.cubic(0.6, 0.8, 1.0, 1.5, 1.2)),
+             0.01, math.inf, 0.0, 1.0, 101, 0.5)
+    def test_every_call_returns_or_raises_a_package_error(self, calibration, p_min, p_max,
+                                                          e_min, e_max, points, at):
+        # valid windows out to the ends of the float range, and an infinite
+        # p_max, whose crossings include the locus's end at s = 0; a level
+        # whose roots need the exact fallback must not leave it on an overflow
+        sched, spec = calibration
+        cfg = SolverConfig(p_min=p_min, p_max=p_max)
+        e_min = min(e_min, 0.5 * e_max)
+        for call in (lambda: sweep(sched, spec, SweepConfig(e_min, e_max, points), cfg),
+                     lambda: find_fixed_points(sched, spec, e_min + at * (e_max - e_min), cfg)):
+            try:
+                call()
+            except DemandTierError:
+                pass
 
 
 class TestScaling:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -201,6 +202,42 @@ class TestCorrectRounding:
         assert roots > levels
         assert sum(uncertified) >= 5 and len(exact) >= 2 * (levels // 5)
 
+    @pytest.mark.parametrize("calibrations, certify", [(60, True), (15, False)])
+    def test_exact_fallback_on_ordinary_levels_equals_the_exact_oracle(self, monkeypatch,
+                                                                        calibrations, certify):
+        # no polished root is certified, so every level with a candidate in the
+        # window goes to ``_exact_prices``, on one level's floats and on arrays;
+        # with no rounding certified at all, it bisects every share and price
+        from demandtier import _locus, solver
+
+        polish, exact_prices, exact = solver._polish, solver._exact_prices, []
+
+        def uncertified_polish(*args):
+            p, certified = polish(*args)
+            return p, certified & False
+
+        def counted_exact_prices(*args):
+            exact.append(args[0])
+            return exact_prices(*args)
+
+        monkeypatch.setattr(solver, "_polish", uncertified_polish)
+        monkeypatch.setattr(solver, "_exact_prices", counted_exact_prices)
+        if not certify:
+            for module in (_locus, solver):
+                monkeypatch.setattr(module, "_rounds", lambda hi, lo, err: False)
+        rng = random.Random(7)
+        roots = 0
+        for _ in range(calibrations):
+            sched, spec, _, _ = random_calibration(rng)
+            levels = [rng.uniform(0.0, 0.5) for _ in range(8)]
+            columns = solver_rows(sched, spec, np.array(levels))
+            for i, e in enumerate(levels):
+                want = _oracle_roots(sched, spec, e)
+                assert [fp.p_star for fp in find_fixed_points(sched, spec, e)] == want, e
+                assert columns.p_star[columns.level == i].tolist() == want, e
+                roots += len(want)
+        assert roots >= 5 * calibrations and len(exact) >= 6 * calibrations
+
     def test_root_whose_share_is_near_0_equals_the_exact_oracle(self, sched):
         # the closed form puts the share of the root at p ~ 7e17 at -3.3e-16:
         # below the share window by more than the price slack, within the
@@ -213,6 +250,28 @@ class TestCorrectRounding:
         assert [fp.p_star for fp in find_fixed_points(sched, spec, e, cfg)] == want
         diagram = sweep(sched, spec, SweepConfig(E_min=e, E_max=0.6, E_points=2), cfg)
         assert diagram.roots.p_star[diagram.roots.level == 0].tolist() == want
+
+    @pytest.mark.parametrize("learn, levels, counts", [
+        # phi1 = 1e300 puts the one root in (0, 1) at a share of about
+        # (0.3 - 0.6*E)/1e300, which the closed form cannot place: its price is
+        # 4e301 at E = 0.3 and 1e305 at 0.4999, and passes the largest double
+        # closer to E = 0.5, where no window holds it, an infinite one included
+        ((0.6, 1e300, 1.0, 1.5, 1.2), [0.3, 0.4999, 0.49999999999999, 0.5 - 2.0 ** -53],
+         [1, 1, 0, 0]),
+        # phi1 = 1.5e307: the root's share rounds to 0 and to the least subnormal
+        ((0.5, 1.5e307, 1.0, 1.25, 1.0), [0.5 - 2.0 ** -54, 0.5 - 2.0 ** -53], [0, 0]),
+    ])
+    def test_root_whose_price_passes_the_largest_double_is_left_out(self, sched, learn, levels,
+                                                                     counts):
+        spec = LearningSpec.cubic(*learn)
+        wants = [oracles.exact_roots(e, 0.01, 1.7e308, learn_params=learn) for e in levels]
+        assert [len(want) for want in wants] == counts
+        for p_max in (1.7e308, math.inf):
+            cfg = SolverConfig(p_max=p_max)
+            columns = solver_rows(sched, spec, np.array(levels), cfg)
+            for i, (e, want) in enumerate(zip(levels, wants)):
+                assert [fp.p_star for fp in find_fixed_points(sched, spec, e, cfg)] == want, e
+                assert columns.p_star[columns.level == i].tolist() == want, e
 
     def test_root_whose_share_rounds_to_1_raises_naming_p_min(self, sched, cubic):
         # the closed form puts the share at 1 + 2.2e-16; the root's share rounds
