@@ -15,12 +15,13 @@ correctly rounded roots in (0, 1) of a polynomial of degree at most 4, and
 ``_level`` the level -q(s)/nu of a share. The sweep's events come from these
 two, the critical shares with their saddle-node levels and the window-edge
 crossings, and the solver's exact fallback takes its shares from ``_roots``.
-The module imports no numpy, and ``fractions`` only in an exact fallback.
+The module imports no numpy, and ``fractions`` only in ``_fraction``, at the
+first exact fallback.
 """
 
 import math
 
-from ._np import _select, _xp
+from ._np import _any, _select, _xp
 from .dynamics import _horner, gap_coefficients
 
 _U = 2.0 ** -53  # unit roundoff
@@ -110,7 +111,9 @@ def _fast_two_sum(a, b):
 
 
 def _two_prod(a, b):
-    """(p, e) with p = fl(a * b) and p + e = a * b exactly, by Dekker's split."""
+    """(p, e) with p = fl(a * b) and p + e = a * b exactly, by Dekker's split.
+    Where the split of an operand past 2^996 overflows beside a finite p, the
+    other is below 2^28: 2^128 moves from the larger to the smaller, exactly."""
     p = a * b
     t = _SPLIT * a
     a_hi = t - (t - a)
@@ -118,7 +121,12 @@ def _two_prod(a, b):
     t = _SPLIT * b
     b_hi = t - (t - b)
     b_lo = b - b_hi
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    nan = e != e  # on floats the bool False unless e is NaN: then the test takes no call
+    if nan is not False and _any(split_overflow := nan & (abs(p) < math.inf)):
+        k = _select(abs(a) > abs(b), 2.0 ** -128, 2.0 ** 128)
+        e = _select(split_overflow, _two_prod(k * a, b / k)[1], e)
+    return p, e
 
 
 def _dd_add(x, y):
@@ -226,11 +234,16 @@ def _newton_dd(x, poly):
 # ---------------------------------------------------------------- exact arithmetic
 
 
-def _exact_gap(coefficients, E):
-    """The gap's coefficients at the level E as ``Fraction`` values, exactly."""
+def _fraction(x):
+    """x as a ``Fraction``; ``fractions`` loads at the first call, not at startup."""
     from fractions import Fraction
 
-    return gap_coefficients(tuple(map(Fraction, coefficients)), Fraction(E))
+    return Fraction(x)
+
+
+def _exact_gap(coefficients, E):
+    """The gap's coefficients at the level E as ``Fraction`` values, exactly."""
+    return gap_coefficients(tuple(map(_fraction, coefficients)), _fraction(E))
 
 
 def _sign(value):
@@ -246,16 +259,14 @@ def _bisect(sign, lo, hi):
     the even one, as ``float(Fraction)`` rounds. lo and hi are floats or
     ``Fraction`` values.
     """
-    from fractions import Fraction
-
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = _fraction(lo), _fraction(hi)
     side_lo = sign(lo)
     while True:
         x, y = float(lo), float(hi)
         if x == y:
             return x
         adjacent = math.nextafter(x, math.inf) == y
-        mid = (Fraction(x) + Fraction(y)) / 2 if adjacent else Fraction(0.5 * x + 0.5 * y)
+        mid = (_fraction(x) + _fraction(y)) / 2 if adjacent else _fraction(0.5 * x + 0.5 * y)
         side = sign(mid)
         if side == 0:
             return float(mid)
@@ -275,11 +286,12 @@ def _roots(poly, sign, keep=lambda s: True) -> list:
 
     The real roots of its slope cut (0, 1) into monotone pieces. The sign at each
     cut is read in doubles where it clears their rounding error, 16 u M(1),
-    else exactly; a cut where it is 0 is a root. On each piece whose ends
-    differ in sign, Newton's method in doubles from the secant's root, kept
-    inside a bracket that shrinks about the root, gives an estimate; one
-    ``_newton_dd`` step from it is kept where its bound certifies the rounding
-    and keeps the root inside the piece, else ``_bisect`` rounds the root.
+    else exactly; a cut where it is 0 is a root, the only one whose bound is 0.
+    On each piece whose ends differ in sign, Newton's method in doubles from
+    the secant's root, kept inside a bracket that shrinks about the root, gives
+    an estimate; one ``_newton_dd`` step from it is kept where its bound
+    certifies the rounding and keeps the root inside the piece, else
+    ``_bisect`` rounds the root, within an ulp (not 0 when subnormal).
     """
     c, slope = [c[0] for c in poly[0]], poly[2]
     top = max(map(abs, slope)) or 1.0  # scaled, so that the discriminant stays finite
@@ -289,9 +301,7 @@ def _roots(poly, sign, keep=lambda s: True) -> list:
     for s in cuts:
         value = _horner(c, s)
         if not abs(value) > bound:
-            from fractions import Fraction
-
-            value = sign(Fraction(s))
+            value = sign(_fraction(s))
         values.append(value)
     found = [(s, 0.0, 0.0) for s, value in zip(cuts[1:-1], values[1:-1]) if value == 0]
     for lo, hi, v_lo, v_hi in zip(cuts, cuts[1:], values, values[1:]):
@@ -309,7 +319,7 @@ def _roots(poly, sign, keep=lambda s: True) -> list:
                 y, y_lo, err = _newton_dd(s, poly)
                 if not (_rounds(y, y_lo, err) and lo < y - err and y + err < hi):
                     y = _bisect(sign, lo, hi)
-                    y_lo, err = 0.0, 0.5 * math.ulp(y)
+                    y_lo, err = 0.0, math.ulp(y)
                 found.append((y, y_lo, err))
     return sorted(found)
 
@@ -335,9 +345,7 @@ def _level(q, nu, share, sign) -> float:
     err = err / nu + 16.0 * _U * _U * abs(e)
     if _rounds(e, e_lo, err) or not err < math.inf:
         return e
-    from fractions import Fraction
-
-    mid, width = Fraction(e) + Fraction(e_lo), 2 * Fraction(err)
+    mid, width = _fraction(e) + _fraction(e_lo), 2 * _fraction(err)
     return _bisect(sign, mid - width, mid + width)
 
 
@@ -350,27 +358,24 @@ def _critical_shares(spec, q) -> dict:
     the shares are the same at every level, since only the gap's constant
     term depends on E.
 
-    There are none unless the discriminant of q', c2^2 - 3*c3*c1 in the gap's
-    exact coefficients, is positive: at a double root q' keeps its sign, so
-    the gap bends but stays monotone. The sign is read in doubles where it
-    clears their rounding error, and in ``fractions`` where it does not.
+    A zero of q' at a cut of ``_roots`` (a share whose bound is 0) is kept only
+    where q'' is not 0: at an exact cusp, a double root of q', q' keeps its
+    sign, so the gap bends but stays monotone.
     """
     (c3, c2, c1, _), (m3, m2, m1, _) = q[0], q[1]
-    _, unsure = _real_roots(0.0, *q[2], (0.0, *q[3]))
-    if unsure:
-        e3, e2, e1, _ = _exact_gap(spec.coefficients, 0)
-        if e2 * e2 <= 3 * e3 * e1:
-            return {}
 
     def sign(s):  # of q'
         return _sign(_horner(_derivative(_exact_gap(spec.coefficients, 0)), s))
+
+    def bend(s):  # q''(s) at the double s, exactly
+        return _horner(_derivative(_derivative(_exact_gap(spec.coefficients, 0))), _fraction(s))
 
     def sign_level(E):  # of the gap's discriminant, which vanishes at each saddle-node
         return _sign(_discriminant(*_exact_gap(spec.coefficients, E)))
 
     slope = _poly((_dd_scale(c3, 3.0), _dd_scale(c2, 2.0), c1), (3.0 * m3, 2.0 * m2, m1))
-    return {share[0]: _level(q, spec.nu, share, sign_level)
-            for share in _roots(slope, sign) if 0.0 < share[0] < 1.0}
+    return {share[0]: _level(q, spec.nu, share, sign_level) for share in _roots(slope, sign)
+            if 0.0 < share[0] < 1.0 and (share[2] or bend(share[0]))}
 
 
 def _discriminant(c3, c2, c1, c0):
@@ -403,16 +408,12 @@ def _edge_crossings(spec, q, sched, prices) -> dict:
         return a_lo - 1e-9 <= raw <= a_hi + 1e-9
 
     def sign_share(s):  # of alpha*(1 + r*s) - price*s along the locus
-        from fractions import Fraction
-
-        level = -_horner(_exact_gap(spec.coefficients, 0), s) / Fraction(nu)
-        a, p = Fraction(base) + Fraction(slope) * level, Fraction(price)
+        level = -_horner(_exact_gap(spec.coefficients, 0), s) / _fraction(nu)
+        a, p = _fraction(base) + _fraction(slope) * level, _fraction(price)
         return _sign(a * (1 + (p - 1) * s) - p * s)
 
     def sign_level(E):  # of the gap at the share of the price
-        from fractions import Fraction
-
-        a, p = Fraction(base) + Fraction(slope) * E, Fraction(price)
+        a, p = _fraction(base) + _fraction(slope) * E, _fraction(price)
         return _sign(_horner(_exact_gap(spec.coefficients, E), a / (a + (1 - a) * p)))
 
     cuts, finite = {}, [price for price in prices if price < math.inf]
@@ -424,9 +425,8 @@ def _edge_crossings(spec, q, sched, prices) -> dict:
         if slope == 0.0:
             for price in finite:
                 if on_piece(base / (base + (1.0 - base) * price)):
-                    k = 2.0 ** -128 if price > 2.0 ** 900 else 1.0  # so that no split overflows
-                    t = _dd_scale(_two_sum(1.0, -base), k * price)
-                    s = _dd_div((k * base, 0.0), _dd_add((k * base, 0.0), t))
+                    t = _dd_scale(_two_sum(1.0, -base), price)
+                    s = _dd_div((base, 0.0), _dd_add((base, 0.0), t))
                     share = (*s, 32.0 * _U * _U * s[0] + 2.0 ** -1070)
                     cuts[s[0]] = _level(q, nu, share, sign_level)
             continue

@@ -31,8 +31,8 @@ import math
 from collections import namedtuple
 from enum import Enum
 
-from ._locus import (_U, _bisect, _dd_div, _dd_mul, _dd_scale, _exact_gap, _gap, _gap_sizes,
-                     _newton_dd, _real_roots, _roots, _rounds, _sign, _two_sum)
+from ._locus import (_U, _bisect, _dd_div, _dd_mul, _dd_scale, _exact_gap, _fraction, _gap,
+                     _gap_sizes, _newton_dd, _real_roots, _roots, _rounds, _sign, _two_sum)
 from ._np import _any, _first, _select, _xp, np
 from .demand import alpha_of
 from .dynamics import _horner, excess_share, gap_coefficients, h_ratio
@@ -134,9 +134,7 @@ def _exact_prices(E, alpha, spec: LearningSpec, cfg):
     certify a rounding, ``_bisect`` rounds the price between the prices of the
     share's bounds, capped at the largest double; a root past it is left out.
     """
-    from fractions import Fraction
-
-    a, largest = Fraction(alpha), Fraction(math.nextafter(math.inf, 0.0))
+    a, largest = _fraction(alpha), _fraction(math.nextafter(math.inf, 0.0))
     gap = _exact_gap(spec.coefficients, E)
     s_min, s_max = (alpha / (alpha + (1.0 - alpha) * p)  # the shares of the widened window
                     for p in (2.0 * cfg.p_max, 0.5 * cfg.p_min))
@@ -151,7 +149,7 @@ def _exact_prices(E, alpha, spec: LearningSpec, cfg):
     for s, s_lo, err in _roots(_gap(spec.coefficients, E), sign, lambda s: s_min <= s <= s_max):
         p, certified = _price(s, s_lo, err, alpha)
         if not certified:
-            mid, err = Fraction(s) + Fraction(s_lo), Fraction(err)
+            mid, err = _fraction(s) + _fraction(s_lo), _fraction(err)
             lo, hi = (min(a * (1 - x) / ((1 - a) * x), largest) if x > 0 else largest
                       for x in (min(mid + err, 1), mid - err))
             if sign_price(lo) * sign_price(hi) > 0:  # the price passes the largest double

@@ -401,9 +401,18 @@ class TestCusp:
     def test_no_saddle_node_at_an_exact_cusp_whose_share_is_a_double(self):
         # q'(s) = -6 (s - 1/2)^2 on the float parameters: the cut of ``_roots``
         # on q' lands on the double root and reads the exact sign 0 there, so
-        # only ``_critical_shares``' exact discriminant check leaves it out
+        # only ``_critical_shares``' check that q'' is 0 there too leaves it out
         learn = (0.6, 0.5, 1.0, 1.0, 1.0)
         assert _saddles(LearningSpec.cubic(*learn)) == oracles.saddle_node_exact(learn) == []
+
+
+    def test_saddle_node_at_a_tangent_root_whose_share_is_a_double(self):
+        # q' has the simple roots 0.25 and 0.75, and at E = 0.25 the gap has a
+        # double root at s = 0.25: a saddle-node, which the cusp rule keeps
+        spec = LearningSpec.cubic(0.5, 0.875, 1.0, 1.0, 1.0)
+        diagram = sweep(PreferenceSchedule(), spec)
+        assert [(sn.E_bar, sn.s_bar, sn.residuals) for sn in diagram.thresholds] == [
+            (0.25, 0.25, (0.0, 0.0))]
 
 
 def _saddles(spec):
@@ -475,8 +484,8 @@ class TestCorrectlyRoundedEdges:
     @pytest.mark.parametrize("price", [1e270, 1e305, 1.7e308, 1.7976931348623157e308])
     def test_clipped_crossing_at_a_price_past_the_split_range(self, price):
         # alpha is clipped at 0.97 at the locus's end, E(0) = 1.3/0.6; past
-        # 2^996 Dekker's split of the price overflows, so the quotient share
-        # c/(c + (1 - c)*price) is formed with both terms scaled by 2^-128
+        # 2^996 Dekker's split of the price overflows, so ``_two_prod`` forms
+        # the quotient share c/(c + (1 - c)*price) with 2^128 traded between operands
         learn = (0.6, 0.8, 1.0, 1.5, 0.2)
         got = _edge_levels(LearningSpec.cubic(*learn), oracles.ALPHA_PARAMS, (price,))
         # the exact share and level, as ``oracles.edge_levels`` forms them
@@ -648,6 +657,28 @@ class TestExtremeWindows:
                 call()
             except DemandTierError:
                 pass
+
+
+    def test_coefficient_past_the_split_range_keeps_its_events(self):
+        # nu = 1e305 is past the range of Dekker's split; the locus then lies
+        # within E < 3e-305, which the grid, the saddle-nodes and the count
+        # changes of the exact oracle resolve
+        learn = (1e305, 0.8, 1.0, 1.2, 1.5)
+        e_max, p_min, p_max = 3e-305, 1e-6, 1e6
+        diagram = sweep(PreferenceSchedule(), LearningSpec.cubic(*learn),
+                        SweepConfig(0.0, e_max, 7), SolverConfig(p_min=p_min, p_max=p_max))
+        for i, e in enumerate(diagram.E.tolist()):
+            want = oracles.exact_roots(e, p_min, p_max, oracles.ALPHA_PARAMS, learn)
+            assert diagram.roots.p_star[diagram.roots.level == i].tolist() == want, e
+        exact = oracles.saddle_node_exact(learn)
+        assert len(exact) == 2
+        assert sorted((sn.E_bar, sn.s_bar) for sn in diagram.thresholds) == exact
+        want = oracles.count_changes(0.0, e_max, p_min, p_max, oracles.ALPHA_PARAMS, learn,
+                                     points=7, tol=1e-318)
+        got = [(t.E, t.count_lo, t.count_hi) for t in diagram.transitions]
+        assert [counts for _, *counts in got] == [counts for _, *counts in want] == [
+            [1, 3], [3, 1], [1, 0]]
+        assert all(abs(a[0] - b[0]) <= 1e-317 for a, b in zip(got, want))
 
 
 class TestScaling:

@@ -679,6 +679,24 @@ def test_level_where_nu_E_overflows_has_no_fixed_point(tmp_path):
     assert cp.stderr == ""  # no RuntimeWarning either
 
 
+@pytest.mark.parametrize("scenario, E, row", [
+    # Dekker's split of nu overflows past about 1.34e300, in the constant term nu*E
+    ({"learning": {"nu": 1e305}, "solver": {"p_max": 100}}, "0",
+     "0,18.0726717262,0.164003785568,0.850859012561,stable"),
+    # the root's share, about 1.1e-316, is subnormal and bisected
+    ({"learning": {"nu": 1e-300, "phi1": 1.0, "phi2": 1.0, "chi1": 2e-300, "chi2": 1e-300},
+      "preferences": {"alpha_base": 1e-9, "alpha_slope": 0.0, "alpha_lo": 1e-9},
+      "solver": {"p_min": 1e-300, "p_max": 1.7e308}}, "0.9999999999999999",
+     "1,9.00719926375e+306,1.11022301545e-316,1,marginal"),
+], ids=["nu past the split range", "subnormal share"])
+def test_extreme_calibration_prints_its_root(tmp_path, scenario, E, row):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = main_in_process(("fixed-points", "--E", E, "--scenario", str(path)))
+    assert (code, err) == (0, b"")
+    assert out.decode() == f"E,p_star,s_star,t_prime,stability\n{row}\n"
+
+
 @pytest.mark.parametrize("args, named", [
     (("bifurcation",), "g_H = 5e+298 at E = 0.05"),
     (("fixed-points", "--E", "0.3"), "g_H = 3e+299 at E = 0.3"),

@@ -6,6 +6,7 @@ import pytest
 
 from demandtier import (
     LearningSpec,
+    PreferenceSchedule,
     SolverConfig,
     Stability,
     TechnologyState,
@@ -18,7 +19,7 @@ from demandtier import (
 )
 from demandtier.bifurcation import SweepConfig, sweep
 from demandtier.dynamics import gap_coefficients
-from demandtier.errors import ConfigError, NoConvergence, ShareOutOfRange
+from demandtier.errors import ConfigError, DemandTierError, NoConvergence, ShareOutOfRange
 from demandtier.solver import STABILITY_ORDER
 
 import oracles
@@ -272,6 +273,59 @@ class TestCorrectRounding:
             for i, (e, want) in enumerate(zip(levels, wants)):
                 assert [fp.p_star for fp in find_fixed_points(sched, spec, e, cfg)] == want, e
                 assert columns.p_star[columns.level == i].tolist() == want, e
+
+    def test_root_whose_share_is_subnormal_equals_the_exact_oracle(self):
+        # the share of the root, about 1.1e-316, is bisected: its bound, one
+        # ulp, lets ``_exact_prices`` bracket the price between its bounds' prices
+        sched = PreferenceSchedule(1e-9, 0.0, 1e-9, 0.97)
+        spec = LearningSpec.cubic(1e-300, 1.0, 1.0, 2e-300, 1e-300)
+        cfg = SolverConfig(p_min=1e-300, p_max=1.7e308)
+        e = 1.0 - 2.0 ** -53
+        want = _oracle_roots(sched, spec, e, cfg)
+        assert want == [9.007199263748191e+306]
+        assert [fp.p_star for fp in find_fixed_points(sched, spec, e, cfg)] == want
+        assert solver_rows(sched, spec, np.array([e]), cfg).p_star.tolist() == want
+
+    @pytest.mark.parametrize("nu", [1e299, 1e305])
+    def test_coefficient_past_the_split_range_keeps_its_root(self, sched, nu):
+        # Dekker's split of nu overflows past about 1.34e300, in the gap's
+        # constant term nu*E; the root at E = 0 does not depend on nu
+        spec = LearningSpec.cubic(nu, 0.8, 1.0, 1.2, 1.5)
+        cfg = SolverConfig(p_max=100.0)
+        want = _oracle_roots(sched, spec, 0.0, cfg)
+        assert want == [18.07267172624999]
+        assert [fp.p_star for fp in find_fixed_points(sched, spec, 0.0, cfg)] == want
+
+    def test_extreme_magnitudes_equal_the_exact_oracle(self):
+        # one learning coefficient scaled far outside the benchmark's ranges,
+        # at the ends of the education range and windows out to the largest
+        # double; a draw whose spec is invalid or whose solve raises is skipped
+        rng = random.Random(20261021)
+        checked = 0
+        for _ in range(300):
+            sched, _, alpha_params, learn = random_calibration(rng)
+            learn = list(learn)
+            learn[rng.randrange(5)] *= rng.choice([1e-100, 1e100, 1e300, 1e305, 1e307])
+            e = rng.choice([0.0, 1.0 - 2.0 ** -53, rng.uniform(0.0, 0.6)])
+            p_min, p_max = rng.choice([(0.01, 14.0), (1e-12, 1e12), (1e-300, 1.7e308)])
+            try:
+                cfg = SolverConfig(p_min=p_min, p_max=p_max)
+                got = find_fixed_points(sched, LearningSpec.cubic(*learn), e, cfg)
+            except DemandTierError:
+                continue
+            want = oracles.exact_roots(e, p_min, p_max, alpha_params, learn)
+            assert [fp.p_star for fp in got] == want, (learn, e, p_min, p_max)
+            checked += 1
+        assert checked >= 200
+
+    def test_tangent_root_at_a_double_share_equals_the_exact_oracle(self, sched):
+        # at E = 0.25 the gap touches 0 at s = 0.25, where its slope vanishes:
+        # a cut of ``_roots``, whose exact sign 0 there makes it one marginal root
+        learn = (0.5, 0.875, 1.0, 1.0, 1.0)
+        roots = find_fixed_points(sched, LearningSpec.cubic(*learn), 0.25)
+        assert [(fp.p_star, fp.stability) for fp in roots] == [
+            (13.666666666666673, Stability.MARGINAL)]
+        assert [fp.p_star for fp in roots] == oracles.exact_roots(0.25, learn_params=learn)
 
     def test_root_whose_share_rounds_to_1_raises_naming_p_min(self, sched, cubic):
         # the closed form puts the share at 1 + 2.2e-16; the root's share rounds

@@ -7,8 +7,10 @@ generator seeded with ``--seed`` and times one ``_events`` call on each, at
 the default sweep and solver settings, with ``gc.collect()`` before each call.
 Every call runs on a new calibration, so no cache carries over from the call
 before. Prints the median and the quartiles of the per-call times in
-microseconds and the number of events found. It asserts no time: compare
-medians of alternating fresh processes, one per commit, on one machine.
+microseconds, the number of events found, and how many event levels
+``_locus._level`` formed and how many exact bisections ``_locus._bisect`` ran
+for them. It asserts no time: compare medians of alternating fresh
+processes, one per commit, on one machine.
 """
 
 import argparse
@@ -22,8 +24,19 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from conftest import random_calibration  # noqa: E402
-from demandtier import SolverConfig, SweepConfig  # noqa: E402
+from demandtier import SolverConfig, SweepConfig, _locus  # noqa: E402
 from demandtier.bifurcation import _events  # noqa: E402
+
+
+def _count_calls(name, counts):
+    """Wrap ``_locus``'s function ``name`` so that each call adds 1 to counts[name]."""
+    function = getattr(_locus, name)
+
+    def counted(*args):
+        counts[name] += 1
+        return function(*args)
+
+    setattr(_locus, name, counted)
 
 
 def main(argv=None) -> int:
@@ -33,7 +46,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     rng = random.Random(args.seed)
     sweep_cfg, solver_cfg = SweepConfig(), SolverConfig()
-    times, events = [], 0
+    times, events, counts = [], 0, {"_level": 0, "_bisect": 0}
+    for name in counts:
+        _count_calls(name, counts)
     for _ in range(args.calibrations):
         sched, spec, _, _ = random_calibration(rng)
         gc.collect()
@@ -43,7 +58,8 @@ def main(argv=None) -> int:
         events += len(found)
     q1, median, q3 = (1e6 * t for t in statistics.quantiles(times, n=4))
     print(f"_events cold over {args.calibrations} calibrations (seed {args.seed}): "
-          f"median {median:.1f} us [quartiles {q1:.1f}, {q3:.1f}], {events} events")
+          f"median {median:.1f} us [quartiles {q1:.1f}, {q3:.1f}], {events} events; "
+          f"{counts['_level']} levels, {counts['_bisect']} exact bisections")
     return 0
 
 
