@@ -252,30 +252,29 @@ def _sign(value):
 
 def _bisect(sign, lo, hi):
     """The double nearest the one zero in (lo, hi) of the exact function whose
-    sign ``sign`` gives at a ``Fraction``, where the sign changes.
-
-    Bisection over the doubles of the bracket ends at two neighbours, and the
-    sign at their midpoint picks the nearer; a zero exactly halfway goes to
-    the even one, as ``float(Fraction)`` rounds. lo and hi are floats or
-    ``Fraction`` values.
+    sign ``sign`` gives at a ``Fraction``, where the sign changes. Bisection
+    over the ranks of the bracket's doubles, their ordered bit patterns, ends
+    at two neighbours within 64 halvings, and the sign at their midpoint picks
+    the nearer; a zero exactly halfway goes to the even one, as
+    ``float(Fraction)`` rounds. lo and hi are floats or ``Fraction`` values.
     """
-    lo, hi = _fraction(lo), _fraction(hi)
-    side_lo = sign(lo)
+    from struct import pack, unpack
+
+    def flip(q):  # a double's int64 bits <-> its rank; -0.0 ranks as 0.0
+        return q if q >= 0 else -2 ** 63 - q
+
+    side_lo = sign(_fraction(lo))
+    a, b = map(flip, unpack("<2q", pack("<2d", float(lo), float(hi))))
     while True:
-        x, y = float(lo), float(hi)
-        if x == y:
+        m = (a + b) // 2
+        x, y = unpack("<2d", pack("<2q", flip(m), flip(b)))
+        if a == b:
             return x
-        adjacent = math.nextafter(x, math.inf) == y
-        mid = (_fraction(x) + _fraction(y)) / 2 if adjacent else _fraction(0.5 * x + 0.5 * y)
+        mid = (_fraction(x) + _fraction(y)) / 2 if b - a == 1 else _fraction(x)
         side = sign(mid)
-        if side == 0:
-            return float(mid)
-        if adjacent:
-            return y if side == side_lo else x
-        if side == side_lo:
-            lo = mid
-        else:
-            hi = mid
+        if side == 0 or b - a == 1:  # a zero at mid, or the nearer neighbour
+            return float(mid) if side == 0 else y if side == side_lo else x
+        a, b = (m, b) if side == side_lo else (a, m)
 
 
 def _roots(poly, sign, keep=lambda s: True) -> list:

@@ -13,6 +13,14 @@ arrays and work elementwise, with the same values either way: their integer
 powers are products (``phi2*s*s*s``), which round alike on floats and arrays,
 in the order of the simulation loop, ``_simulate_arrays``, so each simulated
 level is ``growth_factors`` times the one before, bit for bit.
+
+Where the share comes out bit-identical period after period, the loop hands
+the path to a block step that writes the levels over arrays as running
+products of the growth factors and keeps them up to the first period whose
+share differs. The blocks hold the loop's bits: IEEE products are
+commutative, ``np.multiply.accumulate`` rounds each partial product in order,
+numpy's float64 ``+ - * /`` round as Python floats do, and the recurrence
+calls no libm function.
 """
 
 from __future__ import annotations
@@ -215,6 +223,14 @@ def _broadcast(path, horizon: int, scalar: bool) -> np.ndarray:
     return np.asarray(path, dtype=float)[:horizon].copy()
 
 
+# The block step of _simulate_arrays: the shares that must come out bit-identical
+# in a row before it is tried, the length of its first block, and the cap of the
+# doubling lengths of the blocks that follow while the share holds.
+_RUN = 16
+_BLOCK = 256
+_BLOCK_CAP = 4096
+
+
 def _simulate_arrays(spec: LearningSpec, a_H0: float, a_L0: float, alpha: np.ndarray,
                      E: np.ndarray):
     """Iterate the sectoral productivity pair forward, one period per entry of E.
@@ -228,32 +244,92 @@ def _simulate_arrays(spec: LearningSpec, a_H0: float, a_L0: float, alpha: np.nda
     after it, over arrays, by the same operations. Its per-period inputs alpha,
     1 - alpha and 1 + nu*E are read through memoryviews or, where E holds one
     value (and so alpha does), repeated as three Python floats of the same bits.
+
+    Once the share has come out bit-identical ``_RUN`` periods in a row, the
+    loop hands the path to ``_extrapolate``, which takes blocks of periods over
+    arrays while the share holds and returns the period at which the loop
+    resumes. The blocks are exact: IEEE products are commutative,
+    ``np.multiply.accumulate`` rounds each partial product in order, as the
+    loop does, numpy's float64 ``+ - * /`` round as Python floats do, and the
+    recurrence calls no libm function. A path whose share never holds pays
+    only the comparison of each share with the one before.
     """
     nu, phi1, phi2, chi1, chi2 = spec.coefficients
     horizon = len(E)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        inputs = (alpha, 1.0 - alpha, 1.0 + nu * E)
+        inputs = arrays = (alpha, 1.0 - alpha, 1.0 + nu * E)
         bits = E.view(np.uint64)
         if (bits == bits[0]).all():  # one level: the same bits each period
-            inputs = [repeat(x.item(0)) for x in inputs]
-        else:
-            inputs = map(memoryview, inputs)
-        a_h_arr, a_l_arr = np.empty(horizon), np.empty(horizon)
-        a_h_out, a_l_out = memoryview(a_h_arr), memoryview(a_l_arr)
+            inputs = [x.item(0) for x in arrays]
+        levels = np.empty(horizon), np.empty(horizon)
+        a_h_out, a_l_out = map(memoryview, levels)
         a_h, a_l = float(a_H0), float(a_L0)
-        for t, al, rest, base in zip(range(horizon), *inputs):
-            a_h_out[t] = a_h
-            a_l_out[t] = a_l
-            try:
-                pt = a_l / a_h
-            except ZeroDivisionError:  # a_H underflowed to 0: the IEEE quotient
-                pt = math.inf if a_l > 0.0 else math.nan
-            st = al / (al + rest * pt)
-            u = 1.0 - st
-            a_h = (base + phi1 * st - phi2 * st * st * st) * a_h
-            a_l = (1.0 + chi1 * u - chi2 * u * u * u) * a_l
+        start = 0
+        while start < horizon:
+            held = math.nan
+            periods = (repeat(x) if isinstance(x, float) else memoryview(x)[start:]
+                       for x in inputs)
+            for t, al, rest, base in zip(range(start, horizon), *periods):
+                a_h_out[t] = a_h
+                a_l_out[t] = a_l
+                try:
+                    pt = a_l / a_h
+                except ZeroDivisionError:  # a_H underflowed to 0: the IEEE quotient
+                    pt = math.inf if a_l > 0.0 else math.nan
+                st = al / (al + rest * pt)
+                u = 1.0 - st
+                a_h = (base + phi1 * st - phi2 * st * st * st) * a_h
+                a_l = (1.0 + chi1 * u - chi2 * u * u * u) * a_l
+                if st != held:  # NaN never holds
+                    held, since = st, t
+                elif t - since >= _RUN:
+                    break
+            else:
+                break
+            start, a_h, a_l = _extrapolate(spec, levels, arrays, t + 1, a_h, a_l, held)
+        a_h_arr, a_l_arr = levels
         p = a_l_arr / a_h_arr
         return p, alpha / (alpha + (1.0 - alpha) * p), a_h_arr, a_l_arr
+
+
+def _extrapolate(spec: LearningSpec, levels: tuple, inputs: tuple, start: int, a_h: float,
+                 a_l: float, share: float) -> tuple:
+    """Carry the levels of ``_simulate_arrays`` forward over arrays from period
+    ``start``, whose levels are a_h and a_l, while each period's share is
+    ``share``, the share of the period before.
+
+    The growth factors then depend on the period through 1 + nu*E alone, so a
+    block of levels is their running product, ``np.multiply.accumulate``. The
+    block's shares are formed from its levels by the loop's own operations, and
+    every level up to the first period whose share differs is exact by
+    induction. NaN, an infinite level and an a_H that underflowed to 0 all end
+    a block there. ``inputs`` holds the arrays alpha, 1 - alpha and 1 + nu*E.
+    Returns the period at which the loop resumes, with its two levels; blocks
+    double from ``_BLOCK`` periods up to ``_BLOCK_CAP`` while the share holds.
+    """
+    _, phi1, phi2, chi1, chi2 = spec.coefficients
+    u = 1.0 - share
+    g_l = 1.0 + chi1 * u - chi2 * u * u * u
+    horizon, size = len(levels[0]), _BLOCK
+    while start < horizon:
+        stop = min(start + size, horizon)
+        al, rest, base = (x[start:stop] for x in inputs)
+        block_h, block_l = (x[start:stop] for x in levels)
+        block_h[1:] = base[:-1] + phi1 * share - phi2 * share * share * share
+        block_l[1:] = g_l
+        for block, level in ((block_h, a_h), (block_l, a_l)):
+            block[0] = level
+            np.multiply.accumulate(block, out=block)
+        moved = al / (al + rest * (block_l / block_h)) != share
+        k = moved.argmax().item()
+        if moved[k]:
+            return start + k, block_h.item(k), block_l.item(k)
+        # the last period's share holds too: the next block goes on from it
+        start, a_h, a_l = stop - 1, block_h.item(-1), block_l.item(-1)
+        if stop == horizon:
+            break
+        size = min(2 * size, _BLOCK_CAP)
+    return horizon, a_h, a_l
 
 
 def simulate_path(

@@ -94,15 +94,29 @@ def random_calibration(rng):
     return PreferenceSchedule(**prefs), spec, alpha_params, learn
 
 
+def slow_learning(spec, horizon: int, budget: float):
+    """``spec`` with every learning rate shrunk by one factor until no level can
+    move by more than e^budget over ``horizon`` periods at E in [0, 0.45], as
+    the benchmark's path generator does."""
+    nu, phi1, phi2, chi1, chi2 = spec.coefficients
+    grid = [j / 200.0 for j in range(201)]
+    worst_h = max(abs(math.log(1.0 + nu * e + phi1 * s - phi2 * s**3))
+                  for s in grid for e in (0.0, 0.45))
+    worst_l = max(abs(math.log(1.0 + chi1 * (1 - s) - chi2 * (1 - s) ** 3)) for s in grid)
+    factor = min(1.0, budget / (horizon * (worst_h + worst_l)))
+    rates = ("nu", "phi", "chi", "phi1", "phi2", "chi1", "chi2")
+    return LearningSpec(variant=spec.variant, **{k: getattr(spec, k) * factor for k in rates})
+
+
 def level_scaling_case(rng):
     """A seeded path set-up whose levels may be scaled by 2^k, |k| <= 60.
 
     Returns (schedule, spec, initial state, E, income, horizon): a calibration
     of ``random_calibration``, a horizon of 50, 200 or 400 periods, and E and
     income each a scalar or a linear ramp over the horizon. Every learning rate
-    is shrunk by one factor until no level can move by more than e^200 over the
-    horizon, as the benchmark's path generator does, so that a level scaled by
-    2^k stays a normal float and each product rounds as the unscaled one does.
+    is shrunk by ``slow_learning`` until no level can move by more than e^200
+    over the horizon, so that a level scaled by 2^k stays a normal float and
+    each product rounds as the unscaled one does.
     """
     sched, spec, _, _ = random_calibration(rng)
     horizon = rng.choice((50, 200, 400))
@@ -114,13 +128,6 @@ def level_scaling_case(rng):
         return [start + (end - start) * t / (horizon - 1) for t in range(horizon)]
 
     e_path, income = path(0.0, 0.45), path(6.0, 20.0)
-    nu, phi1, phi2, chi1, chi2 = spec.coefficients
-    grid = [j / 200.0 for j in range(201)]
-    worst_h = max(abs(math.log(1.0 + nu * e + phi1 * s - phi2 * s**3))
-                  for s in grid for e in (0.0, 0.45))
-    worst_l = max(abs(math.log(1.0 + chi1 * (1 - s) - chi2 * (1 - s) ** 3)) for s in grid)
-    factor = min(1.0, 200.0 / (horizon * (worst_h + worst_l)))
-    rates = ("nu", "phi", "chi", "phi1", "phi2", "chi1", "chi2")
-    spec = LearningSpec(variant=spec.variant, **{k: getattr(spec, k) * factor for k in rates})
+    spec = slow_learning(spec, horizon, 200.0)
     initial = TechnologyState(a_H=rng.uniform(0.5, 2.0), a_L=rng.uniform(0.5, 10.0))
     return sched, spec, initial, e_path, income, horizon

@@ -359,6 +359,25 @@ class TestBisect:
         mid = 0.5 * lo + 0.5 * hi
         assert _locus._bisect(lambda t: _locus._sign(t - Fraction(mid)), lo, hi) == mid
 
+    @pytest.mark.parametrize("zero", [Fraction(7, 3) * Fraction(5e-324), Fraction(1e-310) / 3])
+    def test_a_subnormal_zero_in_0_1_takes_at_most_64_sign_evaluations(self, zero):
+        # halving the bracket by value would take one evaluation per binade, about 1075
+        evaluations = []
+
+        def sign(t):
+            evaluations.append(t)
+            return _locus._sign(t - zero)
+
+        assert _locus._bisect(sign, 0.0, 1.0) == float(zero)
+        assert len(evaluations) <= 64
+
+    @pytest.mark.parametrize("lo, hi", [(-1e300, -1e-300), (-2.0, 3e-320), (-5e-324, 5e-324)])
+    def test_brackets_across_binades_and_zero_end_at_the_rounded_zero(self, lo, hi):
+        for t in (0.1, 0.5, 0.9):
+            zero = Fraction(lo) + (Fraction(hi) - Fraction(lo)) * Fraction(t)
+            assert _locus._bisect(lambda x: _locus._sign(x - zero), lo, hi) == float(zero)
+            assert _locus._bisect(lambda x: _locus._sign(zero - x), lo, hi) == float(zero)
+
 
 class TestCusp:
     # the headline calibration with phi1 = 0.6: the discriminant of q' on the

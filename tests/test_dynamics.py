@@ -33,7 +33,40 @@ from demandtier.errors import (
 )
 
 import oracles
-from conftest import flat_sched, level_scaling_case, load_goldens
+from conftest import (
+    flat_sched,
+    level_scaling_case,
+    load_goldens,
+    random_calibration,
+    slow_learning,
+)
+
+
+def assert_levels_step(spec, alpha, e, a_h0, a_l0):
+    """Run the recurrence and check each level against ``growth_factors`` times
+    the level before, bit for bit, and p against a_L/a_H; returns its arrays."""
+    p, s, a_h, a_l = _simulate_arrays(spec, a_h0, a_l0, alpha, e)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert np.array_equal(p, a_l / a_h)
+    g = growth_factors(spec, s[:-1], e[:-1])
+    assert a_h[1:].tobytes() == (g.g_H * a_h[:-1]).tobytes()
+    assert a_l[1:].tobytes() == (g.g_L * a_l[:-1]).tobytes()
+    return p, s, a_h, a_l
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """(start, resume) of each block step the recurrence takes."""
+    calls = []
+
+    def spy(*args):
+        resume = extrapolate(*args)
+        calls.append((args[3], resume[0]))
+        return resume
+
+    extrapolate = dynamics._extrapolate
+    monkeypatch.setattr(dynamics, "_extrapolate", spy)
+    return calls
 
 
 class TestExcessShare:
@@ -304,12 +337,45 @@ class TestSimulateArrays:
                 spec = LearningSpec.cubic(nu, phi1, rng.uniform(0.0, 1.0) * (1.0 + phi1),
                                           chi1, rng.uniform(0.0, 1.0) * (1.0 + chi1))
             e = rng.uniform(0.0, 0.5, 60) if i % 4 < 2 else np.full(60, rng.uniform(0.0, 0.5))
-            p, s, a_h, a_l = _simulate_arrays(spec, rng.uniform(0.5, 2.0), rng.uniform(0.5, 8.0),
-                                              alpha_of(sched, e), e)
-            assert np.array_equal(p, a_l / a_h)
-            g = growth_factors(spec, s[:-1], e[:-1])
-            assert a_h[1:].tobytes() == (g.g_H * a_h[:-1]).tobytes()
-            assert a_l[1:].tobytes() == (g.g_L * a_l[:-1]).tobytes()
+            assert_levels_step(spec, alpha_of(sched, e), e, rng.uniform(0.5, 2.0),
+                               rng.uniform(0.5, 8.0))
+
+    def test_levels_step_through_the_blocks_of_the_default_path(self, sched, cubic, blocks):
+        e = np.full(16_000, 0.28)
+        assert_levels_step(cubic, alpha_of(sched, e), e, 1.0, 5.0)
+        # the share holds over most of the path: the blocks, not the loop, carry it
+        assert sum(resume - start for start, resume in blocks) > 0.75 * len(e)
+
+    @pytest.mark.parametrize("pieces", [1, 4])
+    def test_levels_step_through_the_blocks_of_random_paths(self, blocks, pieces):
+        # slowed learning keeps the levels finite; E is one level or constant pieces
+        rng, taken = random.Random(20261021 + pieces), 0
+        for _ in range(12):
+            sched, spec, _, _ = random_calibration(rng)
+            horizon = rng.randint(2000, 5000)
+            cuts = sorted(rng.sample(range(1, horizon), pieces - 1))
+            e = np.repeat([rng.uniform(0.0, 0.45) for _ in range(pieces)],
+                          np.diff([0, *cuts, horizon]))
+            blocks.clear()
+            assert_levels_step(slow_learning(spec, horizon, 600.0), alpha_of(sched, e), e,
+                               rng.uniform(0.5, 2.0), rng.uniform(0.5, 8.0))
+            taken += bool(blocks)
+        assert taken >= 4  # 9 and 6 of the 12 paths take blocks
+
+    def test_a_run_that_ends_inside_a_block(self, sched, cubic, blocks):
+        # the default path's share holds from about period 1300; E drops at 1400
+        e = np.repeat([0.28, 0.145], [1400, 2600])
+        assert_levels_step(cubic, alpha_of(sched, e), e, 1.0, 5.0)
+        assert any(start < 1400 and resume == 1400 for start, resume in blocks)
+
+    def test_a_h_underflows_to_0_after_a_run(self, blocks):
+        # the share holds at 1 while g_H = 0.01 drives a_H down; once a_H is 0 the
+        # price is inf and the share holds at 0, a second run
+        spec = LearningSpec.cubic(nu=0.6, phi1=0.0, phi2=0.99, chi1=1.2, chi2=1.5)
+        a_h = assert_levels_step(spec, np.full(2000, 0.97), np.zeros(2000), 1.0, 5e-324)[2]
+        zero = np.argmax(a_h == 0.0)
+        assert 0 < blocks[0][0] < blocks[0][1] < zero and a_h[-1] == 0.0
+        assert blocks[-1][1] == len(a_h)
 
 
 class TestSimulatePath:
