@@ -10,9 +10,9 @@ where s is the excess-quantity share of high-tier consumption and g_H, g_L
 are the sectoral growth factors. Education enters twice: directly in g_H and
 through the preference weight inside S. S, g_H, g_L and H take scalars or
 arrays and work elementwise, with the same values either way: their integer
-powers are products (``phi2*s*s*s``), which round alike on floats and arrays,
-in the order of the simulation loop, ``_simulate_arrays``, so each simulated
-level is ``growth_factors`` times the one before, bit for bit.
+powers are products (``phi2*s*s*s``), which round alike on floats and arrays.
+The simulation loop, ``_simulate_arrays``, and its block step inline them in
+order, so each level is ``growth_factors`` times the one before, bit for bit.
 
 Where the share comes out bit-identical period after period, the loop hands
 the path to a block step that writes the levels over arrays as running
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import repeat
 
 from ._np import _any, _first, _xp, np
 from .demand import alpha_of, alpha_slope_of, demand_arrays
@@ -241,9 +240,8 @@ def _simulate_arrays(spec: LearningSpec, a_H0: float, a_L0: float, alpha: np.nda
     ``alpha_of(E)``. The loop runs on Python floats, which round exactly as
     numpy float64 does but cost far less per operation, and stores the levels
     straight into the float64 arrays it returns; ``p`` and ``s`` are formed
-    after it, over arrays, by the same operations. Its per-period inputs alpha,
-    1 - alpha and 1 + nu*E are read through memoryviews or, where E holds one
-    value (and so alpha does), repeated as three Python floats of the same bits.
+    after it, over arrays, by the same operations. Its per-period inputs alpha
+    and 1 + nu*E are read through memoryviews, whatever E holds.
 
     Once the share has come out bit-identical ``_RUN`` periods in a row, the
     loop hands the path to ``_extrapolate``, which takes blocks of periods over
@@ -257,26 +255,22 @@ def _simulate_arrays(spec: LearningSpec, a_H0: float, a_L0: float, alpha: np.nda
     nu, phi1, phi2, chi1, chi2 = spec.coefficients
     horizon = len(E)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        inputs = arrays = (alpha, 1.0 - alpha, 1.0 + nu * E)
-        bits = E.view(np.uint64)
-        if (bits == bits[0]).all():  # one level: the same bits each period
-            inputs = [x.item(0) for x in arrays]
+        inputs = (alpha, 1.0 + nu * E)
         levels = np.empty(horizon), np.empty(horizon)
         a_h_out, a_l_out = map(memoryview, levels)
         a_h, a_l = float(a_H0), float(a_L0)
         start = 0
         while start < horizon:
             held = math.nan
-            periods = (repeat(x) if isinstance(x, float) else memoryview(x)[start:]
-                       for x in inputs)
-            for t, al, rest, base in zip(range(start, horizon), *periods):
+            periods = (memoryview(x)[start:] for x in inputs)
+            for t, al, base in zip(range(start, horizon), *periods):
                 a_h_out[t] = a_h
                 a_l_out[t] = a_l
                 try:
                     pt = a_l / a_h
                 except ZeroDivisionError:  # a_H underflowed to 0: the IEEE quotient
                     pt = math.inf if a_l > 0.0 else math.nan
-                st = al / (al + rest * pt)
+                st = al / (al + (1.0 - al) * pt)
                 u = 1.0 - st
                 a_h = (base + phi1 * st - phi2 * st * st * st) * a_h
                 a_l = (1.0 + chi1 * u - chi2 * u * u * u) * a_l
@@ -286,7 +280,7 @@ def _simulate_arrays(spec: LearningSpec, a_H0: float, a_L0: float, alpha: np.nda
                     break
             else:
                 break
-            start, a_h, a_l = _extrapolate(spec, levels, arrays, t + 1, a_h, a_l, held)
+            start, a_h, a_l = _extrapolate(spec, levels, inputs, t + 1, a_h, a_l, held)
         a_h_arr, a_l_arr = levels
         p = a_l_arr / a_h_arr
         return p, alpha / (alpha + (1.0 - alpha) * p), a_h_arr, a_l_arr
@@ -303,7 +297,7 @@ def _extrapolate(spec: LearningSpec, levels: tuple, inputs: tuple, start: int, a
     block's shares are formed from its levels by the loop's own operations, and
     every level up to the first period whose share differs is exact by
     induction. NaN, an infinite level and an a_H that underflowed to 0 all end
-    a block there. ``inputs`` holds the arrays alpha, 1 - alpha and 1 + nu*E.
+    a block there. ``inputs`` holds the arrays alpha and 1 + nu*E.
     Returns the period at which the loop resumes, with its two levels; blocks
     double from ``_BLOCK`` periods up to ``_BLOCK_CAP`` while the share holds.
     """
@@ -313,14 +307,14 @@ def _extrapolate(spec: LearningSpec, levels: tuple, inputs: tuple, start: int, a
     horizon, size = len(levels[0]), _BLOCK
     while start < horizon:
         stop = min(start + size, horizon)
-        al, rest, base = (x[start:stop] for x in inputs)
+        al, base = (x[start:stop] for x in inputs)
         block_h, block_l = (x[start:stop] for x in levels)
         block_h[1:] = base[:-1] + phi1 * share - phi2 * share * share * share
         block_l[1:] = g_l
         for block, level in ((block_h, a_h), (block_l, a_l)):
             block[0] = level
             np.multiply.accumulate(block, out=block)
-        moved = al / (al + rest * (block_l / block_h)) != share
+        moved = al / (al + (1.0 - al) * (block_l / block_h)) != share
         k = moved.argmax().item()
         if moved[k]:
             return start + k, block_h.item(k), block_l.item(k)

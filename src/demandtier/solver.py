@@ -125,9 +125,9 @@ def _polish(x, E, alpha, coefficients):
 # ---------------------------------------------------------------- exact fallback
 
 
-def _exact_prices(E, alpha, spec: LearningSpec, cfg):
-    """The correctly rounded roots of one level in the price window widened to
-    [p_min/2, 2*p_max], ascending; the caller keeps those in [p_min, p_max].
+def _exact_prices(E, alpha, spec: LearningSpec):
+    """The correctly rounded prices of one level's roots in (0, 1), ascending, up
+    to the largest double; the caller keeps those in [p_min, p_max].
 
     ``_roots`` gives the gap's roots in share, on its exact sign where doubles
     cannot decide it, and ``_price`` their prices. Where ``_price`` cannot
@@ -136,8 +136,6 @@ def _exact_prices(E, alpha, spec: LearningSpec, cfg):
     """
     a, largest = _fraction(alpha), _fraction(math.nextafter(math.inf, 0.0))
     gap = _exact_gap(spec.coefficients, E)
-    s_min, s_max = (alpha / (alpha + (1.0 - alpha) * p)  # the shares of the widened window
-                    for p in (2.0 * cfg.p_max, 0.5 * cfg.p_min))
 
     def sign(s):  # of the gap at the share s
         return _sign(_horner(gap, s))
@@ -146,7 +144,7 @@ def _exact_prices(E, alpha, spec: LearningSpec, cfg):
         return sign(a / (a + (1 - a) * p))
 
     prices = []
-    for s, s_lo, err in _roots(_gap(spec.coefficients, E), sign, lambda s: s_min <= s <= s_max):
+    for s, s_lo, err in _roots(_gap(spec.coefficients, E), sign):
         p, certified = _price(s, s_lo, err, alpha)
         if not certified:
             mid, err = _fraction(s) + _fraction(s_lo), _fraction(err)
@@ -215,7 +213,7 @@ def find_fixed_points(
             prices.append(p)
             exact = not certified
     if exact:
-        prices = _exact_prices(E, alpha, spec, cfg)
+        prices = _exact_prices(E, alpha, spec)
     roots = []
     for p_star in sorted(p for p in prices if cfg.p_min <= p <= cfg.p_max):
         s_star, t_prime, code = _recheck(sched, spec, E, p_star, cfg)
@@ -265,7 +263,7 @@ def _fixed_point_rows(
         prices[level, slot] = p
         exact[level[~certified]] = True
         for i in np.flatnonzero(exact).tolist():
-            found = _exact_prices(E_array[i].item(), alpha[i].item(), spec, cfg)
+            found = _exact_prices(E_array[i].item(), alpha[i].item(), spec)
             prices[i] = found + [np.nan] * (3 - len(found))
         window = (cfg.p_min <= prices) & (prices <= cfg.p_max)
         prices = np.sort(np.where(window, prices, np.nan), axis=1)

@@ -324,8 +324,8 @@ class TestSimulateArrays:
             assert np.array_equal(p, a_l / a_h, equal_nan=True)
 
     def test_levels_equal_growth_factors_times_the_level_before(self):
-        # the loop and growth_factors take the same products in the same order, on
-        # memoryviews of a list of levels and on the repeated floats of one level
+        # the loop and growth_factors take the same products in the same order, on a
+        # list of levels and on one level, both read through memoryviews
         rng = np.random.default_rng(20261018)
         for i in range(200):
             sched = PreferenceSchedule(alpha_base=rng.uniform(0.3, 0.9),
@@ -426,8 +426,8 @@ class TestSimulatePath:
 
     @pytest.mark.parametrize("h", [1, 2, 37, 200])
     def test_one_level_rows_before_a_change_of_E_equal_the_one_level_path(self, sched, cubic, h):
-        # the longer path reads its inputs through memoryviews and maps libm once
-        # per run of E; the one-level path repeats three floats and maps it once
+        # both paths read their inputs through memoryviews; the longer one maps libm
+        # once per run of E, the one-level path once
         state = TechnologyState(a_H=1.3, a_L=4.1)
         one = simulate_path(sched, cubic, state, 0.28, 10.0, h)
         changed = simulate_path(sched, cubic, state, [0.28] * h + [0.145] * 60, 10.0, h + 60)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from demandtier import (
     simulate_path,
 )
 from demandtier.bifurcation import SweepConfig, sweep
+from demandtier.demand import alpha_of
 from demandtier.dynamics import gap_coefficients
 from demandtier.errors import ConfigError, DemandTierError, NoConvergence, ShareOutOfRange
 from demandtier.solver import STABILITY_ORDER
@@ -238,6 +240,22 @@ class TestCorrectRounding:
                 assert columns.p_star[columns.level == i].tolist() == want, e
                 roots += len(want)
         assert roots >= 5 * calibrations and len(exact) >= 6 * calibrations
+
+    def test_exact_fallback_returns_every_root_whose_price_is_a_finite_double(self):
+        # the fallback keeps no window of its own: roots far outside the default
+        # one come back too, each the oracle's in the widest window of doubles
+        from demandtier import solver
+
+        rng = random.Random(20261022)
+        outside = 0
+        for _ in range(30):
+            sched, spec, alpha_params, learn = random_calibration(rng)
+            for e in [rng.uniform(0.0, 0.6) for _ in range(4)]:
+                got = solver._exact_prices(e, alpha_of(sched, e), spec)
+                assert got == oracles.exact_roots(e, 5e-324, sys.float_info.max, alpha_params,
+                                                  learn), e
+                outside += sum(not 0.01 <= p <= 14.0 for p in got)
+        assert outside >= 20
 
     def test_root_whose_share_is_near_0_equals_the_exact_oracle(self, sched):
         # the closed form puts the share of the root at p ~ 7e17 at -3.3e-16:
